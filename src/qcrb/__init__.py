@@ -7,7 +7,7 @@ finite-dimensional models and Gaussian shift models, and provides POVM
 audits against the matrix Cramér-Rao inequalities.
 """
 
-from .bounds import ClosedFormBounds, c_d, c_gs, sandwich, x_eff
+from .bounds import ClosedFormBounds, c_d, c_gs, sandwich
 from .exceptions import (
     IllDefinedFim,
     InfeasibleModel,
@@ -56,6 +56,6 @@ from .povm import (
     save_povm,
     validate_povm,
 )
-from .sld import InformationData, SldSet, compute_slds, feasibility, information
+from .sld import ModelAnalysis, analyze, infeasible_columns
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
-"""Closed-form precision bounds from the information matrices.
+"""Closed-form precision bounds from one model analysis.
 
-Everything here is a finite formula in J⁺: the efficient influence
-operators, the generalized Helstrom bound, and the D-matrix upper bound
-on the Holevo bound, together with the two-sided comparison
-c_gs ≤ c_d ≤ 2 c_gs.
+Everything here is a finite formula in J⁺ read off a
+:class:`~qcrb.sld.ModelAnalysis`: the generalized Helstrom bound and the
+D-matrix upper bound on the Holevo bound, together with the two-sided
+comparison c_gs ≤ c_d ≤ 2 c_gs.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import InfeasibleModel
-from .model import QuantumModel
-from .sld import InformationData, SldSet, compute_slds, infeasible_columns, information
+from .sld import ModelAnalysis
 
-__all__ = ["ClosedFormBounds", "x_eff", "c_gs", "c_d", "sandwich"]
+__all__ = ["ClosedFormBounds", "c_gs", "c_d", "sandwich"]
 
 
 @dataclass(frozen=True)
@@ -26,63 +24,31 @@ class ClosedFormBounds:
 
     c_gs: float
     c_d: float
-    x_eff: np.ndarray
     v_eff: np.ndarray
     z_eff: np.ndarray
 
 
-def _require_feasible(model: QuantumModel, info: InformationData) -> None:
-    bad = infeasible_columns(info, model.dbeta)
-    if bad:
-        raise InfeasibleModel(
-            f"target component(s) {bad} are not estimable: dbeta column(s) leave the range of J",
-            bad_columns=bad,
-        )
-
-
-def x_eff(model: QuantumModel, slds: SldSet, info: InformationData) -> np.ndarray:
-    """Efficient influence operators (dbeta)ᵀ J⁺ L, shape (q, d, d).
-
-    The unique minimizer of the weighted-variance bound; zero-mean and
-    satisfying the unbiasedness constraints whenever the model is feasible.
-    """
-    _require_feasible(model, info)
-    coeffs = linalg.pseudoinverse(info.qfim) @ model.dbeta  # (p, q)
-    return np.tensordot(coeffs.T, slds.slds, axes=(1, 0))
-
-
-def c_gs(model: QuantumModel, slds: SldSet, info: InformationData) -> float:
+def c_gs(analysis: ModelAnalysis) -> float:
     """Generalized Helstrom bound tr[W (dbeta)ᵀ J⁺ dbeta]."""
-    _require_feasible(model, info)
-    v_eff = model.dbeta.T @ linalg.pseudoinverse(info.qfim) @ model.dbeta
+    model = analysis.model
+    v_eff = model.dbeta.T @ analysis.qfim_pinv @ model.dbeta
     return float(np.trace(model.weight @ v_eff))
 
 
-def c_d(model: QuantumModel, slds: SldSet, info: InformationData) -> float:
+def c_d(analysis: ModelAnalysis) -> float:
     """D-matrix bound c_gs + ‖√W (dbeta)ᵀ J⁺ D J⁺ dbeta √W‖₁."""
-    _require_feasible(model, info)
-    j_pinv = linalg.pseudoinverse(info.qfim)
-    proj = j_pinv @ model.dbeta  # (p, q)
-    root_w = linalg.psd_sqrt(model.weight)
-    skew = proj.T @ info.dmat @ proj
-    return c_gs(model, slds, info) + linalg.trace_norm(root_w @ skew @ root_w)
+    proj = analysis.qfim_pinv @ analysis.model.dbeta  # (p, q)
+    root_w = analysis.root_weight
+    skew = proj.T @ analysis.dmat @ proj
+    return c_gs(analysis) + linalg.trace_norm(root_w @ skew @ root_w)
 
 
-def sandwich(model: QuantumModel, slds: SldSet | None = None,
-             info: InformationData | None = None) -> ClosedFormBounds:
-    """Assemble all closed-form quantities and check c_gs ≤ c_d ≤ 2 c_gs.
-
-    ``slds``/``info`` may be passed in when already computed.
-    """
-    if slds is None:
-        slds = compute_slds(model)
-    if info is None:
-        info = information(model, slds)
-    ops = x_eff(model, slds, info)
-    z_eff = linalg.z_matrix(ops, model.rho)
+def sandwich(analysis: ModelAnalysis) -> ClosedFormBounds:
+    """Assemble all closed-form quantities and check c_gs ≤ c_d ≤ 2 c_gs."""
+    z_eff = analysis.z_eff
     v_eff = (z_eff.real + z_eff.real.T) / 2
-    gs = c_gs(model, slds, info)
-    d = c_d(model, slds, info)
+    gs = c_gs(analysis)
+    d = c_d(analysis)
     if not (gs <= d + 1e-9 and d <= 2 * gs + 1e-9):
         raise AssertionError(f"bound ordering violated: c_gs={gs!r}, c_d={d!r}")
-    return ClosedFormBounds(c_gs=gs, c_d=d, x_eff=ops, v_eff=v_eff, z_eff=z_eff)
+    return ClosedFormBounds(c_gs=gs, c_d=d, v_eff=v_eff, z_eff=z_eff)

@@ -6,7 +6,8 @@ inputs and flags), diagnostics and timings to stderr.
 
 Exit codes: 0 success; 1 unreadable or invalid input file; 2 semantic
 rejection (infeasible model, unphysical covariance matrix, locally biased
-POVM); 3 solver failure.
+POVM); 3 solver failure.  ``main`` maps every error to its code through
+one table, :data:`FAILURES`.
 """
 
 from __future__ import annotations
@@ -21,14 +22,26 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gaussian as gaussian_mod
 from . import holevo, linalg, povm as povm_mod, sdp
-from .exceptions import InfeasibleModel, ModelError, NotLocallyUnbiased, VerificationFailed
+from .exceptions import IllDefinedFim, InfeasibleModel, NotLocallyUnbiased, VerificationFailed
 from .model import FIXTURE_NAMES, fixture, load_model, model_to_dict, save_model, validate
-from .sld import compute_slds, infeasible_columns, information
+from .sld import analyze
 
 EXIT_OK = 0
 EXIT_FILE = 1
 EXIT_REJECTED = 2
 EXIT_SOLVER = 3
+
+#: Exit code and stderr prefix per error class; the first matching row
+#: wins, so the more specific classes come first.  ``ModelError`` is a
+#: ``ValueError``: validation failures exit like unreadable files.
+FAILURES = (
+    (InfeasibleModel, EXIT_REJECTED, "infeasible model"),
+    (NotLocallyUnbiased, EXIT_REJECTED, "not locally unbiased"),
+    (IllDefinedFim, EXIT_REJECTED, "ill-defined information matrix"),
+    (VerificationFailed, EXIT_SOLVER, "verification failed"),
+    (OSError, EXIT_FILE, "error"),
+    (ValueError, EXIT_FILE, "error"),
+)
 
 _FIXTURE_HELP = {
     "qubit_bloch": "params rx,ry,rz with |r|<1; p=q=3",
@@ -56,23 +69,15 @@ def _tolerances(args) -> dict:
 
 
 def _bound_pipeline(model, args):
-    """validate -> SLDs -> information -> feasibility -> closed forms -> SDP.
+    """analysis -> closed forms -> SDP -> verification, on a validated model.
 
-    Returns (report dict, exit code); diagnostics on stderr.
+    Returns (report dict, solution, timings, exit code).
     """
     t0 = time.perf_counter()
-    validate(model)
-    slds = compute_slds(model, rank_tol=args.rank_tol)
-    info = information(model, slds, rank_tol=args.rank_tol)
-    bad = infeasible_columns(info, model.dbeta)
-    if bad:
-        raise InfeasibleModel(
-            f"beta component(s) {bad} are not estimable (dbeta column outside range of J)",
-            bad_columns=bad,
-        )
-    closed = bounds_mod.sandwich(model, slds, info)
+    analysis = analyze(model, args.rank_tol)
+    closed = bounds_mod.sandwich(analysis)
     t1 = time.perf_counter()
-    problem = holevo.build_problem(model, slds, rank_tol=args.rank_tol)
+    problem = holevo.build_problem(analysis)
     sol = holevo.solve(problem, tol=args.tol, max_iter=args.max_iter)
     t2 = time.perf_counter()
     report = {
@@ -90,7 +95,7 @@ def _bound_pipeline(model, args):
     timings = {"closed_forms_s": t1 - t0, "sdp_s": t2 - t1}
     if sol.status != sdp.OPTIMAL:
         return report, sol, timings, EXIT_SOLVER
-    verification = holevo.verify_solution(model, sol, slds)
+    verification = holevo.verify_solution(analysis, sol)
     report["verified"] = True
     report["unbias_residual"] = verification.unbias_residual
     if getattr(args, "include_x_opt", False):
@@ -124,22 +129,7 @@ def _emit_bound_report(report: dict, timings: dict, args) -> None:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        model = load_model(args.model)
-    except (OSError, ValueError) as exc:
-        _diag(f"error: {exc}")
-        return EXIT_FILE
-    try:
-        report, sol, timings, code = _bound_pipeline(model, args)
-    except InfeasibleModel as exc:
-        _diag(f"infeasible model: {exc}")
-        return EXIT_REJECTED
-    except VerificationFailed as exc:
-        _diag(f"verification failed: {exc}")
-        return EXIT_SOLVER
-    except ModelError as exc:
-        _diag(f"invalid model: {exc}")
-        return EXIT_FILE
+    report, sol, timings, code = _bound_pipeline(load_model(args.model), args)
     if code == EXIT_SOLVER:
         _diag(f"solver failed: status {sol.status} after {sol.iterations} iterations "
               f"(gap {sol.duality_gap:.3e}); best iterate reported")
@@ -148,25 +138,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
-    try:
-        model = gaussian_mod.load_gaussian_model(args.model)
-    except (OSError, ValueError) as exc:
-        _diag(f"error: {exc}")
-        return EXIT_FILE
-    try:
-        physical = gaussian_mod.validate_cm(model.cm, model.modes)
-    except ValueError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_FILE
-    if not physical:
+    model = gaussian_mod.load_gaussian_model(args.model)
+    if not gaussian_mod.validate_cm(model.cm, model.modes):
         _diag("unphysical covariance matrix: sigma + i*Omega has negative eigenvalues")
         return EXIT_REJECTED
     if args.measurement_cm:
-        try:
-            meas = gaussian_mod.load_measurement(args.measurement_cm, model.modes)
-        except (OSError, ValueError) as exc:
-            _diag(f"error: {exc}")
-            return EXIT_FILE
+        meas = gaussian_mod.load_measurement(args.measurement_cm, model.modes)
         if not gaussian_mod.validate_cm(meas.cm_m, model.modes):
             _diag("unphysical measurement covariance matrix")
             return EXIT_REJECTED
@@ -206,35 +183,17 @@ def cmd_gaussian(args) -> int:
 
 
 def cmd_check_povm(args) -> int:
-    try:
-        povm = povm_mod.load_povm(args.povm)
-        model = load_model(args.model)
-    except (OSError, ValueError) as exc:
-        _diag(f"error: {exc}")
-        return EXIT_FILE
+    povm = povm_mod.load_povm(args.povm)
+    model = load_model(args.model)
     q = model.n_targets
-    beta = np.zeros(q)
-    if args.beta:
-        try:
-            beta = np.array([float(x) for x in args.beta.split(",")])
-        except ValueError:
-            _diag(f"error: --beta expects comma-separated floats, got {args.beta!r}")
-            return EXIT_FILE
-        if beta.shape != (q,):
-            _diag(f"error: --beta needs {q} entries, got {beta.shape[0]}")
-            return EXIT_FILE
+    beta = np.array([float(x) for x in args.beta.split(",")]) if args.beta else np.zeros(q)
+    if beta.shape != (q,):
+        raise ValueError(f"--beta needs {q} entries, got {beta.shape[0]}")
 
     report_data = povm_mod.measurement_report(povm, model, beta)
-    if report_data.unbias_residual > povm_mod.UNBIAS_TOL:
-        _diag(f"not locally unbiased: residual {report_data.unbias_residual:.6e}")
-        return EXIT_REJECTED
     dv_min, dz_min = povm_mod.matrix_crb_check(povm, model, beta)
     tr_w_sigma = float(np.trace(model.weight @ report_data.sigma))
-    try:
-        breport, sol, timings, code = _bound_pipeline(model, args)
-    except InfeasibleModel as exc:
-        _diag(f"infeasible model: {exc}")
-        return EXIT_REJECTED
+    breport, sol, timings, code = _bound_pipeline(model, args)
     if code != EXIT_OK:
         _diag(f"solver failed while computing bound comparison: {sol.status}")
         return EXIT_SOLVER
@@ -278,23 +237,13 @@ def _parse_values(spec: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    if args.fixture not in FIXTURE_NAMES:
-        _diag(f"error: unknown fixture '{args.fixture}'; known: {', '.join(FIXTURE_NAMES)}")
-        return EXIT_FILE
-    try:
-        values = _parse_values(args.values)
-    except ValueError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_FILE
+    values = _parse_values(args.values)
     fixed = [float(x) for x in args.fixed.split(",")] if args.fixed else []
     rows = []
     for value in values:
-        try:
-            model = fixture(args.fixture, [value] + fixed)
-            report, sol, _, code = _bound_pipeline(model, args)
-        except (ValueError, ModelError) as exc:
-            _diag(f"error at param {value!r}: {exc}")
-            return EXIT_REJECTED if isinstance(exc, InfeasibleModel) else EXIT_FILE
+        model = fixture(args.fixture, [value] + fixed)
+        validate(model)
+        report, sol, _, code = _bound_pipeline(model, args)
         if code != EXIT_OK:
             _diag(f"solver failed at param {value!r}: {sol.status}")
             return EXIT_SOLVER
@@ -316,11 +265,7 @@ def cmd_fixtures(args) -> int:
         params.append(float(args.seed))
     if args.params:
         params.extend(float(x) for x in args.params.split(","))
-    try:
-        model = fixture(args.emit, params)
-    except ValueError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_FILE
+    model = fixture(args.emit, params)
     if args.out:
         save_model(model, args.out)
         _diag(f"wrote {args.out}")
@@ -385,15 +330,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotLocallyUnbiased as exc:
-        _diag(f"not locally unbiased: {exc}")
-        return EXIT_REJECTED
-    except ModelError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_REJECTED
-    except OSError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_FILE
+    except tuple(cls for cls, _, _ in FAILURES) as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in FAILURES if isinstance(exc, cls))
+        _diag(f"{prefix}: {exc}")
+        return code
 
 
 if __name__ == "__main__":

@@ -16,10 +16,11 @@ J = 2 (∂r)ᵀ σ⁻¹ ∂r.  Everything here is finite real linear algebra on
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import _real_matrix, read_json, write_json
 
 __all__ = [
     "GaussianShiftModel",
@@ -152,16 +153,6 @@ def generaldyne_logdensity(r_out: np.ndarray, model: GaussianShiftModel,
 # file formats (same conventions as the quantum-model files)
 
 
-def _real_matrix(obj, where: str) -> np.ndarray:
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: expected a rectangular real matrix") from exc
-    if arr.ndim != 2:
-        raise ValueError(f"{where}: expected a matrix, got ndim={arr.ndim}")
-    return arr
-
-
 def gaussian_model_from_dict(data: dict) -> GaussianShiftModel:
     for key in ("modes", "cm", "djacobian"):
         if key not in data:
@@ -204,11 +195,7 @@ def gaussian_model_to_dict(model: GaussianShiftModel) -> dict:
 
 
 def load_gaussian_model(path) -> GaussianShiftModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    data = read_json(path)
     try:
         return gaussian_model_from_dict(data)
     except ValueError as exc:
@@ -216,18 +203,12 @@ def load_gaussian_model(path) -> GaussianShiftModel:
 
 
 def save_gaussian_model(model: GaussianShiftModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(gaussian_model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+    write_json(gaussian_model_to_dict(model), path)
 
 
 def load_measurement(path, modes: int) -> GaussianMeasurement:
     """Load a measurement CM file {"cm": [[...]]} and shape-check it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    data = read_json(path)
     if "cm" not in data:
         raise ValueError(f"{path}: measurement file misses field 'cm'")
     cm = _real_matrix(data["cm"], "cm")

@@ -14,6 +14,10 @@ For rank-deficient states the kernel×kernel basis directions influence
 neither objective nor constraints; by default they are dropped from the
 optimization (``reduce_kernel=True``), shrinking both the variable count
 and the PSD block.
+
+:func:`build_problem` and :func:`verify_solution` read rho's eigenbasis,
+the efficient influence operators and the closed-form bounds from the
+model's one :class:`~qcrb.sld.ModelAnalysis`.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ import numpy as np
 from . import linalg, sdp
 from .bounds import c_d as _c_d
 from .bounds import c_gs as _c_gs
-from .bounds import x_eff as _x_eff
 from .exceptions import InfeasibleModel, VerificationFailed
 from .model import QuantumModel
-from .sld import SldSet, compute_slds, information
+from .povm import unbiasedness_residual
+from .sld import ModelAnalysis
 
 __all__ = ["HolevoProblem", "HolevoSolution", "build_problem", "solve", "verify_solution"]
 
@@ -44,8 +48,7 @@ class HolevoProblem:
     right-hand side differs per component and sits in ``constraint_rhs``
     (column s).  ``x0`` holds feasible coefficients (the efficient
     influence operators) and ``nullspace`` a basis of the per-component
-    feasible directions; ``basis_coeffs_dim`` counts the free real
-    coefficients after elimination.
+    feasible directions.
     """
 
     model: QuantumModel
@@ -55,7 +58,6 @@ class HolevoProblem:
     x0: np.ndarray
     nullspace: np.ndarray
     right_factor: np.ndarray
-    basis_coeffs_dim: int
     z_eff: np.ndarray
 
     @property
@@ -99,23 +101,16 @@ def _reduced_hermitian_basis(supp: np.ndarray, kern: np.ndarray) -> np.ndarray:
     return np.array(elems)
 
 
-def build_problem(model: QuantumModel, slds: SldSet | None = None,
-                  reduce_kernel: bool = True,
-                  rank_tol: float = linalg.DEFAULT_RANK_TOL) -> HolevoProblem:
+def build_problem(analysis: ModelAnalysis, reduce_kernel: bool = True) -> HolevoProblem:
     """Expand the influence operators over a Hermitian basis and encode the
     unbiasedness constraints.
 
-    Raises :class:`InfeasibleModel` when the constraint set is empty (some
-    dbeta column leaves the range of the information matrix).
+    Raises :class:`InfeasibleModel` when the efficient influence operators
+    miss the constraints (the constraint set is empty).
     """
-    if slds is None:
-        slds = compute_slds(model)
-    info = information(model, slds)
-    x_eff_ops = _x_eff(model, slds, info)  # raises InfeasibleModel when empty
-
-    rho = linalg.hermitian_part(np.asarray(model.rho, dtype=complex))
-    vals, vecs = np.linalg.eigh(rho)
-    support = vals > rank_tol * max(vals.max(), 1e-300)
+    model = analysis.model
+    rho = analysis.rho
+    vals, vecs, support = analysis.eigvals, analysis.eigvecs, analysis.support
     supp_vecs = vecs[:, support]
     right_factor = supp_vecs * np.sqrt(vals[support])
 
@@ -131,7 +126,7 @@ def build_problem(model: QuantumModel, slds: SldSet | None = None,
     a_mat = np.array(rows)  # (1+p, n_b)
     rhs = np.vstack([np.zeros(model.n_targets), np.asarray(model.dbeta, dtype=float)])  # (1+p, q)
 
-    x0 = np.array([linalg.basis_coefficients(xs, basis) for xs in x_eff_ops])  # (q, n_b)
+    x0 = np.array([linalg.basis_coefficients(xs, basis) for xs in analysis.x_eff])  # (q, n_b)
     residual = np.abs(a_mat @ x0.T - rhs).max()
     if residual > CONSTRAINT_TOL:
         raise InfeasibleModel(
@@ -144,7 +139,6 @@ def build_problem(model: QuantumModel, slds: SldSet | None = None,
     _, _, vh = np.linalg.svd(a_mat, full_matrices=True)
     nullspace = vh[rank:].T  # (n_b, m_s)
 
-    z_eff = linalg.z_matrix(x_eff_ops, rho)
     return HolevoProblem(
         model=model,
         basis=basis,
@@ -153,8 +147,7 @@ def build_problem(model: QuantumModel, slds: SldSet | None = None,
         x0=x0,
         nullspace=nullspace,
         right_factor=right_factor,
-        basis_coeffs_dim=model.n_targets * nullspace.shape[1],
-        z_eff=z_eff,
+        z_eff=analysis.z_eff,
     )
 
 
@@ -253,8 +246,7 @@ class HolevoVerification:
     c_d: float
 
 
-def verify_solution(model: QuantumModel, sol: HolevoSolution,
-                    slds: SldSet | None = None,
+def verify_solution(analysis: ModelAnalysis, sol: HolevoSolution,
                     objective_tol: float = 1e-7,
                     constraint_tol: float = CONSTRAINT_TOL) -> HolevoVerification:
     """Recheck an Optimal solution independently of the solver.
@@ -266,12 +258,10 @@ def verify_solution(model: QuantumModel, sol: HolevoSolution,
     """
     if sol.status != sdp.OPTIMAL:
         raise VerificationFailed(f"solution status is {sol.status}, not {sdp.OPTIMAL}")
-    if slds is None:
-        slds = compute_slds(model)
-    info = information(model, slds)
+    model = analysis.model
 
     z = linalg.z_matrix(sol.x_opt, model.rho)
-    root_w = linalg.psd_sqrt(model.weight)
+    root_w = analysis.root_weight
     nonsmooth = float(np.trace(model.weight @ z.real)) + linalg.trace_norm(root_w @ z.imag @ root_w)
     deviation = abs(nonsmooth - sol.c_h)
     if deviation > objective_tol * max(1.0, abs(sol.c_h)):
@@ -279,17 +269,12 @@ def verify_solution(model: QuantumModel, sol: HolevoSolution,
             f"nonsmooth objective {nonsmooth!r} deviates from c_h {sol.c_h!r} by {deviation:.3e}"
         )
 
-    mean_res = max(abs(np.trace(model.rho @ xs)) for xs in sol.x_opt)
-    deriv = np.array(
-        [[np.trace(dj @ xs).real for xs in sol.x_opt] for dj in model.drho]
-    )
-    deriv_res = np.abs(deriv - model.dbeta).max()
-    unbias = float(max(mean_res, deriv_res))
+    unbias = unbiasedness_residual(model, sol.x_opt)
     if unbias > constraint_tol:
         raise VerificationFailed(f"local unbiasedness violated: residual {unbias:.3e}")
 
-    gs = _c_gs(model, slds, info)
-    d = _c_d(model, slds, info)
+    gs = _c_gs(analysis)
+    d = _c_d(analysis)
     if not (gs - objective_tol * max(1.0, gs) <= sol.c_h <= d + objective_tol * max(1.0, d)):
         raise VerificationFailed(
             f"bound ordering violated: c_gs={gs!r}, c_h={sol.c_h!r}, c_d={d!r}"

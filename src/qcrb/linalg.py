@@ -13,7 +13,6 @@ __all__ = [
     "hermitian_part",
     "require_hermitian",
     "jordan_product",
-    "sld_inner",
     "z_matrix",
     "v_matrix",
     "trace_norm",
@@ -21,7 +20,6 @@ __all__ = [
     "psd_sqrt",
     "hermitian_basis",
     "basis_coefficients",
-    "operator_from_coefficients",
     "belavkin_grishanin_gap",
     "weighted_tracenorm_check",
 ]
@@ -67,28 +65,6 @@ def jordan_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ b + b @ a) / 2
 
 
-def sld_inner(x_ops: np.ndarray, y_ops: np.ndarray, rho: np.ndarray) -> float:
-    """Real inner product Tr ρ Σ_s X_s ∘ Y_s between two operator vectors.
-
-    Parameters
-    ----------
-    x_ops, y_ops : arrays of shape (n, d, d)
-        Hermitian operator vectors of equal length.
-    rho : array (d, d)
-        Density matrix defining the weight.
-    """
-    x_ops = np.asarray(x_ops, dtype=complex)
-    y_ops = np.asarray(y_ops, dtype=complex)
-    if x_ops.shape != y_ops.shape:
-        raise ValueError(f"operator vectors differ in shape: {x_ops.shape} vs {y_ops.shape}")
-    if x_ops.shape[-1] != rho.shape[-1]:
-        raise ValueError("operator dimension does not match rho")
-    total = 0.0
-    for xs, ys in zip(x_ops, y_ops):
-        total += np.trace(rho @ jordan_product(xs, ys)).real
-    return float(total)
-
-
 def z_matrix(x_ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Complex covariance matrix Z_st = Tr ρ X_s X_t of an operator vector.
 
@@ -98,13 +74,9 @@ def z_matrix(x_ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     x_ops = np.asarray(x_ops, dtype=complex)
     if x_ops.shape[-1] != rho.shape[-1]:
         raise ValueError("operator dimension does not match rho")
-    n = x_ops.shape[0]
     rho_x = np.array([rho @ xs for xs in x_ops])
-    z = np.empty((n, n), dtype=complex)
-    for s in range(n):
-        for t in range(n):
-            # Tr(rho X_s X_t) = sum over entries of (rho X_s) * (X_t)^T
-            z[s, t] = np.sum(rho_x[s] * x_ops[t].T)
+    # Tr(rho X_s X_t) = sum over entries of (rho X_s) * (X_t)^T
+    z = (rho_x[:, None] * x_ops.transpose(0, 2, 1)[None]).sum(axis=(-2, -1))
     return hermitian_part(z)
 
 
@@ -123,12 +95,11 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def pseudoinverse(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+def pseudoinverse(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a real symmetric matrix.
 
-    Eigendecomposition based: eigenvalues with |λ| ≤ rank_tol are treated as
-    exact zeros.  ``rank_tol`` defaults to ``1e-10`` times the largest
-    eigenvalue magnitude.
+    Eigendecomposition based: eigenvalues with |λ| ≤ ``rank_tol`` times the
+    largest eigenvalue magnitude are treated as exact zeros.
 
     Raises
     ------
@@ -146,10 +117,8 @@ def pseudoinverse(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     if np.abs(m - m.T).max() > HERMITICITY_TOL * max(np.abs(m).max(), 1.0):
         raise ValueError("pseudoinverse expects a symmetric matrix")
     w, v = np.linalg.eigh((m + m.T) / 2)
-    if rank_tol is None:
-        rank_tol = DEFAULT_RANK_TOL * (np.abs(w).max() if w.size else 1.0)
     inv_w = np.zeros_like(w)
-    keep = np.abs(w) > rank_tol
+    keep = np.abs(w) > rank_tol * (np.abs(w).max() if w.size else 1.0)
     inv_w[keep] = 1.0 / w[keep]
     out = (v * inv_w) @ v.T
     return (out + out.T) / 2
@@ -210,11 +179,6 @@ def hermitian_basis(d: int) -> np.ndarray:
 def basis_coefficients(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Real coefficients Tr(A E_a) of a Hermitian A in an orthonormal basis."""
     return np.array([np.sum(e * a.T).real for e in basis])
-
-
-def operator_from_coefficients(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`basis_coefficients`: Σ_a c_a E_a."""
-    return np.tensordot(np.asarray(coeffs, dtype=float), basis, axes=(0, 0))
 
 
 def belavkin_grishanin_gap(a: np.ndarray) -> float:

@@ -28,6 +28,8 @@ __all__ = [
     "validate",
     "load_model",
     "save_model",
+    "read_json",
+    "write_json",
     "model_to_dict",
     "model_from_dict",
     "fixture",
@@ -156,6 +158,22 @@ def validate(model: QuantumModel) -> ModelDiagnostics:
 # serialization
 
 
+def read_json(path):
+    """Parse a JSON input file; a decode error becomes a ValueError naming the position."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+
+
+def write_json(data, path) -> None:
+    """Write ``data`` as indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
+
+
 def _complex_matrix_to_pairs(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
@@ -227,11 +245,7 @@ def model_from_dict(data: dict) -> QuantumModel:
 
 def load_model(path) -> QuantumModel:
     """Load and validate a model file (JSON, complex entries as [re, im])."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    data = read_json(path)
     try:
         model = model_from_dict(data)
     except ValueError as exc:
@@ -241,9 +255,7 @@ def load_model(path) -> QuantumModel:
 
 
 def save_model(model: QuantumModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 # ---------------------------------------------------------------------------

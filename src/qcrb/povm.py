@@ -9,14 +9,20 @@ covariance, and the two matrix Cramér-Rao checks Σ ⪰ V(X) and Σ ⪰ Z(X).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .exceptions import IllDefinedFim, ModelError, NotLocallyUnbiased
-from .model import QuantumModel
+from .model import (
+    QuantumModel,
+    _complex_matrix_to_pairs,
+    _pairs_to_complex_matrix,
+    _real_matrix,
+    read_json,
+    write_json,
+)
 
 __all__ = [
     "DiscretePovm",
@@ -25,6 +31,7 @@ __all__ = [
     "born_probs",
     "povm_fim",
     "influence_operators",
+    "unbiasedness_residual",
     "check_local_unbiasedness",
     "error_covariance",
     "matrix_crb_check",
@@ -133,17 +140,22 @@ def influence_operators(povm: DiscretePovm, beta: np.ndarray) -> np.ndarray:
     return np.tensordot(deviations.T, povm.elements, axes=(1, 0))
 
 
-def check_local_unbiasedness(povm: DiscretePovm, model: QuantumModel,
-                             beta: np.ndarray, tol: float = UNBIAS_TOL) -> tuple[float, bool]:
-    """Residual of the two local-unbiasedness conditions and a pass flag.
+def unbiasedness_residual(model: QuantumModel, x_ops: np.ndarray) -> float:
+    """Residual of the two local-unbiasedness conditions on influence operators.
 
     residual = max(‖Tr ρ X‖_max, ‖Tr ∂ρ Xᵀ − ∂β‖_max).
     """
-    x_ops = influence_operators(povm, beta)
     mean_res = max(abs(np.trace(model.rho @ xs)) for xs in x_ops)
     deriv = np.array([[np.trace(dj @ xs).real for xs in x_ops] for dj in model.drho])
     deriv_res = np.abs(deriv - np.asarray(model.dbeta, dtype=float)).max()
-    residual = float(max(mean_res, deriv_res))
+    return float(max(mean_res, deriv_res))
+
+
+def check_local_unbiasedness(povm: DiscretePovm, model: QuantumModel,
+                             beta: np.ndarray, tol: float = UNBIAS_TOL) -> tuple[float, bool]:
+    """:func:`unbiasedness_residual` of the measurement's influence operators
+    and a pass flag."""
+    residual = unbiasedness_residual(model, influence_operators(povm, beta))
     return residual, residual <= tol
 
 
@@ -180,6 +192,8 @@ def measurement_report(povm: DiscretePovm, model: QuantumModel,
                        beta: np.ndarray) -> MeasurementReport:
     """Assemble probabilities, Σ, FIM, influence operators and the residual."""
     validate_povm(povm)
+    if povm.dim != model.dim:
+        raise ModelError(f"POVM dimension {povm.dim} does not match model dimension {model.dim}")
     residual, _ = check_local_unbiasedness(povm, model, beta)
     return MeasurementReport(
         probs=born_probs(povm, model.rho),
@@ -196,13 +210,7 @@ def measurement_report(povm: DiscretePovm, model: QuantumModel,
 
 def load_povm(path) -> DiscretePovm:
     """Load a POVM file {"dim", "elements", "estimates"} and validate it."""
-    from .model import _pairs_to_complex_matrix, _real_matrix
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    data = read_json(path)
     try:
         for key in ("dim", "elements", "estimates"):
             if key not in data:
@@ -228,13 +236,9 @@ def load_povm(path) -> DiscretePovm:
 
 
 def save_povm(povm: DiscretePovm, path) -> None:
-    from .model import _complex_matrix_to_pairs
-
     data = {
         "dim": int(povm.dim),
         "elements": [_complex_matrix_to_pairs(m) for m in povm.elements],
         "estimates": [[float(x) for x in row] for row in np.asarray(povm.estimates, dtype=float)],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+    write_json(data, path)

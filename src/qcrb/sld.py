@@ -1,4 +1,12 @@
-"""Symmetric logarithmic derivatives and the quantum information matrices.
+"""One local analysis of a model: SLDs, information matrices, efficient operators.
+
+:func:`analyze` computes, once per model, everything the three bounds
+read: the eigendecomposition of rho and its support/kernel split, the
+symmetric logarithmic derivatives, J = Re Z(L) and D = Im Z(L), the rank
+and pseudoinverse of J, and the efficient influence operators
+(dbeta)ᵀ J⁺ L.  Every rank decision — rho's support, the SLD kernel
+block, the rank of J and the feasibility verdict — is taken with the one
+relative ``rank_tol`` it is given.
 
 The Lyapunov equation drho_j = rho ∘ L_j is solved in the eigenbasis of
 rho; on rank-deficient states the kernel×kernel block of L_j is set to
@@ -13,63 +21,72 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import ResidualTooLarge
+from .exceptions import InfeasibleModel, ResidualTooLarge
 from .model import QuantumModel
 
 __all__ = [
-    "SldSet",
-    "InformationData",
+    "ModelAnalysis",
+    "analyze",
     "compute_slds",
     "information",
-    "feasibility",
     "infeasible_columns",
 ]
 
 RESIDUAL_TOL = 1e-8
+FEASIBILITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class SldSet:
-    """SLD operators, shape (p, d, d), with per-equation residual norms."""
+class ModelAnalysis:
+    """Everything the bounds need from one model, decided with one ``rank_tol``.
 
+    ``rho`` is the exactly Hermitized density matrix; ``eigvals``/``eigvecs``
+    its ascending eigendecomposition and ``support`` the mask of eigenvalues
+    above ``rank_tol`` times the largest.  ``slds`` (p, d, d) carry their
+    reconstruction ``residuals``; ``qfim`` = J is symmetric and ``dmat`` = D
+    antisymmetric to the bit.  ``x_eff`` (q, d, d) are the efficient
+    influence operators, ``z_eff`` = Z(X_eff) and ``root_weight`` = √W.
+    Only estimable models have an analysis (:func:`analyze` raises
+    otherwise), so no consumer checks feasibility again.
+    """
+
+    model: QuantumModel
+    rho: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+    support: np.ndarray
     slds: np.ndarray
     residuals: np.ndarray
-
-
-@dataclass(frozen=True)
-class InformationData:
-    """Quantum information matrix J = Re Z(L), mean-uncertainty matrix
-    D = Im Z(L) (skew-symmetric), and the numerical rank of J."""
-
     qfim: np.ndarray
     dmat: np.ndarray
     qfim_rank: int
+    qfim_pinv: np.ndarray
+    x_eff: np.ndarray
+    z_eff: np.ndarray
+    root_weight: np.ndarray
 
 
-def compute_slds(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL,
-                 residual_tol: float = RESIDUAL_TOL) -> SldSet:
-    """Solve drho_j = rho ∘ L_j for every parameter.
+def compute_slds(rho: np.ndarray, drho: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray,
+                 support: np.ndarray,
+                 residual_tol: float = RESIDUAL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Solve drho_j = rho ∘ L_j for every parameter; returns (slds, residuals).
 
-    In the eigenbasis of rho, (L_j)_ab = 2 (drho_j)_ab / (λ_a + λ_b) when
-    λ_a + λ_b exceeds ``rank_tol`` relative to the largest eigenvalue, and
-    0 otherwise.  Raises :class:`ResidualTooLarge` when the reconstruction
-    ‖rho ∘ L_j − drho_j‖_F exceeds ``residual_tol`` (kernel-block content
-    that slipped past validation).
+    In the eigenbasis of rho, (L_j)_ab = 2 (drho_j)_ab / (λ_a + λ_b) on every
+    pair touching the ``support`` and 0 on the kernel×kernel block.  Raises
+    :class:`ResidualTooLarge` when the reconstruction ‖rho ∘ L_j − drho_j‖_F
+    exceeds ``residual_tol`` (kernel-block content that slipped past
+    validation).
     """
-    rho = linalg.hermitian_part(np.asarray(model.rho, dtype=complex))
-    vals, vecs = np.linalg.eigh(rho)
-    cutoff = rank_tol * max(vals.max(), 1e-300)
-    pair_sums = vals[:, None] + vals[None, :]
-    solvable = pair_sums > cutoff
+    pair_sums = eigvals[:, None] + eigvals[None, :]
     inv_pairs = np.zeros_like(pair_sums)
-    inv_pairs[solvable] = 2.0 / pair_sums[solvable]
+    np.divide(2.0, pair_sums, out=inv_pairs, where=support[:, None] | support[None, :])
 
     slds = []
     residuals = []
-    for j, dj in enumerate(np.asarray(model.drho, dtype=complex)):
-        dj_eig = vecs.conj().T @ dj @ vecs
+    for j, dj in enumerate(np.asarray(drho, dtype=complex)):
+        dj_eig = eigvecs.conj().T @ dj @ eigvecs
         l_eig = dj_eig * inv_pairs
-        lj = vecs @ l_eig @ vecs.conj().T
+        lj = eigvecs @ l_eig @ eigvecs.conj().T
         lj = linalg.hermitian_part(lj)
         res = np.linalg.norm(linalg.jordan_product(rho, lj) - dj)
         if res > residual_tol:
@@ -78,42 +95,72 @@ def compute_slds(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL,
             )
         slds.append(lj)
         residuals.append(res)
-    return SldSet(slds=np.array(slds), residuals=np.array(residuals))
+    return np.array(slds), np.array(residuals)
 
 
-def information(model: QuantumModel, slds: SldSet,
-                rank_tol: float = linalg.DEFAULT_RANK_TOL) -> InformationData:
-    """Information matrices from the SLDs: J = Re Z(L), D = Im Z(L).
+def information(slds: np.ndarray, rho: np.ndarray,
+                rank_tol: float = linalg.DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray, int]:
+    """Information matrices from the SLDs: returns (J, D, rank of J).
 
-    J is symmetrized and D antisymmetrized exactly, so downstream code can
-    rely on J = Jᵀ and D = −Dᵀ holding to the bit.
+    J = Re Z(L) is symmetrized and D = Im Z(L) antisymmetrized exactly, so
+    downstream code can rely on J = Jᵀ and D = −Dᵀ holding to the bit.
     """
-    z = linalg.z_matrix(slds.slds, model.rho)
+    z = linalg.z_matrix(slds, rho)
     j = (z.real + z.real.T) / 2
     d = (z.imag - z.imag.T) / 2
     w = np.linalg.eigvalsh(j)
     rank = int(np.count_nonzero(np.abs(w) > rank_tol * max(np.abs(w).max(), 1e-300)))
-    return InformationData(qfim=j, dmat=d, qfim_rank=rank)
+    return j, d, rank
 
 
-def feasibility(info: InformationData, dbeta: np.ndarray, tol: float = 1e-8) -> bool:
-    """Estimability predicate: every column of dbeta lies in the range of J.
+def infeasible_columns(qfim: np.ndarray, qfim_pinv: np.ndarray, dbeta: np.ndarray,
+                       tol: float = FEASIBILITY_TOL) -> list[int]:
+    """Indices of dbeta columns outside the range of J (empty iff estimable).
 
-    Checked as ‖J J⁺ dbeta − dbeta‖_max ≤ tol; when it fails, no influence
-    operators satisfy the unbiasedness constraints and the affected target
-    components carry unbounded variance.
+    Column s fails when ‖(J J⁺ dbeta − dbeta)[:, s]‖_max > tol; then no
+    influence operators satisfy the unbiasedness constraints and target
+    component s carries unbounded variance.
     """
     dbeta = np.asarray(dbeta, dtype=float)
-    j = info.qfim
-    if dbeta.shape[0] != j.shape[0]:
-        raise ValueError(f"dbeta has {dbeta.shape[0]} rows, J is {j.shape[0]}×{j.shape[1]}")
-    proj = j @ linalg.pseudoinverse(j)
-    return bool(np.abs(proj @ dbeta - dbeta).max() <= tol)
-
-
-def infeasible_columns(info: InformationData, dbeta: np.ndarray, tol: float = 1e-8) -> list[int]:
-    """Indices of dbeta columns outside the range of J (empty iff feasible)."""
-    dbeta = np.asarray(dbeta, dtype=float)
-    proj = info.qfim @ linalg.pseudoinverse(info.qfim)
-    dev = np.abs(proj @ dbeta - dbeta)
+    if dbeta.shape[0] != qfim.shape[0]:
+        raise ValueError(f"dbeta has {dbeta.shape[0]} rows, J is {qfim.shape[0]}×{qfim.shape[1]}")
+    dev = np.abs(qfim @ qfim_pinv @ dbeta - dbeta)
     return [s for s in range(dbeta.shape[1]) if dev[:, s].max() > tol]
+
+
+def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> ModelAnalysis:
+    """Analyse ``model`` once, taking every rank decision with ``rank_tol``.
+
+    Raises :class:`ResidualTooLarge` when an SLD equation has no solution,
+    and :class:`InfeasibleModel` naming the dbeta columns that leave the
+    range of J.
+    """
+    rho = linalg.hermitian_part(np.asarray(model.rho, dtype=complex))
+    eigvals, eigvecs = np.linalg.eigh(rho)
+    support = eigvals > rank_tol * max(eigvals.max(), 1e-300)
+    slds, residuals = compute_slds(rho, model.drho, eigvals, eigvecs, support)
+    qfim, dmat, qfim_rank = information(slds, rho, rank_tol)
+    qfim_pinv = linalg.pseudoinverse(qfim, rank_tol)
+    bad = infeasible_columns(qfim, qfim_pinv, model.dbeta)
+    if bad:
+        raise InfeasibleModel(
+            f"beta component(s) {bad} are not estimable (dbeta column outside range of J)",
+            bad_columns=bad,
+        )
+    x_eff = np.tensordot((qfim_pinv @ model.dbeta).T, slds, axes=(1, 0))
+    return ModelAnalysis(
+        model=model,
+        rho=rho,
+        eigvals=eigvals,
+        eigvecs=eigvecs,
+        support=support,
+        slds=slds,
+        residuals=residuals,
+        qfim=qfim,
+        dmat=dmat,
+        qfim_rank=qfim_rank,
+        qfim_pinv=qfim_pinv,
+        x_eff=x_eff,
+        z_eff=linalg.z_matrix(x_eff, rho),
+        root_weight=linalg.psd_sqrt(model.weight),
+    )

@@ -13,7 +13,7 @@ import numpy as np
 from qcrb import linalg
 from qcrb.model import QuantumModel
 from qcrb.povm import DiscretePovm, born_probs
-from qcrb.sld import compute_slds, information
+from qcrb.sld import analyze, infeasible_columns
 
 
 def random_density(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
@@ -57,7 +57,6 @@ def random_model(
     """
     if singular_j and (p < 2 or q >= p):
         raise ValueError("singular_j construction needs q < p and p >= 2")
-    from qcrb.sld import feasibility
 
     for _ in range(50):
         rho = random_density(rng, d, rank)
@@ -74,15 +73,15 @@ def random_model(
             weight=np.eye(q),
             label=f"random(d={d},p={p},q={q})",
         )
-        info = information(model, compute_slds(model))
+        analysis = analyze(model)
         if singular_j:
-            dbeta = info.qfim @ rng.normal(size=(p, q))
+            dbeta = analysis.qfim @ rng.normal(size=(p, q))
         else:
             dbeta = rng.normal(size=(p, q))
         svals = np.linalg.svd(dbeta, compute_uv=False)
         if svals.min() <= 1e-8 * svals.max():
             continue
-        if not feasibility(info, dbeta):
+        if infeasible_columns(analysis.qfim, analysis.qfim_pinv, dbeta):
             continue
         weight = random_weight(rng, q) if weighted else np.eye(q)
         return QuantumModel(dim=d, rho=rho, drho=drho, dbeta=dbeta, weight=weight,

@@ -19,7 +19,7 @@ from qcrb.gaussian import GaussianMeasurement, GaussianShiftModel, gaussian_qfim
 from qcrb.holevo import build_problem, solve
 from qcrb.model import fixture
 from qcrb.povm import error_covariance, matrix_crb_check
-from qcrb.sld import InformationData, compute_slds, feasibility, information
+from qcrb.sld import analyze, infeasible_columns
 from _support import (
     direct_holevo_oracle,
     locally_unbiased_povm,
@@ -39,12 +39,11 @@ def report(label):
     print(f"ACCEPTANCE {label}: PASS")
 
 
-def solve_bounds(model, slds=None):
-    slds = slds if slds is not None else compute_slds(model)
-    info = information(model, slds)
-    gs = c_gs(model, slds, info)
-    dd = c_d(model, slds, info)
-    sol = solve(build_problem(model, slds), tol=1e-9)
+def solve_bounds(model):
+    analysis = analyze(model)
+    gs = c_gs(analysis)
+    dd = c_d(analysis)
+    sol = solve(build_problem(analysis), tol=1e-9)
     return gs, sol, dd
 
 
@@ -57,9 +56,7 @@ def normalize_scale(model):
     """
     import dataclasses
 
-    slds = compute_slds(model)
-    info = information(model, slds)
-    scale = c_gs(model, slds, info)
+    scale = c_gs(analyze(model))
     return dataclasses.replace(model, weight=model.weight / scale)
 
 
@@ -149,10 +146,9 @@ def test_criterion_5_fixture_values():
     with report("5 (closed-form fixture values)"):
         for z in (0.0, 0.25, 0.5, 0.75, 0.9):
             m = fixture("qubit_xy_at_z", [z])
-            slds = compute_slds(m)
-            info = information(m, slds)
-            assert abs(c_gs(m, slds, info) - 2.0) <= 1e-9, z
-            assert abs(c_d(m, slds, info) - (2 + 2 * abs(z))) <= 1e-9, z
+            analysis = analyze(m)
+            assert abs(c_gs(analysis) - 2.0) <= 1e-9, z
+            assert abs(c_d(analysis) - (2 + 2 * abs(z))) <= 1e-9, z
         vacuum = GaussianShiftModel(modes=1, djacobian=np.eye(2), cm=np.eye(2), mean=np.zeros(2))
         assert np.abs(gaussian_qfim(vacuum) - 2 * np.eye(2)).max() <= 1e-12
         from qcrb.gaussian import gaussian_fim
@@ -226,8 +222,7 @@ def test_criterion_9_feasibility_oracle():
                 shift = kernel @ rng.normal(size=(kernel.shape[1], q))
                 shift *= 10.0 ** rng.integers(-2, 3) / max(np.abs(shift).max(), 1e-300)
                 dbeta = dbeta + shift
-            info = InformationData(qfim=j, dmat=np.zeros((p, p)), qfim_rank=rank)
-            predicate = feasibility(info, dbeta, tol=1e-8)
+            predicate = not infeasible_columns(j, linalg.pseudoinverse(j), dbeta, tol=1e-8)
             sol, *_ = np.linalg.lstsq(j, dbeta, rcond=None)
             oracle = bool(np.abs(j @ sol - dbeta).max() <= 1e-8)
             disagreements += predicate != oracle

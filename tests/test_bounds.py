@@ -5,20 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcrb import linalg
-from qcrb.bounds import c_d, c_gs, sandwich, x_eff
+from qcrb.bounds import c_d, c_gs, sandwich
 from qcrb.exceptions import InfeasibleModel
 from qcrb.model import QuantumModel, fixture
-from qcrb.sld import compute_slds, information
+from qcrb.sld import analyze, information
 from _support import random_model, random_weight, zero_mean_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-
-
-def prepared(model):
-    slds = compute_slds(model)
-    info = information(model, slds)
-    return model, slds, info
 
 
 def diag_model(w):
@@ -33,22 +27,20 @@ def diag_model(w):
 
 class TestXEff:
     def test_transverse_qubit_recovers_paulis(self):
-        m, slds, info = prepared(fixture("qubit_xy_at_z", [0.4]))
-        ops = x_eff(m, slds, info)
+        ops = analyze(fixture("qubit_xy_at_z", [0.4])).x_eff
         assert_allclose(ops[0], SX, atol=1e-12)
         assert_allclose(ops[1], SY, atol=1e-12)
 
     def test_scalar_model(self):
         w = 0.5
-        m, slds, info = prepared(diag_model(w))
-        ops = x_eff(m, slds, info)
-        assert_allclose(ops[0], (1 - w * w) * slds.slds[0], atol=1e-12)
+        analysis = analyze(diag_model(w))
+        assert_allclose(analysis.x_eff[0], (1 - w * w) * analysis.slds[0], atol=1e-12)
 
     def test_zero_mean_and_unbiased(self):
         rng = np.random.default_rng(0)
         for _ in range(15):
-            m, slds, info = prepared(random_model(rng, d=3, p=3, q=2))
-            ops = x_eff(m, slds, info)
+            m = random_model(rng, d=3, p=3, q=2)
+            ops = analyze(m).x_eff
             for xs in ops:
                 assert abs(np.trace(m.rho @ xs)) < 1e-9
             deriv = np.array([[np.trace(dj @ xs).real for xs in ops] for dj in m.drho])
@@ -58,51 +50,45 @@ class TestXEff:
         rng = np.random.default_rng(1)
         m = random_model(rng, d=2, p=2, q=1, singular_j=True)
         # replace dbeta with a kernel direction of J
-        info = information(m, compute_slds(m))
-        kernel = np.linalg.eigh(info.qfim)[1][:, :1]
+        kernel = np.linalg.eigh(analyze(m).qfim)[1][:, :1]
         bad = dataclasses.replace(m, dbeta=kernel)
-        slds = compute_slds(bad)
-        info_b = information(bad, slds)
         with pytest.raises(InfeasibleModel) as err:
-            x_eff(bad, slds, info_b)
+            analyze(bad)
         assert err.value.bad_columns == [0]
 
 
 class TestClosedFormValues:
     def test_c_gs_transverse(self):
-        m, slds, info = prepared(fixture("qubit_xy_at_z", [0.5]))
-        assert c_gs(m, slds, info) == pytest.approx(2.0, abs=1e-12)
+        assert c_gs(analyze(fixture("qubit_xy_at_z", [0.5]))) == pytest.approx(2.0, abs=1e-12)
 
     def test_c_gs_scalar(self):
         w = 0.3
-        m, slds, info = prepared(diag_model(w))
-        assert c_gs(m, slds, info) == pytest.approx(1 - w * w, abs=1e-12)
+        assert c_gs(analyze(diag_model(w))) == pytest.approx(1 - w * w, abs=1e-12)
 
     @pytest.mark.parametrize("z", [0.0, 0.25, 0.5, 0.75, 0.9])
     def test_c_d_transverse(self, z):
-        m, slds, info = prepared(fixture("qubit_xy_at_z", [z]))
-        assert c_d(m, slds, info) == pytest.approx(2 + 2 * abs(z), abs=1e-9)
+        assert c_d(analyze(fixture("qubit_xy_at_z", [z]))) == pytest.approx(2 + 2 * abs(z), abs=1e-9)
 
     def test_c_d_equals_c_gs_for_commuting(self):
-        m, slds, info = prepared(fixture("classical_diagonal", [0.2, 0.5]))
-        assert c_d(m, slds, info) == pytest.approx(c_gs(m, slds, info), abs=1e-10)
+        analysis = analyze(fixture("classical_diagonal", [0.2, 0.5]))
+        assert c_d(analysis) == pytest.approx(c_gs(analysis), abs=1e-10)
 
     def test_c_d_equals_c_gs_scalar(self):
-        m, slds, info = prepared(diag_model(0.7))
-        assert c_d(m, slds, info) == pytest.approx(c_gs(m, slds, info), abs=1e-12)
+        analysis = analyze(diag_model(0.7))
+        assert c_d(analysis) == pytest.approx(c_gs(analysis), abs=1e-12)
 
     def test_c_gs_equals_tr_w_v_eff(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            m, slds, info = prepared(random_model(rng, d=3, p=2, q=2, weighted=True))
-            cf = sandwich(m, slds, info)
+            m = random_model(rng, d=3, p=2, q=2, weighted=True)
+            cf = sandwich(analyze(m))
             assert cf.c_gs == pytest.approx(float(np.trace(m.weight @ cf.v_eff)), abs=1e-9)
 
     def test_c_d_matches_z_eff_form(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            m, slds, info = prepared(random_model(rng, d=3, p=3, q=3, weighted=True))
-            cf = sandwich(m, slds, info)
+            m = random_model(rng, d=3, p=3, q=3, weighted=True)
+            cf = sandwich(analyze(m))
             root_w = linalg.psd_sqrt(m.weight)
             direct = float(np.trace(m.weight @ cf.z_eff.real)) + linalg.trace_norm(
                 root_w @ cf.z_eff.imag @ root_w
@@ -112,11 +98,11 @@ class TestClosedFormValues:
 
 class TestSandwich:
     def test_known_triple(self):
-        cf = sandwich(fixture("qubit_xy_at_z", [0.5]))
+        cf = sandwich(analyze(fixture("qubit_xy_at_z", [0.5])))
         assert (cf.c_gs, cf.c_d, 2 * cf.c_gs) == pytest.approx((2.0, 3.0, 4.0), abs=1e-9)
 
     def test_limit_approaches_two_c_gs(self):
-        cf = sandwich(fixture("qubit_xy_at_z", [1 - 1e-6]))
+        cf = sandwich(analyze(fixture("qubit_xy_at_z", [1 - 1e-6])))
         assert cf.c_d == pytest.approx(4.0, abs=1e-5)
         assert cf.c_d < 4.0
 
@@ -127,23 +113,24 @@ class TestSandwich:
             p = int(rng.integers(1, min(5, d * d)))
             q = int(rng.integers(1, p + 1))
             m = random_model(rng, d, p, q, weighted=True)
-            cf = sandwich(m)
+            cf = sandwich(analyze(m))
             assert cf.c_gs <= cf.c_d + 1e-9
             assert cf.c_d <= 2 * cf.c_gs + 1e-9
             assert_allclose(cf.v_eff, cf.z_eff.real, atol=1e-10)
 
 
-def tangent_orthogonal_noise(rng, model, slds, info):
+def tangent_orthogonal_noise(rng, analysis):
     """Feasibility-preserving perturbation g with <L_j, g_s> = 0 and zero mean."""
+    model = analysis.model
     q = model.n_targets
     g_ops = []
-    j_pinv = linalg.pseudoinverse(info.qfim)
+    j_pinv = linalg.pseudoinverse(analysis.qfim)
     for _ in range(q):
         h = zero_mean_hermitian(rng, model.dim, model.rho)
         overlaps = np.array(
-            [np.trace(model.rho @ linalg.jordan_product(lj, h)).real for lj in slds.slds]
+            [np.trace(model.rho @ linalg.jordan_product(lj, h)).real for lj in analysis.slds]
         )
-        h = h - np.tensordot(j_pinv @ overlaps, slds.slds, axes=(0, 0))
+        h = h - np.tensordot(j_pinv @ overlaps, analysis.slds, axes=(0, 0))
         h = h - np.trace(model.rho @ h).real * np.eye(model.dim)
         g_ops.append(h)
     return np.array(g_ops)
@@ -154,10 +141,9 @@ class TestVarianceMinimality:
         rng = np.random.default_rng(5)
         for _ in range(15):
             m = random_model(rng, d=3, p=3, q=2)
-            slds = compute_slds(m)
-            info = information(m, slds)
-            ops = x_eff(m, slds, info)
-            noise = tangent_orthogonal_noise(rng, m, slds, info)
+            analysis = analyze(m)
+            ops = analysis.x_eff
+            noise = tangent_orthogonal_noise(rng, analysis)
             cross = np.array(
                 [
                     [np.trace(m.rho @ linalg.jordan_product(xs, gt)) for gt in noise]
@@ -170,51 +156,45 @@ class TestVarianceMinimality:
         rng = np.random.default_rng(6)
         for _ in range(15):
             m = random_model(rng, d=3, p=2, q=2, weighted=True)
-            slds = compute_slds(m)
-            info = information(m, slds)
-            ops = x_eff(m, slds, info)
-            competitor = ops + tangent_orthogonal_noise(rng, m, slds, info)
+            analysis = analyze(m)
+            ops = analysis.x_eff
+            competitor = ops + tangent_orthogonal_noise(rng, analysis)
             # competitor is still locally unbiased
             deriv = np.array([[np.trace(dj @ xs).real for xs in competitor] for dj in m.drho])
             assert np.abs(deriv - m.dbeta).max() < 1e-8
             v_gap = linalg.v_matrix(competitor, m.rho) - linalg.v_matrix(ops, m.rho)
             assert np.linalg.eigvalsh(v_gap).min() > -1e-9
-            assert float(np.trace(m.weight @ linalg.v_matrix(competitor, m.rho))) >= c_gs(m, slds, info) - 1e-9
+            assert float(np.trace(m.weight @ linalg.v_matrix(competitor, m.rho))) >= c_gs(analysis) - 1e-9
 
     def test_kernel_block_invariance(self):
         m = fixture("pure_qubit_angles", [1.3, 0.2])
-        slds = compute_slds(m)
-        info = information(m, slds)
-        base_gs = c_gs(m, slds, info)
-        base_d = c_d(m, slds, info)
+        analysis = analyze(m)
+        base_gs = c_gs(analysis)
+        base_d = c_d(analysis)
         vals, vecs = np.linalg.eigh(m.rho)
         k = vecs[:, vals < 1e-10][:, 0]
-        slds_p = type(slds)(slds=slds.slds + 2.0 * np.outer(k, k.conj()), residuals=slds.residuals)
-        info_p = information(m, slds_p)
-        assert c_gs(m, slds_p, info_p) == pytest.approx(base_gs, abs=1e-10)
-        assert c_d(m, slds_p, info_p) == pytest.approx(base_d, abs=1e-10)
+        slds_p = analysis.slds + 2.0 * np.outer(k, k.conj())
+        qfim_p, dmat_p, _ = information(slds_p, m.rho)
+        perturbed = dataclasses.replace(analysis, slds=slds_p, qfim=qfim_p, dmat=dmat_p,
+                                        qfim_pinv=linalg.pseudoinverse(qfim_p))
+        assert c_gs(perturbed) == pytest.approx(base_gs, abs=1e-10)
+        assert c_d(perturbed) == pytest.approx(base_d, abs=1e-10)
 
     def test_weight_monotonicity(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             m = random_model(rng, d=3, p=2, q=2)
-            slds = compute_slds(m)
-            info = information(m, slds)
             w1 = random_weight(rng, 2)
             w2 = w1 + np.outer(*(2 * [rng.normal(size=2)]))  # w2 >= w1
             m1 = dataclasses.replace(m, weight=w1)
             m2 = dataclasses.replace(m, weight=w2)
-            assert c_gs(m1, slds, info) <= c_gs(m2, slds, info) + 1e-9
+            assert c_gs(analyze(m1)) <= c_gs(analyze(m2)) + 1e-9
 
     def test_reparameterization_consistency(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             m = random_model(rng, d=3, p=3, q=2, weighted=True)
-            slds = compute_slds(m)
-            info = information(m, slds)
             r = rng.normal(size=(2, 2)) + 2 * np.eye(2)
             r_inv = np.linalg.inv(r)
             m2 = dataclasses.replace(m, dbeta=m.dbeta @ r, weight=r_inv @ m.weight @ r_inv.T)
-            assert c_gs(m2, slds, information(m2, slds)) == pytest.approx(
-                c_gs(m, slds, info), rel=1e-8
-            )
+            assert c_gs(analyze(m2)) == pytest.approx(c_gs(analyze(m)), rel=1e-8)

@@ -5,7 +5,15 @@ import sys
 import numpy as np
 import pytest
 
+from qcrb import holevo, linalg, sld
 from qcrb.cli import main
+from qcrb.exceptions import (
+    IllDefinedFim,
+    InfeasibleModel,
+    NotLocallyUnbiased,
+    ResidualTooLarge,
+    VerificationFailed,
+)
 from qcrb.gaussian import GaussianShiftModel, save_gaussian_model
 from qcrb.model import QuantumModel, fixture, save_model
 from qcrb.povm import DiscretePovm, save_povm
@@ -90,6 +98,25 @@ class TestBounds:
         assert main(["bounds", xy_model_file, "--max-iter", "1"]) == 3
         assert "solver failed" in capsys.readouterr().err
 
+    def test_analyses_each_model_once(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "d4.json"
+        save_model(fixture("random_full_rank", [3, 4, 3, 2]), path)
+        calls = {"pseudoinverse": 0, "information": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(linalg, "pseudoinverse")
+        counted(sld, "information")
+        assert main(["bounds", str(path)]) == 0
+        assert calls == {"pseudoinverse": 1, "information": 1}
+
 
 class TestGaussian:
     def test_vacuum_report(self, vacuum_file, capsys):
@@ -101,6 +128,19 @@ class TestGaussian:
         # chained bound: tr[(F half)^+] = 1 = 2 * tr[J^+] / ... and 2*c_gs = 2*tr(J^-1) = 1
         assert report["chained_scalar_bound"] == pytest.approx(report["two_c_gs"], abs=1e-9)
         assert report["two_c_gs"] == pytest.approx(2.0 * 1.0, abs=1e-9)
+
+    def test_small_signal_keeps_relative_rank_tol(self, tmp_path, capsys):
+        # J = 2e-12·I is full rank: --rank-tol is relative to its largest eigenvalue
+        path = tmp_path / "weak.json"
+        save_gaussian_model(
+            GaussianShiftModel(modes=1, djacobian=1e-6 * np.eye(2), cm=np.eye(2),
+                               mean=np.zeros(2), label="weak displacement"),
+            path,
+        )
+        assert main(["gaussian", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["two_c_gs"] == pytest.approx(2e12, rel=1e-9)
+        assert report["chained_scalar_bound"] == pytest.approx(2e12, rel=1e-9)
 
     def test_unphysical_cm_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -162,6 +202,16 @@ class TestCheckPovm:
         assert main(["check-povm", ppath, mpath]) == 2
         assert "not locally unbiased" in capsys.readouterr().err
 
+    def test_dimension_mismatch_exit_1(self, tmp_path, capsys):
+        _, mpath = self.make_files(tmp_path)
+        povm = DiscretePovm(elements=np.array([np.eye(3, dtype=complex)]), estimates=np.zeros((1, 1)))
+        ppath = tmp_path / "povm3.json"
+        save_povm(povm, ppath)
+        assert main(["check-povm", str(ppath), mpath]) == 1
+        err = capsys.readouterr().err
+        assert "POVM dimension 3 does not match model dimension 2" in err
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_csv_matches_closed_form(self, capsys):
@@ -189,6 +239,48 @@ class TestSweep:
     def test_unknown_fixture(self, capsys):
         assert main(["sweep", "nope", "0,1"]) == 1
         assert "unknown fixture" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """One table in ``main`` maps each error class to one exit code,
+    whichever subcommand raises it."""
+
+    @pytest.fixture
+    def argv(self, request, tmp_path):
+        model = QuantumModel(
+            dim=2, rho=np.eye(2, dtype=complex) / 2, drho=np.array([SZ / 2]),
+            dbeta=np.array([[1.0]]), weight=np.eye(1),
+        )
+        mpath = tmp_path / "model.json"
+        save_model(model, mpath)
+        ppath = tmp_path / "povm.json"
+        save_povm(DiscretePovm(elements=np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex),
+                               estimates=np.array([[1.0], [-1.0]])), ppath)
+        return {
+            "bounds": ["bounds", str(mpath)],
+            "check-povm": ["check-povm", str(ppath), str(mpath)],
+            "sweep": ["sweep", "qubit_xy_at_z", "0,0.5"],
+        }[request.param]
+
+    @pytest.mark.parametrize("argv", ["bounds", "check-povm", "sweep"], indirect=True)
+    @pytest.mark.parametrize("error, code", [
+        (ResidualTooLarge("planted residual"), 1),
+        (ValueError("planted value"), 1),
+        (OSError("planted file"), 1),
+        (InfeasibleModel("planted infeasible", bad_columns=[0]), 2),
+        (NotLocallyUnbiased("planted bias"), 2),
+        (IllDefinedFim("planted fim"), 2),
+        (VerificationFailed("planted verification"), 3),
+    ])
+    def test_same_code_everywhere(self, argv, error, code, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(holevo, "build_problem", fail)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(error) in err
+        assert "Traceback" not in err
 
 
 class TestFixturesCommand:

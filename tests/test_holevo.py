@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcrb.bounds import c_d, c_gs, sandwich
+from qcrb.bounds import c_d, c_gs
 from qcrb.exceptions import InfeasibleModel, VerificationFailed
 from qcrb.holevo import build_problem, solve, verify_solution
 from qcrb.model import QuantumModel, fixture
-from qcrb.sld import compute_slds, information
+from qcrb.sld import analyze
 from _support import direct_holevo_oracle, random_model
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -27,25 +27,25 @@ def diag_model(w):
 class TestBuildProblem:
     def test_constraint_counting_qubit(self):
         m = fixture("qubit_xy_at_z", [0.5])
-        prob = build_problem(m)
+        prob = build_problem(analyze(m))
         # q*d^2 = 8 raw coefficients, 2*(1+2) = 6 linear constraints
         assert prob.basis.shape[0] * prob.n_targets == 8
         assert prob.constraint_matrix.shape == (3, 4)
         assert prob.constraint_rhs.shape == (3, 2)
-        assert prob.basis_coeffs_dim == 2  # one free direction per component
+        assert prob.nullspace.shape[1] == 1  # one free direction per component
 
     def test_x0_is_feasible(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             m = random_model(rng, d=3, p=3, q=2, weighted=True)
-            prob = build_problem(m)
+            prob = build_problem(analyze(m))
             res = prob.constraint_matrix @ prob.x0.T - prob.constraint_rhs
             assert np.abs(res).max() < 1e-8
 
     def test_reduced_variable_count_for_pure_state(self):
         m = fixture("pure_qubit_angles", [1.0, 0.2])
-        reduced = build_problem(m, reduce_kernel=True)
-        full = build_problem(m, reduce_kernel=False)
+        reduced = build_problem(analyze(m), reduce_kernel=True)
+        full = build_problem(analyze(m), reduce_kernel=False)
         # support-touching elements only: d^2 - (d-r)^2 = 3 for d=2, r=1
         assert reduced.basis.shape[0] == 3
         assert full.basis.shape[0] == 4
@@ -53,38 +53,36 @@ class TestBuildProblem:
     def test_infeasible_model_rejected(self):
         rng = np.random.default_rng(1)
         m = random_model(rng, d=2, p=2, q=1, singular_j=True)
-        info = information(m, compute_slds(m))
-        kernel = np.linalg.eigh(info.qfim)[1][:, :1]
+        kernel = np.linalg.eigh(analyze(m).qfim)[1][:, :1]
         bad = dataclasses.replace(m, dbeta=kernel)
         with pytest.raises(InfeasibleModel):
-            build_problem(bad)
+            build_problem(analyze(bad))
 
 
 class TestSolve:
     def test_scalar_model_collapses_to_c_gs(self):
         for w in (0.0, 0.3, 0.8):
             m = diag_model(w)
-            sol = solve(build_problem(m))
+            sol = solve(build_problem(analyze(m)))
             assert sol.status == "Optimal"
             assert sol.c_h == pytest.approx(1 - w * w, abs=1e-7)
 
     def test_commuting_model_collapses_to_c_gs(self):
         m = fixture("classical_diagonal", [0.2, 0.3])
-        slds = compute_slds(m)
-        info = information(m, slds)
-        sol = solve(build_problem(m, slds))
-        assert sol.c_h == pytest.approx(c_gs(m, slds, info), abs=1e-7)
+        analysis = analyze(m)
+        sol = solve(build_problem(analysis))
+        assert sol.c_h == pytest.approx(c_gs(analysis), abs=1e-7)
 
     def test_transverse_qubit_within_sandwich(self):
         m = fixture("qubit_xy_at_z", [0.5])
-        sol = solve(build_problem(m))
+        sol = solve(build_problem(analyze(m)))
         assert 2.0 - 1e-7 <= sol.c_h <= 3.0 + 1e-7
         assert sol.c_h <= 4.0 + 1e-7
 
     def test_transverse_qubit_matches_direct_oracle(self):
         rng = np.random.default_rng(2)
         m = fixture("qubit_xy_at_z", [0.5])
-        sol = solve(build_problem(m))
+        sol = solve(build_problem(analyze(m)))
         oracle = direct_holevo_oracle(m, rng)
         assert sol.c_h == pytest.approx(oracle, abs=1e-5)
 
@@ -92,7 +90,7 @@ class TestSolve:
         rng = np.random.default_rng(3)
         for _ in range(8):
             m = random_model(rng, d=3, p=2, q=2, weighted=True)
-            sol = solve(build_problem(m))
+            sol = solve(build_problem(analyze(m)))
             assert sol.status == "Optimal"
             assert sol.duality_gap <= 1e-8
             assert sol.dual_residual <= 1e-8
@@ -108,9 +106,9 @@ class TestSolve:
         rng = np.random.default_rng(4)
         for _ in range(5):
             m = random_model(rng, d=3, p=2, q=2, rank=2, weighted=True)
-            slds = compute_slds(m)
-            sol_reduced = solve(build_problem(m, slds, reduce_kernel=True))
-            sol_full = solve(build_problem(m, slds, reduce_kernel=False))
+            analysis = analyze(m)
+            sol_reduced = solve(build_problem(analysis, reduce_kernel=True))
+            sol_full = solve(build_problem(analysis, reduce_kernel=False))
             assert sol_reduced.c_h == pytest.approx(sol_full.c_h, abs=1e-7)
 
     def test_sandwich_on_random_models(self):
@@ -120,11 +118,10 @@ class TestSolve:
             p = int(rng.integers(1, min(5, d * d)))
             q = int(rng.integers(1, p + 1))
             m = random_model(rng, d, p, q, weighted=True)
-            slds = compute_slds(m)
-            info = information(m, slds)
-            sol = solve(build_problem(m, slds))
-            gs = c_gs(m, slds, info)
-            dd = c_d(m, slds, info)
+            analysis = analyze(m)
+            sol = solve(build_problem(analysis))
+            gs = c_gs(analysis)
+            dd = c_d(analysis)
             assert sol.status == "Optimal"
             assert gs - 1e-7 <= sol.c_h <= dd + 1e-7
             assert dd <= 2 * gs + 1e-7
@@ -133,26 +130,27 @@ class TestSolve:
 class TestVerifySolution:
     def test_accepts_optimal_solution(self):
         m = fixture("qubit_xy_at_z", [0.3])
-        slds = compute_slds(m)
-        sol = solve(build_problem(m, slds))
-        report = verify_solution(m, sol, slds)
+        analysis = analyze(m)
+        sol = solve(build_problem(analysis))
+        report = verify_solution(analysis, sol)
         assert report.objective_deviation < 1e-7
         assert report.unbias_residual < 1e-8
         assert report.c_gs - 1e-7 <= sol.c_h <= report.c_d + 1e-7
 
     def test_rejects_corrupted_minimizer(self):
         m = fixture("qubit_xy_at_z", [0.3])
-        slds = compute_slds(m)
-        sol = solve(build_problem(m, slds))
+        analysis = analyze(m)
+        sol = solve(build_problem(analysis))
         corrupted = dataclasses.replace(sol, x_opt=sol.x_opt + 0.05 * SZ)
         with pytest.raises(VerificationFailed):
-            verify_solution(m, corrupted, slds)
+            verify_solution(analysis, corrupted)
 
     def test_rejects_non_optimal_status(self):
         m = fixture("qubit_xy_at_z", [0.3])
-        sol = solve(build_problem(m), max_iter=1)
+        analysis = analyze(m)
+        sol = solve(build_problem(analysis), max_iter=1)
         with pytest.raises(VerificationFailed, match="status"):
-            verify_solution(m, sol)
+            verify_solution(analysis, sol)
 
     def test_pure_state_saturation(self):
         rng = np.random.default_rng(6)
@@ -160,9 +158,8 @@ class TestVerifySolution:
             theta = rng.uniform(0.4, np.pi - 0.4)
             phi = rng.uniform(0, 2 * np.pi)
             m = fixture("pure_qubit_angles", [theta, phi])
-            slds = compute_slds(m)
-            info = information(m, slds)
-            sol = solve(build_problem(m, slds))
-            gs = c_gs(m, slds, info)
+            analysis = analyze(m)
+            sol = solve(build_problem(analysis))
+            gs = c_gs(analysis)
             assert sol.c_h / gs == pytest.approx(2.0, abs=1e-4)
-            assert c_d(m, slds, info) / gs == pytest.approx(2.0, abs=1e-8)
+            assert c_d(analysis) / gs == pytest.approx(2.0, abs=1e-8)

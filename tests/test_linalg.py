@@ -31,22 +31,6 @@ class TestJordanProduct:
             linalg.jordan_product(I2, np.eye(3))
 
 
-class TestSldInner:
-    def test_unit_norm(self):
-        assert linalg.sld_inner(np.array([SZ]), np.array([SZ]), I2 / 2) == pytest.approx(1.0)
-
-    def test_orthogonal_paulis(self):
-        assert linalg.sld_inner(np.array([SX]), np.array([SY]), I2 / 2) == pytest.approx(0.0, abs=1e-15)
-
-    def test_two_component_sum(self):
-        x = np.array([SZ, SX])
-        assert linalg.sld_inner(x, x, I2 / 2) == pytest.approx(2.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.sld_inner(np.array([SZ]), np.array([SZ, SX]), I2 / 2)
-
-
 class TestZMatrix:
     @pytest.mark.parametrize("z", [-0.8, 0.0, 0.3, 0.9])
     def test_transverse_pauli_pair(self, z):
@@ -168,7 +152,7 @@ class TestHermitianBasis:
         basis = linalg.hermitian_basis(d)
         a = linalg.hermitian_part(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         coeffs = linalg.basis_coefficients(a, basis)
-        assert_allclose(linalg.operator_from_coefficients(coeffs, basis), a, atol=1e-10)
+        assert_allclose(np.tensordot(coeffs, basis, axes=(0, 0)), a, atol=1e-10)
 
     def test_rejects_nonpositive_dim(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from qcrb.povm import (
     save_povm,
     validate_povm,
 )
-from qcrb.sld import compute_slds, information
+from qcrb.sld import analyze
 from _support import locally_unbiased_povm, random_model
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -139,8 +139,7 @@ class TestPovmFim:
             povm = locally_unbiased_povm(rng, m, np.zeros(2))
             if povm is None:
                 continue
-            info = information(m, compute_slds(m))
-            gap = info.qfim - povm_fim(povm, m)
+            gap = analyze(m).qfim - povm_fim(povm, m)
             assert np.linalg.eigvalsh(gap).min() > -1e-9
 
 
@@ -243,9 +242,7 @@ class TestOperationalBounds:
             if povm is None:
                 continue
             sigma = error_covariance(povm, m.rho, beta)
-            slds = compute_slds(m)
-            info = information(m, slds)
-            assert float(np.trace(m.weight @ sigma)) >= c_gs(m, slds, info) - 1e-8
+            assert float(np.trace(m.weight @ sigma)) >= c_gs(analyze(m)) - 1e-8
             done += 1
 
     def test_trine_vs_equatorial_model(self):
@@ -269,7 +266,7 @@ class TestOperationalBounds:
         residual, ok = check_local_unbiasedness(povm, m, np.zeros(2))
         assert ok, residual
         sigma = error_covariance(povm, m.rho, np.zeros(2))
-        sol = solve(build_problem(m))
+        sol = solve(build_problem(analyze(m)))
         assert float(np.trace(m.weight @ sigma)) >= sol.c_h - 1e-7
 
     def test_classical_crb_consistency(self):
