@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -68,13 +69,13 @@ def _tolerances(args) -> dict:
     return {"sdp_gap": args.tol, "max_iter": args.max_iter, "rank_tol": args.rank_tol}
 
 
-def _bound_pipeline(model, args):
-    """analysis -> closed forms -> SDP -> verification, on a validated model.
+def _bound_pipeline(analysis, args):
+    """closed forms -> SDP -> verification, on a model's analysis.
 
     Returns (report dict, solution, timings, exit code).
     """
+    model = analysis.model
     t0 = time.perf_counter()
-    analysis = analyze(model, args.rank_tol)
     closed = bounds_mod.sandwich(analysis)
     t1 = time.perf_counter()
     problem = holevo.build_problem(analysis)
@@ -129,9 +130,10 @@ def _emit_bound_report(report: dict, timings: dict, args) -> None:
 
 
 def cmd_bounds(args) -> int:
-    report, sol, timings, code = _bound_pipeline(load_model(args.model), args)
+    report, sol, timings, code = _bound_pipeline(analyze(load_model(args.model), args.rank_tol), args)
     if code == EXIT_SOLVER:
-        _diag(f"solver failed: status {sol.status} after {sol.iterations} iterations "
+        status = f"{sol.status} ({sol.reason})" if sol.reason else sol.status
+        _diag(f"solver failed: status {status} after {sol.iterations} iterations "
               f"(gap {sol.duality_gap:.3e}); best iterate reported")
     _emit_bound_report(report, timings, args)
     return code
@@ -185,6 +187,7 @@ def cmd_gaussian(args) -> int:
 def cmd_check_povm(args) -> int:
     povm = povm_mod.load_povm(args.povm)
     model = load_model(args.model)
+    analysis = analyze(model, args.rank_tol)
     q = model.n_targets
     beta = np.array([float(x) for x in args.beta.split(",")]) if args.beta else np.zeros(q)
     if beta.shape != (q,):
@@ -193,7 +196,7 @@ def cmd_check_povm(args) -> int:
     report_data = povm_mod.measurement_report(povm, model, beta)
     dv_min, dz_min = povm_mod.matrix_crb_check(povm, model, beta)
     tr_w_sigma = float(np.trace(model.weight @ report_data.sigma))
-    breport, sol, timings, code = _bound_pipeline(model, args)
+    breport, sol, timings, code = _bound_pipeline(analysis, args)
     if code != EXIT_OK:
         _diag(f"solver failed while computing bound comparison: {sol.status}")
         return EXIT_SOLVER
@@ -243,7 +246,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         model = fixture(args.fixture, [value] + fixed)
         validate(model)
-        report, sol, _, code = _bound_pipeline(model, args)
+        report, sol, _, code = _bound_pipeline(analyze(model, args.rank_tol), args)
         if code != EXIT_OK:
             _diag(f"solver failed at param {value!r}: {sol.status}")
             return EXIT_SOLVER
@@ -274,8 +277,21 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with a minus sign and a number, such as the
+    list ``-0.3,0.1``, as a value; argparse would take it for an option."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcrb",
         description="Precision bounds for multiparameter quantum estimation",
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _real_matrix, read_json, write_json
+from .model import _positive_int, _real_matrix, read_json, write_json
 
 __all__ = [
     "GaussianShiftModel",
@@ -157,9 +157,7 @@ def gaussian_model_from_dict(data: dict) -> GaussianShiftModel:
     for key in ("modes", "cm", "djacobian"):
         if key not in data:
             raise ValueError(f"gaussian model file misses required field '{key}'")
-    k = data["modes"]
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"modes: expected a positive integer, got {k!r}")
+    k = _positive_int(data["modes"], "modes")
     cm = _real_matrix(data["cm"], "cm")
     dj = _real_matrix(data["djacobian"], "djacobian")
     if cm.shape != (2 * k, 2 * k):

@@ -8,7 +8,9 @@ epigraph matrix V ⪰ Z(X) is imposed through the Schur-complement block
     [[V, M(x)†], [M(x), I]]  ⪰ 0,      M(x)† M(x) = Z(X),
 
 where column s of M(x) collects the coordinates of X_s √ρ.  The single
-PSD block goes to the interior-point core in :mod:`qcrb.sdp`.
+PSD block goes to the interior-point core in :mod:`qcrb.sdp`, its
+constraint matrices held by an :class:`EpigraphOperator` in factored
+form rather than as a dense (n, N, N) array.
 
 For rank-deficient states the kernel×kernel basis directions influence
 neither objective nor constraints; by default they are dropped from the
@@ -34,7 +36,7 @@ from .model import QuantumModel
 from .povm import unbiasedness_residual
 from .sld import ModelAnalysis
 
-__all__ = ["HolevoProblem", "HolevoSolution", "build_problem", "solve", "verify_solution"]
+__all__ = ["EpigraphOperator", "HolevoProblem", "HolevoSolution", "build_problem", "solve", "verify_solution"]
 
 CONSTRAINT_TOL = 1e-8
 
@@ -67,7 +69,8 @@ class HolevoProblem:
 
 @dataclass(frozen=True)
 class HolevoSolution:
-    """SDP outcome: bound value, minimizer, and certificates."""
+    """SDP outcome: bound value, minimizer, and certificates; ``reason``
+    says what failed when ``status`` is ``NumericalTrouble``."""
 
     c_h: float
     x_opt: np.ndarray
@@ -78,6 +81,7 @@ class HolevoSolution:
     dual_objective: float
     primal_residual: float
     dual_residual: float
+    reason: str = ""
 
 
 def _reduced_hermitian_basis(supp: np.ndarray, kern: np.ndarray) -> np.ndarray:
@@ -151,6 +155,75 @@ def build_problem(analysis: ModelAnalysis, reduce_kernel: bool = True) -> Holevo
     )
 
 
+def _upper_triangle(q: int) -> list[tuple[int, int]]:
+    """Index pairs (a, b), a ≤ b, of the V variables, in LMI variable order."""
+    return [(a, b) for a in range(q) for b in range(a, q)]
+
+
+class EpigraphOperator:
+    """The constraint matrices F_i of the epigraph LMI, kept in factored form.
+
+    The LMI variables are the upper triangle of V (a ≤ b, row-major)
+    followed by the nullspace coordinates x[s, l], s-major.  Every F_i is
+    an arrow e_t ĉ_kᴴ + ĉ_k e_tᴴ, halved when ĉ_k = e_t: e_t is a unit
+    vector of the q×q block and ĉ_k a column of Ĉ = diag(I_q, C).  V entry
+    (a, b) pairs t = a with ĉ = e_b; x[s, l] pairs t = s with column l of
+    the nullspace image C (d·r × m).  With P = ĈᴴG[:, :q] and Q = ĈᴴGĈ,
+
+        Re tr(G F_i G F_j) = 2 w_i w_j Re(P[k_i, t_j] P[k_j, t_i] + Q[k_i, k_j] G[t_j, t_i]),
+
+    w being the halving weight, so the Schur complement costs
+    O(N²m + N m² + n²) and no N×N matrix is formed per variable.  This is
+    the operator :func:`qcrb.sdp.solve_lmi` takes.
+    """
+
+    def __init__(self, q: int, cols: np.ndarray):
+        m = cols.shape[1]
+        self.q = q
+        self.cols = np.asarray(cols, dtype=complex)
+        v_index = _upper_triangle(q)
+        self.t = np.array([a for a, _ in v_index] + [s for s in range(q) for _ in range(m)], dtype=int)
+        self.k = np.array([b for _, b in v_index] + [q + l for _ in range(q) for l in range(m)], dtype=int)
+        self.w = np.where(self.k == self.t, 0.5, 1.0)
+        self.n = self.t.size
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """Σ_i u_i F_i."""
+        q = self.q
+        coef = np.zeros((q + self.cols.shape[1], q), dtype=complex)
+        coef[self.k, self.t] = self.w * u
+        out = np.zeros((q + self.cols.shape[0],) * 2, dtype=complex)
+        out[:q, :q] = coef[:q]
+        out[q:, :q] = self.cols @ coef[q:]
+        return out + out.conj().T
+
+    def adjoint(self, mat: np.ndarray) -> np.ndarray:
+        """(Re tr F_i T)_i for T = ``mat``."""
+        q = self.q
+        left = np.vstack([mat[:q, :q], self.cols.conj().T @ mat[q:, :q]])  # Ĉᴴ T[:, :q]
+        right = np.hstack([mat[:q, :q], mat[:q, q:] @ self.cols])  # T[:q, :] Ĉ
+        return self.w * (left[self.k, self.t] + right[self.t, self.k]).real
+
+    def schur(self, g: np.ndarray) -> np.ndarray:
+        """[Re tr(G F_i G F_j)]_ij for Hermitian G."""
+        q = self.q
+        g_c = np.hstack([g[:, :q], g[:, q:] @ self.cols])  # G Ĉ
+        q_hat = np.vstack([g_c[:q], self.cols.conj().T @ g_c[q:]])  # Ĉᴴ G Ĉ: P is its first q columns
+        re, im = q_hat.real.copy(), q_hat.imag.copy()
+        row_k, col_k = self.k[:, None], self.k[None, :]
+        row_t, col_t = self.t[:, None], self.t[None, :]
+        # Re of P[k_i, t_j] P[k_j, t_i] + Q[k_i, k_j] G[t_j, t_i], in real arithmetic
+        # so that no complex n×n array is made
+        out = re[row_k, col_t] * re[col_k, row_t]
+        out -= im[row_k, col_t] * im[col_k, row_t]
+        out += re[row_k, col_k] * re[col_t, row_t]
+        out -= im[row_k, col_k] * im[col_t, row_t]
+        out *= 2.0
+        out *= self.w[:, None]
+        out *= self.w[None, :]
+        return out
+
+
 def solve(problem: HolevoProblem, tol: float = 1e-8, max_iter: int = 200) -> HolevoSolution:
     """Minimize tr(W V) over the epigraph SDP by the interior-point core.
 
@@ -171,28 +244,20 @@ def solve(problem: HolevoProblem, tol: float = 1e-8, max_iter: int = 200) -> Hol
     # coefficient vector -> column of M(x): rows of basis_m are vec(E_a sqrt(rho))
     basis_m = np.array([(e @ problem.right_factor).reshape(-1) for e in basis])  # (n_b, d_r)
 
-    v_index = [(a, b) for a in range(q) for b in range(a, q)]
-    n_v = len(v_index)
-
     # Nullspace directions supported purely on the kernel×kernel block of
     # rho leave M(x) (hence objective and constraints) untouched; their
     # induced columns are roundoff-level.  Pin them at the reduced-space
     # representative (x0) instead of letting the solver drift along noise.
     null_cols = problem.nullspace.T @ basis_m  # (m_s, d_r)
     active = [l for l in range(m_s) if np.linalg.norm(null_cols[l]) > 1e-12]
+    op = EpigraphOperator(q, null_cols[active].T)
+    v_index = _upper_triangle(q)
+    n_v = len(v_index)
     n = n_v + q * len(active)
 
-    fs = np.zeros((n, block, block), dtype=complex)
     c = np.zeros(n)
     for i, (a, b) in enumerate(v_index):
-        fs[i, a, b] = 1.0
-        fs[i, b, a] = 1.0
         c[i] = weight[a, a] if a == b else 2.0 * weight[a, b]
-    for s in range(q):
-        for k, l in enumerate(active):
-            i = n_v + s * len(active) + k
-            fs[i, q:, s] = null_cols[l]
-            fs[i, s, q:] = null_cols[l].conj()
 
     f0 = np.zeros((block, block), dtype=complex)
     m0 = (problem.x0 @ basis_m).T  # (d_r, q)
@@ -212,7 +277,7 @@ def solve(problem: HolevoProblem, tol: float = 1e-8, max_iter: int = 200) -> Hol
     s0[:q, :q] = weight + 1e-6 * w_scale * np.eye(q)
     s0[q:, q:] = w_scale * np.eye(d_r)
 
-    result = sdp.solve_lmi(c, f0, fs, u0=u0, s0=s0, tol=tol, max_iter=max_iter)
+    result = sdp.solve_lmi(c, f0, op, u0=u0, s0=s0, tol=tol, max_iter=max_iter)
 
     v_opt = np.zeros((q, q))
     for i, (a, b) in enumerate(v_index):
@@ -234,6 +299,7 @@ def solve(problem: HolevoProblem, tol: float = 1e-8, max_iter: int = 200) -> Hol
         dual_objective=result.dobj,
         primal_residual=result.pinfeas,
         dual_residual=result.dinfeas,
+        reason=result.reason,
     )
 
 

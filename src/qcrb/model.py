@@ -9,13 +9,13 @@ with the user.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .exceptions import (
-    KernelBlockDerivative,
     ModelError,
     NonHermitianDerivative,
     NotDensityMatrix,
@@ -79,17 +79,20 @@ class QuantumModel:
 @dataclass(frozen=True)
 class ModelDiagnostics:
     rho_rank: int
-    support_projector: np.ndarray
     min_eigenvalue: float
 
 
 def validate(model: QuantumModel) -> ModelDiagnostics:
-    """Check every model invariant; return rank diagnostics.
+    """Check every model invariant that does not depend on rho's support;
+    return rank diagnostics at the fixed ``RANK_TOL``.
+
+    The fixed-rank condition (no derivative content in the kernel×kernel
+    block of rho) depends on where the support ends, so
+    :func:`qcrb.sld.analyze` checks it with its own ``rank_tol``.
 
     Raises
     ------
-    NotDensityMatrix, NonHermitianDerivative, RankDeficientDbeta,
-    KernelBlockDerivative
+    NotDensityMatrix, NonHermitianDerivative, RankDeficientDbeta, ModelError
         Typed errors naming the violated invariant.
     """
     rho = np.asarray(model.rho, dtype=complex)
@@ -102,7 +105,7 @@ def validate(model: QuantumModel) -> ModelDiagnostics:
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotDensityMatrix(f"Tr rho = {tr!r} differs from 1 beyond {TRACE_TOL}")
-    vals, vecs = np.linalg.eigh(rho)
+    vals = np.linalg.eigvalsh(rho)
     if vals.min() < -PSD_TOL:
         raise NotDensityMatrix(f"rho has negative eigenvalue {vals.min():.3e}")
 
@@ -136,22 +139,8 @@ def validate(model: QuantumModel) -> ModelDiagnostics:
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
 
-    # Fixed-rank assumption: derivatives may not carry kernel×kernel content,
-    # otherwise the SLD equation has no solution.
-    scale = max(vals.max(), 1e-300)
-    support = vals > RANK_TOL * scale
-    rank = int(np.count_nonzero(support))
-    kernel_vecs = vecs[:, ~support]
-    for j, dj in enumerate(drho):
-        block = kernel_vecs.conj().T @ dj @ kernel_vecs
-        if block.size and np.abs(block).max() > RANK_TOL * max(1.0, np.abs(dj).max()):
-            raise KernelBlockDerivative(
-                f"drho[{j}] has kernel-block content {np.abs(block).max():.3e}; "
-                "the SLD equation is unsolvable there (rank of rho not locally fixed)"
-            )
-    supp_vecs = vecs[:, support]
-    projector = supp_vecs @ supp_vecs.conj().T
-    return ModelDiagnostics(rho_rank=rank, support_projector=projector, min_eigenvalue=float(vals.min()))
+    rank = int(np.count_nonzero(vals > RANK_TOL * max(vals.max(), 1e-300)))
+    return ModelDiagnostics(rho_rank=rank, min_eigenvalue=float(vals.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +167,25 @@ def _complex_matrix_to_pairs(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _number(value, where: str) -> float:
+    """A finite JSON number; booleans, strings, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return value
+
+
+def _positive_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{where}: expected a positive integer, got {value!r}")
+    return value
+
+
 def _pairs_to_complex_matrix(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{where}: expected a non-empty list of rows")
@@ -189,7 +197,8 @@ def _pairs_to_complex_matrix(obj, where: str) -> np.ndarray:
         for j, pair in enumerate(row):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValueError(f"{where}[{i}][{j}]: expected an [re, im] pair")
-            entries.append(complex(pair[0], pair[1]))
+            entries.append(complex(_number(pair[0], f"{where}[{i}][{j}]"),
+                                   _number(pair[1], f"{where}[{i}][{j}]")))
         rows.append(entries)
     if len({len(r) for r in rows}) != 1:
         raise ValueError(f"{where}: ragged rows")
@@ -197,6 +206,8 @@ def _pairs_to_complex_matrix(obj, where: str) -> np.ndarray:
 
 
 def _real_matrix(obj, where: str) -> np.ndarray:
+    if isinstance(obj, list) and all(isinstance(row, list) for row in obj):
+        obj = [[_number(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(obj)]
     try:
         arr = np.array(obj, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -223,9 +234,7 @@ def model_from_dict(data: dict) -> QuantumModel:
     for key in ("dim", "rho", "drho", "dbeta"):
         if key not in data:
             raise ValueError(f"model file misses required field '{key}'")
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"dim: expected a positive integer, got {dim!r}")
+    dim = _positive_int(data["dim"], "dim")
     rho = _pairs_to_complex_matrix(data["rho"], "rho")
     if rho.shape != (dim, dim):
         raise ValueError(f"rho: shape {rho.shape} does not match dim={dim}")

@@ -19,6 +19,7 @@ from .model import (
     QuantumModel,
     _complex_matrix_to_pairs,
     _pairs_to_complex_matrix,
+    _positive_int,
     _real_matrix,
     read_json,
     write_json,
@@ -215,9 +216,7 @@ def load_povm(path) -> DiscretePovm:
         for key in ("dim", "elements", "estimates"):
             if key not in data:
                 raise ValueError(f"povm file misses required field '{key}'")
-        d = data["dim"]
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"dim: expected a positive integer, got {d!r}")
+        d = _positive_int(data["dim"], "dim")
         elements = np.array(
             [_pairs_to_complex_matrix(m, f"elements[{i}]") for i, m in enumerate(data["elements"])]
         )

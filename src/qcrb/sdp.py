@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for one Hermitian PSD block.
+"""Primal-dual interior-point solver for one Hermitian PSD block.
 
 Solves the linear-matrix-inequality form
 
@@ -9,12 +9,26 @@ with u real and F0, F_i Hermitian N×N, together with its dual
 
     maximize   −⟨F0, S⟩   subject to   ⟨F_i, S⟩ = c_i,  S ⪰ 0.
 
-The implementation is the standard Nesterov-Todd-scaled Mehrotra
-predictor-corrector: the scaling point is computed from the Cholesky
-factors of the primal slack X and dual S via one SVD, which renders the
-scaled variable diagonal; the Newton system is reduced to a dense
-symmetric-positive-definite Schur complement in u.  Problem sizes here
-are tiny (N ≲ 25, n ≲ 80), so dense linear algebra throughout.
+The constraint matrices F_i are never stored.  The solver reaches them
+through an operator with three methods, which lets the caller keep them
+in whatever factored form their structure allows:
+
+    apply(u)    Σ_i u_i F_i                       (N×N Hermitian)
+    adjoint(T)  (Re tr F_i T)_i                   (n,)
+    schur(G)    [Re tr(G F_i G F_j)]_ij            (n×n), G Hermitian PD
+
+The F_i must be linearly independent, so that ``schur`` of a positive
+definite G is positive definite.
+
+The iteration is the standard Nesterov-Todd-scaled Mehrotra
+predictor-corrector.  The scaling point R is computed from the Cholesky
+factors of the primal slack X and the dual S via one SVD, which makes
+R⁻¹XR⁻ᴴ = RᴴSR diagonal; the Newton system is reduced to the n×n Schur
+complement ``schur(R⁻ᴴR⁻¹)`` in u, factored by a dense Cholesky.  Scaled
+constraint matrices R⁻¹F_iR⁻ᴴ are never formed: the right-hand side is
+``adjoint(R⁻ᴴ·Y·R⁻¹)`` and the step is ``R⁻¹·apply(du)·R⁻ᴴ``.  Per
+iteration the solver itself costs O(N³ + n³) plus two ``apply``, two
+``adjoint`` and one ``schur`` call.
 """
 
 from __future__ import annotations
@@ -29,6 +43,13 @@ OPTIMAL = "Optimal"
 MAX_ITERATIONS = "MaxIterations"
 NUMERICAL_TROUBLE = "NumericalTrouble"
 
+#: Reasons a solve ends in ``NumericalTrouble``.
+SLACK_CHOLESKY = "slack Cholesky failed"
+DUAL_CHOLESKY = "dual Cholesky failed"
+NT_EIGENVALUE = "non-positive Nesterov-Todd eigenvalue"
+SCHUR_CHOLESKY = "Schur Cholesky failed after regularisation"
+STALL = "steps stalled"
+
 _STEP_DAMPING = 0.98
 _MIN_STEP = 1e-10
 
@@ -40,7 +61,9 @@ class SdpResult:
     ``gap`` is the absolute complementarity ⟨X, S⟩, ``relgap`` the gap
     relative to the mean objective magnitude; ``pinfeas``/``dinfeas`` are
     scaled primal/dual residual norms.  ``dual_objective`` is a valid lower
-    bound on the optimum whenever ``dinfeas`` is at tolerance.
+    bound on the optimum whenever ``dinfeas`` is at tolerance.  ``reason``
+    names what failed when ``status`` is ``NumericalTrouble`` and is empty
+    otherwise.
     """
 
     u: np.ndarray
@@ -54,6 +77,7 @@ class SdpResult:
     dinfeas: float
     iterations: int
     status: str
+    reason: str = ""
 
 
 def _chol(mat: np.ndarray) -> np.ndarray | None:
@@ -80,7 +104,7 @@ def _boundary_step(lam: np.ndarray, delta: np.ndarray) -> float:
 def solve_lmi(
     c: np.ndarray,
     f0: np.ndarray,
-    fs: np.ndarray,
+    op,
     u0: np.ndarray | None = None,
     s0: np.ndarray | None = None,
     tol: float = 1e-8,
@@ -93,20 +117,20 @@ def solve_lmi(
     ----------
     c : (n,) objective vector.
     f0 : (N, N) Hermitian constant term.
-    fs : (n, N, N) Hermitian coefficient matrices, linearly independent.
+    op : the constraint matrices F_1 … F_n, as an object with the
+        ``apply``/``adjoint``/``schur`` methods described in the module
+        docstring.
     u0 : optional start; the slack F(u0) is shifted to be safely positive
         definite, so strict feasibility of u0 is helpful but not required.
     s0 : optional positive-definite dual start.
     """
     c = np.asarray(c, dtype=float)
     f0 = np.asarray(f0, dtype=complex)
-    fs = np.asarray(fs, dtype=complex)
     n = c.shape[0]
     dim = f0.shape[0]
-    f_flat = fs.reshape(n, -1)
 
     def f_of(u: np.ndarray) -> np.ndarray:
-        return _herm(f0 + np.tensordot(u, fs, axes=(0, 0)))
+        return _herm(f0 + op.apply(u))
 
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
     slack = f_of(u)
@@ -122,7 +146,7 @@ def solve_lmi(
 
     def metrics(u, slack, dual):
         rp = f_of(u) - slack
-        rd = c - (f_flat @ dual.conj().reshape(-1)).real
+        rd = c - op.adjoint(dual)
         gap = float(np.tensordot(slack, dual.conj(), axes=([0, 1], [0, 1])).real)
         pobj = float(c @ u)
         dobj = -float(np.tensordot(f0, dual.conj(), axes=([0, 1], [0, 1])).real)
@@ -134,6 +158,7 @@ def solve_lmi(
             np.linalg.norm(rp0) / f0_scale, np.linalg.norm(rd0) / c_scale)
     best_score = np.inf
     status = MAX_ITERATIONS
+    reason = ""
     iterations = 0
     stalls = 0
 
@@ -153,22 +178,21 @@ def solve_lmi(
         lx = _chol(slack)
         lz = _chol(dual)
         if lx is None or lz is None:
-            status = NUMERICAL_TROUBLE
+            status, reason = NUMERICAL_TROUBLE, SLACK_CHOLESKY if lx is None else DUAL_CHOLESKY
             break
 
         # Nesterov-Todd scaling point: R^{-1} X R^{-H} = R^H S R = diag(lam)
         _, lam, vh = np.linalg.svd(lz.conj().T @ lx)
         if lam.min() <= 0:
-            status = NUMERICAL_TROUBLE
+            status, reason = NUMERICAL_TROUBLE, NT_EIGENVALUE
             break
         r_mat = lx @ vh.conj().T * (lam ** -0.5)
         r_inv = (lam ** 0.5)[:, None] * (vh @ np.linalg.solve(lx, np.eye(dim)))
+        r_inv_h = r_inv.conj().T
 
-        h_scaled = np.einsum("ab,ibc,dc->iad", r_inv, fs, r_inv.conj(), optimize=True)
-        h_flat = h_scaled.reshape(n, -1)
-        h_rp = r_inv @ rp @ r_inv.conj().T
+        h_rp = r_inv @ rp @ r_inv_h
 
-        schur = (h_flat @ h_flat.conj().T).real
+        schur = op.schur(r_inv_h @ r_inv)
         schur = (schur + schur.T) / 2
         reg = 0.0
         chol_b = None
@@ -178,7 +202,7 @@ def solve_lmi(
                 break
             reg = max(reg * 100, 1e-14 * max(schur.diagonal().max(), 1.0))
         if chol_b is None:
-            status = NUMERICAL_TROUBLE
+            status, reason = NUMERICAL_TROUBLE, SCHUR_CHOLESKY
             break
 
         def solve_schur(rhs):
@@ -186,9 +210,9 @@ def solve_lmi(
             return np.linalg.solve(chol_b.conj().T, y)
 
         def direction(y_mat):
-            g = (h_flat @ (y_mat - h_rp).conj().reshape(-1)).real - rd
+            g = op.adjoint(r_inv_h @ (y_mat - h_rp) @ r_inv) - rd
             du = solve_schur(g)
-            dlam_x = np.tensordot(du, h_scaled, axes=(0, 0)) + h_rp
+            dlam_x = r_inv @ op.apply(du) @ r_inv_h + h_rp
             dlam_z = y_mat - dlam_x
             return du, _herm(dlam_x), _herm(dlam_z)
 
@@ -218,14 +242,14 @@ def solve_lmi(
         if alpha_p < _MIN_STEP and alpha_d < _MIN_STEP:
             stalls += 1
             if stalls >= 3:
-                status = NUMERICAL_TROUBLE
+                status, reason = NUMERICAL_TROUBLE, STALL
                 break
         else:
             stalls = 0
 
         u = u + alpha_p * du
         slack = _herm(slack + alpha_p * (r_mat @ dlam_x @ r_mat.conj().T))
-        dual = _herm(dual + alpha_d * (r_inv.conj().T @ dlam_z @ r_inv))
+        dual = _herm(dual + alpha_d * (r_inv_h @ dlam_z @ r_inv))
         iterations = iteration + 1
 
     if status == OPTIMAL:
@@ -235,4 +259,4 @@ def solve_lmi(
         return SdpResult(u, slack, dual, pobj, dobj, gap, relgap, pinf, dinf, iterations, status)
     # fall back to the best iterate seen
     u_b, x_b, s_b, pobj, dobj, gap, relgap, pinf, dinf = best
-    return SdpResult(u_b, x_b, s_b, pobj, dobj, gap, relgap, pinf, dinf, iterations, status)
+    return SdpResult(u_b, x_b, s_b, pobj, dobj, gap, relgap, pinf, dinf, iterations, status, reason)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import InfeasibleModel, ResidualTooLarge
+from .exceptions import InfeasibleModel, KernelBlockDerivative, ResidualTooLarge
 from .model import QuantumModel
 
 __all__ = [
@@ -74,8 +74,8 @@ def compute_slds(rho: np.ndarray, drho: np.ndarray, eigvals: np.ndarray, eigvecs
     In the eigenbasis of rho, (L_j)_ab = 2 (drho_j)_ab / (λ_a + λ_b) on every
     pair touching the ``support`` and 0 on the kernel×kernel block.  Raises
     :class:`ResidualTooLarge` when the reconstruction ‖rho ∘ L_j − drho_j‖_F
-    exceeds ``residual_tol`` (kernel-block content that slipped past
-    validation).
+    exceeds ``residual_tol`` (content the kernel-block check of
+    :func:`analyze` let through).
     """
     pair_sums = eigvals[:, None] + eigvals[None, :]
     inv_pairs = np.zeros_like(pair_sums)
@@ -131,13 +131,23 @@ def infeasible_columns(qfim: np.ndarray, qfim_pinv: np.ndarray, dbeta: np.ndarra
 def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> ModelAnalysis:
     """Analyse ``model`` once, taking every rank decision with ``rank_tol``.
 
-    Raises :class:`ResidualTooLarge` when an SLD equation has no solution,
-    and :class:`InfeasibleModel` naming the dbeta columns that leave the
-    range of J.
+    Raises :class:`KernelBlockDerivative` when a derivative has content in
+    the kernel×kernel block of rho (the rank of rho is not locally fixed),
+    :class:`ResidualTooLarge` when an SLD equation is left unsolved, and
+    :class:`InfeasibleModel` naming the dbeta columns that leave the range
+    of J.
     """
     rho = linalg.hermitian_part(np.asarray(model.rho, dtype=complex))
     eigvals, eigvecs = np.linalg.eigh(rho)
     support = eigvals > rank_tol * max(eigvals.max(), 1e-300)
+    kernel = eigvecs[:, ~support]
+    for j, dj in enumerate(np.asarray(model.drho, dtype=complex)):
+        block = kernel.conj().T @ dj @ kernel
+        if block.size and np.abs(block).max() > rank_tol * max(1.0, np.abs(dj).max()):
+            raise KernelBlockDerivative(
+                f"drho[{j}] has kernel-block content {np.abs(block).max():.3e}; "
+                "the SLD equation is unsolvable there (rank of rho not locally fixed)"
+            )
     slds, residuals = compute_slds(rho, model.drho, eigvals, eigvecs, support)
     qfim, dmat, qfim_rank = information(slds, rho, rank_tol)
     qfim_pinv = linalg.pseudoinverse(qfim, rank_tol)

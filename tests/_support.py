@@ -89,6 +89,45 @@ def random_model(
     raise RuntimeError(f"could not sample a feasible model for d={d}, p={p}, q={q}")
 
 
+class DenseOperator:
+    """The constraint matrices of :func:`qcrb.sdp.solve_lmi` held as a dense
+    (n, N, N) array: the reference the structured operators are checked
+    against, and the operator of the generic LMIs in the tests."""
+
+    def __init__(self, fs: np.ndarray):
+        self.fs = np.asarray(fs, dtype=complex)
+        self.n = self.fs.shape[0]
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return np.tensordot(u, self.fs, axes=(0, 0))
+
+    def adjoint(self, mat: np.ndarray) -> np.ndarray:
+        return np.einsum("iab,ba->i", self.fs, mat).real
+
+    def schur(self, g: np.ndarray) -> np.ndarray:
+        gf = g @ self.fs  # (n, N, N): G F_i
+        return np.einsum("iab,jba->ij", gf, gf).real
+
+
+def epigraph_matrices(q: int, cols: np.ndarray) -> np.ndarray:
+    """Dense constraint matrices of the Holevo epigraph LMI, written out one
+    by one: symmetric units of the q×q block for the upper triangle of V,
+    then for each target s and column c of ``cols`` the pair c / cᴴ in
+    column / row s below / beside that block."""
+    d_r, m = cols.shape
+    v_index = [(a, b) for a in range(q) for b in range(a, q)]
+    fs = np.zeros((len(v_index) + q * m, q + d_r, q + d_r), dtype=complex)
+    for i, (a, b) in enumerate(v_index):
+        fs[i, a, b] = 1.0
+        fs[i, b, a] = 1.0
+    for s in range(q):
+        for l in range(m):
+            i = len(v_index) + s * m + l
+            fs[i, q:, s] = cols[:, l]
+            fs[i, s, q:] = cols[:, l].conj()
+    return fs
+
+
 def random_povm(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     """Random informationally complete POVM elements, shape (n, d, d)."""
     raw = []

@@ -15,7 +15,7 @@ from qcrb.exceptions import (
     VerificationFailed,
 )
 from qcrb.gaussian import GaussianShiftModel, save_gaussian_model
-from qcrb.model import QuantumModel, fixture, save_model
+from qcrb.model import QuantumModel, fixture, model_to_dict, save_model
 from qcrb.povm import DiscretePovm, save_povm
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -97,6 +97,33 @@ class TestBounds:
     def test_solver_failure_exit_3(self, xy_model_file, capsys):
         assert main(["bounds", xy_model_file, "--max-iter", "1"]) == 3
         assert "solver failed" in capsys.readouterr().err
+
+    def test_numerical_trouble_reason_reported(self, xy_model_file, monkeypatch, capsys):
+        class NegativeSchur(holevo.EpigraphOperator):
+            def schur(self, g):
+                return -np.eye(self.n)
+
+        monkeypatch.setattr(holevo, "EpigraphOperator", NegativeSchur)
+        assert main(["bounds", xy_model_file]) == 3
+        assert "NumericalTrouble (Schur Cholesky failed after regularisation)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, edit", [
+        ("rho", lambda data: data["rho"][1][1].__setitem__(0, float("nan"))),
+        ("drho", lambda data: data["drho"][0][0][1].__setitem__(1, float("inf"))),
+        ("dbeta", lambda data: data["dbeta"][0].__setitem__(0, float("nan"))),
+        ("weight", lambda data: data["weight"][0].__setitem__(0, float("-inf"))),
+        ("dim", lambda data: data.__setitem__("dim", True)),
+        ("dbeta", lambda data: data.__setitem__("dbeta", [[True, 0.0], [0.0, 1.0]])),
+    ], ids=["nan-rho", "inf-drho", "nan-dbeta", "inf-weight", "bool-dim", "bool-dbeta"])
+    def test_rejects_non_numbers_at_load(self, field, edit, tmp_path, capsys):
+        data = model_to_dict(fixture("qubit_xy_at_z", [0.5]))
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["bounds", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}: {field}" in err
+        assert "kernel-block" not in err
 
     def test_analyses_each_model_once(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "d4.json"
@@ -297,6 +324,14 @@ class TestFixturesCommand:
                      "--out", str(out)]) == 0
         assert out.exists()
         assert main(["bounds", str(out)]) == 0
+
+    def test_emit_negative_params(self, tmp_path, capsys):
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        assert main(["fixtures", "--emit", "qubit_bloch", "--params", "-0.3,0.1,0.2",
+                     "--out", str(spaced)]) == 0
+        assert main(["fixtures", "--emit", "qubit_bloch", "--params=-0.3,0.1,0.2",
+                     "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
 
     def test_emit_seeded_random(self, tmp_path, capsys):
         out = tmp_path / "r.json"

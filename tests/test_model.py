@@ -21,6 +21,7 @@ from qcrb.model import (
     save_model,
     validate,
 )
+from qcrb.sld import analyze
 from _support import random_model
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -43,7 +44,6 @@ class TestValidate:
         diag = validate(simple_qubit())
         assert diag.rho_rank == 2
         assert diag.min_eigenvalue == pytest.approx(0.5)
-        assert_allclose(diag.support_projector, np.eye(2), atol=1e-12)
 
     def test_rejects_nonunit_trace(self):
         with pytest.raises(NotDensityMatrix, match="Tr rho"):
@@ -68,14 +68,15 @@ class TestValidate:
             validate(simple_qubit(drho=np.array([bad])))
 
     def test_kernel_block_derivative(self):
-        # rank-1 state whose derivative grows the kernel eigenvalue
+        # rank-1 state whose derivative grows the kernel eigenvalue: the
+        # support is a rank decision, so analyze rejects it, with its rank_tol
+        model = simple_qubit(
+            rho=np.diag([1.0, 0.0]).astype(complex),
+            drho=np.array([np.diag([-1.0, 1.0]).astype(complex)]),
+        )
+        validate(model)
         with pytest.raises(KernelBlockDerivative):
-            validate(
-                simple_qubit(
-                    rho=np.diag([1.0, 0.0]).astype(complex),
-                    drho=np.array([np.diag([-1.0, 1.0]).astype(complex)]),
-                )
-            )
+            analyze(model)
 
     def test_rank_deficient_dbeta(self):
         with pytest.raises(RankDeficientDbeta):

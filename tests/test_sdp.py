@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcrb import linalg
-from qcrb.sdp import OPTIMAL, solve_lmi
+from qcrb.sdp import NUMERICAL_TROUBLE, OPTIMAL, SCHUR_CHOLESKY, solve_lmi
+from _support import DenseOperator
 
 
 def epigraph_instance(z0, w):
@@ -17,7 +18,7 @@ def epigraph_instance(z0, w):
             e[b, a] = 1.0
             fs.append(e)
             c.append(w[a, a] if a == b else 2.0 * w[a, b])
-    return np.array(c), -z0.astype(complex), np.array(fs)
+    return np.array(c), -z0.astype(complex), DenseOperator(np.array(fs))
 
 
 class TestSolveLmi:
@@ -26,7 +27,7 @@ class TestSolveLmi:
         res = solve_lmi(
             np.array([1.0]),
             np.array([[0, 1], [1, 0]], dtype=complex),
-            np.array([np.eye(2, dtype=complex)]),
+            DenseOperator(np.array([np.eye(2, dtype=complex)])),
         )
         assert res.status == OPTIMAL
         assert res.u[0] == pytest.approx(1.0, abs=1e-7)
@@ -39,8 +40,8 @@ class TestSolveLmi:
             z0 = g @ g.conj().T
             gw = rng.normal(size=(q, q))
             w = gw @ gw.T + 0.2 * np.eye(q)
-            c, f0, fs = epigraph_instance(z0, w)
-            res = solve_lmi(c, f0, fs)
+            c, f0, op = epigraph_instance(z0, w)
+            res = solve_lmi(c, f0, op)
             root = linalg.psd_sqrt(w)
             expected = float(np.trace(w @ z0.real)) + linalg.trace_norm(root @ z0.imag @ root)
             assert res.status == OPTIMAL
@@ -50,8 +51,8 @@ class TestSolveLmi:
         rng = np.random.default_rng(1)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         z0 = g @ g.conj().T
-        c, f0, fs = epigraph_instance(z0, np.eye(3))
-        res = solve_lmi(c, f0, fs)
+        c, f0, op = epigraph_instance(z0, np.eye(3))
+        res = solve_lmi(c, f0, op)
         assert res.status == OPTIMAL
         assert res.relgap <= 1e-8
         assert res.pinfeas <= 1e-8
@@ -67,7 +68,7 @@ class TestSolveLmi:
         res = solve_lmi(
             np.array([1.0]),
             np.array([[-2.0, 0.0], [0.0, -1.0]], dtype=complex),
-            np.array([np.eye(2, dtype=complex)]),
+            DenseOperator(np.array([np.eye(2, dtype=complex)])),
             u0=np.zeros(1),
         )
         assert res.status == OPTIMAL
@@ -77,8 +78,8 @@ class TestSolveLmi:
         rng = np.random.default_rng(2)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         z0 = g @ g.conj().T
-        c, f0, fs = epigraph_instance(z0, np.eye(3))
-        res = solve_lmi(c, f0, fs, max_iter=2)
+        c, f0, op = epigraph_instance(z0, np.eye(3))
+        res = solve_lmi(c, f0, op, max_iter=2)
         assert res.status == "MaxIterations"
         assert res.gap > 0
 
@@ -86,7 +87,20 @@ class TestSolveLmi:
         rng = np.random.default_rng(3)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         z0 = g @ g.conj().T
-        c, f0, fs = epigraph_instance(z0, np.eye(4))
-        res = solve_lmi(c, f0, fs, tol=1e-11)
+        c, f0, op = epigraph_instance(z0, np.eye(4))
+        res = solve_lmi(c, f0, op, tol=1e-11)
         assert res.status == OPTIMAL
         assert res.relgap <= 1e-11
+
+    def test_numerical_trouble_names_its_reason(self):
+        class NegativeSchur(DenseOperator):
+            def schur(self, g):
+                return -np.eye(self.n)
+
+        rng = np.random.default_rng(4)
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        c, f0, op = epigraph_instance(g @ g.conj().T, np.eye(2))
+        res = solve_lmi(c, f0, NegativeSchur(op.fs))
+        assert res.status == NUMERICAL_TROUBLE
+        assert res.reason == SCHUR_CHOLESKY
+        assert solve_lmi(c, f0, op).reason == ""

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcrb.exceptions import InfeasibleModel, ResidualTooLarge
+from qcrb.exceptions import InfeasibleModel, KernelBlockDerivative, ResidualTooLarge
 from qcrb.linalg import jordan_product, pseudoinverse
 from qcrb.model import QuantumModel, fixture
-from qcrb.sld import analyze, infeasible_columns, information
+from qcrb.sld import analyze, compute_slds, infeasible_columns, information
 from _support import random_model
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -64,16 +64,12 @@ class TestComputeSlds:
                 assert abs(np.trace(m.rho @ lj)) < 1e-10
 
     def test_residual_too_large_on_kernel_content(self):
-        # bypass validation: feed a kernel-block derivative directly
-        m = QuantumModel(
-            dim=2,
-            rho=np.diag([1.0, 0.0]).astype(complex),
-            drho=np.array([np.diag([-1.0, 1.0]).astype(complex)]),
-            dbeta=np.array([[1.0]]),
-            weight=np.array([[1.0]]),
-        )
+        # bypass the kernel-block check of analyze: feed a kernel-block derivative directly
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        eigvals, eigvecs = np.linalg.eigh(rho)
         with pytest.raises(ResidualTooLarge):
-            analyze(m)
+            compute_slds(rho, np.array([np.diag([-1.0, 1.0]).astype(complex)]),
+                         eigvals, eigvecs, eigvals > 1e-10)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(3)
@@ -202,3 +198,18 @@ class TestOneRankTol:
             with pytest.raises(InfeasibleModel) as err:
                 analyze(full, rank_tol)
             assert err.value.bad_columns == [1]
+
+    def test_kernel_content_is_named_at_the_cutoff(self):
+        # the small eigenvalue moves at rate 1/2: ε is support at 1e-10 but
+        # kernel at 1e-8, where that motion is kernel-block content, not an
+        # unsolved SLD equation
+        model = QuantumModel(
+            dim=2,
+            rho=np.diag([1 - self.EPS, self.EPS]).astype(complex),
+            drho=np.array([SX / 2, np.diag([-0.5, 0.5]).astype(complex)]),
+            dbeta=np.eye(2),
+            weight=np.eye(2),
+        )
+        assert analyze(model, 1e-10).qfim_rank == 2
+        with pytest.raises(KernelBlockDerivative, match=r"drho\[1\]"):
+            analyze(model, 1e-8)
