@@ -32,10 +32,9 @@ from .gaussian import (
     symplectic_form,
     validate_cm,
 )
-from .holevo import HolevoProblem, HolevoSolution, build_problem, solve, verify_solution
+from .holevo import HolevoSolution, solve, verify_solution
 from .model import (
     FIXTURE_NAMES,
-    ModelDiagnostics,
     QuantumModel,
     fixture,
     load_model,

@@ -78,8 +78,7 @@ def _bound_pipeline(analysis, args):
     t0 = time.perf_counter()
     closed = bounds_mod.sandwich(analysis)
     t1 = time.perf_counter()
-    problem = holevo.build_problem(analysis)
-    sol = holevo.solve(problem, tol=args.tol, max_iter=args.max_iter)
+    sol = holevo.solve(analysis, tol=args.tol, max_iter=args.max_iter)
     t2 = time.perf_counter()
     report = {
         "model_label": model.label,

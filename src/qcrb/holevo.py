@@ -1,25 +1,26 @@
 """The Holevo bound as a semidefinite program over influence operators.
 
-Each influence operator is expanded over an orthonormal Hermitian basis,
-the linear unbiasedness constraints are eliminated through a nullspace
-parameterization (iterates stay feasible by construction), and the
-epigraph matrix V ⪰ Z(X) is imposed through the Schur-complement block
+The locally unbiased influence operators are X_s = X_eff,s + Σ_l y_sl D_l:
+the efficient operators of the model's :class:`~qcrb.sld.ModelAnalysis`
+plus any combination of feasible directions D_l, the Hermitian operators
+orthogonal to rho and to every drho_j.  The directions span the nullspace
+of those constraints within the operators touching rho's support, so
+iterates stay feasible by construction.  The kernel×kernel block is left
+out: it changes neither X√ρ nor any constraint (drho carries no content
+there).  The epigraph matrix V ⪰ Z(X) is imposed through the
+Schur-complement block
 
-    [[V, M(x)†], [M(x), I]]  ⪰ 0,      M(x)† M(x) = Z(X),
+    [[V, M(y)†], [M(y), I]]  ⪰ 0,      M(y)† M(y) = Z(X),
 
-where column s of M(x) collects the coordinates of X_s √ρ.  The single
-PSD block goes to the interior-point core in :mod:`qcrb.sdp`, its
-constraint matrices held by an :class:`EpigraphOperator` in factored
-form rather than as a dense (n, N, N) array.
+where column s of M(y) holds the entries of X_s √ρ.  The single PSD block
+goes to the interior-point core in :mod:`qcrb.sdp`, its constraint
+matrices held by an :class:`EpigraphOperator` in factored form rather
+than as a dense (n, N, N) array.
 
-For rank-deficient states the kernel×kernel basis directions influence
-neither objective nor constraints; by default they are dropped from the
-optimization (``reduce_kernel=True``), shrinking both the variable count
-and the PSD block.
-
-:func:`build_problem` and :func:`verify_solution` read rho's eigenbasis,
-the efficient influence operators and the closed-form bounds from the
-model's one :class:`~qcrb.sld.ModelAnalysis`.
+:func:`solve` and :func:`verify_solution` read rho's eigenbasis, the
+efficient influence operators and the closed-form bounds from the
+model's one analysis, which has already decided that the model is
+estimable.
 """
 
 from __future__ import annotations
@@ -31,40 +32,13 @@ import numpy as np
 from . import linalg, sdp
 from .bounds import c_d as _c_d
 from .bounds import c_gs as _c_gs
-from .exceptions import InfeasibleModel, VerificationFailed
-from .model import QuantumModel
+from .exceptions import VerificationFailed
 from .povm import unbiasedness_residual
 from .sld import ModelAnalysis
 
-__all__ = ["EpigraphOperator", "HolevoProblem", "HolevoSolution", "build_problem", "solve", "verify_solution"]
+__all__ = ["EpigraphOperator", "HolevoSolution", "solve", "verify_solution"]
 
 CONSTRAINT_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class HolevoProblem:
-    """Assembled SDP data for one model.
-
-    ``constraint_matrix`` (rows: zero-mean, then one per model parameter)
-    acts on the coefficient vector of a single influence component; the
-    right-hand side differs per component and sits in ``constraint_rhs``
-    (column s).  ``x0`` holds feasible coefficients (the efficient
-    influence operators) and ``nullspace`` a basis of the per-component
-    feasible directions.
-    """
-
-    model: QuantumModel
-    basis: np.ndarray
-    constraint_matrix: np.ndarray
-    constraint_rhs: np.ndarray
-    x0: np.ndarray
-    nullspace: np.ndarray
-    right_factor: np.ndarray
-    z_eff: np.ndarray
-
-    @property
-    def n_targets(self) -> int:
-        return self.constraint_rhs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -89,7 +63,8 @@ def _reduced_hermitian_basis(supp: np.ndarray, kern: np.ndarray) -> np.ndarray:
 
     ``supp``/``kern`` are orthonormal support and kernel eigenvector
     blocks.  Returns r² support-block elements followed by 2·r·k cross
-    pairs; all orthonormal under the Hilbert-Schmidt inner product.
+    pairs; all orthonormal under the Hilbert-Schmidt inner product.  With
+    an empty kernel this is the full basis, rotated into rho's eigenbasis.
     """
     r = supp.shape[1]
     k = kern.shape[1]
@@ -105,56 +80,6 @@ def _reduced_hermitian_basis(supp: np.ndarray, kern: np.ndarray) -> np.ndarray:
     return np.array(elems)
 
 
-def build_problem(analysis: ModelAnalysis, reduce_kernel: bool = True) -> HolevoProblem:
-    """Expand the influence operators over a Hermitian basis and encode the
-    unbiasedness constraints.
-
-    Raises :class:`InfeasibleModel` when the efficient influence operators
-    miss the constraints (the constraint set is empty).
-    """
-    model = analysis.model
-    rho = analysis.rho
-    vals, vecs, support = analysis.eigvals, analysis.eigvecs, analysis.support
-    supp_vecs = vecs[:, support]
-    right_factor = supp_vecs * np.sqrt(vals[support])
-
-    if reduce_kernel and not support.all():
-        basis = _reduced_hermitian_basis(supp_vecs, vecs[:, ~support])
-    else:
-        basis = linalg.hermitian_basis(model.dim)
-    n_b = basis.shape[0]
-
-    rows = [np.array([np.trace(rho @ e).real for e in basis])]
-    for dj in np.asarray(model.drho, dtype=complex):
-        rows.append(np.array([np.trace(dj @ e).real for e in basis]))
-    a_mat = np.array(rows)  # (1+p, n_b)
-    rhs = np.vstack([np.zeros(model.n_targets), np.asarray(model.dbeta, dtype=float)])  # (1+p, q)
-
-    x0 = np.array([linalg.basis_coefficients(xs, basis) for xs in analysis.x_eff])  # (q, n_b)
-    residual = np.abs(a_mat @ x0.T - rhs).max()
-    if residual > CONSTRAINT_TOL:
-        raise InfeasibleModel(
-            f"no influence operators satisfy the unbiasedness constraints (residual {residual:.3e})"
-        )
-
-    svals = np.linalg.svd(a_mat, compute_uv=False)
-    cut = max(svals.max(), 1e-300) * 1e-12
-    rank = int(np.count_nonzero(svals > cut))
-    _, _, vh = np.linalg.svd(a_mat, full_matrices=True)
-    nullspace = vh[rank:].T  # (n_b, m_s)
-
-    return HolevoProblem(
-        model=model,
-        basis=basis,
-        constraint_matrix=a_mat,
-        constraint_rhs=rhs,
-        x0=x0,
-        nullspace=nullspace,
-        right_factor=right_factor,
-        z_eff=analysis.z_eff,
-    )
-
-
 def _upper_triangle(q: int) -> list[tuple[int, int]]:
     """Index pairs (a, b), a ≤ b, of the V variables, in LMI variable order."""
     return [(a, b) for a in range(q) for b in range(a, q)]
@@ -164,11 +89,11 @@ class EpigraphOperator:
     """The constraint matrices F_i of the epigraph LMI, kept in factored form.
 
     The LMI variables are the upper triangle of V (a ≤ b, row-major)
-    followed by the nullspace coordinates x[s, l], s-major.  Every F_i is
+    followed by the direction coordinates y[s, l], s-major.  Every F_i is
     an arrow e_t ĉ_kᴴ + ĉ_k e_tᴴ, halved when ĉ_k = e_t: e_t is a unit
     vector of the q×q block and ĉ_k a column of Ĉ = diag(I_q, C).  V entry
-    (a, b) pairs t = a with ĉ = e_b; x[s, l] pairs t = s with column l of
-    the nullspace image C (d·r × m).  With P = ĈᴴG[:, :q] and Q = ĈᴴGĈ,
+    (a, b) pairs t = a with ĉ = e_b; y[s, l] pairs t = s with column l of
+    C (d·r × m), the entries of D_l √ρ.  With P = ĈᴴG[:, :q] and Q = ĈᴴGĈ,
 
         Re tr(G F_i G F_j) = 2 w_i w_j Re(P[k_i, t_j] P[k_j, t_i] + Q[k_i, k_j] G[t_j, t_i]),
 
@@ -224,7 +149,7 @@ class EpigraphOperator:
         return out
 
 
-def solve(problem: HolevoProblem, tol: float = 1e-8, max_iter: int = 200) -> HolevoSolution:
+def solve(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) -> HolevoSolution:
     """Minimize tr(W V) over the epigraph SDP by the interior-point core.
 
     The iteration starts from the efficient influence operators with
@@ -233,39 +158,38 @@ def solve(problem: HolevoProblem, tol: float = 1e-8, max_iter: int = 200) -> Hol
     duality gap reach tolerance; ``MaxIterations``/``NumericalTrouble``
     return the best iterate found.
     """
-    model = problem.model
-    q = problem.n_targets
-    basis = problem.basis
-    m_s = problem.nullspace.shape[1]
-    d_r = problem.right_factor.shape[0] * problem.right_factor.shape[1]
+    model = analysis.model
+    q = model.n_targets
+    vals, vecs, support = analysis.eigvals, analysis.eigvecs, analysis.support
+    right_factor = vecs[:, support] * np.sqrt(vals[support])  # √ρ restricted to the support
+    d_r = right_factor.size
     block = q + d_r
     weight = np.asarray(model.weight, dtype=float)
 
-    # coefficient vector -> column of M(x): rows of basis_m are vec(E_a sqrt(rho))
-    basis_m = np.array([(e @ problem.right_factor).reshape(-1) for e in basis])  # (n_b, d_r)
-
-    # Nullspace directions supported purely on the kernel×kernel block of
-    # rho leave M(x) (hence objective and constraints) untouched; their
-    # induced columns are roundoff-level.  Pin them at the reduced-space
-    # representative (x0) instead of letting the solver drift along noise.
-    null_cols = problem.nullspace.T @ basis_m  # (m_s, d_r)
-    active = [l for l in range(m_s) if np.linalg.norm(null_cols[l]) > 1e-12]
-    op = EpigraphOperator(q, null_cols[active].T)
+    # feasible directions: the nullspace of the basis coefficients of [rho, drho_1 … drho_p]
+    basis = _reduced_hermitian_basis(vecs[:, support], vecs[:, ~support])
+    constraints = np.array([linalg.basis_coefficients(a, basis)
+                            for a in (analysis.rho, *np.asarray(model.drho, dtype=complex))])
+    _, svals, vh = np.linalg.svd(constraints, full_matrices=True)
+    rank = int(np.count_nonzero(svals > max(svals.max(), 1e-300) * 1e-12))
+    directions = np.tensordot(vh[rank:], basis, axes=(1, 0))  # (m, d, d)
+    m_s = directions.shape[0]
+    op = EpigraphOperator(q, (directions @ right_factor).reshape(m_s, d_r).T)
     v_index = _upper_triangle(q)
     n_v = len(v_index)
-    n = n_v + q * len(active)
+    n = n_v + q * m_s
 
     c = np.zeros(n)
     for i, (a, b) in enumerate(v_index):
         c[i] = weight[a, a] if a == b else 2.0 * weight[a, b]
 
     f0 = np.zeros((block, block), dtype=complex)
-    m0 = (problem.x0 @ basis_m).T  # (d_r, q)
+    m0 = (analysis.x_eff @ right_factor).reshape(q, d_r).T  # column s: X_eff,s √ρ
     f0[q:, :q] = m0
     f0[:q, q:] = m0.conj().T
     f0[q:, q:] = np.eye(d_r)
 
-    z_eff = problem.z_eff
+    z_eff = analysis.z_eff
     z_norm = float(np.linalg.norm(z_eff, 2))
     v_start = z_eff.real + (1.1 * z_norm + 1.0) * np.eye(q)
     u0 = np.zeros(n)
@@ -283,11 +207,8 @@ def solve(problem: HolevoProblem, tol: float = 1e-8, max_iter: int = 200) -> Hol
     for i, (a, b) in enumerate(v_index):
         v_opt[a, b] = result.u[i]
         v_opt[b, a] = result.u[i]
-    y = np.zeros((q, m_s))
-    if active:
-        y[:, active] = result.u[n_v:].reshape(q, len(active))
-    coeffs = problem.x0 + y @ problem.nullspace.T
-    x_opt = np.tensordot(coeffs, basis, axes=(1, 0))
+    y = result.u[n_v:].reshape(q, m_s)
+    x_opt = analysis.x_eff + np.tensordot(y, directions, axes=(1, 0))
 
     return HolevoSolution(
         c_h=float(np.trace(weight @ v_opt)),

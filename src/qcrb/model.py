@@ -24,7 +24,6 @@ from .exceptions import (
 
 __all__ = [
     "QuantumModel",
-    "ModelDiagnostics",
     "validate",
     "load_model",
     "save_model",
@@ -76,19 +75,12 @@ class QuantumModel:
         return self.dbeta.shape[1]
 
 
-@dataclass(frozen=True)
-class ModelDiagnostics:
-    rho_rank: int
-    min_eigenvalue: float
+def validate(model: QuantumModel) -> None:
+    """Check every model invariant that does not depend on rho's support.
 
-
-def validate(model: QuantumModel) -> ModelDiagnostics:
-    """Check every model invariant that does not depend on rho's support;
-    return rank diagnostics at the fixed ``RANK_TOL``.
-
-    The fixed-rank condition (no derivative content in the kernel×kernel
-    block of rho) depends on where the support ends, so
-    :func:`qcrb.sld.analyze` checks it with its own ``rank_tol``.
+    The rank of rho and the fixed-rank condition (no derivative content in
+    the kernel×kernel block of rho) depend on where the support ends, so
+    :func:`qcrb.sld.analyze` decides them with its own ``rank_tol``.
 
     Raises
     ------
@@ -138,9 +130,6 @@ def validate(model: QuantumModel) -> ModelDiagnostics:
         linalg.psd_sqrt(weight, "weight")
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
-
-    rank = int(np.count_nonzero(vals > RANK_TOL * max(vals.max(), 1e-300)))
-    return ModelDiagnostics(rho_rank=rank, min_eigenvalue=float(vals.min()))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ The iteration is the standard Nesterov-Todd-scaled Mehrotra
 predictor-corrector.  The scaling point R is computed from the Cholesky
 factors of the primal slack X and the dual S via one SVD, which makes
 R⁻¹XR⁻ᴴ = RᴴSR diagonal; the Newton system is reduced to the n×n Schur
-complement ``schur(R⁻ᴴR⁻¹)`` in u, factored by a dense Cholesky.  Scaled
-constraint matrices R⁻¹F_iR⁻ᴴ are never formed: the right-hand side is
+complement ``schur(R⁻ᴴR⁻¹)`` in u, factored by a dense Cholesky LLᵀ whose
+inverse factor is formed once, so each of the two solves per iteration
+is the pair of products L⁻ᵀ(L⁻¹g).  Scaled constraint matrices
+R⁻¹F_iR⁻ᴴ are never formed: the right-hand side is
 ``adjoint(R⁻ᴴ·Y·R⁻¹)`` and the step is ``R⁻¹·apply(du)·R⁻ᴴ``.  Per
 iteration the solver itself costs O(N³ + n³) plus two ``apply``, two
 ``adjoint`` and one ``schur`` call.
@@ -172,8 +174,7 @@ def solve_lmi(
             best_score = score
             best = (u.copy(), slack.copy(), dual.copy(), pobj, dobj, gap, relgap, pinf, dinf)
         if pinf <= feas_tol and dinf <= feas_tol and relgap <= tol:
-            status = OPTIMAL
-            break
+            return SdpResult(u, slack, dual, pobj, dobj, gap, relgap, pinf, dinf, iterations, OPTIMAL)
 
         lx = _chol(slack)
         lz = _chol(dual)
@@ -205,13 +206,11 @@ def solve_lmi(
             status, reason = NUMERICAL_TROUBLE, SCHUR_CHOLESKY
             break
 
-        def solve_schur(rhs):
-            y = np.linalg.solve(chol_b, rhs)
-            return np.linalg.solve(chol_b.conj().T, y)
+        chol_inv = np.linalg.inv(chol_b)  # schur⁻¹ = L⁻ᵀ L⁻¹, applied as two products
 
         def direction(y_mat):
             g = op.adjoint(r_inv_h @ (y_mat - h_rp) @ r_inv) - rd
-            du = solve_schur(g)
+            du = chol_inv.T @ (chol_inv @ g)
             dlam_x = r_inv @ op.apply(du) @ r_inv_h + h_rp
             dlam_z = y_mat - dlam_x
             return du, _herm(dlam_x), _herm(dlam_z)
@@ -252,11 +251,6 @@ def solve_lmi(
         dual = _herm(dual + alpha_d * (r_inv_h @ dlam_z @ r_inv))
         iterations = iteration + 1
 
-    if status == OPTIMAL:
-        rp, rd, gap, pobj, dobj, relgap = metrics(u, slack, dual)
-        pinf = np.linalg.norm(rp) / f0_scale
-        dinf = np.linalg.norm(rd) / c_scale
-        return SdpResult(u, slack, dual, pobj, dobj, gap, relgap, pinf, dinf, iterations, status)
-    # fall back to the best iterate seen
+    # not Optimal: fall back to the best iterate seen
     u_b, x_b, s_b, pobj, dobj, gap, relgap, pinf, dinf = best
     return SdpResult(u_b, x_b, s_b, pobj, dobj, gap, relgap, pinf, dinf, iterations, status, reason)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import InfeasibleModel, KernelBlockDerivative, ResidualTooLarge
+from .exceptions import InfeasibleModel, KernelBlockDerivative, ModelError, ResidualTooLarge
 from .model import QuantumModel
 
 __all__ = [
@@ -104,8 +104,13 @@ def information(slds: np.ndarray, rho: np.ndarray,
 
     J = Re Z(L) is symmetrized and D = Im Z(L) antisymmetrized exactly, so
     downstream code can rely on J = Jᵀ and D = −Dᵀ holding to the bit.
+    Raises :class:`ModelError` when Z(L) overflows (derivative entries too
+    large to square).
     """
-    z = linalg.z_matrix(slds, rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = linalg.z_matrix(slds, rho)
+    if not np.isfinite(z).all():
+        raise ModelError("drho: the information matrix Z(L) is not finite (derivative entries too large)")
     j = (z.real + z.real.T) / 2
     d = (z.imag - z.imag.T) / 2
     w = np.linalg.eigvalsh(j)

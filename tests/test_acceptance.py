@@ -16,7 +16,7 @@ from qcrb import linalg
 from qcrb.bounds import c_d, c_gs
 from qcrb.cli import main
 from qcrb.gaussian import GaussianMeasurement, GaussianShiftModel, gaussian_qfim, half_qfim_check
-from qcrb.holevo import build_problem, solve
+from qcrb.holevo import solve
 from qcrb.model import fixture
 from qcrb.povm import error_covariance, matrix_crb_check
 from qcrb.sld import analyze, infeasible_columns
@@ -43,7 +43,7 @@ def solve_bounds(model):
     analysis = analyze(model)
     gs = c_gs(analysis)
     dd = c_d(analysis)
-    sol = solve(build_problem(analysis), tol=1e-9)
+    sol = solve(analysis, tol=1e-9)
     return gs, sol, dd
 
 

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from qcrb import linalg
 from qcrb.bounds import c_d, c_gs, sandwich
-from qcrb.exceptions import InfeasibleModel
+from qcrb import bounds
+from qcrb.exceptions import InfeasibleModel, VerificationFailed
 from qcrb.model import QuantumModel, fixture
 from qcrb.sld import analyze, information
 from _support import random_model, random_weight, zero_mean_hermitian
@@ -117,6 +118,19 @@ class TestSandwich:
             assert cf.c_gs <= cf.c_d + 1e-9
             assert cf.c_d <= 2 * cf.c_gs + 1e-9
             assert_allclose(cf.v_eff, cf.z_eff.real, atol=1e-10)
+
+    def test_weak_signal_passes(self):
+        # drho scaled by 1e-6: c_gs ≈ 2e12, and c_d exceeds 2·c_gs by
+        # roundoff (≈ 1.5e-16 relative), which an absolute 1e-9 cannot absorb
+        m = fixture("pure_qubit_angles", [1.4025641025641025, 0.3])
+        cf = sandwich(analyze(dataclasses.replace(m, drho=m.drho * 1e-6)))
+        assert cf.c_gs == pytest.approx(2e12, rel=1e-9)
+        assert cf.c_d == pytest.approx(2 * cf.c_gs, rel=1e-12)
+
+    def test_real_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(bounds, "c_d", lambda analysis: 2 * c_gs(analysis) * (1 + 1e-6))
+        with pytest.raises(VerificationFailed, match="bound ordering violated"):
+            sandwich(analyze(fixture("qubit_xy_at_z", [0.5])))
 
 
 def tangent_orthogonal_noise(rng, analysis):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcrb import holevo, linalg, sld
+from qcrb import bounds, holevo, linalg, sld
 from qcrb.cli import main
 from qcrb.exceptions import (
     IllDefinedFim,
@@ -124,6 +124,23 @@ class TestBounds:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{path}: {field}" in err
         assert "kernel-block" not in err
+
+    def test_rejects_huge_derivatives(self, tmp_path, capsys, recwarn):
+        data = model_to_dict(fixture("qubit_xy_at_z", [0.5]))
+        data["drho"][0][0][1] = data["drho"][0][1][0] = [1e300, 0.0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        assert main(["bounds", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: drho: ") and "information matrix" in err and "not finite" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_bound_ordering_violation_exit_3(self, xy_model_file, monkeypatch, capsys):
+        monkeypatch.setattr(bounds, "c_d", lambda analysis: 2 * bounds.c_gs(analysis) * (1 + 1e-6))
+        assert main(["bounds", xy_model_file]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("verification failed: bound ordering violated")
 
     def test_analyses_each_model_once(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "d4.json"
@@ -303,7 +320,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(holevo, "build_problem", fail)
+        monkeypatch.setattr(holevo, "solve", fail)
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(error) in err

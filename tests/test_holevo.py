@@ -7,10 +7,12 @@ from numpy.testing import assert_allclose
 from qcrb import holevo
 from qcrb.bounds import c_d, c_gs
 from qcrb.exceptions import InfeasibleModel, VerificationFailed
-from qcrb.holevo import EpigraphOperator, build_problem, solve, verify_solution
+from qcrb.holevo import EpigraphOperator, solve, verify_solution
 from qcrb.model import QuantumModel, fixture
+from qcrb.povm import unbiasedness_residual
 from qcrb.sld import analyze
-from _support import DenseOperator, direct_holevo_oracle, epigraph_matrices, random_model
+from _support import (DenseOperator, direct_holevo_oracle, epigraph_matrices, holevo_objective,
+                      random_hermitian, random_model)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -25,31 +27,42 @@ def diag_model(w):
     )
 
 
+def captured_operator(model, monkeypatch):
+    """The (q, cols) that :func:`solve` hands to :class:`EpigraphOperator`."""
+    captured = []
+
+    def recording(q, cols):
+        captured.append((q, cols))
+        return EpigraphOperator(q, cols)
+
+    solve_with(recording, model, monkeypatch)
+    return captured[0]
+
+
 class TestBuildProblem:
-    def test_constraint_counting_qubit(self):
+    """How :func:`solve` builds the SDP from a model's analysis."""
+
+    def test_constraint_counting_qubit(self, monkeypatch):
         m = fixture("qubit_xy_at_z", [0.5])
-        prob = build_problem(analyze(m))
-        # q*d^2 = 8 raw coefficients, 2*(1+2) = 6 linear constraints
-        assert prob.basis.shape[0] * prob.n_targets == 8
-        assert prob.constraint_matrix.shape == (3, 4)
-        assert prob.constraint_rhs.shape == (3, 2)
-        assert prob.nullspace.shape[1] == 1  # one free direction per component
+        q, cols = captured_operator(m, monkeypatch)
+        # 4 basis coefficients, 1 + p = 3 linear constraints: one free direction
+        # per component, whose image X √ρ has d·r = 4 entries
+        assert q == 2
+        assert cols.shape == (4, 1)
 
     def test_x0_is_feasible(self):
+        """The start point X_eff satisfies the unbiasedness constraints."""
         rng = np.random.default_rng(0)
         for _ in range(10):
             m = random_model(rng, d=3, p=3, q=2, weighted=True)
-            prob = build_problem(analyze(m))
-            res = prob.constraint_matrix @ prob.x0.T - prob.constraint_rhs
-            assert np.abs(res).max() < 1e-8
+            assert unbiasedness_residual(m, analyze(m).x_eff) < 1e-8
 
-    def test_reduced_variable_count_for_pure_state(self):
+    def test_reduced_variable_count_for_pure_state(self, monkeypatch):
         m = fixture("pure_qubit_angles", [1.0, 0.2])
-        reduced = build_problem(analyze(m), reduce_kernel=True)
-        full = build_problem(analyze(m), reduce_kernel=False)
-        # support-touching elements only: d^2 - (d-r)^2 = 3 for d=2, r=1
-        assert reduced.basis.shape[0] == 3
-        assert full.basis.shape[0] == 4
+        _, cols = captured_operator(m, monkeypatch)
+        # support-touching elements only: d^2 - (d-r)^2 = 3 for d=2, r=1, all
+        # fixed by the 1 + p = 3 constraints; X √ρ has d·r = 2 entries
+        assert cols.shape == (2, 0)
 
     def test_infeasible_model_rejected(self):
         rng = np.random.default_rng(1)
@@ -57,33 +70,33 @@ class TestBuildProblem:
         kernel = np.linalg.eigh(analyze(m).qfim)[1][:, :1]
         bad = dataclasses.replace(m, dbeta=kernel)
         with pytest.raises(InfeasibleModel):
-            build_problem(analyze(bad))
+            analyze(bad)
 
 
 class TestSolve:
     def test_scalar_model_collapses_to_c_gs(self):
         for w in (0.0, 0.3, 0.8):
             m = diag_model(w)
-            sol = solve(build_problem(analyze(m)))
+            sol = solve(analyze(m))
             assert sol.status == "Optimal"
             assert sol.c_h == pytest.approx(1 - w * w, abs=1e-7)
 
     def test_commuting_model_collapses_to_c_gs(self):
         m = fixture("classical_diagonal", [0.2, 0.3])
         analysis = analyze(m)
-        sol = solve(build_problem(analysis))
+        sol = solve(analysis)
         assert sol.c_h == pytest.approx(c_gs(analysis), abs=1e-7)
 
     def test_transverse_qubit_within_sandwich(self):
         m = fixture("qubit_xy_at_z", [0.5])
-        sol = solve(build_problem(analyze(m)))
+        sol = solve(analyze(m))
         assert 2.0 - 1e-7 <= sol.c_h <= 3.0 + 1e-7
         assert sol.c_h <= 4.0 + 1e-7
 
     def test_transverse_qubit_matches_direct_oracle(self):
         rng = np.random.default_rng(2)
         m = fixture("qubit_xy_at_z", [0.5])
-        sol = solve(build_problem(analyze(m)))
+        sol = solve(analyze(m))
         oracle = direct_holevo_oracle(m, rng)
         assert sol.c_h == pytest.approx(oracle, abs=1e-5)
 
@@ -91,7 +104,7 @@ class TestSolve:
         rng = np.random.default_rng(3)
         for _ in range(8):
             m = random_model(rng, d=3, p=2, q=2, weighted=True)
-            sol = solve(build_problem(analyze(m)))
+            sol = solve(analyze(m))
             assert sol.status == "Optimal"
             assert sol.duality_gap <= 1e-8
             assert sol.dual_residual <= 1e-8
@@ -104,13 +117,28 @@ class TestSolve:
             assert sol.c_h == pytest.approx(float(np.trace(m.weight @ sol.v_opt)), abs=1e-9)
 
     def test_kernel_reduction_invariance(self):
-        rng = np.random.default_rng(4)
+        """The kernel×kernel block left out of the SDP changes neither the
+        objective nor the constraints."""
+        rng, block_rng = np.random.default_rng(4), np.random.default_rng(40)
         for _ in range(5):
             m = random_model(rng, d=3, p=2, q=2, rank=2, weighted=True)
             analysis = analyze(m)
-            sol_reduced = solve(build_problem(analysis, reduce_kernel=True))
-            sol_full = solve(build_problem(analysis, reduce_kernel=False))
-            assert sol_reduced.c_h == pytest.approx(sol_full.c_h, abs=1e-7)
+            sol = solve(analysis)
+            kern = analysis.eigvecs[:, ~analysis.support]
+            shifted = sol.x_opt + np.array(
+                [kern @ random_hermitian(block_rng, kern.shape[1]) @ kern.conj().T for _ in sol.x_opt])
+            objective = holevo_objective(m, sol.x_opt)
+            assert abs(holevo_objective(m, shifted) - objective) <= 1e-12
+            assert abs(unbiasedness_residual(m, shifted) - unbiasedness_residual(m, sol.x_opt)) <= 1e-12
+
+    def test_pure_state_matches_direct_oracle(self):
+        """Leaving out the kernel directions loses nothing: the oracle searches
+        the full basis, kernel×kernel direction included."""
+        rng = np.random.default_rng(7)
+        m = fixture("pure_qubit_angles", [1.0, 0.2])
+        sol = solve(analyze(m))
+        assert sol.status == "Optimal"
+        assert sol.c_h == pytest.approx(direct_holevo_oracle(m, rng), abs=1e-5)
 
     def test_sandwich_on_random_models(self):
         rng = np.random.default_rng(5)
@@ -120,7 +148,7 @@ class TestSolve:
             q = int(rng.integers(1, p + 1))
             m = random_model(rng, d, p, q, weighted=True)
             analysis = analyze(m)
-            sol = solve(build_problem(analysis))
+            sol = solve(analysis)
             gs = c_gs(analysis)
             dd = c_d(analysis)
             assert sol.status == "Optimal"
@@ -132,7 +160,7 @@ class TestVerifySolution:
     def test_accepts_optimal_solution(self):
         m = fixture("qubit_xy_at_z", [0.3])
         analysis = analyze(m)
-        sol = solve(build_problem(analysis))
+        sol = solve(analysis)
         report = verify_solution(analysis, sol)
         assert report.objective_deviation < 1e-7
         assert report.unbias_residual < 1e-8
@@ -141,7 +169,7 @@ class TestVerifySolution:
     def test_rejects_corrupted_minimizer(self):
         m = fixture("qubit_xy_at_z", [0.3])
         analysis = analyze(m)
-        sol = solve(build_problem(analysis))
+        sol = solve(analysis)
         corrupted = dataclasses.replace(sol, x_opt=sol.x_opt + 0.05 * SZ)
         with pytest.raises(VerificationFailed):
             verify_solution(analysis, corrupted)
@@ -149,7 +177,7 @@ class TestVerifySolution:
     def test_rejects_non_optimal_status(self):
         m = fixture("qubit_xy_at_z", [0.3])
         analysis = analyze(m)
-        sol = solve(build_problem(analysis), max_iter=1)
+        sol = solve(analysis, max_iter=1)
         with pytest.raises(VerificationFailed, match="status"):
             verify_solution(analysis, sol)
 
@@ -160,7 +188,7 @@ class TestVerifySolution:
             phi = rng.uniform(0, 2 * np.pi)
             m = fixture("pure_qubit_angles", [theta, phi])
             analysis = analyze(m)
-            sol = solve(build_problem(analysis))
+            sol = solve(analysis)
             gs = c_gs(analysis)
             assert sol.c_h / gs == pytest.approx(2.0, abs=1e-4)
             assert c_d(analysis) / gs == pytest.approx(2.0, abs=1e-8)
@@ -173,7 +201,7 @@ def dense_epigraph(q, cols):
 def solve_with(operator, model, monkeypatch):
     """Solve ``model`` with ``operator(q, cols)`` in place of EpigraphOperator."""
     monkeypatch.setattr(holevo, "EpigraphOperator", operator)
-    return solve(build_problem(analyze(model)))
+    return solve(analyze(model))
 
 
 class TestEpigraphOperator:
@@ -187,14 +215,7 @@ class TestEpigraphOperator:
     ])
     def test_matches_dense(self, d, rank, p, q, monkeypatch):
         rng = np.random.default_rng(10 * d + rank)
-        captured = []
-
-        def recording(q_, cols):
-            captured.append((q_, cols))
-            return EpigraphOperator(q_, cols)
-
-        solve_with(recording, random_model(rng, d, p, q, rank=rank, weighted=True), monkeypatch)
-        q_, cols = captured[0]
+        q_, cols = captured_operator(random_model(rng, d, p, q, rank=rank, weighted=True), monkeypatch)
         assert q_ == q and cols.shape[0] == d * rank
         assert (cols.shape[1] == 0) == (p == d * d - 1)
         op, dense = EpigraphOperator(q, cols), dense_epigraph(q, cols)

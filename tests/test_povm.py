@@ -248,7 +248,7 @@ class TestOperationalBounds:
     def test_trine_vs_equatorial_model(self):
         # equatorial trine: unique locally unbiased estimates, audited
         # against the SDP bound
-        from qcrb.holevo import build_problem, solve
+        from qcrb.holevo import solve
 
         elements = []
         for j in range(3):
@@ -266,7 +266,7 @@ class TestOperationalBounds:
         residual, ok = check_local_unbiasedness(povm, m, np.zeros(2))
         assert ok, residual
         sigma = error_covariance(povm, m.rho, np.zeros(2))
-        sol = solve(build_problem(analyze(m)))
+        sol = solve(analyze(m))
         assert float(np.trace(m.weight @ sigma)) >= sol.c_h - 1e-7
 
     def test_classical_crb_consistency(self):
