@@ -85,6 +85,11 @@ def _upper_triangle(q: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(q) for b in range(a, q)]
 
 
+def _re_im(vec: np.ndarray) -> np.ndarray:
+    """A contiguous complex vector as the rows [Re z, Im z] of a real (len, 2) array."""
+    return vec.view(float).reshape(-1, 2)
+
+
 class EpigraphOperator:
     """The constraint matrices F_i of the epigraph LMI, kept in factored form.
 
@@ -98,8 +103,12 @@ class EpigraphOperator:
         Re tr(G F_i G F_j) = 2 w_i w_j Re(P[k_i, t_j] P[k_j, t_i] + Q[k_i, k_j] G[t_j, t_i]),
 
     w being the halving weight, so the Schur complement costs
-    O(N²m + N m² + n²) and no N×N matrix is formed per variable.  This is
-    the operator :func:`qcrb.sdp.solve_lmi` takes.
+    O(N²m + N m² + n²) and no N×N matrix is formed per variable.  Only the
+    q(q+1)/2 V rows are gathered entry by entry.  On the x–x block, which is
+    (q·m)², w = 1 and the formula splits into two real rank-2 products, an
+    outer product of the entries of P_C = P[q:] and the Kronecker product
+    of G_qqᵀ and Q_CC = Q[q:, q:], which are summed by one (q, m, q, m)
+    broadcast.  This is the operator :func:`qcrb.sdp.solve_lmi` takes.
     """
 
     def __init__(self, q: int, cols: np.ndarray):
@@ -111,6 +120,15 @@ class EpigraphOperator:
         self.k = np.array([b for _, b in v_index] + [q + l for _ in range(q) for l in range(m)], dtype=int)
         self.w = np.where(self.k == self.t, 0.5, 1.0)
         self.n = self.t.size
+        self.n_v = len(v_index)
+        # flat indices into Ĉᴴ G Ĉ ((q + m)², row-major) of the four factors
+        # P[k_i, t_j], P[k_j, t_i], Q[k_i, k_j], G[t_j, t_i] of each V-row entry
+        size = q + m
+        row_k, col_k = self.k[:self.n_v, None], self.k[None, :]
+        row_t, col_t = self.t[:self.n_v, None], self.t[None, :]
+        self.v_factors = (row_k * size + col_t, col_k * size + row_t,
+                          row_k * size + col_k, col_t * size + row_t)
+        self.v_weight = 2.0 * self.w[:self.n_v, None] * self.w[None, :]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Σ_i u_i F_i."""
@@ -131,21 +149,30 @@ class EpigraphOperator:
 
     def schur(self, g: np.ndarray) -> np.ndarray:
         """[Re tr(G F_i G F_j)]_ij for Hermitian G."""
-        q = self.q
+        q, m, n_v = self.q, self.cols.shape[1], self.n_v
         g_c = np.hstack([g[:, :q], g[:, q:] @ self.cols])  # G Ĉ
         q_hat = np.vstack([g_c[:q], self.cols.conj().T @ g_c[q:]])  # Ĉᴴ G Ĉ: P is its first q columns
-        re, im = q_hat.real.copy(), q_hat.imag.copy()
-        row_k, col_k = self.k[:, None], self.k[None, :]
-        row_t, col_t = self.t[:, None], self.t[None, :]
-        # Re of P[k_i, t_j] P[k_j, t_i] + Q[k_i, k_j] G[t_j, t_i], in real arithmetic
-        # so that no complex n×n array is made
-        out = re[row_k, col_t] * re[col_k, row_t]
-        out -= im[row_k, col_t] * im[col_k, row_t]
-        out += re[row_k, col_k] * re[col_t, row_t]
-        out -= im[row_k, col_k] * im[col_t, row_t]
-        out *= 2.0
-        out *= self.w[:, None]
-        out *= self.w[None, :]
+        out = np.empty((self.n, self.n))
+
+        # V rows by the entry formula, mirrored into the V columns
+        flat = q_hat.ravel()
+        p_kt, p_tk, q_kk, g_tt = (flat[index] for index in self.v_factors)
+        v_rows = (p_kt * p_tk + q_kk * g_tt).real * self.v_weight
+        out[:n_v] = v_rows
+        out[n_v:, :n_v] = v_rows[:, n_v:].T
+
+        # x–x block at ((s, l), (s′, l′)):
+        #     2 Re(P_C[l, s′] P_C[l′, s] + Q_CC[l, l′] G_qq[s′, s]).
+        # Re(a b) = [Re a, Im a]·[Re b, −Im b], so each term is a real rank-2
+        # product: an outer product of P_C's entries, and the Kronecker product
+        # of G_qqᵀ and Q_CC.
+        p_c = q_hat[q:, :q].ravel()
+        g_qq, q_cc = q_hat[:q, :q].T.ravel(), q_hat[q:, q:].ravel()
+        outer = _re_im(2.0 * p_c) @ _re_im(p_c.conj()).T  # rows (l, s′), columns (l′, s)
+        kron = _re_im(2.0 * g_qq) @ _re_im(q_cc.conj()).T  # rows (s, s′), columns (l, l′)
+        np.add(outer.reshape(m, q, m, q).transpose(3, 0, 1, 2),
+               kron.reshape(q, q, m, m).transpose(0, 2, 1, 3),
+               out=out[n_v:, n_v:].reshape(q, m, q, m))
         return out
 
 

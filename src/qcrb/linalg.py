@@ -32,8 +32,8 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A + A†)/2."""
-    return (a + a.conj().T) / 2
+    """Return (A + A†)/2, halved before the sum so finite entries never overflow."""
+    return a / 2 + a.conj().T / 2
 
 
 def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:

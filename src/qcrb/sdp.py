@@ -26,11 +26,17 @@ factors of the primal slack X and the dual S via one SVD, which makes
 R⁻¹XR⁻ᴴ = RᴴSR diagonal; the Newton system is reduced to the n×n Schur
 complement ``schur(R⁻ᴴR⁻¹)`` in u, factored by a dense Cholesky LLᵀ whose
 inverse factor is formed once, so each of the two solves per iteration
-is the pair of products L⁻ᵀ(L⁻¹g).  Scaled constraint matrices
-R⁻¹F_iR⁻ᴴ are never formed: the right-hand side is
+is the pair of products L⁻ᵀ(L⁻¹g).  Both triangular inverses, L⁻¹ and
+the slack factor's inverse in R⁻¹, come from a blocked recursion
+(:func:`_tri_inv`) that inverts a k×k factor in about k³/3 flops of
+matrix products, where a general LU inverse takes about 8k³/3.  Scaled
+constraint matrices R⁻¹F_iR⁻ᴴ are never formed: the right-hand side is
 ``adjoint(R⁻ᴴ·Y·R⁻¹)`` and the step is ``R⁻¹·apply(du)·R⁻ᴴ``.  Per
-iteration the solver itself costs O(N³ + n³) plus two ``apply``, two
-``adjoint`` and one ``schur`` call.
+iteration the solver itself costs O(N³) in the NT scaling (two Cholesky
+factorizations, one SVD, one triangular inverse) and the four
+boundary-step eigenvalue problems, and about 2n³/3 flops in the Schur
+Cholesky factorization and its triangular inverse, plus two ``apply``,
+two ``adjoint`` and one ``schur`` call.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ STALL = "steps stalled"
 
 _STEP_DAMPING = 0.98
 _MIN_STEP = 1e-10
+#: Largest block :func:`_tri_inv` hands to the general inverse.
+_TRI_LEAF = 48
 
 
 @dataclass
@@ -87,6 +95,25 @@ def _chol(mat: np.ndarray) -> np.ndarray | None:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         return None
+
+
+def _tri_inv(low: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix.
+
+    Recursive 2×2 blocking, [[A, 0], [B, C]]⁻¹ = [[A⁻¹, 0], [−C⁻¹BA⁻¹, C⁻¹]],
+    with the general inverse only on leaves of at most ``_TRI_LEAF`` rows.
+    """
+    n = low.shape[0]
+    if n <= _TRI_LEAF:
+        return np.linalg.inv(low)
+    h = n // 2
+    a_inv = _tri_inv(low[:h, :h])
+    c_inv = _tri_inv(low[h:, h:])
+    out = np.zeros_like(low)
+    out[:h, :h] = a_inv
+    out[h:, h:] = c_inv
+    out[h:, :h] = -(c_inv @ (low[h:, :h] @ a_inv))
+    return out
 
 
 def _herm(mat: np.ndarray) -> np.ndarray:
@@ -188,7 +215,7 @@ def solve_lmi(
             status, reason = NUMERICAL_TROUBLE, NT_EIGENVALUE
             break
         r_mat = lx @ vh.conj().T * (lam ** -0.5)
-        r_inv = (lam ** 0.5)[:, None] * (vh @ np.linalg.solve(lx, np.eye(dim)))
+        r_inv = (lam ** 0.5)[:, None] * (vh @ _tri_inv(lx))
         r_inv_h = r_inv.conj().T
 
         h_rp = r_inv @ rp @ r_inv_h
@@ -198,7 +225,7 @@ def solve_lmi(
         reg = 0.0
         chol_b = None
         for _ in range(4):
-            chol_b = _chol(schur + reg * np.eye(n))
+            chol_b = _chol(schur + reg * np.eye(n) if reg else schur)
             if chol_b is not None:
                 break
             reg = max(reg * 100, 1e-14 * max(schur.diagonal().max(), 1.0))
@@ -206,7 +233,7 @@ def solve_lmi(
             status, reason = NUMERICAL_TROUBLE, SCHUR_CHOLESKY
             break
 
-        chol_inv = np.linalg.inv(chol_b)  # schur⁻¹ = L⁻ᵀ L⁻¹, applied as two products
+        chol_inv = _tri_inv(chol_b)  # schur⁻¹ = L⁻ᵀ L⁻¹, applied as two products
 
         def direction(y_mat):
             g = op.adjoint(r_inv_h @ (y_mat - h_rp) @ r_inv) - rd
@@ -223,16 +250,15 @@ def solve_lmi(
         ap_aff = min(1.0, _boundary_step(lam, dlx_aff))
         ad_aff = min(1.0, _boundary_step(lam, dlz_aff))
         lam_mat = np.diag(lam)
+        # tr(AB) as the elementwise sum of A∘Bᵀ
         gap_aff = float(
-            np.trace(
-                (lam_mat + ap_aff * dlx_aff) @ (lam_mat + ad_aff * dlz_aff)
-            ).real
+            np.einsum("ij,ji->", lam_mat + ap_aff * dlx_aff, lam_mat + ad_aff * dlz_aff).real
         )
         sigma = min(1.0, max(0.0, (gap_aff / gap) ** 3))
 
-        # corrector
-        correction = (dlx_aff @ dlz_aff + dlz_aff @ dlx_aff) / 2
-        rhs = sigma * mu * np.eye(dim) - lam_mat @ lam_mat - correction
+        # corrector; both directions are Hermitian, so dlz·dlx = (dlx·dlz)ᴴ
+        correction = _herm(dlx_aff @ dlz_aff)
+        rhs = np.diag(sigma * mu - lam * lam) - correction
         y_comb = 2.0 * rhs / (lam[:, None] + lam[None, :])
         du, dlam_x, dlam_z = direction(_herm(y_comb))
 

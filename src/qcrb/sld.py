@@ -84,10 +84,12 @@ def compute_slds(rho: np.ndarray, drho: np.ndarray, eigvals: np.ndarray, eigvecs
     slds = []
     residuals = []
     for j, dj in enumerate(np.asarray(drho, dtype=complex)):
-        dj_eig = eigvecs.conj().T @ dj @ eigvecs
-        l_eig = dj_eig * inv_pairs
-        lj = eigvecs @ l_eig @ eigvecs.conj().T
-        lj = linalg.hermitian_part(lj)
+        # entries near the float limit overflow here; the non-finite SLD is
+        # rejected, naming drho, by :func:`information`
+        with np.errstate(over="ignore", invalid="ignore"):
+            dj_eig = eigvecs.conj().T @ dj @ eigvecs
+            l_eig = dj_eig * inv_pairs
+            lj = linalg.hermitian_part(eigvecs @ l_eig @ eigvecs.conj().T)
         res = np.linalg.norm(linalg.jordan_product(rho, lj) - dj)
         if res > residual_tol:
             raise ResidualTooLarge(

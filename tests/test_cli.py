@@ -58,6 +58,15 @@ class TestBounds:
         assert report["solver_status"] == "Optimal"
         assert report["tolerances"]["sdp_gap"] == 1e-8
 
+    def test_timings_cover_every_stage(self, xy_model_file, capsys):
+        assert main(["bounds", xy_model_file, "--format", "json", "--timings"]) == 0
+        captured = capsys.readouterr()
+        assert set(json.loads(captured.out)["timings"]) == {"closed_forms_s", "sdp_s", "verify_s"}
+        assert main(["bounds", xy_model_file, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert "timings" not in json.loads(captured.out)
+        assert "verify_s=" in captured.err
+
     def test_include_x_opt(self, xy_model_file, capsys):
         assert main(["bounds", xy_model_file, "--format", "json", "--include-x-opt"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -126,15 +135,17 @@ class TestBounds:
         assert "kernel-block" not in err
 
     def test_rejects_huge_derivatives(self, tmp_path, capsys, recwarn):
-        data = model_to_dict(fixture("qubit_xy_at_z", [0.5]))
-        data["drho"][0][0][1] = data["drho"][0][1][0] = [1e300, 0.0]
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(data))
-        assert main(["bounds", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: drho: ") and "information matrix" in err and "not finite" in err
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        # 1e300 overflows only in Z(L); 1e308 already in the SLD solve
+        for entry in (1e300, 1e308):
+            data = model_to_dict(fixture("qubit_xy_at_z", [0.5]))
+            data["drho"][0][0][1] = data["drho"][0][1][0] = [entry, 0.0]
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(data))
+            assert main(["bounds", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith("error: drho: ") and "information matrix" in err and "not finite" in err
+            assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_bound_ordering_violation_exit_3(self, xy_model_file, monkeypatch, capsys):
         monkeypatch.setattr(bounds, "c_d", lambda analysis: 2 * bounds.c_gs(analysis) * (1 + 1e-6))

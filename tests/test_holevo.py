@@ -212,6 +212,8 @@ class TestEpigraphOperator:
         (3, 3, 2, 1),
         (3, 1, 2, 2),  # rank-deficient: d·r = 3 < d² = 9
         (4, 2, 4, 3),
+        (3, 3, 8, 8),  # the p = q = 8 kind of the benchmark: 36 V rows, no x block
+        (4, 2, 8, 8),  # 36 V rows and a smaller x block (q·m = 24)
     ])
     def test_matches_dense(self, d, rank, p, q, monkeypatch):
         rng = np.random.default_rng(10 * d + rank)

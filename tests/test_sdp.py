@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcrb import linalg
-from qcrb.sdp import NUMERICAL_TROUBLE, OPTIMAL, SCHUR_CHOLESKY, solve_lmi
+from qcrb.sdp import NUMERICAL_TROUBLE, OPTIMAL, SCHUR_CHOLESKY, _tri_inv, solve_lmi
 from _support import DenseOperator
 
 
@@ -104,3 +104,26 @@ class TestSolveLmi:
         assert res.status == NUMERICAL_TROUBLE
         assert res.reason == SCHUR_CHOLESKY
         assert solve_lmi(c, f0, op).reason == ""
+
+
+def cholesky_factor(rng, n, cond, complex_):
+    """Cholesky factor of a random positive definite matrix with condition number ``cond``."""
+    a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0.0)
+    u, _ = np.linalg.qr(a)
+    mat = (u * np.logspace(0.0, -np.log10(cond), n)) @ u.conj().T
+    return np.linalg.cholesky((mat + mat.conj().T) / 2)
+
+
+class TestTriInv:
+    """The blocked triangular inverse against numpy's general inverse."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [1, 47, 48, 49, 97, 300])
+    def test_residual_within_ten_times_general_inverse(self, n, complex_):
+        rng = np.random.default_rng(n + 1000 * complex_)
+        eye = np.eye(n)
+        for cond in (1e2, 1e8):
+            low = cholesky_factor(rng, n, cond, complex_)
+            got = _tri_inv(low)
+            assert got.dtype == low.dtype
+            assert np.linalg.norm(low @ got - eye) <= 10 * np.linalg.norm(low @ np.linalg.inv(low) - eye)
