@@ -25,7 +25,6 @@ from .gaussian import (
     GaussianShiftModel,
     gaussian_fim,
     gaussian_qfim,
-    generaldyne_logdensity,
     half_qfim_check,
     load_gaussian_model,
     save_gaussian_model,

@@ -21,12 +21,10 @@ __all__ = ["ClosedFormBounds", "c_gs", "c_d", "sandwich"]
 
 @dataclass(frozen=True)
 class ClosedFormBounds:
-    """Bundle of the closed-form quantities at one model point."""
+    """The closed-form bounds c_gs and c_d at one model point."""
 
     c_gs: float
     c_d: float
-    v_eff: np.ndarray
-    z_eff: np.ndarray
 
 
 def c_gs(analysis: ModelAnalysis) -> float:
@@ -45,17 +43,15 @@ def c_d(analysis: ModelAnalysis) -> float:
 
 
 def sandwich(analysis: ModelAnalysis) -> ClosedFormBounds:
-    """Assemble all closed-form quantities and check c_gs ≤ c_d ≤ 2 c_gs.
+    """Compute c_gs and c_d and check c_gs ≤ c_d ≤ 2 c_gs.
 
     The check allows 1e-9 relative to max(1, c_gs), so that roundoff on a
     weak signal's large bounds passes; a real violation raises
     :class:`VerificationFailed`.
     """
-    z_eff = analysis.z_eff
-    v_eff = (z_eff.real + z_eff.real.T) / 2
     gs = c_gs(analysis)
     d = c_d(analysis)
     slack = 1e-9 * max(1.0, gs)
     if not (gs <= d + slack and d <= 2 * gs + slack):
         raise VerificationFailed(f"bound ordering violated: c_gs={gs!r}, c_d={d!r}")
-    return ClosedFormBounds(c_gs=gs, c_d=d, v_eff=v_eff, z_eff=z_eff)
+    return ClosedFormBounds(c_gs=gs, c_d=d)

@@ -97,7 +97,7 @@ def _bound_pipeline(analysis, args):
     timings = {"closed_forms_s": t1 - t0, "sdp_s": t2 - t1}
     if sol.status != sdp.OPTIMAL:
         return report, sol, timings, EXIT_SOLVER
-    verification = holevo.verify_solution(analysis, sol)
+    verification = holevo.verify_solution(analysis, sol, closed)
     timings["verify_s"] = time.perf_counter() - t2
     report["verified"] = True
     report["unbias_residual"] = verification.unbias_residual
@@ -151,12 +151,9 @@ def cmd_gaussian(args) -> int:
         if not gaussian_mod.validate_cm(meas.cm_m, model.modes):
             _diag("unphysical measurement covariance matrix")
             return EXIT_REJECTED
-    else:
-        meas = gaussian_mod.GaussianMeasurement(cm_m=np.asarray(model.cm, dtype=float))
 
-    qfim = gaussian_mod.gaussian_qfim(model)
-    fim = gaussian_mod.gaussian_fim(model, meas)
-    f_half, _, deviation = gaussian_mod.half_qfim_check(model)
+    f_half, qfim, deviation = gaussian_mod.half_qfim_check(model)
+    fim = gaussian_mod.gaussian_fim(model, meas) if args.measurement_cm else f_half
     dbeta = model.dbeta_or_default()
     weight = model.weight_or_default()
     chained = float(np.trace(weight @ dbeta.T @ linalg.pseudoinverse(f_half, args.rank_tol) @ dbeta))

@@ -30,7 +30,6 @@ __all__ = [
     "gaussian_fim",
     "gaussian_qfim",
     "half_qfim_check",
-    "generaldyne_logdensity",
     "load_gaussian_model",
     "save_gaussian_model",
     "load_measurement",
@@ -88,15 +87,15 @@ def symplectic_form(k: int) -> np.ndarray:
     return omega
 
 
-def validate_cm(cm: np.ndarray, k: int, tol: float = CM_TOL) -> bool:
-    """Physicality test: min eigenvalue of the Hermitian σ + iΩ above −tol."""
+def validate_cm(cm: np.ndarray, k: int) -> bool:
+    """Physicality test: min eigenvalue of the Hermitian σ + iΩ at least −``CM_TOL``."""
     cm = np.asarray(cm, dtype=float)
     if cm.shape != (2 * k, 2 * k):
         raise ValueError(f"covariance matrix has shape {cm.shape}, expected {(2 * k, 2 * k)}")
     if np.abs(cm - cm.T).max() > 1e-12 * max(1.0, np.abs(cm).max()):
         raise ValueError("covariance matrix must be symmetric")
     herm = cm.astype(complex) + 1j * symplectic_form(k)
-    return bool(np.linalg.eigvalsh(herm).min() >= -tol)
+    return bool(np.linalg.eigvalsh(herm).min() >= -CM_TOL)
 
 
 def _sum_cm(model: GaussianShiftModel, meas: GaussianMeasurement) -> np.ndarray:
@@ -130,23 +129,12 @@ def half_qfim_check(model: GaussianShiftModel) -> tuple[np.ndarray, np.ndarray, 
     """Measure with σ_m = σ and compare: returns (F, J, ‖F − J/2‖_max).
 
     The deviation is zero up to linear-algebra roundoff for every valid
-    model: 2(σ+σ)⁻¹ = σ⁻¹ identically.
+    model: 2(σ+σ)⁻¹ = σ⁻¹ identically.  J is computed first, so a singular
+    σ is reported as such.
     """
-    f = gaussian_fim(model, GaussianMeasurement(cm_m=np.asarray(model.cm, dtype=float)))
     j = gaussian_qfim(model)
+    f = gaussian_fim(model, GaussianMeasurement(cm_m=np.asarray(model.cm, dtype=float)))
     return f, j, float(np.abs(f - j / 2).max())
-
-
-def generaldyne_logdensity(r_out: np.ndarray, model: GaussianShiftModel,
-                           meas: GaussianMeasurement) -> float:
-    """Log of the general-dyne outcome density at ``r_out``."""
-    total = _sum_cm(model, meas)
-    dev = np.asarray(r_out, dtype=float) - np.asarray(model.mean, dtype=float)
-    if dev.shape != (2 * model.modes,):
-        raise ValueError(f"outcome vector has shape {dev.shape}, expected ({2 * model.modes},)")
-    quad = float(dev @ np.linalg.solve(total, dev))
-    _, logdet = np.linalg.slogdet(total)
-    return -quad - model.modes * np.log(np.pi) - 0.5 * float(logdet)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ goes to the interior-point core in :mod:`qcrb.sdp`, its constraint
 matrices held by an :class:`EpigraphOperator` in factored form rather
 than as a dense (n, N, N) array.
 
-:func:`solve` and :func:`verify_solution` read rho's eigenbasis, the
-efficient influence operators and the closed-form bounds from the
-model's one analysis, which has already decided that the model is
-estimable.
+:func:`solve` reads rho's eigenbasis and the efficient influence
+operators from the model's one analysis, which has already decided that
+the model is estimable.  :func:`verify_solution` rechecks a solution
+against that analysis and against the closed-form bounds that
+:func:`qcrb.bounds.sandwich` computed for it.
 """
 
 from __future__ import annotations
@@ -30,14 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, sdp
-from .bounds import c_d as _c_d
-from .bounds import c_gs as _c_gs
+from .bounds import ClosedFormBounds
 from .exceptions import VerificationFailed
 from .povm import unbiasedness_residual
 from .sld import ModelAnalysis
 
 __all__ = ["EpigraphOperator", "HolevoSolution", "solve", "verify_solution"]
 
+#: Relative tolerance of the objective and ordering checks of :func:`verify_solution`.
+OBJECTIVE_TOL = 1e-7
+#: Largest local-unbiasedness residual :func:`verify_solution` accepts.
 CONSTRAINT_TOL = 1e-8
 
 
@@ -80,11 +83,6 @@ def _reduced_hermitian_basis(supp: np.ndarray, kern: np.ndarray) -> np.ndarray:
     return np.array(elems)
 
 
-def _upper_triangle(q: int) -> list[tuple[int, int]]:
-    """Index pairs (a, b), a ≤ b, of the V variables, in LMI variable order."""
-    return [(a, b) for a in range(q) for b in range(a, q)]
-
-
 def _re_im(vec: np.ndarray) -> np.ndarray:
     """A contiguous complex vector as the rows [Re z, Im z] of a real (len, 2) array."""
     return vec.view(float).reshape(-1, 2)
@@ -115,12 +113,12 @@ class EpigraphOperator:
         m = cols.shape[1]
         self.q = q
         self.cols = np.asarray(cols, dtype=complex)
-        v_index = _upper_triangle(q)
-        self.t = np.array([a for a, _ in v_index] + [s for s in range(q) for _ in range(m)], dtype=int)
-        self.k = np.array([b for _, b in v_index] + [q + l for _ in range(q) for l in range(m)], dtype=int)
+        a, b = np.triu_indices(q)  # the V variables (a, b), a ≤ b, row-major
+        self.t = np.concatenate([a, np.repeat(np.arange(q), m)])
+        self.k = np.concatenate([b, q + np.tile(np.arange(m), q)])
         self.w = np.where(self.k == self.t, 0.5, 1.0)
         self.n = self.t.size
-        self.n_v = len(v_index)
+        self.n_v = a.size
         # flat indices into Ĉᴴ G Ĉ ((q + m)², row-major) of the four factors
         # P[k_i, t_j], P[k_j, t_i], Q[k_i, k_j], G[t_j, t_i] of each V-row entry
         size = q + m
@@ -202,13 +200,12 @@ def solve(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) -> Ho
     directions = np.tensordot(vh[rank:], basis, axes=(1, 0))  # (m, d, d)
     m_s = directions.shape[0]
     op = EpigraphOperator(q, (directions @ right_factor).reshape(m_s, d_r).T)
-    v_index = _upper_triangle(q)
-    n_v = len(v_index)
+    a, b = np.triu_indices(q)  # the V variables, in the operator's order
+    n_v = a.size
     n = n_v + q * m_s
 
     c = np.zeros(n)
-    for i, (a, b) in enumerate(v_index):
-        c[i] = weight[a, a] if a == b else 2.0 * weight[a, b]
+    c[:n_v] = np.where(a == b, 1.0, 2.0) * weight[a, b]
 
     f0 = np.zeros((block, block), dtype=complex)
     m0 = (analysis.x_eff @ right_factor).reshape(q, d_r).T  # column s: X_eff,s √ρ
@@ -220,8 +217,7 @@ def solve(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) -> Ho
     z_norm = float(np.linalg.norm(z_eff, 2))
     v_start = z_eff.real + (1.1 * z_norm + 1.0) * np.eye(q)
     u0 = np.zeros(n)
-    for i, (a, b) in enumerate(v_index):
-        u0[i] = v_start[a, b]
+    u0[:n_v] = v_start[a, b]
 
     w_scale = max(float(np.trace(weight)) / q, 1.0)
     s0 = np.zeros((block, block), dtype=complex)
@@ -231,9 +227,7 @@ def solve(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) -> Ho
     result = sdp.solve_lmi(c, f0, op, u0=u0, s0=s0, tol=tol, max_iter=max_iter)
 
     v_opt = np.zeros((q, q))
-    for i, (a, b) in enumerate(v_index):
-        v_opt[a, b] = result.u[i]
-        v_opt[b, a] = result.u[i]
+    v_opt[a, b] = v_opt[b, a] = result.u[:n_v]
     y = result.u[n_v:].reshape(q, m_s)
     x_opt = analysis.x_eff + np.tensordot(y, directions, axes=(1, 0))
 
@@ -256,19 +250,17 @@ class HolevoVerification:
     nonsmooth_objective: float
     objective_deviation: float
     unbias_residual: float
-    c_gs: float
-    c_d: float
 
 
 def verify_solution(analysis: ModelAnalysis, sol: HolevoSolution,
-                    objective_tol: float = 1e-7,
-                    constraint_tol: float = CONSTRAINT_TOL) -> HolevoVerification:
+                    closed: ClosedFormBounds) -> HolevoVerification:
     """Recheck an Optimal solution independently of the solver.
 
     Recomputes the nonsmooth objective tr W Re Z(X) + ‖√W Im Z(X) √W‖₁ at
-    the reported minimizer, the unbiasedness residuals, and the ordering
-    against the closed-form bounds.  Raises :class:`VerificationFailed`
-    naming the first violated check.
+    the reported minimizer and the unbiasedness residuals, and checks
+    c_gs ≤ c_h ≤ c_d against ``closed``, the closed-form bounds of the same
+    analysis.  Raises :class:`VerificationFailed` naming the first violated
+    check.
     """
     if sol.status != sdp.OPTIMAL:
         raise VerificationFailed(f"solution status is {sol.status}, not {sdp.OPTIMAL}")
@@ -278,18 +270,17 @@ def verify_solution(analysis: ModelAnalysis, sol: HolevoSolution,
     root_w = analysis.root_weight
     nonsmooth = float(np.trace(model.weight @ z.real)) + linalg.trace_norm(root_w @ z.imag @ root_w)
     deviation = abs(nonsmooth - sol.c_h)
-    if deviation > objective_tol * max(1.0, abs(sol.c_h)):
+    if deviation > OBJECTIVE_TOL * max(1.0, abs(sol.c_h)):
         raise VerificationFailed(
             f"nonsmooth objective {nonsmooth!r} deviates from c_h {sol.c_h!r} by {deviation:.3e}"
         )
 
     unbias = unbiasedness_residual(model, sol.x_opt)
-    if unbias > constraint_tol:
+    if unbias > CONSTRAINT_TOL:
         raise VerificationFailed(f"local unbiasedness violated: residual {unbias:.3e}")
 
-    gs = _c_gs(analysis)
-    d = _c_d(analysis)
-    if not (gs - objective_tol * max(1.0, gs) <= sol.c_h <= d + objective_tol * max(1.0, d)):
+    gs, d = closed.c_gs, closed.c_d
+    if not (gs - OBJECTIVE_TOL * max(1.0, gs) <= sol.c_h <= d + OBJECTIVE_TOL * max(1.0, d)):
         raise VerificationFailed(
             f"bound ordering violated: c_gs={gs!r}, c_h={sol.c_h!r}, c_d={d!r}"
         )
@@ -297,6 +288,4 @@ def verify_solution(analysis: ModelAnalysis, sol: HolevoSolution,
         nonsmooth_objective=nonsmooth,
         objective_deviation=deviation,
         unbias_residual=unbias,
-        c_gs=gs,
-        c_d=d,
     )

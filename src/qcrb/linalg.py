@@ -14,14 +14,11 @@ __all__ = [
     "require_hermitian",
     "jordan_product",
     "z_matrix",
-    "v_matrix",
     "trace_norm",
     "pseudoinverse",
     "psd_sqrt",
     "hermitian_basis",
     "basis_coefficients",
-    "belavkin_grishanin_gap",
-    "weighted_tracenorm_check",
 ]
 
 #: Relative tolerance used to accept a matrix as Hermitian.
@@ -36,8 +33,8 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return a / 2 + a.conj().T / 2
 
 
-def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate that ``a`` is square and Hermitian within ``tol`` (relative).
+def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Validate that ``a`` is square and Hermitian within ``HERMITICITY_TOL`` (relative).
 
     Returns the exactly Hermitized array so downstream eigendecompositions
     see a symmetric input.  Raises ``ValueError`` otherwise.
@@ -47,7 +44,7 @@ def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITIC
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     scale = max(np.abs(a).max(), 1.0) if a.size else 1.0
     dev = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if dev > tol * scale:
+    if dev > HERMITICITY_TOL * scale:
         raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e}, scale {scale:.3e})")
     return hermitian_part(a)
 
@@ -80,13 +77,6 @@ def z_matrix(x_ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return hermitian_part(z)
 
 
-def v_matrix(x_ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Real covariance matrix V = Re Z; symmetric PSD up to roundoff."""
-    z = z_matrix(x_ops, rho)
-    v = z.real
-    return (v + v.T) / 2
-
-
 def trace_norm(a: np.ndarray) -> float:
     """Trace norm ‖A‖₁ = sum of singular values."""
     a = np.asarray(a, dtype=complex)
@@ -106,12 +96,7 @@ def pseudoinverse(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarr
     ValueError
         If ``m`` is not symmetric.
     """
-    m = np.asarray(m)
-    if np.iscomplexobj(m):
-        if np.abs(m.imag).max() > HERMITICITY_TOL * max(1.0, np.abs(m).max()):
-            raise ValueError("pseudoinverse expects a real symmetric matrix")
-        m = m.real
-    m = m.astype(float)
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got {m.shape}")
     if np.abs(m - m.T).max() > HERMITICITY_TOL * max(np.abs(m).max(), 1.0):
@@ -179,33 +164,3 @@ def hermitian_basis(d: int) -> np.ndarray:
 def basis_coefficients(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Real coefficients Tr(A E_a) of a Hermitian A in an orthonormal basis."""
     return np.array([np.sum(e * a.T).real for e in basis])
-
-
-def belavkin_grishanin_gap(a: np.ndarray) -> float:
-    """tr Re A − ‖Im A‖₁ for a Hermitian PSD matrix A; nonnegative up to roundoff.
-
-    Raises ``ValueError`` when A fails the PSD check (minimum eigenvalue
-    below −1e−8 · tr A).
-    """
-    a = require_hermitian(a, "matrix")
-    w = np.linalg.eigvalsh(a)
-    tr = float(np.trace(a).real)
-    if w.size and w.min() < -1e-8 * tr:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})")
-    return float(np.trace(a.real).real) - trace_norm(a.imag)
-
-
-def weighted_tracenorm_check(w: np.ndarray, a: np.ndarray) -> tuple[float, float]:
-    """Evaluate both sides of ‖√W A √W‖₁ ≤ ‖W A‖₁ for PSD W and skew-symmetric A.
-
-    Returns ``(lhs, rhs)``; the inequality holds for all valid inputs.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"A must be square, got {a.shape}")
-    if np.abs(a + a.T).max() > HERMITICITY_TOL * max(1.0, np.abs(a).max()):
-        raise ValueError("A must be skew-symmetric")
-    root = psd_sqrt(w, "W")
-    lhs = trace_norm(root @ a @ root)
-    rhs = trace_norm(np.asarray(w, dtype=float) @ a)
-    return lhs, rhs

@@ -74,7 +74,7 @@ class MeasurementReport:
     unbias_residual: float
 
 
-def validate_povm(povm: DiscretePovm, tol: float = POVM_TOL) -> None:
+def validate_povm(povm: DiscretePovm) -> None:
     """Each element Hermitian PSD; the elements sum to the identity."""
     elements = np.asarray(povm.elements, dtype=complex)
     if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
@@ -85,10 +85,10 @@ def validate_povm(povm: DiscretePovm, tol: float = POVM_TOL) -> None:
             m = linalg.require_hermitian(m, f"element[{i}]")
         except ValueError as exc:
             raise ModelError(str(exc)) from exc
-        if np.linalg.eigvalsh(m).min() < -tol:
+        if np.linalg.eigvalsh(m).min() < -POVM_TOL:
             raise ModelError(f"element[{i}] is not PSD (min eigenvalue {np.linalg.eigvalsh(m).min():.3e})")
     total = elements.sum(axis=0)
-    if np.abs(total - np.eye(d)).max() > tol:
+    if np.abs(total - np.eye(d)).max() > POVM_TOL:
         raise ModelError(f"POVM elements sum deviates from identity by {np.abs(total - np.eye(d)).max():.3e}")
     estimates = np.asarray(povm.estimates, dtype=float)
     if estimates.ndim != 2 or estimates.shape[0] != elements.shape[0]:
@@ -153,11 +153,11 @@ def unbiasedness_residual(model: QuantumModel, x_ops: np.ndarray) -> float:
 
 
 def check_local_unbiasedness(povm: DiscretePovm, model: QuantumModel,
-                             beta: np.ndarray, tol: float = UNBIAS_TOL) -> tuple[float, bool]:
+                             beta: np.ndarray) -> tuple[float, bool]:
     """:func:`unbiasedness_residual` of the measurement's influence operators
-    and a pass flag."""
+    and a pass flag (residual ≤ ``UNBIAS_TOL``)."""
     residual = unbiasedness_residual(model, influence_operators(povm, beta))
-    return residual, residual <= tol
+    return residual, residual <= UNBIAS_TOL
 
 
 def error_covariance(povm: DiscretePovm, rho: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -58,6 +58,9 @@ NT_EIGENVALUE = "non-positive Nesterov-Todd eigenvalue"
 SCHUR_CHOLESKY = "Schur Cholesky failed after regularisation"
 STALL = "steps stalled"
 
+#: Scaled primal and dual residual norms at which an iterate counts as feasible.
+FEAS_TOL = 1e-8
+
 _STEP_DAMPING = 0.98
 _MIN_STEP = 1e-10
 #: Largest block :func:`_tri_inv` hands to the general inverse.
@@ -70,10 +73,13 @@ class SdpResult:
 
     ``gap`` is the absolute complementarity ⟨X, S⟩, ``relgap`` the gap
     relative to the mean objective magnitude; ``pinfeas``/``dinfeas`` are
-    scaled primal/dual residual norms.  ``dual_objective`` is a valid lower
-    bound on the optimum whenever ``dinfeas`` is at tolerance.  ``reason``
-    names what failed when ``status`` is ``NumericalTrouble`` and is empty
-    otherwise.
+    scaled primal/dual residual norms.  ``dobj`` = −⟨F0, S⟩ is the dual
+    objective at the returned dual iterate.  It is not a certified lower
+    bound on the optimum, even with ``dinfeas`` at roundoff: S solves the
+    dual constraints only approximately, and on the Holevo SDP of
+    ``qubit_xy_at_z(0.5)`` with W = diag(1, 0) it reads 1.000000012 above
+    the true optimum 1 at ``dinfeas`` 2.3e-16.  ``reason`` names what
+    failed when ``status`` is ``NumericalTrouble`` and is empty otherwise.
     """
 
     u: np.ndarray
@@ -137,7 +143,6 @@ def solve_lmi(
     u0: np.ndarray | None = None,
     s0: np.ndarray | None = None,
     tol: float = 1e-8,
-    feas_tol: float = 1e-8,
     max_iter: int = 200,
 ) -> SdpResult:
     """Run the interior-point iteration.
@@ -200,7 +205,7 @@ def solve_lmi(
         if score < best_score:
             best_score = score
             best = (u.copy(), slack.copy(), dual.copy(), pobj, dobj, gap, relgap, pinf, dinf)
-        if pinf <= feas_tol and dinf <= feas_tol and relgap <= tol:
+        if pinf <= FEAS_TOL and dinf <= FEAS_TOL and relgap <= tol:
             return SdpResult(u, slack, dual, pobj, dobj, gap, relgap, pinf, dinf, iterations, OPTIMAL)
 
         lx = _chol(slack)

@@ -67,14 +67,13 @@ class ModelAnalysis:
 
 
 def compute_slds(rho: np.ndarray, drho: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray,
-                 support: np.ndarray,
-                 residual_tol: float = RESIDUAL_TOL) -> tuple[np.ndarray, np.ndarray]:
+                 support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve drho_j = rho ∘ L_j for every parameter; returns (slds, residuals).
 
     In the eigenbasis of rho, (L_j)_ab = 2 (drho_j)_ab / (λ_a + λ_b) on every
     pair touching the ``support`` and 0 on the kernel×kernel block.  Raises
     :class:`ResidualTooLarge` when the reconstruction ‖rho ∘ L_j − drho_j‖_F
-    exceeds ``residual_tol`` (content the kernel-block check of
+    exceeds ``RESIDUAL_TOL`` (content the kernel-block check of
     :func:`analyze` let through).
     """
     pair_sums = eigvals[:, None] + eigvals[None, :]
@@ -91,9 +90,9 @@ def compute_slds(rho: np.ndarray, drho: np.ndarray, eigvals: np.ndarray, eigvecs
             l_eig = dj_eig * inv_pairs
             lj = linalg.hermitian_part(eigvecs @ l_eig @ eigvecs.conj().T)
         res = np.linalg.norm(linalg.jordan_product(rho, lj) - dj)
-        if res > residual_tol:
+        if res > RESIDUAL_TOL:
             raise ResidualTooLarge(
-                f"SLD equation for parameter {j} left residual {res:.3e} > {residual_tol:.1e}"
+                f"SLD equation for parameter {j} left residual {res:.3e} > {RESIDUAL_TOL:.1e}"
             )
         slds.append(lj)
         residuals.append(res)
@@ -120,19 +119,18 @@ def information(slds: np.ndarray, rho: np.ndarray,
     return j, d, rank
 
 
-def infeasible_columns(qfim: np.ndarray, qfim_pinv: np.ndarray, dbeta: np.ndarray,
-                       tol: float = FEASIBILITY_TOL) -> list[int]:
+def infeasible_columns(qfim: np.ndarray, qfim_pinv: np.ndarray, dbeta: np.ndarray) -> list[int]:
     """Indices of dbeta columns outside the range of J (empty iff estimable).
 
-    Column s fails when ‖(J J⁺ dbeta − dbeta)[:, s]‖_max > tol; then no
-    influence operators satisfy the unbiasedness constraints and target
-    component s carries unbounded variance.
+    Column s fails when ‖(J J⁺ dbeta − dbeta)[:, s]‖_max > ``FEASIBILITY_TOL``;
+    then no influence operators satisfy the unbiasedness constraints and
+    target component s carries unbounded variance.
     """
     dbeta = np.asarray(dbeta, dtype=float)
     if dbeta.shape[0] != qfim.shape[0]:
         raise ValueError(f"dbeta has {dbeta.shape[0]} rows, J is {qfim.shape[0]}×{qfim.shape[1]}")
     dev = np.abs(qfim @ qfim_pinv @ dbeta - dbeta)
-    return [s for s in range(dbeta.shape[1]) if dev[:, s].max() > tol]
+    return [s for s in range(dbeta.shape[1]) if dev[:, s].max() > FEASIBILITY_TOL]
 
 
 def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> ModelAnalysis:

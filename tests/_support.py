@@ -1,9 +1,11 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and reference formulas for the test suite.
 
 Models are built so that validity is guaranteed by construction:
 derivatives are produced as drho = rho ∘ H with zero-mean Hermitian H,
 which is traceless, carries no kernel×kernel content for any rank of rho,
-and makes H itself an exact SLD representative.
+and makes H itself an exact SLD representative.  The matrix inequalities
+and the general-dyne density that the tests check the theory with, and
+that the package itself never evaluates, live here too.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from qcrb import linalg
+from qcrb.gaussian import GaussianMeasurement, GaussianShiftModel, _sum_cm
 from qcrb.model import QuantumModel
 from qcrb.povm import DiscretePovm, born_probs
 from qcrb.sld import analyze, infeasible_columns
@@ -234,3 +237,52 @@ def random_physical_cm(rng: np.random.Generator, k: int, noisy: bool = True) -> 
         g = rng.normal(scale=0.5, size=(2 * k, 2 * k))
         cm = cm + g @ g.T
     return (cm + cm.T) / 2
+
+
+def v_matrix(x_ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Real covariance matrix V = Re Z; symmetric PSD up to roundoff."""
+    z = linalg.z_matrix(x_ops, rho)
+    v = z.real
+    return (v + v.T) / 2
+
+
+def belavkin_grishanin_gap(a: np.ndarray) -> float:
+    """tr Re A − ‖Im A‖₁ for a Hermitian PSD matrix A; nonnegative up to roundoff.
+
+    Raises ``ValueError`` when A fails the PSD check (minimum eigenvalue
+    below −1e−8 · tr A).
+    """
+    a = linalg.require_hermitian(a, "matrix")
+    w = np.linalg.eigvalsh(a)
+    tr = float(np.trace(a).real)
+    if w.size and w.min() < -1e-8 * tr:
+        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})")
+    return float(np.trace(a.real).real) - linalg.trace_norm(a.imag)
+
+
+def weighted_tracenorm_check(w: np.ndarray, a: np.ndarray) -> tuple[float, float]:
+    """Evaluate both sides of ‖√W A √W‖₁ ≤ ‖W A‖₁ for PSD W and skew-symmetric A.
+
+    Returns ``(lhs, rhs)``; the inequality holds for all valid inputs.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"A must be square, got {a.shape}")
+    if np.abs(a + a.T).max() > linalg.HERMITICITY_TOL * max(1.0, np.abs(a).max()):
+        raise ValueError("A must be skew-symmetric")
+    root = linalg.psd_sqrt(w, "W")
+    lhs = linalg.trace_norm(root @ a @ root)
+    rhs = linalg.trace_norm(np.asarray(w, dtype=float) @ a)
+    return lhs, rhs
+
+
+def generaldyne_logdensity(r_out: np.ndarray, model: GaussianShiftModel,
+                           meas: GaussianMeasurement) -> float:
+    """Log of the general-dyne outcome density at ``r_out``."""
+    total = _sum_cm(model, meas)
+    dev = np.asarray(r_out, dtype=float) - np.asarray(model.mean, dtype=float)
+    if dev.shape != (2 * model.modes,):
+        raise ValueError(f"outcome vector has shape {dev.shape}, expected ({2 * model.modes},)")
+    quad = float(dev @ np.linalg.solve(total, dev))
+    _, logdet = np.linalg.slogdet(total)
+    return -quad - model.modes * np.log(np.pi) - 0.5 * float(logdet)

@@ -21,11 +21,13 @@ from qcrb.model import fixture
 from qcrb.povm import error_covariance, matrix_crb_check
 from qcrb.sld import analyze, infeasible_columns
 from _support import (
+    belavkin_grishanin_gap,
     direct_holevo_oracle,
     locally_unbiased_povm,
     random_model,
     random_physical_cm,
     random_weight,
+    weighted_tracenorm_check,
 )
 
 
@@ -197,12 +199,12 @@ def test_criterion_8_matrix_inequalities():
         for _ in range(1000):
             d = int(rng.integers(1, 9))
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            assert linalg.belavkin_grishanin_gap(g @ g.conj().T) >= -1e-9
+            assert belavkin_grishanin_gap(g @ g.conj().T) >= -1e-9
         for _ in range(1000):
             d = int(rng.integers(2, 8))
             g = rng.normal(size=(d, d))
             a = rng.normal(size=(d, d))
-            lhs, rhs = linalg.weighted_tracenorm_check(g @ g.T, a - a.T)
+            lhs, rhs = weighted_tracenorm_check(g @ g.T, a - a.T)
             assert lhs <= rhs + 1e-9
 
 
@@ -222,7 +224,7 @@ def test_criterion_9_feasibility_oracle():
                 shift = kernel @ rng.normal(size=(kernel.shape[1], q))
                 shift *= 10.0 ** rng.integers(-2, 3) / max(np.abs(shift).max(), 1e-300)
                 dbeta = dbeta + shift
-            predicate = not infeasible_columns(j, linalg.pseudoinverse(j), dbeta, tol=1e-8)
+            predicate = not infeasible_columns(j, linalg.pseudoinverse(j), dbeta)
             sol, *_ = np.linalg.lstsq(j, dbeta, rcond=None)
             oracle = bool(np.abs(j @ sol - dbeta).max() <= 1e-8)
             disagreements += predicate != oracle

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcrb import bounds, holevo, linalg, sld
+from qcrb import bounds, gaussian, holevo, linalg, sld
 from qcrb.cli import main
 from qcrb.exceptions import (
     IllDefinedFim,
@@ -19,6 +19,18 @@ from qcrb.model import QuantumModel, fixture, model_to_dict, save_model
 from qcrb.povm import DiscretePovm, save_povm
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap each named function of ``module`` to count its calls; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 @pytest.fixture
@@ -156,21 +168,12 @@ class TestBounds:
     def test_analyses_each_model_once(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "d4.json"
         save_model(fixture("random_full_rank", [3, 4, 3, 2]), path)
-        calls = {"pseudoinverse": 0, "information": 0}
-
-        def counted(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(linalg, "pseudoinverse")
-        counted(sld, "information")
+        linalg_calls = count_calls(monkeypatch, linalg, ["pseudoinverse", "trace_norm"])
+        sld_calls = count_calls(monkeypatch, sld, ["information"])
         assert main(["bounds", str(path)]) == 0
-        assert calls == {"pseudoinverse": 1, "information": 1}
+        # trace norms: one in c_d, one in the verification's nonsmooth objective
+        assert linalg_calls == {"pseudoinverse": 1, "trace_norm": 2}
+        assert sld_calls == {"information": 1}
 
 
 class TestGaussian:
@@ -183,6 +186,11 @@ class TestGaussian:
         # chained bound: tr[(F half)^+] = 1 = 2 * tr[J^+] / ... and 2*c_gs = 2*tr(J^-1) = 1
         assert report["chained_scalar_bound"] == pytest.approx(report["two_c_gs"], abs=1e-9)
         assert report["two_c_gs"] == pytest.approx(2.0 * 1.0, abs=1e-9)
+
+    def test_information_matrices_computed_once(self, vacuum_file, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, gaussian, ["gaussian_qfim", "gaussian_fim"])
+        assert main(["gaussian", vacuum_file]) == 0
+        assert calls == {"gaussian_qfim": 1, "gaussian_fim": 1}
 
     def test_small_signal_keeps_relative_rank_tol(self, tmp_path, capsys):
         # J = 2e-12·I is full rank: --rank-tol is relative to its largest eigenvalue

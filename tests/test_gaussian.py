@@ -8,14 +8,13 @@ from qcrb.gaussian import (
     gaussian_fim,
     gaussian_qfim,
     gaussian_model_from_dict,
-    generaldyne_logdensity,
     half_qfim_check,
     load_gaussian_model,
     save_gaussian_model,
     symplectic_form,
     validate_cm,
 )
-from _support import random_physical_cm
+from _support import generaldyne_logdensity, random_physical_cm
 
 
 def vacuum_model(k=1, djacobian=None):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcrb import holevo
-from qcrb.bounds import c_d, c_gs
+from qcrb.bounds import ClosedFormBounds, c_d, c_gs, sandwich
 from qcrb.exceptions import InfeasibleModel, VerificationFailed
 from qcrb.holevo import EpigraphOperator, solve, verify_solution
 from qcrb.model import QuantumModel, fixture
@@ -161,10 +161,11 @@ class TestVerifySolution:
         m = fixture("qubit_xy_at_z", [0.3])
         analysis = analyze(m)
         sol = solve(analysis)
-        report = verify_solution(analysis, sol)
+        closed = sandwich(analysis)
+        report = verify_solution(analysis, sol, closed)
         assert report.objective_deviation < 1e-7
         assert report.unbias_residual < 1e-8
-        assert report.c_gs - 1e-7 <= sol.c_h <= report.c_d + 1e-7
+        assert closed.c_gs - 1e-7 <= sol.c_h <= closed.c_d + 1e-7
 
     def test_rejects_corrupted_minimizer(self):
         m = fixture("qubit_xy_at_z", [0.3])
@@ -172,14 +173,23 @@ class TestVerifySolution:
         sol = solve(analysis)
         corrupted = dataclasses.replace(sol, x_opt=sol.x_opt + 0.05 * SZ)
         with pytest.raises(VerificationFailed):
-            verify_solution(analysis, corrupted)
+            verify_solution(analysis, corrupted, sandwich(analysis))
+
+    def test_rejects_closed_forms_below_c_h(self):
+        # this model is D-invariant, so c_h = c_d = 2.6; a c_d below c_h breaks the ordering
+        analysis = analyze(fixture("qubit_xy_at_z", [0.3]))
+        sol = solve(analysis)
+        closed = sandwich(analysis)
+        low = ClosedFormBounds(c_gs=closed.c_gs, c_d=sol.c_h * (1 - 1e-3))
+        with pytest.raises(VerificationFailed, match="bound ordering violated"):
+            verify_solution(analysis, sol, low)
 
     def test_rejects_non_optimal_status(self):
         m = fixture("qubit_xy_at_z", [0.3])
         analysis = analyze(m)
         sol = solve(analysis, max_iter=1)
         with pytest.raises(VerificationFailed, match="status"):
-            verify_solution(analysis, sol)
+            verify_solution(analysis, sol, sandwich(analysis))
 
     def test_pure_state_saturation(self):
         rng = np.random.default_rng(6)

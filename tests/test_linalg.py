@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qcrb import linalg
+from _support import belavkin_grishanin_gap, v_matrix, weighted_tracenorm_check
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -61,15 +62,15 @@ class TestZMatrix:
 class TestVMatrix:
     def test_real_part_of_z(self):
         rho = (I2 + 0.4 * SZ) / 2
-        assert_allclose(linalg.v_matrix(np.array([SX, SY]), rho), np.eye(2), atol=1e-14)
+        assert_allclose(v_matrix(np.array([SX, SY]), rho), np.eye(2), atol=1e-14)
 
     def test_diagonal_model(self):
         w = 0.3
         rho = np.diag([(1 + w) / 2, (1 - w) / 2]).astype(complex)
-        assert_allclose(linalg.v_matrix(np.array([SZ]), rho), [[1.0]], atol=1e-15)
+        assert_allclose(v_matrix(np.array([SZ]), rho), [[1.0]], atol=1e-15)
 
     def test_zero_operator(self):
-        assert_allclose(linalg.v_matrix(np.zeros((1, 2, 2)), I2 / 2), [[0.0]], atol=1e-15)
+        assert_allclose(v_matrix(np.zeros((1, 2, 2)), I2 / 2), [[0.0]], atol=1e-15)
 
     def test_z_minus_v_purely_imaginary_skew(self):
         rng = np.random.default_rng(5)
@@ -80,7 +81,7 @@ class TestVMatrix:
             rho /= np.trace(rho).real
             ops = np.array([linalg.hermitian_part(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
                             for _ in range(3)])
-            diff = linalg.z_matrix(ops, rho) - linalg.v_matrix(ops, rho)
+            diff = linalg.z_matrix(ops, rho) - v_matrix(ops, rho)
             assert np.abs(diff.real).max() < 1e-12
             assert np.abs(diff.imag + diff.imag.T).max() < 1e-12
 
@@ -161,47 +162,47 @@ class TestHermitianBasis:
 
 class TestBelavkinGrishanin:
     def test_equality_case(self):
-        assert linalg.belavkin_grishanin_gap(np.array([[1, 1j], [-1j, 1]])) == pytest.approx(0.0, abs=1e-12)
+        assert belavkin_grishanin_gap(np.array([[1, 1j], [-1j, 1]])) == pytest.approx(0.0, abs=1e-12)
 
     def test_real_psd_gives_trace(self):
         a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        assert linalg.belavkin_grishanin_gap(a) == pytest.approx(5.0)
+        assert belavkin_grishanin_gap(a) == pytest.approx(5.0)
 
     def test_identity(self):
-        assert linalg.belavkin_grishanin_gap(np.eye(3)) == pytest.approx(3.0)
+        assert belavkin_grishanin_gap(np.eye(3)) == pytest.approx(3.0)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="semidefinite"):
-            linalg.belavkin_grishanin_gap(np.diag([1.0, -1.0]))
+            belavkin_grishanin_gap(np.diag([1.0, -1.0]))
 
     def test_nonnegative_on_random_psd(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             d = rng.integers(1, 9)
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            assert linalg.belavkin_grishanin_gap(g @ g.conj().T) >= -1e-9
+            assert belavkin_grishanin_gap(g @ g.conj().T) >= -1e-9
 
 
 class TestWeightedTracenorm:
     def test_identity_weight(self):
         a = np.array([[0, 2.0], [-2.0, 0]])
-        lhs, rhs = linalg.weighted_tracenorm_check(np.eye(2), a)
+        lhs, rhs = weighted_tracenorm_check(np.eye(2), a)
         assert lhs == pytest.approx(rhs)
         assert lhs == pytest.approx(4.0)
 
     def test_hand_computed_case(self):
-        lhs, rhs = linalg.weighted_tracenorm_check(np.diag([4.0, 1.0]), np.array([[0, 1.0], [-1.0, 0]]))
+        lhs, rhs = weighted_tracenorm_check(np.diag([4.0, 1.0]), np.array([[0, 1.0], [-1.0, 0]]))
         assert lhs == pytest.approx(4.0)
         assert rhs == pytest.approx(5.0)
 
     def test_zero_skew(self):
-        lhs, rhs = linalg.weighted_tracenorm_check(np.diag([4.0, 1.0]), np.zeros((2, 2)))
+        lhs, rhs = weighted_tracenorm_check(np.diag([4.0, 1.0]), np.zeros((2, 2)))
         assert lhs == pytest.approx(0.0, abs=1e-15)
         assert rhs == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_nonskew(self):
         with pytest.raises(ValueError, match="skew"):
-            linalg.weighted_tracenorm_check(np.eye(2), np.eye(2))
+            weighted_tracenorm_check(np.eye(2), np.eye(2))
 
     def test_inequality_on_random_pairs(self):
         rng = np.random.default_rng(23)
@@ -211,7 +212,7 @@ class TestWeightedTracenorm:
             w = g @ g.T
             a = rng.normal(size=(d, d))
             a = a - a.T
-            lhs, rhs = linalg.weighted_tracenorm_check(w, a)
+            lhs, rhs = weighted_tracenorm_check(w, a)
             assert lhs <= rhs + 1e-9
 
 
@@ -233,7 +234,7 @@ def psd_matrices(draw):
 @given(psd_matrices())
 @settings(max_examples=150, deadline=None)
 def test_belavkin_grishanin_property(a):
-    assert linalg.belavkin_grishanin_gap(a) >= -1e-9
+    assert belavkin_grishanin_gap(a) >= -1e-9
 
 
 @st.composite
@@ -256,5 +257,5 @@ def weight_skew_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_weighted_tracenorm_property(pair):
     w, a = pair
-    lhs, rhs = linalg.weighted_tracenorm_check(w, a)
+    lhs, rhs = weighted_tracenorm_check(w, a)
     assert lhs <= rhs + 1e-9
