@@ -193,7 +193,7 @@ def cmd_check_povm(args) -> int:
         raise ValueError(f"--beta needs {q} entries, got {beta.shape[0]}")
 
     report_data = povm_mod.measurement_report(povm, model, beta)
-    dv_min, dz_min = povm_mod.matrix_crb_check(povm, model, beta)
+    dv_min, dz_min = povm_mod.matrix_crb_check(report_data, model)
     tr_w_sigma = float(np.trace(model.weight @ report_data.sigma))
     breport, sol, timings, code = _bound_pipeline(analysis, args)
     if code != EXIT_OK:

@@ -106,7 +106,12 @@ class EpigraphOperator:
     (q·m)², w = 1 and the formula splits into two real rank-2 products, an
     outer product of the entries of P_C = P[q:] and the Kronecker product
     of G_qqᵀ and Q_CC = Q[q:, q:], which are summed by one (q, m, q, m)
-    broadcast.  This is the operator :func:`qcrb.sdp.solve_lmi` takes.
+    broadcast.
+
+    A slack of this LMI is X = [[V′, Mᴴ], [M, cI]]: F0's lower-right block
+    is I and no F_i touches it, so c = 1 + τ.  :meth:`factor` and
+    :meth:`max_step` rest on that form, which reduces them to q×q work.
+    This is the operator :func:`qcrb.sdp.solve_lmi` takes.
     """
 
     def __init__(self, q: int, cols: np.ndarray):
@@ -172,6 +177,66 @@ class EpigraphOperator:
                kron.reshape(q, q, m, m).transpose(0, 2, 1, 3),
                out=out[n_v:, n_v:].reshape(q, m, q, m))
         return out
+
+    def factor(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(L, L⁻¹) with L Lᴴ = x for a slack x = [[V′, Mᴴ], [M, cI]] ≻ 0.
+
+        L = [[Mᴴ/√c, L_R], [√c I, 0]], where L_R is the Cholesky factor of
+        the q×q Schur complement V′ − MᴴM/c, so that
+        L⁻¹ = [[0, I/√c], [L_R⁻¹, −L_R⁻¹Mᴴ/c]].  Raises ``LinAlgError``
+        when x is not positive definite.
+        """
+        q = self.q
+        c = x[q, q].real
+        m_h = x[:q, q:]
+        l_r = np.linalg.cholesky(x[:q, :q] - m_h @ x[q:, :q] / c)
+        l_r_inv = np.linalg.inv(l_r)
+        root_c = np.sqrt(c)
+        d_r = self.cols.shape[0]
+        diag = np.arange(d_r)
+        low = np.zeros_like(x)
+        low[:q, :d_r] = m_h / root_c
+        low[:q, d_r:] = l_r
+        low[q + diag, diag] = root_c
+        low_inv = np.zeros_like(x)
+        low_inv[diag, q + diag] = 1.0 / root_c
+        low_inv[d_r:, :q] = l_r_inv
+        low_inv[d_r:, q:] = l_r_inv @ m_h / -c
+        return low, low_inv
+
+    def max_step(self, low_inv: np.ndarray, dx: np.ndarray) -> float:
+        """Largest α with x + α·dx ⪰ 0, x given by the L⁻¹ of :meth:`factor`.
+
+        ``dx`` is a slack direction [[dV′, dMᴴ], [dM, −τI]].  The step is
+        −1/λ for the smallest eigenvalue λ of L⁻¹·dx·L⁻ᴴ (inf when λ is not
+        negative).  That matrix is [[−tI, B], [Bᴴ, D]] with t = τ/c,
+        B = (dM + τM/c)·L_R⁻ᴴ/√c and a q×q block D, so its eigenvalues are −t
+        and the 2q roots of det((λ + t)(λ − D) − BᴴB) = 0, which are the
+        eigenvalues of the companion matrix [[−tI, BᴴB], [I, D]].  They are
+        real in exact arithmetic, so their real parts are taken.  The cost is
+        O(N·q²), against O(N³) for the N×N eigenvalue problem.
+        """
+        q = self.q
+        d_r = self.cols.shape[0]
+        k = low_inv[d_r:, :q]  # L_R⁻¹
+        k_h = k.conj().T
+        e = low_inv[d_r:, q:]  # −L_R⁻¹Mᴴ/c
+        f = dx[q:, :q] @ k_h
+        ef = e @ f
+        d = k @ dx[:q, :q] @ k_h + ef + ef.conj().T
+        inv_c = low_inv[0, q].real ** 2
+        tau = -dx[q, q].real
+        if tau:
+            f = f - tau * e.conj().T
+            d = d - tau * (e @ e.conj().T)
+        t = tau * inv_c
+        companion = np.zeros((2 * q, 2 * q), dtype=complex)
+        companion[:q, :q] = -t * np.eye(q)
+        companion[:q, q:] = inv_c * (f.conj().T @ f)  # BᴴB
+        companion[q:, :q] = np.eye(q)
+        companion[q:, q:] = d
+        lam = min(float(np.linalg.eigvals(companion).real.min()), -t)
+        return -1.0 / lam if lam < -1e-16 else np.inf
 
 
 def solve(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) -> HolevoSolution:

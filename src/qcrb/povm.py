@@ -113,7 +113,10 @@ def povm_fim(povm: DiscretePovm, model: QuantumModel) -> np.ndarray:
     probability derivatives vanish too; otherwise the matrix entry would
     diverge and :class:`IllDefinedFim` is raised.
     """
-    probs = born_probs(povm, model.rho)
+    return _fim(povm, model, born_probs(povm, model.rho))
+
+
+def _fim(povm: DiscretePovm, model: QuantumModel, probs: np.ndarray) -> np.ndarray:
     dprobs = np.array(
         [[np.trace(dj @ m).real for m in povm.elements] for dj in model.drho]
     )  # (p, n)
@@ -162,46 +165,49 @@ def check_local_unbiasedness(povm: DiscretePovm, model: QuantumModel,
 
 def error_covariance(povm: DiscretePovm, rho: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Mean square error matrix Σ = Σ_x (β̌(x) − β)(β̌(x) − β)ᵀ p(x)."""
-    probs = born_probs(povm, rho)
+    return _covariance(povm, beta, born_probs(povm, rho))
+
+
+def _covariance(povm: DiscretePovm, beta: np.ndarray, probs: np.ndarray) -> np.ndarray:
     deviations = np.asarray(povm.estimates, dtype=float) - np.asarray(beta, dtype=float)
     sigma = (deviations.T * probs) @ deviations
     return (sigma + sigma.T) / 2
 
 
-def matrix_crb_check(povm: DiscretePovm, model: QuantumModel,
-                     beta: np.ndarray) -> tuple[float, float]:
+def matrix_crb_check(report: MeasurementReport, model: QuantumModel) -> tuple[float, float]:
     """Minimum eigenvalues of Σ − V(X) and Σ − Z(X) for a locally unbiased pair.
 
-    Both are ≥ −1e−9 for any valid locally unbiased measurement; raises
-    :class:`NotLocallyUnbiased` when the precondition fails.
+    ``report`` is the :func:`measurement_report` of the measurement on
+    ``model``.  Both are ≥ −1e−9 for any valid locally unbiased measurement;
+    raises :class:`NotLocallyUnbiased` when the precondition fails.
     """
-    residual, ok = check_local_unbiasedness(povm, model, beta)
-    if not ok:
+    residual = report.unbias_residual
+    if not residual <= UNBIAS_TOL:
         raise NotLocallyUnbiased(
             f"measurement is not locally unbiased (residual {residual:.3e})", residual=residual
         )
-    x_ops = influence_operators(povm, beta)
-    sigma = error_covariance(povm, model.rho, beta)
-    z = linalg.z_matrix(x_ops, model.rho)
+    z = linalg.z_matrix(report.influence, model.rho)
     v = (z.real + z.real.T) / 2
-    dv_min = float(np.linalg.eigvalsh(sigma - v).min())
-    dz_min = float(np.linalg.eigvalsh(sigma.astype(complex) - z).min())
+    dv_min = float(np.linalg.eigvalsh(report.sigma - v).min())
+    dz_min = float(np.linalg.eigvalsh(report.sigma.astype(complex) - z).min())
     return dv_min, dz_min
 
 
 def measurement_report(povm: DiscretePovm, model: QuantumModel,
                        beta: np.ndarray) -> MeasurementReport:
-    """Assemble probabilities, Σ, FIM, influence operators and the residual."""
+    """Assemble probabilities, Σ, FIM, influence operators and the residual,
+    each computed once."""
     validate_povm(povm)
     if povm.dim != model.dim:
         raise ModelError(f"POVM dimension {povm.dim} does not match model dimension {model.dim}")
-    residual, _ = check_local_unbiasedness(povm, model, beta)
+    influence = influence_operators(povm, beta)
+    probs = born_probs(povm, model.rho)
     return MeasurementReport(
-        probs=born_probs(povm, model.rho),
-        sigma=error_covariance(povm, model.rho, beta),
-        fim=povm_fim(povm, model),
-        influence=influence_operators(povm, beta),
-        unbias_residual=residual,
+        probs=probs,
+        sigma=_covariance(povm, beta, probs),
+        fim=_fim(povm, model, probs),
+        influence=influence,
+        unbias_residual=unbiasedness_residual(model, influence),
     )
 
 

@@ -10,33 +10,46 @@ with u real and F0, F_i Hermitian N×N, together with its dual
     maximize   −⟨F0, S⟩   subject to   ⟨F_i, S⟩ = c_i,  S ⪰ 0.
 
 The constraint matrices F_i are never stored.  The solver reaches them
-through an operator with three methods, which lets the caller keep them
-in whatever factored form their structure allows:
+through an operator, which lets the caller keep them in whatever factored
+form their structure allows:
 
-    apply(u)    Σ_i u_i F_i                       (N×N Hermitian)
-    adjoint(T)  (Re tr F_i T)_i                   (n,)
-    schur(G)    [Re tr(G F_i G F_j)]_ij            (n×n), G Hermitian PD
+    apply(u)           Σ_i u_i F_i                    (N×N Hermitian)
+    adjoint(T)         (Re tr F_i T)_i                (n,)
+    schur(G)           [Re tr(G F_i G F_j)]_ij         (n×n), G Hermitian PD
+    factor(X)          (L, L⁻¹) with L Lᴴ = X         for a slack X ≻ 0
+    max_step(L⁻¹, dX)  largest α with X + α·dX ⪰ 0    (inf if unbounded)
 
 The F_i must be linearly independent, so that ``schur`` of a positive
-definite G is positive definite.
+definite G is positive definite.  ``factor`` raises ``LinAlgError`` when
+X is not positive definite.  Both it and ``max_step`` are handed only
+slacks X = F(u) + τI and directions dX = Σ_i du_i F_i − τI, and only on
+blocks of at least ``_STRUCTURED_MIN`` rows: a smaller slack is factored
+by a dense Cholesky, and its primal step read from the eigenvalues in the
+scaled coordinates, which costs less there than a structured form.
+
+The primal iterate is held as (u, τ) with slack X = F(u) + τI: τ is the
+shift that makes the start strictly feasible (0 when it already is), and
+a primal step of length α multiplies it by 1 − α.  The primal residual
+F(u) − X is therefore −τI exactly, and no slack is carried beside u.
 
 The iteration is the standard Nesterov-Todd-scaled Mehrotra
-predictor-corrector.  The scaling point R is computed from the Cholesky
-factors of the primal slack X and the dual S via one SVD, which makes
+predictor-corrector.  The scaling point R is computed from the factors
+of the primal slack X and the dual S via one SVD, which makes
 R⁻¹XR⁻ᴴ = RᴴSR diagonal; the Newton system is reduced to the n×n Schur
 complement ``schur(R⁻ᴴR⁻¹)`` in u, factored by a dense Cholesky LLᵀ whose
 inverse factor is formed once, so each of the two solves per iteration
-is the pair of products L⁻ᵀ(L⁻¹g).  Both triangular inverses, L⁻¹ and
-the slack factor's inverse in R⁻¹, come from a blocked recursion
-(:func:`_tri_inv`) that inverts a k×k factor in about k³/3 flops of
-matrix products, where a general LU inverse takes about 8k³/3.  Scaled
-constraint matrices R⁻¹F_iR⁻ᴴ are never formed: the right-hand side is
-``adjoint(R⁻ᴴ·Y·R⁻¹)`` and the step is ``R⁻¹·apply(du)·R⁻ᴴ``.  Per
-iteration the solver itself costs O(N³) in the NT scaling (two Cholesky
-factorizations, one SVD, one triangular inverse) and the four
-boundary-step eigenvalue problems, and about 2n³/3 flops in the Schur
-Cholesky factorization and its triangular inverse, plus two ``apply``,
-two ``adjoint`` and one ``schur`` call.
+is the pair of products L⁻ᵀ(L⁻¹g).  That L⁻¹ and, on small blocks, the
+slack factor's inverse come from a blocked recursion (:func:`_tri_inv`)
+that inverts a k×k factor in about k³/3 flops of matrix products, where
+a general LU inverse takes about 8k³/3.  Scaled constraint matrices
+R⁻¹F_iR⁻ᴴ are never formed: the right-hand side is
+``adjoint(R⁻ᴴ·Y·R⁻¹)`` and the scaled step is R⁻¹·dX·R⁻ᴴ.  Per
+iteration the solver itself costs O(N³) in the NT scaling (one dual
+Cholesky factorization, one SVD and the products that form R⁻¹ and the
+scaled steps) and the two dual boundary-step eigenvalue problems, and
+about 2n³/3 flops in the Schur Cholesky factorization and its triangular
+inverse, plus three ``apply``, three ``adjoint`` and one ``schur`` call,
+and one ``factor`` and two ``max_step`` calls or their dense forms.
 """
 
 from __future__ import annotations
@@ -65,6 +78,11 @@ _STEP_DAMPING = 0.98
 _MIN_STEP = 1e-10
 #: Largest block :func:`_tri_inv` hands to the general inverse.
 _TRI_LEAF = 48
+#: Smallest block on which the operator's ``factor`` and ``max_step`` are
+#: used.  Below it a dense Cholesky factorization and the eigenvalue step in
+#: the scaled coordinates cost less than the many small products of a
+#: structured form.
+_STRUCTURED_MIN = 32
 
 
 @dataclass
@@ -73,7 +91,9 @@ class SdpResult:
 
     ``gap`` is the absolute complementarity ⟨X, S⟩, ``relgap`` the gap
     relative to the mean objective magnitude; ``pinfeas``/``dinfeas`` are
-    scaled primal/dual residual norms.  ``dobj`` = −⟨F0, S⟩ is the dual
+    scaled primal/dual residual norms; ``pinfeas`` = τ·√N / (1 + ‖F0‖)
+    exactly, for the shift τ left in the slack X = F(u) + τI, and 0 from a
+    strictly feasible start.  ``dobj`` = −⟨F0, S⟩ is the dual
     objective at the returned dual iterate.  It is not a certified lower
     bound on the optimum, even with ``dinfeas`` at roundoff: S solves the
     dual constraints only approximately, and on the Holevo SDP of
@@ -152,8 +172,8 @@ def solve_lmi(
     c : (n,) objective vector.
     f0 : (N, N) Hermitian constant term.
     op : the constraint matrices F_1 … F_n, as an object with the
-        ``apply``/``adjoint``/``schur`` methods described in the module
-        docstring.
+        ``apply``/``adjoint``/``schur``/``factor``/``max_step`` methods
+        described in the module docstring.
     u0 : optional start; the slack F(u0) is shifted to be safely positive
         definite, so strict feasibility of u0 is helpful but not required.
     s0 : optional positive-definite dual start.
@@ -162,56 +182,62 @@ def solve_lmi(
     f0 = np.asarray(f0, dtype=complex)
     n = c.shape[0]
     dim = f0.shape[0]
+    eye = np.eye(dim)
+    structured = dim >= _STRUCTURED_MIN
 
-    def f_of(u: np.ndarray) -> np.ndarray:
-        return _herm(f0 + op.apply(u))
+    def slack(u: np.ndarray, tau: float) -> np.ndarray:
+        x = _herm(f0 + op.apply(u))
+        return x + tau * eye if tau else x
 
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
-    slack = f_of(u)
-    min_eig = float(np.linalg.eigvalsh(slack).min())
+    tau = 0.0
+    x = slack(u, tau)
+    min_eig = float(np.linalg.eigvalsh(x).min())
     if min_eig < 1e-8:
-        slack = slack + (abs(min_eig) * 1.1 + max(1.0, 1e-3 * np.trace(slack).real / dim)) * np.eye(dim)
+        tau = abs(min_eig) * 1.1 + max(1.0, 1e-3 * np.trace(x).real / dim)
+        x = x + tau * eye
     dual = np.eye(dim, dtype=complex) if s0 is None else np.array(s0, dtype=complex)
     if float(np.linalg.eigvalsh(dual).min()) < 1e-12:
         dual = dual + np.eye(dim)
 
     f0_scale = 1.0 + np.linalg.norm(f0)
     c_scale = 1.0 + np.linalg.norm(c)
-
-    def metrics(u, slack, dual):
-        rp = f_of(u) - slack
-        rd = c - op.adjoint(dual)
-        gap = float(np.tensordot(slack, dual.conj(), axes=([0, 1], [0, 1])).real)
-        pobj = float(c @ u)
-        dobj = -float(np.tensordot(f0, dual.conj(), axes=([0, 1], [0, 1])).real)
-        relgap = gap / max(1.0, (abs(pobj) + abs(dobj)) / 2)
-        return rp, rd, gap, pobj, dobj, relgap
-
-    rp0, rd0, gap0, pobj0, dobj0, relgap0 = metrics(u, slack, dual)
-    best = (u.copy(), slack.copy(), dual.copy(), pobj0, dobj0, gap0, relgap0,
-            np.linalg.norm(rp0) / f0_scale, np.linalg.norm(rd0) / c_scale)
+    best = None
     best_score = np.inf
     status = MAX_ITERATIONS
     reason = ""
-    iterations = 0
     stalls = 0
 
-    for iteration in range(max_iter):
+    for iteration in range(max_iter + 1):
         iterations = iteration
-        rp, rd, gap, pobj, dobj, relgap = metrics(u, slack, dual)
-        pinf = np.linalg.norm(rp) / f0_scale
+        rd = c - op.adjoint(dual)
+        gap = float(np.tensordot(x, dual.conj(), axes=([0, 1], [0, 1])).real)
+        pobj = float(c @ u)
+        dobj = -float(np.tensordot(f0, dual.conj(), axes=([0, 1], [0, 1])).real)
+        relgap = gap / max(1.0, (abs(pobj) + abs(dobj)) / 2)
+        pinf = tau * np.sqrt(dim) / f0_scale  # ‖F(u) − X‖_F = ‖τI‖_F
         dinf = np.linalg.norm(rd) / c_scale
         score = max(pinf, dinf, relgap)
-        if score < best_score:
+        if best is None or score < best_score:
             best_score = score
-            best = (u.copy(), slack.copy(), dual.copy(), pobj, dobj, gap, relgap, pinf, dinf)
+            best = (u, x, dual, pobj, dobj, gap, relgap, pinf, dinf)
         if pinf <= FEAS_TOL and dinf <= FEAS_TOL and relgap <= tol:
-            return SdpResult(u, slack, dual, pobj, dobj, gap, relgap, pinf, dinf, iterations, OPTIMAL)
+            return SdpResult(u, x, dual, pobj, dobj, gap, relgap, pinf, dinf, iterations, OPTIMAL)
+        if iteration == max_iter:
+            break
 
-        lx = _chol(slack)
+        try:
+            if structured:
+                lx, lx_inv = op.factor(x)
+            else:
+                lx = np.linalg.cholesky(x)
+                lx_inv = _tri_inv(lx)
+        except np.linalg.LinAlgError:
+            status, reason = NUMERICAL_TROUBLE, SLACK_CHOLESKY
+            break
         lz = _chol(dual)
-        if lx is None or lz is None:
-            status, reason = NUMERICAL_TROUBLE, SLACK_CHOLESKY if lx is None else DUAL_CHOLESKY
+        if lz is None:
+            status, reason = NUMERICAL_TROUBLE, DUAL_CHOLESKY
             break
 
         # Nesterov-Todd scaling point: R^{-1} X R^{-H} = R^H S R = diag(lam)
@@ -219,14 +245,11 @@ def solve_lmi(
         if lam.min() <= 0:
             status, reason = NUMERICAL_TROUBLE, NT_EIGENVALUE
             break
-        r_mat = lx @ vh.conj().T * (lam ** -0.5)
-        r_inv = (lam ** 0.5)[:, None] * (vh @ _tri_inv(lx))
+        r_inv = (lam ** 0.5)[:, None] * (vh @ lx_inv)
         r_inv_h = r_inv.conj().T
+        g_mat = r_inv_h @ r_inv
 
-        h_rp = r_inv @ rp @ r_inv_h
-
-        schur = op.schur(r_inv_h @ r_inv)
-        schur = (schur + schur.T) / 2
+        schur = op.schur(g_mat)  # the Cholesky factorization reads its lower triangle only
         reg = 0.0
         chol_b = None
         for _ in range(4):
@@ -239,20 +262,29 @@ def solve_lmi(
             break
 
         chol_inv = _tri_inv(chol_b)  # schur⁻¹ = L⁻ᵀ L⁻¹, applied as two products
+        # The primal residual X − F(u) = τI, scaled to R⁻¹τIR⁻ᴴ, enters the
+        # right-hand side as R⁻ᴴ(R⁻¹τIR⁻ᴴ)R⁻¹ = τG².
+        shift = tau * (g_mat @ g_mat) if tau else None
+
+        def primal_step(dx, dlam_x):
+            return op.max_step(lx_inv, dx) if structured else _boundary_step(lam, dlam_x)
 
         def direction(y_mat):
-            g = op.adjoint(r_inv_h @ (y_mat - h_rp) @ r_inv) - rd
+            rhs = r_inv_h @ y_mat @ r_inv
+            g = op.adjoint(rhs if shift is None else rhs + shift) - rd
             du = chol_inv.T @ (chol_inv @ g)
-            dlam_x = r_inv @ op.apply(du) @ r_inv_h + h_rp
-            dlam_z = y_mat - dlam_x
-            return du, _herm(dlam_x), _herm(dlam_z)
+            dx = op.apply(du)  # the slack moves by dx per unit step, τI shrinking with it
+            if tau:
+                dx = dx - tau * eye
+            dlam_x = _herm(r_inv @ dx @ r_inv_h)
+            return du, dx, dlam_x, _herm(y_mat - dlam_x)
 
         mu = gap / dim
 
         # predictor
         y_aff = -np.diag(lam).astype(complex)
-        _, dlx_aff, dlz_aff = direction(y_aff)
-        ap_aff = min(1.0, _boundary_step(lam, dlx_aff))
+        _, dx_aff, dlx_aff, dlz_aff = direction(y_aff)
+        ap_aff = min(1.0, primal_step(dx_aff, dlx_aff))
         ad_aff = min(1.0, _boundary_step(lam, dlz_aff))
         lam_mat = np.diag(lam)
         # tr(AB) as the elementwise sum of A∘Bᵀ
@@ -265,9 +297,9 @@ def solve_lmi(
         correction = _herm(dlx_aff @ dlz_aff)
         rhs = np.diag(sigma * mu - lam * lam) - correction
         y_comb = 2.0 * rhs / (lam[:, None] + lam[None, :])
-        du, dlam_x, dlam_z = direction(_herm(y_comb))
+        du, dx, dlam_x, dlam_z = direction(_herm(y_comb))
 
-        alpha_p = min(1.0, _STEP_DAMPING * _boundary_step(lam, dlam_x))
+        alpha_p = min(1.0, _STEP_DAMPING * primal_step(dx, dlam_x))
         alpha_d = min(1.0, _STEP_DAMPING * _boundary_step(lam, dlam_z))
         if alpha_p < _MIN_STEP and alpha_d < _MIN_STEP:
             stalls += 1
@@ -278,9 +310,9 @@ def solve_lmi(
             stalls = 0
 
         u = u + alpha_p * du
-        slack = _herm(slack + alpha_p * (r_mat @ dlam_x @ r_mat.conj().T))
+        tau *= 1.0 - alpha_p
+        x = slack(u, tau)
         dual = _herm(dual + alpha_d * (r_inv_h @ dlam_z @ r_inv))
-        iterations = iteration + 1
 
     # not Optimal: fall back to the best iterate seen
     u_b, x_b, s_b, pobj, dobj, gap, relgap, pinf, dinf = best

@@ -16,6 +16,7 @@ from qcrb import linalg
 from qcrb.gaussian import GaussianMeasurement, GaussianShiftModel, _sum_cm
 from qcrb.model import QuantumModel
 from qcrb.povm import DiscretePovm, born_probs
+from qcrb.sdp import _tri_inv
 from qcrb.sld import analyze, infeasible_columns
 
 
@@ -110,6 +111,16 @@ class DenseOperator:
     def schur(self, g: np.ndarray) -> np.ndarray:
         gf = g @ self.fs  # (n, N, N): G F_i
         return np.einsum("iab,jba->ij", gf, gf).real
+
+    def factor(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        low = np.linalg.cholesky(x)
+        return low, _tri_inv(low)
+
+    def max_step(self, low_inv: np.ndarray, dx: np.ndarray) -> float:
+        """−1/λ_min of L⁻¹·dx·L⁻ᴴ, or inf when that is not negative."""
+        scaled = low_inv @ dx @ low_inv.conj().T
+        min_eig = float(np.linalg.eigvalsh((scaled + scaled.conj().T) / 2).min())
+        return np.inf if min_eig >= -1e-16 else -1.0 / min_eig
 
 
 def epigraph_matrices(q: int, cols: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from qcrb.cli import main
 from qcrb.gaussian import GaussianMeasurement, GaussianShiftModel, gaussian_qfim, half_qfim_check
 from qcrb.holevo import solve
 from qcrb.model import fixture
-from qcrb.povm import error_covariance, matrix_crb_check
+from qcrb.povm import error_covariance, matrix_crb_check, measurement_report
 from qcrb.sld import analyze, infeasible_columns
 from _support import (
     belavkin_grishanin_gap,
@@ -183,7 +183,7 @@ def test_criterion_7_matrix_crbs():
             povm = locally_unbiased_povm(rng, m, beta)
             if povm is None:
                 continue
-            dv_min, dz_min = matrix_crb_check(povm, m, beta)
+            dv_min, dz_min = matrix_crb_check(measurement_report(povm, m, beta), m)
             assert dv_min >= -1e-9, (d, p, q, dv_min)
             assert dz_min >= -1e-9, (d, p, q, dz_min)
             sigma = error_covariance(povm, m.rho, beta)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcrb import bounds, gaussian, holevo, linalg, sld
+from qcrb import povm as povm_mod
 from qcrb.cli import main
 from qcrb.exceptions import (
     IllDefinedFim,
@@ -264,6 +265,35 @@ class TestCheckPovm:
         ppath, mpath = self.make_files(tmp_path, estimates=((2.0,), (-2.0,)))
         assert main(["check-povm", ppath, mpath]) == 2
         assert "not locally unbiased" in capsys.readouterr().err
+
+    def test_measurement_work_done_once(self, tmp_path, monkeypatch, capsys):
+        ppath, mpath = self.make_files(tmp_path)
+        calls = count_calls(monkeypatch, povm_mod, ["influence_operators", "born_probs", "unbiasedness_residual",
+                                                    "error_covariance", "povm_fim", "check_local_unbiasedness"])
+        assert main(["check-povm", ppath, mpath]) == 0
+        # Σ and the FIM come from the one probability vector of the report
+        assert calls == {"influence_operators": 1, "born_probs": 1, "unbiasedness_residual": 1,
+                         "error_covariance": 0, "povm_fim": 0, "check_local_unbiasedness": 0}
+
+    def test_ill_defined_fim_reported_before_bias(self, tmp_path, capsys):
+        # pure state; outcome 0 has probability ~1e-16 but derivative ~1e-8, and
+        # the estimates are biased as well
+        model = QuantumModel(
+            dim=2, rho=np.diag([1.0, 0.0]).astype(complex),
+            drho=np.array([[[0.0, 0.5], [0.5, 0.0]]], dtype=complex),
+            dbeta=np.array([[1.0]]), weight=np.eye(1),
+        )
+        mpath = tmp_path / "model.json"
+        save_model(model, mpath)
+        v = np.array([1e-8, 1.0]) / np.hypot(1e-8, 1.0)
+        element = np.outer(v, v).astype(complex)
+        ppath = tmp_path / "povm.json"
+        save_povm(DiscretePovm(elements=np.array([element, np.eye(2) - element]),
+                               estimates=np.array([[5.0], [5.0]])), ppath)
+        assert main(["check-povm", str(ppath), str(mpath)]) == 2
+        err = capsys.readouterr().err
+        assert "outcome 0 has probability" in err
+        assert "not locally unbiased" not in err
 
     def test_dimension_mismatch_exit_1(self, tmp_path, capsys):
         _, mpath = self.make_files(tmp_path)

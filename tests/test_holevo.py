@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcrb import holevo
+from qcrb import holevo, sdp
 from qcrb.bounds import ClosedFormBounds, c_d, c_gs, sandwich
 from qcrb.exceptions import InfeasibleModel, VerificationFailed
 from qcrb.holevo import EpigraphOperator, solve, verify_solution
@@ -256,3 +256,118 @@ class TestEpigraphOperator:
         # c_h: two dense forms of the same Schur matrix (Gram and trace) give
         # x_opt differing by up to 3.5e-10 relative on these instances.
         assert np.linalg.norm(structured.x_opt - dense.x_opt) <= 1e-9 * np.linalg.norm(dense.x_opt)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    @pytest.mark.parametrize("d, rank, p, q", [
+        (3, 3, 2, 1),
+        (3, 1, 2, 1),  # rank-deficient: d·r = 3
+        (4, 4, 4, 3),
+        (4, 2, 4, 3),
+        (6, 6, 3, 3),  # N = 39, a size at which solve_lmi uses these methods
+    ])
+    def test_factor_and_max_step_match_dense(self, d, rank, p, q, tau, monkeypatch):
+        rng = np.random.default_rng(1000 + 10 * d + rank)
+        _, cols = captured_operator(random_model(rng, d, p, q, rank=rank, weighted=True), monkeypatch)
+        op, dense = EpigraphOperator(q, cols), dense_epigraph(q, cols)
+        d_r = cols.shape[0]
+        size = q + d_r
+        eye = np.eye(size)
+        for _ in range(3):
+            # a slack F(u) + τI of the form solve_lmi holds: F0 = [[0, M0ᴴ], [M0, I]]
+            f0 = np.zeros((size, size), dtype=complex)
+            f0[q:, :q] = rng.normal(size=(d_r, q)) + 1j * rng.normal(size=(d_r, q))
+            f0[:q, q:] = f0[q:, :q].conj().T
+            f0[q:, q:] = np.eye(d_r)
+            u = 0.3 * rng.normal(size=op.n)
+            a, b = np.triu_indices(q)
+            u[:a.size] += np.where(a == b, 2.0 + np.linalg.norm(f0[q:, :q]) ** 2, 0.0)
+            x = f0 + op.apply(u) + tau * eye
+            assert np.linalg.eigvalsh(x).min() > 0
+
+            low, low_inv = op.factor(x)
+            assert np.abs(low @ low.conj().T - x).max() <= 1e-12 * np.abs(x).max()
+            assert np.abs(low @ low_inv - eye).max() <= 1e-12
+
+            _, dense_inv = dense.factor(x)
+            for scale in (0.1, 1.0, 10.0):
+                dx = op.apply(scale * rng.normal(size=op.n)) - tau * eye
+                want = dense.max_step(dense_inv, dx)
+                assert np.isfinite(want)
+                assert op.max_step(low_inv, dx) == pytest.approx(want, rel=1e-10)
+
+            # a direction that only grows the slack: unbounded without a shift,
+            # limited by the vanishing τI otherwise
+            du = np.zeros(op.n)
+            du[:a.size] = np.where(a == b, 1.0, 0.0)
+            dx = op.apply(du) - tau * eye
+            got, want = op.max_step(low_inv, dx), dense.max_step(dense_inv, dx)
+            if tau == 0.0:  # dx ⪰ 0, with N − q zero eigenvalues
+                assert got == np.inf
+                assert want > 1e12  # the dense eigenvalues straddle 0 at roundoff
+            else:
+                assert got == pytest.approx(want, rel=1e-10)
+
+    def test_factor_rejects_indefinite_slack(self):
+        op = EpigraphOperator(1, np.ones((2, 1), dtype=complex))
+        x = np.eye(3, dtype=complex)
+        x[1:, 0] = x[0, 1:] = 1.0  # V − MᴴM = 1 − 2 < 0
+        with pytest.raises(np.linalg.LinAlgError):
+            op.factor(x)
+
+    def test_structured_route_matches_dense_route(self, monkeypatch):
+        """solve_lmi's two ways to factor the slack and take the primal step
+        give the same iterates."""
+        model = fixture("random_full_rank", [3, 4, 4, 3])  # N = 19
+        analysis = analyze(model)
+        monkeypatch.setattr(sdp, "_STRUCTURED_MIN", 0)
+        structured = solve(analysis)
+        monkeypatch.setattr(sdp, "_STRUCTURED_MIN", 10 ** 9)
+        dense = solve(analysis)
+        assert structured.status == dense.status == "Optimal"
+        assert structured.iterations == dense.iterations
+        assert abs(structured.c_h - dense.c_h) <= 1e-10 * abs(dense.c_h)
+
+    def test_operator_calls_per_iteration(self, monkeypatch):
+        """Three adjoint and three apply calls per iteration, plus one each at the start."""
+        calls = {"apply": 0, "adjoint": 0}
+
+        class Counting(EpigraphOperator):
+            def apply(self, u):
+                calls["apply"] += 1
+                return super().apply(u)
+
+            def adjoint(self, mat):
+                calls["adjoint"] += 1
+                return super().adjoint(mat)
+
+        sol = solve_with(Counting, fixture("random_full_rank", [3, 4, 3, 2]), monkeypatch)
+        assert sol.status == "Optimal" and sol.iterations == 9
+        assert calls == {"apply": 3 * sol.iterations + 1, "adjoint": 3 * sol.iterations + 1}
+
+    def test_shifted_start_on_both_routes(self, monkeypatch):
+        """From an infeasible start (τ > 0) both routes reach the closed-form optimum.
+
+        min tr V subject to V ⪰ M(y)ᴴM(y), M(y) = M0 + C·Y over real Y, is the
+        least-squares distance min ‖M0 + C·Y‖_F² when C and M0 are real (V is
+        real, so a complex M(y)ᴴM(y) would add its trace norm of Im).
+        """
+        rng = np.random.default_rng(7)
+        q, d_r, m = 2, 6, 3
+        cols = rng.normal(size=(d_r, m)).astype(complex)
+        m0 = rng.normal(size=(d_r, q)).astype(complex)
+        op = EpigraphOperator(q, cols)
+        f0 = np.zeros((q + d_r,) * 2, dtype=complex)
+        f0[q:, :q], f0[:q, q:], f0[q:, q:] = m0, m0.conj().T, np.eye(d_r)
+        a, b = np.triu_indices(q)
+        c = np.concatenate([np.where(a == b, 1.0, 0.0), np.zeros(q * m)])
+        y, *_ = np.linalg.lstsq(cols.real, -m0.real, rcond=None)
+        expected = np.linalg.norm(m0 + cols @ y) ** 2
+        results = []
+        for threshold in (0, 10 ** 9):
+            monkeypatch.setattr(sdp, "_STRUCTURED_MIN", threshold)
+            res = sdp.solve_lmi(c, f0, op)  # V = 0 start: the slack is indefinite
+            assert res.status == "Optimal"
+            assert res.pobj == pytest.approx(expected, rel=1e-7)
+            results.append(res)
+        assert results[0].iterations == results[1].iterations
+        assert results[0].pobj == pytest.approx(results[1].pobj, rel=1e-10)

@@ -197,14 +197,16 @@ class TestErrorCovariance:
 
 class TestMatrixCrb:
     def test_equality_for_efficient_measurement(self):
-        dv, dz = matrix_crb_check(sz_povm(), z_family_model(0.0), np.zeros(1))
+        m = z_family_model(0.0)
+        dv, dz = matrix_crb_check(measurement_report(sz_povm(), m, np.zeros(1)), m)
         assert dv == pytest.approx(0.0, abs=1e-12)
         assert dz == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_biased(self):
         povm = sz_povm(estimates=((2.0,), (-2.0,)))
+        m = z_family_model(0.0)
         with pytest.raises(NotLocallyUnbiased):
-            matrix_crb_check(povm, z_family_model(0.0), np.zeros(1))
+            matrix_crb_check(measurement_report(povm, m, np.zeros(1)), m)
 
     def test_matrix_crb_guarantees_on_random_pairs(self):
         rng = np.random.default_rng(1)
@@ -217,7 +219,7 @@ class TestMatrixCrb:
             povm = locally_unbiased_povm(rng, m, beta)
             if povm is None:
                 continue
-            dv, dz = matrix_crb_check(povm, m, beta)
+            dv, dz = matrix_crb_check(measurement_report(povm, m, beta), m)
             assert dv >= -1e-9
             assert dz >= -1e-9
             done += 1
@@ -227,7 +229,7 @@ class TestMatrixCrb:
         m = random_model(rng, d=2, p=2, q=1)
         povm = locally_unbiased_povm(rng, m, np.zeros(1))
         assert povm is not None
-        dv, dz = matrix_crb_check(povm, m, np.zeros(1))
+        dv, dz = matrix_crb_check(measurement_report(povm, m, np.zeros(1)), m)
         assert dv == pytest.approx(dz, abs=1e-12)
 
 

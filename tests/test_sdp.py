@@ -83,6 +83,16 @@ class TestSolveLmi:
         assert res.status == "MaxIterations"
         assert res.gap > 0
 
+    def test_zero_iterations_returns_start(self):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        c, f0, op = epigraph_instance(g @ g.conj().T, np.eye(3))
+        u0 = rng.normal(size=c.shape[0])
+        res = solve_lmi(c, f0, op, u0=u0, max_iter=0)
+        assert res.status == "MaxIterations" and res.iterations == 0
+        assert np.array_equal(res.u, u0)
+        assert res.pobj == c @ u0
+
     def test_respects_tight_tolerance(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
