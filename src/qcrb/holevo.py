@@ -110,7 +110,7 @@ class EpigraphOperator:
 
     A slack of this LMI is X = [[V′, Mᴴ], [M, cI]]: F0's lower-right block
     is I and no F_i touches it, so c = 1 + τ.  :meth:`factor` and
-    :meth:`max_step` rest on that form, which reduces them to q×q work.
+    :meth:`scaled_extremes` rest on that form, which reduces them to q×q work.
     This is the operator :func:`qcrb.sdp.solve_lmi` takes.
     """
 
@@ -204,16 +204,18 @@ class EpigraphOperator:
         low_inv[d_r:, q:] = l_r_inv @ m_h / -c
         return low, low_inv
 
-    def max_step(self, low_inv: np.ndarray, dx: np.ndarray) -> float:
-        """Largest α with x + α·dx ⪰ 0, x given by the L⁻¹ of :meth:`factor`.
+    def scaled_extremes(self, low_inv: np.ndarray, dx: np.ndarray) -> tuple[float, float]:
+        """(λ_min, λ_max) of L⁻¹·dx·L⁻ᴴ, L⁻¹ as returned by :meth:`factor`.
 
-        ``dx`` is a slack direction [[dV′, dMᴴ], [dM, −τI]].  The step is
-        −1/λ for the smallest eigenvalue λ of L⁻¹·dx·L⁻ᴴ (inf when λ is not
-        negative).  That matrix is [[−tI, B], [Bᴴ, D]] with t = τ/c,
-        B = (dM + τM/c)·L_R⁻ᴴ/√c and a q×q block D, so its eigenvalues are −t
-        and the 2q roots of det((λ + t)(λ − D) − BᴴB) = 0, which are the
-        eigenvalues of the companion matrix [[−tI, BᴴB], [I, D]].  They are
-        real in exact arithmetic, so their real parts are taken.  The cost is
+        ``dx`` is a slack direction [[dV′, dMᴴ], [dM, −τI]].  L⁻¹·dx·L⁻ᴴ is
+        [[−tI, B], [Bᴴ, D]] with t = τ/c, B = (dM + τM/c)·L_R⁻ᴴ/√c and a q×q
+        block D, so its eigenvalues are −t and the 2q roots of
+        det((λ + t)(λ − D) − BᴴB) = 0, which are the eigenvalues of the
+        companion matrix [[−tI, BᴴB], [I, D]].  They are real in exact
+        arithmetic, so their real parts are taken.  −t is counted among them:
+        it is an eigenvalue whenever d·r > q, and otherwise changes no step
+        length, since the lower-right block (c − ατ)I of x + α·dx caps every
+        primal step at c/τ, the step −1/λ that λ = −t gives.  The cost is
         O(N·q²), against O(N³) for the N×N eigenvalue problem.
         """
         q = self.q
@@ -235,8 +237,8 @@ class EpigraphOperator:
         companion[:q, q:] = inv_c * (f.conj().T @ f)  # BᴴB
         companion[q:, :q] = np.eye(q)
         companion[q:, q:] = d
-        lam = min(float(np.linalg.eigvals(companion).real.min()), -t)
-        return -1.0 / lam if lam < -1e-16 else np.inf
+        roots = np.linalg.eigvals(companion).real
+        return min(float(roots.min()), -t), max(float(roots.max()), -t)
 
 
 def solve(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) -> HolevoSolution:

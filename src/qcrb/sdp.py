@@ -13,19 +13,25 @@ The constraint matrices F_i are never stored.  The solver reaches them
 through an operator, which lets the caller keep them in whatever factored
 form their structure allows:
 
-    apply(u)           Σ_i u_i F_i                    (N×N Hermitian)
-    adjoint(T)         (Re tr F_i T)_i                (n,)
-    schur(G)           [Re tr(G F_i G F_j)]_ij         (n×n), G Hermitian PD
-    factor(X)          (L, L⁻¹) with L Lᴴ = X         for a slack X ≻ 0
-    max_step(L⁻¹, dX)  largest α with X + α·dX ⪰ 0    (inf if unbounded)
+    apply(u)                  Σ_i u_i F_i                  (N×N Hermitian)
+    adjoint(T)                (Re tr F_i T)_i              (n,)
+    schur(G)                  [Re tr(G F_i G F_j)]_ij       (n×n), G Hermitian PD
+    factor(X)                 (L, L⁻¹) with L Lᴴ = X       for a slack X ≻ 0
+    scaled_extremes(L⁻¹, dX)  (λ_min, λ_max) of L⁻¹·dX·L⁻ᴴ
+    q                         order of the block ``factor`` and
+                              ``scaled_extremes`` reduce their work to
 
 The F_i must be linearly independent, so that ``schur`` of a positive
 definite G is positive definite.  ``factor`` raises ``LinAlgError`` when
-X is not positive definite.  Both it and ``max_step`` are handed only
-slacks X = F(u) + τI and directions dX = Σ_i du_i F_i − τI, and only on
-blocks of at least ``_STRUCTURED_MIN`` rows: a smaller slack is factored
-by a dense Cholesky, and its primal step read from the eigenvalues in the
-scaled coordinates, which costs less there than a structured form.
+X is not positive definite.  ``scaled_extremes`` may count among the
+eigenvalues a value that changes no step length read from them: the
+primal step −1/λ_min and the predictor's dual step 1/(1 + λ_max) when
+λ_max > 0, else 1.  Both are handed only slacks X = F(u) + τI and
+directions dX = Σ_i du_i F_i − τI, and only on blocks of at least
+``_STRUCTURED_MIN + _STRUCTURED_PER_TARGET·q`` rows: a smaller slack is
+factored by a dense Cholesky, and its extremes read from the eigenvalues
+in the scaled coordinates, which costs less there than a structured form
+whose fixed cost grows with q.
 
 The primal iterate is held as (u, τ) with slack X = F(u) + τI: τ is the
 shift that makes the start strictly feasible (0 when it already is), and
@@ -33,23 +39,37 @@ a primal step of length α multiplies it by 1 − α.  The primal residual
 F(u) − X is therefore −τI exactly, and no slack is carried beside u.
 
 The iteration is the standard Nesterov-Todd-scaled Mehrotra
-predictor-corrector.  The scaling point R is computed from the factors
-of the primal slack X and the dual S via one SVD, which makes
-R⁻¹XR⁻ᴴ = RᴴSR diagonal; the Newton system is reduced to the n×n Schur
+predictor-corrector.  The scaling point R comes from one Hermitian
+eigendecomposition LxᴴSLx = VΛ²Vᴴ of the dual S in the coordinates of
+the slack factor, R⁻¹ = Λ^½VᴴLx⁻¹, which makes R⁻¹XR⁻ᴴ = RᴴSR = Λ
+(:func:`_nt_scaling`); the Newton system is reduced to the n×n Schur
 complement ``schur(R⁻ᴴR⁻¹)`` in u, factored by a dense Cholesky LLᵀ whose
 inverse factor is formed once, so each of the two solves per iteration
 is the pair of products L⁻ᵀ(L⁻¹g).  That L⁻¹ and, on small blocks, the
 slack factor's inverse come from a blocked recursion (:func:`_tri_inv`)
 that inverts a k×k factor in about k³/3 flops of matrix products, where
 a general LU inverse takes about 8k³/3.  Scaled constraint matrices
-R⁻¹F_iR⁻ᴴ are never formed: the right-hand side is
-``adjoint(R⁻ᴴ·Y·R⁻¹)`` and the scaled step is R⁻¹·dX·R⁻ᴴ.  Per
-iteration the solver itself costs O(N³) in the NT scaling (one dual
-Cholesky factorization, one SVD and the products that form R⁻¹ and the
-scaled steps) and the two dual boundary-step eigenvalue problems, and
-about 2n³/3 flops in the Schur Cholesky factorization and its triangular
-inverse, plus three ``apply``, three ``adjoint`` and one ``schur`` call,
-and one ``factor`` and two ``max_step`` calls or their dense forms.
+R⁻¹F_iR⁻ᴴ are never formed: the corrector's right-hand side is
+``adjoint(R⁻ᴴ·Y·R⁻¹)`` and the scaled step is R⁻¹·dX·R⁻ᴴ.  The
+predictor's Y = −Λ needs neither: R⁻ᴴ(−Λ)R⁻¹ = −S, so its right-hand
+side is −c (plus ``adjoint(τG²)`` from a shifted start).  Its dual
+direction is −Λ − R⁻¹·dX·R⁻ᴴ, so both predictor step lengths follow from
+the extremes of L⁻¹·dX·L⁻ᴴ, to which Λ^-½·R⁻¹·dX·R⁻ᴴ·Λ^-½ is unitarily
+similar.  Per iteration the solver itself costs O(N³) in the NT scaling
+(one ``eigh`` and the products that form LxᴴSLx, R⁻¹ and the scaled
+steps) and one ``eigvalsh`` for the corrector's dual step, and about
+2n³/3 flops in the Schur Cholesky factorization and its triangular
+inverse, plus three ``apply``, two ``adjoint`` (three from a shifted
+start) and one ``schur`` call, and one ``factor`` and two
+``scaled_extremes`` calls or their dense forms (two more ``eigvalsh``).
+
+Accuracy of the scaling: the eigendecomposition of LxᴴSLx resolves Λ²,
+whose spread is the square of the NT spread, where an SVD of LzᴴLx
+(Lz a Cholesky factor of S) resolves Λ itself.  Near the end of a solve
+the spread grows as the complementary eigenvalues part; at a spread of
+1e7 on N = 103, RᴴSR = Λ holds to about 2.5e-10 of λ_max, against
+1.5e-14 through the SVD, while R⁻¹XR⁻ᴴ = Λ holds to roundoff in both.  Every
+benchmark solve takes the same iterations either way.
 """
 
 from __future__ import annotations
@@ -66,7 +86,6 @@ NUMERICAL_TROUBLE = "NumericalTrouble"
 
 #: Reasons a solve ends in ``NumericalTrouble``.
 SLACK_CHOLESKY = "slack Cholesky failed"
-DUAL_CHOLESKY = "dual Cholesky failed"
 NT_EIGENVALUE = "non-positive Nesterov-Todd eigenvalue"
 SCHUR_CHOLESKY = "Schur Cholesky failed after regularisation"
 STALL = "steps stalled"
@@ -78,11 +97,13 @@ _STEP_DAMPING = 0.98
 _MIN_STEP = 1e-10
 #: Largest block :func:`_tri_inv` hands to the general inverse.
 _TRI_LEAF = 48
-#: Smallest block on which the operator's ``factor`` and ``max_step`` are
-#: used.  Below it a dense Cholesky factorization and the eigenvalue step in
-#: the scaled coordinates cost less than the many small products of a
-#: structured form.
-_STRUCTURED_MIN = 32
+#: The operator's ``factor`` and ``scaled_extremes`` are used on blocks of at
+#: least ``_STRUCTURED_MIN + _STRUCTURED_PER_TARGET·q`` rows.  Below that a
+#: dense Cholesky factorization and the eigenvalues in the scaled coordinates
+#: cost less than the many small products of a structured form, whose 2q
+#: companion eigenproblem grows with q.
+_STRUCTURED_MIN = 20
+_STRUCTURED_PER_TARGET = 2.5
 
 
 @dataclass
@@ -99,7 +120,11 @@ class SdpResult:
     dual constraints only approximately, and on the Holevo SDP of
     ``qubit_xy_at_z(0.5)`` with W = diag(1, 0) it reads 1.000000012 above
     the true optimum 1 at ``dinfeas`` 2.3e-16.  ``reason`` names what
-    failed when ``status`` is ``NumericalTrouble`` and is empty otherwise.
+    failed when ``status`` is ``NumericalTrouble`` and is empty otherwise:
+    the slack's Cholesky factorization (X not positive definite), a
+    non-positive eigenvalue of LxᴴSLx in the Nesterov-Todd scaling (S not
+    positive definite), the Schur Cholesky factorization after
+    regularisation, or steps that stalled.
     """
 
     u: np.ndarray
@@ -146,14 +171,36 @@ def _herm(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().T) / 2
 
 
-def _boundary_step(lam: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with diag(lam) + alpha*delta ⪰ 0 (inf -> large cap)."""
+def _nt_scaling(lx: np.ndarray, lx_inv: np.ndarray, dual: np.ndarray):
+    """Nesterov-Todd scaling of the slack X = Lx·Lxᴴ and the dual S.
+
+    Returns (λ, R⁻¹) with R⁻¹XR⁻ᴴ = RᴴSR = diag(λ), or None when an
+    eigenvalue of LxᴴSLx is not positive.  One Hermitian eigendecomposition
+    LxᴴSLx = VΛ²Vᴴ gives R⁻¹ = Λ^½VᴴLx⁻¹: then R⁻¹XR⁻ᴴ = Λ, and
+    RᴴSR = Λ^-½Vᴴ(LxᴴSLx)VΛ^-½ = Λ.
+    """
+    lam_sq, vecs = np.linalg.eigh(lx.conj().T @ dual @ lx)  # reads the lower triangle
+    if lam_sq[0] <= 0:
+        return None
+    lam = np.sqrt(lam_sq)
+    return lam, np.sqrt(lam)[:, None] * (vecs.conj().T @ lx_inv)
+
+
+def _scaled_extremes(lam: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
+    """(λ_min, λ_max) of diag(lam)^-½ · delta · diag(lam)^-½."""
     scale = 1.0 / np.sqrt(lam)
-    scaled = delta * scale[:, None] * scale[None, :]
-    min_eig = float(np.linalg.eigvalsh(_herm(scaled)).min())
-    if min_eig >= -1e-16:
-        return np.inf
-    return -1.0 / min_eig
+    eigs = np.linalg.eigvalsh(_herm(delta * scale[:, None] * scale[None, :]))
+    return float(eigs[0]), float(eigs[-1])
+
+
+def _step_length(min_eig: float) -> float:
+    """Largest alpha with I + alpha*K ⪰ 0 for λ_min(K) = ``min_eig`` (inf if unbounded)."""
+    return np.inf if min_eig >= -1e-16 else -1.0 / min_eig
+
+
+def _boundary_step(lam: np.ndarray, delta: np.ndarray) -> float:
+    """Largest alpha with diag(lam) + alpha*delta ⪰ 0 (inf if unbounded)."""
+    return _step_length(_scaled_extremes(lam, delta)[0])
 
 
 def solve_lmi(
@@ -172,8 +219,8 @@ def solve_lmi(
     c : (n,) objective vector.
     f0 : (N, N) Hermitian constant term.
     op : the constraint matrices F_1 … F_n, as an object with the
-        ``apply``/``adjoint``/``schur``/``factor``/``max_step`` methods
-        described in the module docstring.
+        ``apply``/``adjoint``/``schur``/``factor``/``scaled_extremes``
+        methods and the ``q`` attribute described in the module docstring.
     u0 : optional start; the slack F(u0) is shifted to be safely positive
         definite, so strict feasibility of u0 is helpful but not required.
     s0 : optional positive-definite dual start.
@@ -183,7 +230,7 @@ def solve_lmi(
     n = c.shape[0]
     dim = f0.shape[0]
     eye = np.eye(dim)
-    structured = dim >= _STRUCTURED_MIN
+    structured = dim >= _STRUCTURED_MIN + _STRUCTURED_PER_TARGET * op.q
 
     def slack(u: np.ndarray, tau: float) -> np.ndarray:
         x = _herm(f0 + op.apply(u))
@@ -235,17 +282,11 @@ def solve_lmi(
         except np.linalg.LinAlgError:
             status, reason = NUMERICAL_TROUBLE, SLACK_CHOLESKY
             break
-        lz = _chol(dual)
-        if lz is None:
-            status, reason = NUMERICAL_TROUBLE, DUAL_CHOLESKY
-            break
-
-        # Nesterov-Todd scaling point: R^{-1} X R^{-H} = R^H S R = diag(lam)
-        _, lam, vh = np.linalg.svd(lz.conj().T @ lx)
-        if lam.min() <= 0:
+        scaling = _nt_scaling(lx, lx_inv, dual)
+        if scaling is None:
             status, reason = NUMERICAL_TROUBLE, NT_EIGENVALUE
             break
-        r_inv = (lam ** 0.5)[:, None] * (vh @ lx_inv)
+        lam, r_inv = scaling
         r_inv_h = r_inv.conj().T
         g_mat = r_inv_h @ r_inv
 
@@ -264,14 +305,13 @@ def solve_lmi(
         chol_inv = _tri_inv(chol_b)  # schur⁻¹ = L⁻ᵀ L⁻¹, applied as two products
         # The primal residual X − F(u) = τI, scaled to R⁻¹τIR⁻ᴴ, enters the
         # right-hand side as R⁻ᴴ(R⁻¹τIR⁻ᴴ)R⁻¹ = τG².
-        shift = tau * (g_mat @ g_mat) if tau else None
+        shift = op.adjoint(tau * (g_mat @ g_mat)) if tau else 0.0
 
-        def primal_step(dx, dlam_x):
-            return op.max_step(lx_inv, dx) if structured else _boundary_step(lam, dlam_x)
+        def extremes(dx, dlam_x):
+            """(λ_min, λ_max) of L⁻¹·dx·L⁻ᴴ, unitarily similar to Λ^-½·dlam_x·Λ^-½."""
+            return op.scaled_extremes(lx_inv, dx) if structured else _scaled_extremes(lam, dlam_x)
 
-        def direction(y_mat):
-            rhs = r_inv_h @ y_mat @ r_inv
-            g = op.adjoint(rhs if shift is None else rhs + shift) - rd
+        def direction(g, y_mat):
             du = chol_inv.T @ (chol_inv @ g)
             dx = op.apply(du)  # the slack moves by dx per unit step, τI shrinking with it
             if tau:
@@ -280,13 +320,16 @@ def solve_lmi(
             return du, dx, dlam_x, _herm(y_mat - dlam_x)
 
         mu = gap / dim
-
-        # predictor
-        y_aff = -np.diag(lam).astype(complex)
-        _, dx_aff, dlx_aff, dlz_aff = direction(y_aff)
-        ap_aff = min(1.0, primal_step(dx_aff, dlx_aff))
-        ad_aff = min(1.0, _boundary_step(lam, dlz_aff))
         lam_mat = np.diag(lam)
+
+        # predictor: Y = −Λ, whose right-hand side R⁻ᴴ(−Λ)R⁻¹ = −S cancels the
+        # adjoint(S) in rd.  Its dual direction is −Λ − dlx_aff, so
+        # Λ^-½(Λ + α·dlz_aff)Λ^-½ = (1 − α)I − αK with K = Λ^-½·dlx_aff·Λ^-½,
+        # and both step lengths follow from K's extreme eigenvalues.
+        _, dx_aff, dlx_aff, dlz_aff = direction(shift - c, -lam_mat)
+        k_min, k_max = extremes(dx_aff, dlx_aff)
+        ap_aff = min(1.0, _step_length(k_min))
+        ad_aff = 1.0 / (1.0 + k_max) if k_max > 0 else 1.0
         # tr(AB) as the elementwise sum of A∘Bᵀ
         gap_aff = float(
             np.einsum("ij,ji->", lam_mat + ap_aff * dlx_aff, lam_mat + ad_aff * dlz_aff).real
@@ -296,10 +339,10 @@ def solve_lmi(
         # corrector; both directions are Hermitian, so dlz·dlx = (dlx·dlz)ᴴ
         correction = _herm(dlx_aff @ dlz_aff)
         rhs = np.diag(sigma * mu - lam * lam) - correction
-        y_comb = 2.0 * rhs / (lam[:, None] + lam[None, :])
-        du, dx, dlam_x, dlam_z = direction(_herm(y_comb))
+        y_comb = _herm(2.0 * rhs / (lam[:, None] + lam[None, :]))
+        du, dx, dlam_x, dlam_z = direction(op.adjoint(r_inv_h @ y_comb @ r_inv) + shift - rd, y_comb)
 
-        alpha_p = min(1.0, _STEP_DAMPING * primal_step(dx, dlam_x))
+        alpha_p = min(1.0, _STEP_DAMPING * _step_length(extremes(dx, dlam_x)[0]))
         alpha_d = min(1.0, _STEP_DAMPING * _boundary_step(lam, dlam_z))
         if alpha_p < _MIN_STEP and alpha_d < _MIN_STEP:
             stalls += 1

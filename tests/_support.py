@@ -96,11 +96,14 @@ def random_model(
 class DenseOperator:
     """The constraint matrices of :func:`qcrb.sdp.solve_lmi` held as a dense
     (n, N, N) array: the reference the structured operators are checked
-    against, and the operator of the generic LMIs in the tests."""
+    against, and the operator of the generic LMIs in the tests.  ``q`` is
+    the order of the structured operator it stands in for, so that
+    :func:`qcrb.sdp.solve_lmi` picks the same route for both."""
 
-    def __init__(self, fs: np.ndarray):
+    def __init__(self, fs: np.ndarray, q: int = 0):
         self.fs = np.asarray(fs, dtype=complex)
         self.n = self.fs.shape[0]
+        self.q = q
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return np.tensordot(u, self.fs, axes=(0, 0))
@@ -116,11 +119,11 @@ class DenseOperator:
         low = np.linalg.cholesky(x)
         return low, _tri_inv(low)
 
-    def max_step(self, low_inv: np.ndarray, dx: np.ndarray) -> float:
-        """−1/λ_min of L⁻¹·dx·L⁻ᴴ, or inf when that is not negative."""
+    def scaled_extremes(self, low_inv: np.ndarray, dx: np.ndarray) -> tuple[float, float]:
+        """(λ_min, λ_max) of L⁻¹·dx·L⁻ᴴ."""
         scaled = low_inv @ dx @ low_inv.conj().T
-        min_eig = float(np.linalg.eigvalsh((scaled + scaled.conj().T) / 2).min())
-        return np.inf if min_eig >= -1e-16 else -1.0 / min_eig
+        eigs = np.linalg.eigvalsh((scaled + scaled.conj().T) / 2)
+        return float(eigs[0]), float(eigs[-1])
 
 
 def epigraph_matrices(q: int, cols: np.ndarray) -> np.ndarray:

@@ -205,7 +205,7 @@ class TestVerifySolution:
 
 
 def dense_epigraph(q, cols):
-    return DenseOperator(epigraph_matrices(q, cols))
+    return DenseOperator(epigraph_matrices(q, cols), q)
 
 
 def solve_with(operator, model, monkeypatch):
@@ -291,21 +291,24 @@ class TestEpigraphOperator:
             _, dense_inv = dense.factor(x)
             for scale in (0.1, 1.0, 10.0):
                 dx = op.apply(scale * rng.normal(size=op.n)) - tau * eye
-                want = dense.max_step(dense_inv, dx)
-                assert np.isfinite(want)
-                assert op.max_step(low_inv, dx) == pytest.approx(want, rel=1e-10)
+                want = dense.scaled_extremes(dense_inv, dx)
+                assert np.isfinite(sdp._step_length(want[0]))
+                got = op.scaled_extremes(low_inv, dx)
+                assert got == pytest.approx(want, rel=1e-10)
+                assert sdp._step_length(got[0]) == pytest.approx(sdp._step_length(want[0]), rel=1e-10)
 
             # a direction that only grows the slack: unbounded without a shift,
             # limited by the vanishing τI otherwise
             du = np.zeros(op.n)
             du[:a.size] = np.where(a == b, 1.0, 0.0)
             dx = op.apply(du) - tau * eye
-            got, want = op.max_step(low_inv, dx), dense.max_step(dense_inv, dx)
+            got, want = op.scaled_extremes(low_inv, dx), dense.scaled_extremes(dense_inv, dx)
+            assert got[1] == pytest.approx(want[1], rel=1e-10)
             if tau == 0.0:  # dx ⪰ 0, with N − q zero eigenvalues
-                assert got == np.inf
-                assert want > 1e12  # the dense eigenvalues straddle 0 at roundoff
+                assert sdp._step_length(got[0]) == np.inf
+                assert sdp._step_length(want[0]) > 1e12  # the dense eigenvalues straddle 0 at roundoff
             else:
-                assert got == pytest.approx(want, rel=1e-10)
+                assert got[0] == pytest.approx(want[0], rel=1e-10)
 
     def test_factor_rejects_indefinite_slack(self):
         op = EpigraphOperator(1, np.ones((2, 1), dtype=complex))
@@ -342,7 +345,62 @@ class TestEpigraphOperator:
 
         sol = solve_with(Counting, fixture("random_full_rank", [3, 4, 3, 2]), monkeypatch)
         assert sol.status == "Optimal" and sol.iterations == 9
-        assert calls == {"apply": 3 * sol.iterations + 1, "adjoint": 3 * sol.iterations + 1}
+        # the predictor's right-hand side is −c: no adjoint call
+        assert calls == {"apply": 3 * sol.iterations + 1, "adjoint": 2 * sol.iterations + 1}
+
+    @pytest.mark.parametrize("params, structured", [
+        ([3, 5, 8, 8], False),  # q = 8, N = 33: the dense route is cheaper
+        ([3, 6, 3, 3], True),   # q = 3, N = 39
+        ([3, 5, 3, 1], True),   # q = 1, N = 26
+        ([3, 4, 3, 1], False),  # q = 1, N = 17
+    ])
+    def test_route_by_size_and_targets(self, params, structured, monkeypatch):
+        """The structured slack factor is used only where it costs less: its
+        fixed cost grows with q, the dense one with N."""
+        calls = []
+
+        class Counting(EpigraphOperator):
+            def factor(self, x):
+                calls.append(x.shape[0])
+                return super().factor(x)
+
+        sol = solve_with(Counting, fixture("random_full_rank", params), monkeypatch)
+        assert sol.status == "Optimal"
+        assert len(calls) == (sol.iterations if structured else 0)
+
+    @pytest.mark.parametrize("threshold", [0, 10 ** 9])
+    def test_predictor_dual_step_from_primal_extremes(self, threshold, monkeypatch):
+        """On every iterate of a solve, on both routes, 1/(1 + λ_max) of the
+        predictor's scaled primal direction dlx equals the boundary step of
+        its dual direction −Λ − dlx."""
+        monkeypatch.setattr(sdp, "_STRUCTURED_MIN", threshold)
+        scalings, calls = [], []  # calls: (Λ, dlx, extremes), three per iteration
+        nt_scaling, scaled_extremes = sdp._nt_scaling, sdp._scaled_extremes
+
+        def recording_scaling(lx, lx_inv, dual):
+            scalings.append(nt_scaling(lx, lx_inv, dual))
+            return scalings[-1]
+
+        def recording_extremes(lam, delta):
+            calls.append((lam, delta, scaled_extremes(lam, delta)))
+            return calls[-1][2]
+
+        class Recording(EpigraphOperator):
+            def scaled_extremes(self, low_inv, dx):
+                lam, r_inv = scalings[-1]
+                calls.append((lam, sdp._herm(r_inv @ dx @ r_inv.conj().T),
+                              super().scaled_extremes(low_inv, dx)))
+                return calls[-1][2]
+
+        monkeypatch.setattr(sdp, "_nt_scaling", recording_scaling)
+        monkeypatch.setattr(sdp, "_scaled_extremes", recording_extremes)
+        sol = solve_with(Recording, fixture("random_full_rank", [3, 5, 3, 3]), monkeypatch)
+        assert sol.status == "Optimal"
+        assert len(calls) == 3 * sol.iterations  # predictor, corrector primal, corrector dual
+        for lam, dlx_aff, (_, k_max) in calls[::3]:
+            old = min(1.0, sdp._boundary_step(lam, -np.diag(lam) - dlx_aff))
+            new = 1.0 / (1.0 + k_max) if k_max > 0 else 1.0
+            assert new == pytest.approx(old, rel=1e-10)
 
     def test_shifted_start_on_both_routes(self, monkeypatch):
         """From an infeasible start (τ > 0) both routes reach the closed-form optimum.

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcrb import linalg
-from qcrb.sdp import NUMERICAL_TROUBLE, OPTIMAL, SCHUR_CHOLESKY, _tri_inv, solve_lmi
+from qcrb.sdp import (NT_EIGENVALUE, NUMERICAL_TROUBLE, OPTIMAL, SCHUR_CHOLESKY, _nt_scaling, _tri_inv,
+                      solve_lmi)
 from _support import DenseOperator
 
 
@@ -115,6 +116,15 @@ class TestSolveLmi:
         assert res.reason == SCHUR_CHOLESKY
         assert solve_lmi(c, f0, op).reason == ""
 
+    def test_indefinite_dual_ends_with_nt_eigenvalue(self):
+        rng = np.random.default_rng(6)
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        c, f0, op = epigraph_instance(g @ g.conj().T, np.eye(2))
+        res = solve_lmi(c, f0, op, s0=-5.0 * np.eye(2))  # shifted by I, still indefinite
+        assert res.status == NUMERICAL_TROUBLE
+        assert res.reason == NT_EIGENVALUE
+        assert res.iterations == 0
+
 
 def cholesky_factor(rng, n, cond, complex_):
     """Cholesky factor of a random positive definite matrix with condition number ``cond``."""
@@ -137,3 +147,26 @@ class TestTriInv:
             got = _tri_inv(low)
             assert got.dtype == low.dtype
             assert np.linalg.norm(low @ got - eye) <= 10 * np.linalg.norm(low @ np.linalg.inv(low) - eye)
+
+
+def positive_definite(rng, n, cond):
+    """Random complex positive definite matrix with condition number ``cond``."""
+    low = cholesky_factor(rng, n, cond, True)
+    return low @ low.conj().T
+
+
+class TestNtScaling:
+    """R⁻¹ from one eigendecomposition scales the slack and the dual to the same diag(λ)."""
+
+    @pytest.mark.parametrize("n", [20, 103])
+    @pytest.mark.parametrize("cond_x, cond_s", [(1.0, 1.0), (1e6, 1.0), (1.0, 1e6), (1e3, 1e3), (1e6, 1e6)])
+    def test_slack_and_dual_scale_to_diag(self, n, cond_x, cond_s):
+        rng = np.random.default_rng(n + int(np.log10(cond_x)) + 10 * int(np.log10(cond_s)))
+        for _ in range(2):
+            x, s = positive_definite(rng, n, cond_x), positive_definite(rng, n, cond_s)
+            lx = np.linalg.cholesky(x)
+            lam, r_inv = _nt_scaling(lx, _tri_inv(lx), s)
+            assert np.all(lam > 0)
+            r = np.linalg.inv(r_inv)
+            for got in (r_inv @ x @ r_inv.conj().T, r.conj().T @ s @ r):
+                assert np.abs(got - np.diag(lam)).max() <= 1e-11 * lam.max()
