@@ -65,6 +65,19 @@ def _diag(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
+def _check_solver_flags(args) -> None:
+    """Reject a ``--tol``, ``--max-iter`` or ``--rank-tol`` outside the range
+    where it means anything, naming the flag."""
+    if not hasattr(args, "tol"):
+        return
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be a finite number > 0, got {args.tol!r}")
+    if args.max_iter < 0:
+        raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
+    if not 0 <= args.rank_tol < 1:
+        raise ValueError(f"--rank-tol must be a finite number in [0, 1), got {args.rank_tol!r}")
+
+
 def _tolerances(args) -> dict:
     return {"sdp_gap": args.tol, "max_iter": args.max_iter, "rank_tol": args.rank_tol}
 
@@ -344,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_solver_flags(args)
         return args.func(args)
     except tuple(cls for cls, _, _ in FAILURES) as exc:
         code, prefix = next((code, prefix) for cls, code, prefix in FAILURES if isinstance(exc, cls))

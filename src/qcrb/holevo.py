@@ -110,8 +110,12 @@ class EpigraphOperator:
 
     A slack of this LMI is X = [[V′, Mᴴ], [M, cI]]: F0's lower-right block
     is I and no F_i touches it, so c = 1 + τ.  :meth:`factor` and
-    :meth:`scaled_extremes` rest on that form, which reduces them to q×q work.
-    This is the operator :func:`qcrb.sdp.solve_lmi` takes.
+    :meth:`scaled_extremes` rest on that form, which reduces them to q×q work,
+    and :meth:`factor_congruence` and :meth:`times_factor_inv` on the block
+    form of its factor, which reduces products with it to O(N²q).  Every
+    Σ u_i F_i touches only the first q rows and columns, so
+    :meth:`congruence` with it costs O(N²q) too.  This is the operator
+    :func:`qcrb.sdp.solve_lmi` takes.
     """
 
     def __init__(self, q: int, cols: np.ndarray):
@@ -149,6 +153,18 @@ class EpigraphOperator:
         left = np.vstack([mat[:q, :q], self.cols.conj().T @ mat[q:, :q]])  # Ĉᴴ T[:, :q]
         right = np.hstack([mat[:q, :q], mat[:q, q:] @ self.cols])  # T[:q, :] Ĉ
         return self.w * (left[self.k, self.t] + right[self.t, self.k]).real
+
+    def adjoint_congruence(self, a: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """:meth:`adjoint` (aᴴ·y·a) for Hermitian y, in O(N²q).
+
+        F_i touches only the first q rows and columns, so the adjoint of a
+        Hermitian T reads only T[:, :q]: T[:q, :]Ĉ = (ĈᴴT[:, :q])ᴴ, and the
+        two terms of :meth:`adjoint` are equal.
+        """
+        q = self.q
+        first = a.conj().T @ (y @ a[:, :q])  # (aᴴya)[:, :q]
+        left = np.vstack([first[:q], self.cols.conj().T @ first[q:]])
+        return 2.0 * self.w * left[self.k, self.t].real
 
     def schur(self, g: np.ndarray) -> np.ndarray:
         """[Re tr(G F_i G F_j)]_ij for Hermitian G."""
@@ -203,6 +219,47 @@ class EpigraphOperator:
         low_inv[d_r:, :q] = l_r_inv
         low_inv[d_r:, q:] = l_r_inv @ m_h / -c
         return low, low_inv
+
+    def factor_congruence(self, low: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        """Lᴴ·mat·L for L as returned by :meth:`factor`.
+
+        L = E_q·[Mᴴ/√c, L_R] + √c·P, with E_q the first q columns of I and
+        P = [[0, 0], [I, 0]] (the identity block d·r × d·r), so each of the
+        two products costs O(N²q).
+        """
+        q = self.q
+        d_r = self.cols.shape[0]
+        root_c = low[q, 0].real
+        top = low[:q]
+        right = mat[:, :q] @ top  # mat·L
+        right[:, :d_r] += root_c * mat[:, q:]
+        out = top.conj().T @ right[:q]
+        out[:d_r] += root_c * right[q:]
+        return out
+
+    def times_factor_inv(self, mat: np.ndarray, low_inv: np.ndarray) -> np.ndarray:
+        """mat·L⁻¹ for L⁻¹ = [[0, I/√c], [L_R⁻¹, −L_R⁻¹Mᴴ/c]] from :meth:`factor`.
+
+        L⁻¹'s first d·r rows are unit rows scaled by 1/√c, so the product
+        costs O(N²q).
+        """
+        d_r = self.cols.shape[0]
+        out = mat[:, d_r:] @ low_inv[d_r:]
+        out[:, self.q:] += mat[:, :d_r] * low_inv[0, self.q].real
+        return out
+
+    def congruence(self, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """a·t·aᴴ for t = :meth:`apply` (u), in O(N²q).
+
+        t is the arrow H·E_qᴴ + E_q·Hᴴ, H its first q columns with the q×q
+        block halved, so a·t·aᴴ = B·A_qᴴ + A_q·Bᴴ with B = a·H and A_q the
+        first q columns of a.
+        """
+        q = self.q
+        arrow = t[:, :q].copy()
+        arrow[:q] *= 0.5
+        half = (a @ arrow) @ a[:, :q].conj().T
+        return half + half.conj().T
 
     def scaled_extremes(self, low_inv: np.ndarray, dx: np.ndarray) -> tuple[float, float]:
         """(λ_min, λ_max) of L⁻¹·dx·L⁻ᴴ, L⁻¹ as returned by :meth:`factor`.

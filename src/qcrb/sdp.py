@@ -13,55 +13,75 @@ The constraint matrices F_i are never stored.  The solver reaches them
 through an operator, which lets the caller keep them in whatever factored
 form their structure allows:
 
-    apply(u)                  Σ_i u_i F_i                  (N×N Hermitian)
-    adjoint(T)                (Re tr F_i T)_i              (n,)
-    schur(G)                  [Re tr(G F_i G F_j)]_ij       (n×n), G Hermitian PD
-    factor(X)                 (L, L⁻¹) with L Lᴴ = X       for a slack X ≻ 0
-    scaled_extremes(L⁻¹, dX)  (λ_min, λ_max) of L⁻¹·dX·L⁻ᴴ
-    q                         order of the block ``factor`` and
-                              ``scaled_extremes`` reduce their work to
+    apply(u)                    Σ_i u_i F_i                (N×N Hermitian)
+    adjoint(T)                  (Re tr F_i T)_i            (n,)
+    schur(G)                    [Re tr(G F_i G F_j)]_ij     (n×n), G Hermitian PD
+    factor(X)                   (L, L⁻¹) with L Lᴴ = X     for a slack X ≻ 0
+    factor_congruence(L, S)     Lᴴ·S·L                     for L from ``factor``
+    times_factor_inv(A, L⁻¹)    A·L⁻¹                      for L⁻¹ from ``factor``
+    congruence(A, T)            A·T·Aᴴ                     for T = apply(u)
+    adjoint_congruence(A, Y)    adjoint(Aᴴ·Y·A)            for Hermitian Y
+    scaled_extremes(L⁻¹, dX)    (λ_min, λ_max) of L⁻¹·dX·L⁻ᴴ
+    q                           order of the block the structured methods
+                                reduce their work to
 
 The F_i must be linearly independent, so that ``schur`` of a positive
 definite G is positive definite.  ``factor`` raises ``LinAlgError`` when
 X is not positive definite.  ``scaled_extremes`` may count among the
 eigenvalues a value that changes no step length read from them: the
 primal step −1/λ_min and the predictor's dual step 1/(1 + λ_max) when
-λ_max > 0, else 1.  Both are handed only slacks X = F(u) + τI and
-directions dX = Σ_i du_i F_i − τI, and only on blocks of at least
-``_STRUCTURED_MIN + _STRUCTURED_PER_TARGET·q`` rows: a smaller slack is
-factored by a dense Cholesky, and its extremes read from the eigenvalues
-in the scaled coordinates, which costs less there than a structured form
-whose fixed cost grows with q.
+λ_max > 0, else 1.  ``factor`` and ``scaled_extremes`` are handed only
+slacks X = F(u) + τI and directions dX = Σ_i du_i F_i − τI.  The methods
+from ``factor`` on are used only on blocks of at least
+``_STRUCTURED_MIN + _STRUCTURED_PER_TARGET·q`` rows; a smaller block takes
+their dense forms (:class:`_DenseForms`), and its step lengths from the
+eigenvalues in the scaled coordinates, which costs less there than a
+structured form whose fixed cost grows with q.  The Holevo operator
+(:class:`qcrb.holevo.EpigraphOperator`) keeps F(u) an arrow that touches
+only q rows and columns besides a constant block, so each of its products
+costs O(N²q) where the dense form costs O(N³).
 
 The primal iterate is held as (u, τ) with slack X = F(u) + τI: τ is the
 shift that makes the start strictly feasible (0 when it already is), and
 a primal step of length α multiplies it by 1 − α.  The primal residual
 F(u) − X is therefore −τI exactly, and no slack is carried beside u.
+F0 is made Hermitian once, so every slack is exactly Hermitian.
 
 The iteration is the standard Nesterov-Todd-scaled Mehrotra
 predictor-corrector.  The scaling point R comes from one Hermitian
 eigendecomposition LxᴴSLx = VΛ²Vᴴ of the dual S in the coordinates of
 the slack factor, R⁻¹ = Λ^½VᴴLx⁻¹, which makes R⁻¹XR⁻ᴴ = RᴴSR = Λ
 (:func:`_nt_scaling`); the Newton system is reduced to the n×n Schur
-complement ``schur(R⁻ᴴR⁻¹)`` in u, factored by a dense Cholesky LLᵀ whose
-inverse factor is formed once, so each of the two solves per iteration
-is the pair of products L⁻ᵀ(L⁻¹g).  That L⁻¹ and, on small blocks, the
-slack factor's inverse come from a blocked recursion (:func:`_tri_inv`)
-that inverts a k×k factor in about k³/3 flops of matrix products, where
-a general LU inverse takes about 8k³/3.  Scaled constraint matrices
-R⁻¹F_iR⁻ᴴ are never formed: the corrector's right-hand side is
-``adjoint(R⁻ᴴ·Y·R⁻¹)`` and the scaled step is R⁻¹·dX·R⁻ᴴ.  The
-predictor's Y = −Λ needs neither: R⁻ᴴ(−Λ)R⁻¹ = −S, so its right-hand
-side is −c (plus ``adjoint(τG²)`` from a shifted start).  Its dual
-direction is −Λ − R⁻¹·dX·R⁻ᴴ, so both predictor step lengths follow from
-the extremes of L⁻¹·dX·L⁻ᴴ, to which Λ^-½·R⁻¹·dX·R⁻ᴴ·Λ^-½ is unitarily
-similar.  Per iteration the solver itself costs O(N³) in the NT scaling
-(one ``eigh`` and the products that form LxᴴSLx, R⁻¹ and the scaled
-steps) and one ``eigvalsh`` for the corrector's dual step, and about
-2n³/3 flops in the Schur Cholesky factorization and its triangular
-inverse, plus three ``apply``, two ``adjoint`` (three from a shifted
-start) and one ``schur`` call, and one ``factor`` and two
-``scaled_extremes`` calls or their dense forms (two more ``eigvalsh``).
+complement ``schur(G)``, G = R⁻ᴴR⁻¹, in u.  Its Cholesky factor L and
+L⁻¹ come together from one recursion (:func:`_cholesky_inverse`) that
+splits the matrix in halves and forms both from a few large matrix
+products, so each of the two solves per iteration is the pair of
+products L⁻ᵀ(L⁻¹g); the same routine factors the slack on small blocks.
+Scaled constraint matrices R⁻¹F_iR⁻ᴴ are never formed.  A slack
+direction is dX = T − τI with T = apply(du), so the scaled step is
+R⁻¹·dX·R⁻ᴴ = ``congruence(R⁻¹, T)`` − τR⁻¹R⁻ᴴ, and the corrector's
+right-hand side is ``adjoint_congruence(R⁻¹, Y)`` = adjoint(R⁻ᴴ·Y·R⁻¹).
+The predictor's Y = −Λ needs neither: R⁻ᴴ(−Λ)R⁻¹ = −S, so its
+right-hand side is −c (plus ``adjoint(τG²)`` from a shifted start).  Its
+dual direction is −Λ − R⁻¹·dX·R⁻ᴴ, so both predictor step lengths follow
+from the extremes of L⁻¹·dX·L⁻ᴴ, to which Λ^-½·R⁻¹·dX·R⁻ᴴ·Λ^-½ is
+unitarily similar.  The dual step lifts the difference,
+R⁻ᴴ·(Y − R⁻¹·dX·R⁻ᴴ)·R⁻¹: near the optimum the two terms nearly cancel,
+and lifting them apart as R⁻ᴴYR⁻¹ − G·dX·G would cost S digits.
+
+Per iteration, on the structured route from a strictly feasible start,
+the solver itself forms four N×N products (G, the corrector's
+second-order term and the two of the dual step) and runs one ``eigh``
+(the NT scaling) and one ``eigvalsh`` (the corrector's dual step); the
+operator's products cost O(N²q) each.  The Schur factorization takes
+about 7n³/6 flops, all but the leaves' in matrix products.  The operator
+calls are three ``apply``, one ``adjoint``, one ``adjoint_congruence``,
+one ``schur``, one ``factor``, ``factor_congruence`` and
+``times_factor_inv`` each, two ``congruence`` and two
+``scaled_extremes``.  A shifted start adds one ``adjoint`` and the two
+products of R⁻¹R⁻ᴴ and G² while τ > 0; a small block runs all of these
+as dense products, with two more ``eigvalsh`` in place of
+``scaled_extremes``.
 
 Accuracy of the scaling: the eigendecomposition of LxᴴSLx resolves Λ²,
 whose spread is the square of the NT spread, where an SVD of LzᴴLx
@@ -95,7 +115,7 @@ FEAS_TOL = 1e-8
 
 _STEP_DAMPING = 0.98
 _MIN_STEP = 1e-10
-#: Largest block :func:`_tri_inv` hands to the general inverse.
+#: Largest block :func:`_cholesky_inverse` hands to ``np.linalg.cholesky`` and ``np.linalg.inv``.
 _TRI_LEAF = 48
 #: The operator's ``factor`` and ``scaled_extremes`` are used on blocks of at
 #: least ``_STRUCTURED_MIN + _STRUCTURED_PER_TARGET·q`` rows.  Below that a
@@ -141,55 +161,87 @@ class SdpResult:
     reason: str = ""
 
 
-def _chol(mat: np.ndarray) -> np.ndarray | None:
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return None
+def _cholesky_inverse(mat: np.ndarray, low: np.ndarray | None = None,
+                      low_inv: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(L, L⁻¹) with L Lᴴ = ``mat`` for a Hermitian positive definite matrix.
 
-
-def _tri_inv(low: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower-triangular matrix.
-
-    Recursive 2×2 blocking, [[A, 0], [B, C]]⁻¹ = [[A⁻¹, 0], [−C⁻¹BA⁻¹, C⁻¹]],
-    with the general inverse only on leaves of at most ``_TRI_LEAF`` rows.
+    Recursive 2×2 blocking: for mat = [[A, Bᴴ], [B, C]] with A = L₁L₁ᴴ and
+    L₂₁ = B·L₁⁻ᴴ, L = [[L₁, 0], [L₂₁, L₂]] with L₂L₂ᴴ = C − L₂₁L₂₁ᴴ and
+    L⁻¹ = [[L₁⁻¹, 0], [−L₂⁻¹L₂₁L₁⁻¹, L₂⁻¹]], so the factor and its inverse
+    come from a few large matrix products; ``np.linalg.cholesky`` and
+    ``np.linalg.inv`` run only on leaves of at most ``_TRI_LEAF`` rows.  The
+    recursion writes into the blocks of ``low`` and ``low_inv``, which the
+    outermost call allocates.  Reads the lower triangle of ``mat`` only, and
+    raises ``LinAlgError`` when ``mat`` is not positive definite.
     """
-    n = low.shape[0]
+    if low is None:
+        low, low_inv = np.zeros_like(mat), np.zeros_like(mat)
+    n = mat.shape[0]
     if n <= _TRI_LEAF:
-        return np.linalg.inv(low)
+        low[...] = np.linalg.cholesky(mat)
+        low_inv[...] = np.linalg.inv(low)
+        return low, low_inv
     h = n // 2
-    a_inv = _tri_inv(low[:h, :h])
-    c_inv = _tri_inv(low[h:, h:])
-    out = np.zeros_like(low)
-    out[:h, :h] = a_inv
-    out[h:, h:] = c_inv
-    out[h:, :h] = -(c_inv @ (low[h:, :h] @ a_inv))
-    return out
+    _cholesky_inverse(mat[:h, :h], low[:h, :h], low_inv[:h, :h])
+    l_b = np.matmul(mat[h:, :h], low_inv[:h, :h].conj().T, out=low[h:, :h])
+    _cholesky_inverse(mat[h:, h:] - l_b @ l_b.conj().T, low[h:, h:], low_inv[h:, h:])
+    off = np.matmul(low_inv[h:, h:], l_b @ low_inv[:h, :h], out=low_inv[h:, :h])
+    np.negative(off, out=off)
+    return low, low_inv
 
 
 def _herm(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().T) / 2
 
 
-def _nt_scaling(lx: np.ndarray, lx_inv: np.ndarray, dual: np.ndarray):
+class _DenseForms:
+    """The operator's ``factor``, ``factor_congruence``, ``times_factor_inv``,
+    ``congruence`` and ``adjoint_congruence`` as plain dense products, for
+    blocks below the structured threshold."""
+
+    factor = staticmethod(_cholesky_inverse)
+
+    def __init__(self, op):
+        self.adjoint = op.adjoint
+
+    @staticmethod
+    def factor_congruence(low: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        return low.conj().T @ mat @ low
+
+    @staticmethod
+    def times_factor_inv(mat: np.ndarray, low_inv: np.ndarray) -> np.ndarray:
+        return mat @ low_inv
+
+    @staticmethod
+    def congruence(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return _herm(a @ t @ a.conj().T)
+
+    def adjoint_congruence(self, a: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.adjoint(a.conj().T @ y @ a)
+
+
+def _nt_scaling(forms, factor: tuple[np.ndarray, np.ndarray], dual: np.ndarray):
     """Nesterov-Todd scaling of the slack X = Lx·Lxᴴ and the dual S.
 
-    Returns (λ, R⁻¹) with R⁻¹XR⁻ᴴ = RᴴSR = diag(λ), or None when an
-    eigenvalue of LxᴴSLx is not positive.  One Hermitian eigendecomposition
-    LxᴴSLx = VΛ²Vᴴ gives R⁻¹ = Λ^½VᴴLx⁻¹: then R⁻¹XR⁻ᴴ = Λ, and
-    RᴴSR = Λ^-½Vᴴ(LxᴴSLx)VΛ^-½ = Λ.
+    ``factor`` is (Lx, Lx⁻¹) from ``forms.factor``, and ``forms`` the operator
+    or :class:`_DenseForms`, whose ``factor_congruence`` and
+    ``times_factor_inv`` form LxᴴSLx and Vᴴ·Lx⁻¹.  Returns (λ, R⁻¹) with
+    R⁻¹XR⁻ᴴ = RᴴSR = diag(λ), or None when an eigenvalue of LxᴴSLx is not
+    positive.  One Hermitian eigendecomposition LxᴴSLx = VΛ²Vᴴ gives
+    R⁻¹ = Λ^½VᴴLx⁻¹: then R⁻¹XR⁻ᴴ = Λ, and RᴴSR = Λ^-½Vᴴ(LxᴴSLx)VΛ^-½ = Λ.
     """
-    lam_sq, vecs = np.linalg.eigh(lx.conj().T @ dual @ lx)  # reads the lower triangle
+    lx, lx_inv = factor
+    lam_sq, vecs = np.linalg.eigh(forms.factor_congruence(lx, dual))  # reads the lower triangle
     if lam_sq[0] <= 0:
         return None
     lam = np.sqrt(lam_sq)
-    return lam, np.sqrt(lam)[:, None] * (vecs.conj().T @ lx_inv)
+    return lam, np.sqrt(lam)[:, None] * forms.times_factor_inv(vecs.conj().T, lx_inv)
 
 
 def _scaled_extremes(lam: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
-    """(λ_min, λ_max) of diag(lam)^-½ · delta · diag(lam)^-½."""
+    """(λ_min, λ_max) of diag(lam)^-½ · delta · diag(lam)^-½ for Hermitian delta."""
     scale = 1.0 / np.sqrt(lam)
-    eigs = np.linalg.eigvalsh(_herm(delta * scale[:, None] * scale[None, :]))
+    eigs = np.linalg.eigvalsh(delta * np.outer(scale, scale))
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -225,15 +277,17 @@ def solve_lmi(
         definite, so strict feasibility of u0 is helpful but not required.
     s0 : optional positive-definite dual start.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be a non-negative integer, got {max_iter}")
     c = np.asarray(c, dtype=float)
-    f0 = np.asarray(f0, dtype=complex)
+    f0 = _herm(np.asarray(f0, dtype=complex))  # every slack F(u) + τI is then exactly Hermitian
     n = c.shape[0]
     dim = f0.shape[0]
     eye = np.eye(dim)
-    structured = dim >= _STRUCTURED_MIN + _STRUCTURED_PER_TARGET * op.q
+    forms = op if dim >= _STRUCTURED_MIN + _STRUCTURED_PER_TARGET * op.q else _DenseForms(op)
 
     def slack(u: np.ndarray, tau: float) -> np.ndarray:
-        x = _herm(f0 + op.apply(u))
+        x = f0 + op.apply(u)
         return x + tau * eye if tau else x
 
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
@@ -258,9 +312,9 @@ def solve_lmi(
     for iteration in range(max_iter + 1):
         iterations = iteration
         rd = c - op.adjoint(dual)
-        gap = float(np.tensordot(x, dual.conj(), axes=([0, 1], [0, 1])).real)
+        gap = float(np.vdot(dual, x).real)
         pobj = float(c @ u)
-        dobj = -float(np.tensordot(f0, dual.conj(), axes=([0, 1], [0, 1])).real)
+        dobj = -float(np.vdot(dual, f0).real)
         relgap = gap / max(1.0, (abs(pobj) + abs(dobj)) / 2)
         pinf = tau * np.sqrt(dim) / f0_scale  # ‖F(u) − X‖_F = ‖τI‖_F
         dinf = np.linalg.norm(rd) / c_scale
@@ -274,15 +328,11 @@ def solve_lmi(
             break
 
         try:
-            if structured:
-                lx, lx_inv = op.factor(x)
-            else:
-                lx = np.linalg.cholesky(x)
-                lx_inv = _tri_inv(lx)
+            factor = forms.factor(x)
         except np.linalg.LinAlgError:
             status, reason = NUMERICAL_TROUBLE, SLACK_CHOLESKY
             break
-        scaling = _nt_scaling(lx, lx_inv, dual)
+        scaling = _nt_scaling(forms, factor, dual)
         if scaling is None:
             status, reason = NUMERICAL_TROUBLE, NT_EIGENVALUE
             break
@@ -292,32 +342,37 @@ def solve_lmi(
 
         schur = op.schur(g_mat)  # the Cholesky factorization reads its lower triangle only
         reg = 0.0
-        chol_b = None
         for _ in range(4):
-            chol_b = _chol(schur + reg * np.eye(n) if reg else schur)
-            if chol_b is not None:
+            try:
+                _, chol_inv = _cholesky_inverse(schur + reg * np.eye(n) if reg else schur)
                 break
-            reg = max(reg * 100, 1e-14 * max(schur.diagonal().max(), 1.0))
-        if chol_b is None:
+            except np.linalg.LinAlgError:
+                reg = max(reg * 100, 1e-14 * max(schur.diagonal().max(), 1.0))
+        else:
             status, reason = NUMERICAL_TROUBLE, SCHUR_CHOLESKY
             break
 
-        chol_inv = _tri_inv(chol_b)  # schur⁻¹ = L⁻ᵀ L⁻¹, applied as two products
-        # The primal residual X − F(u) = τI, scaled to R⁻¹τIR⁻ᴴ, enters the
+        # schur⁻¹ = L⁻ᵀ L⁻¹ is applied as two products.  A slack direction is
+        # dX = T − τI with T = apply(du), so R⁻¹·dX·R⁻ᴴ = R⁻¹TR⁻ᴴ − τR⁻¹R⁻ᴴ, and
+        # the primal residual X − F(u) = τI, scaled to R⁻¹τIR⁻ᴴ, enters the
         # right-hand side as R⁻ᴴ(R⁻¹τIR⁻ᴴ)R⁻¹ = τG².
-        shift = op.adjoint(tau * (g_mat @ g_mat)) if tau else 0.0
+        if tau:
+            r_gram = _herm(r_inv @ r_inv_h)
+            shift = op.adjoint(tau * (g_mat @ g_mat))
+        else:
+            shift = 0.0
 
         def extremes(dx, dlam_x):
             """(λ_min, λ_max) of L⁻¹·dx·L⁻ᴴ, unitarily similar to Λ^-½·dlam_x·Λ^-½."""
-            return op.scaled_extremes(lx_inv, dx) if structured else _scaled_extremes(lam, dlam_x)
+            return op.scaled_extremes(factor[1], dx) if forms is op else _scaled_extremes(lam, dlam_x)
 
-        def direction(g, y_mat):
+        def direction(g):
             du = chol_inv.T @ (chol_inv @ g)
-            dx = op.apply(du)  # the slack moves by dx per unit step, τI shrinking with it
+            t = op.apply(du)  # the slack moves by t − τI per unit step, τI shrinking with it
+            dlam_x = forms.congruence(r_inv, t)
             if tau:
-                dx = dx - tau * eye
-            dlam_x = _herm(r_inv @ dx @ r_inv_h)
-            return du, dx, dlam_x, _herm(y_mat - dlam_x)
+                return du, t - tau * eye, dlam_x - tau * r_gram
+            return du, t, dlam_x
 
         mu = gap / dim
         lam_mat = np.diag(lam)
@@ -326,7 +381,8 @@ def solve_lmi(
         # adjoint(S) in rd.  Its dual direction is −Λ − dlx_aff, so
         # Λ^-½(Λ + α·dlz_aff)Λ^-½ = (1 − α)I − αK with K = Λ^-½·dlx_aff·Λ^-½,
         # and both step lengths follow from K's extreme eigenvalues.
-        _, dx_aff, dlx_aff, dlz_aff = direction(shift - c, -lam_mat)
+        _, dx_aff, dlx_aff = direction(shift - c)
+        dlz_aff = -lam_mat - dlx_aff
         k_min, k_max = extremes(dx_aff, dlx_aff)
         ap_aff = min(1.0, _step_length(k_min))
         ad_aff = 1.0 / (1.0 + k_max) if k_max > 0 else 1.0
@@ -339,8 +395,9 @@ def solve_lmi(
         # corrector; both directions are Hermitian, so dlz·dlx = (dlx·dlz)ᴴ
         correction = _herm(dlx_aff @ dlz_aff)
         rhs = np.diag(sigma * mu - lam * lam) - correction
-        y_comb = _herm(2.0 * rhs / (lam[:, None] + lam[None, :]))
-        du, dx, dlam_x, dlam_z = direction(op.adjoint(r_inv_h @ y_comb @ r_inv) + shift - rd, y_comb)
+        y_comb = 2.0 * rhs / (lam[:, None] + lam[None, :])  # exactly Hermitian
+        du, dx, dlam_x = direction(forms.adjoint_congruence(r_inv, y_comb) + shift - rd)
+        dlam_z = y_comb - dlam_x
 
         alpha_p = min(1.0, _STEP_DAMPING * _step_length(extremes(dx, dlam_x)[0]))
         alpha_d = min(1.0, _STEP_DAMPING * _boundary_step(lam, dlam_z))

@@ -16,7 +16,6 @@ from qcrb import linalg
 from qcrb.gaussian import GaussianMeasurement, GaussianShiftModel, _sum_cm
 from qcrb.model import QuantumModel
 from qcrb.povm import DiscretePovm, born_probs
-from qcrb.sdp import _tri_inv
 from qcrb.sld import analyze, infeasible_columns
 
 
@@ -117,7 +116,19 @@ class DenseOperator:
 
     def factor(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         low = np.linalg.cholesky(x)
-        return low, _tri_inv(low)
+        return low, np.linalg.inv(low)
+
+    def factor_congruence(self, low: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        return low.conj().T @ mat @ low
+
+    def times_factor_inv(self, mat: np.ndarray, low_inv: np.ndarray) -> np.ndarray:
+        return mat @ low_inv
+
+    def congruence(self, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return a @ t @ a.conj().T
+
+    def adjoint_congruence(self, a: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.adjoint(a.conj().T @ y @ a)
 
     def scaled_extremes(self, low_inv: np.ndarray, dx: np.ndarray) -> tuple[float, float]:
         """(λ_min, λ_max) of L⁻¹·dx·L⁻ᴴ."""

@@ -120,6 +120,21 @@ class TestBounds:
         assert main(["bounds", xy_model_file, "--max-iter", "1"]) == 3
         assert "solver failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-iter", "-1"),
+        ("--tol", "nan"),
+        ("--tol", "-1"),
+        ("--rank-tol", "nan"),
+        ("--rank-tol", "2"),
+        ("--rank-tol", "-1"),
+    ])
+    def test_rejects_invalid_solver_flag(self, xy_model_file, flag, value, capsys):
+        assert main(["bounds", xy_model_file, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {flag} must be") and value in captured.err
+
     def test_numerical_trouble_reason_reported(self, xy_model_file, monkeypatch, capsys):
         class NegativeSchur(holevo.EpigraphOperator):
             def schur(self, g):

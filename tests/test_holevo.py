@@ -402,6 +402,69 @@ class TestEpigraphOperator:
             new = 1.0 / (1.0 + k_max) if k_max > 0 else 1.0
             assert new == pytest.approx(old, rel=1e-10)
 
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_structured_products_match_dense_on_every_iterate(self, shifted, monkeypatch):
+        """Each product the structured route takes from the operator's block
+        forms equals its dense form on every iterate of a solve, from a
+        strictly feasible start (τ = 0) and from a shifted one (τ > 0).
+
+        The bound is relative to the product of the factors' norms, the scale
+        at which both forms round: near the optimum a congruence cancels to
+        far below it (LxᴴSLx to 1e-9 of it here) in either form alike.
+        """
+        calls = dict.fromkeys(["factor_congruence", "times_factor_inv", "congruence", "adjoint_congruence"], 0)
+        taus = []
+
+        class Checking(EpigraphOperator):
+            def __init__(self, q, cols):
+                super().__init__(q, cols)
+                self.dense = dense_epigraph(q, cols)
+
+            def compare(self, name, args, factors):
+                got = getattr(super(), name)(*args)
+                want = getattr(self.dense, name)(*args)
+                scale = np.prod([np.linalg.norm(f, 2) for f in factors])
+                assert np.abs(got - want).max() <= 1e-12 * scale
+                calls[name] += 1
+                return got
+
+            def factor(self, x):
+                taus.append(x[self.q, self.q].real - 1.0)  # the lower-right block is (1 + τ)I
+                return super().factor(x)
+
+            def factor_congruence(self, low, mat):
+                return self.compare("factor_congruence", (low, mat), (low, mat, low))
+
+            def times_factor_inv(self, mat, low_inv):
+                return self.compare("times_factor_inv", (mat, low_inv), (mat, low_inv))
+
+            def congruence(self, a, t):
+                return self.compare("congruence", (a, t), (a, t, a))
+
+            def adjoint_congruence(self, a, y):
+                return self.compare("adjoint_congruence", (a, y), (a, y, a, self.cols))
+
+        monkeypatch.setattr(sdp, "_STRUCTURED_MIN", 0)
+        if shifted:
+            rng = np.random.default_rng(7)
+            q, d_r, m = 2, 6, 3
+            op = Checking(q, rng.normal(size=(d_r, m)) + 1j * rng.normal(size=(d_r, m)))
+            f0 = np.zeros((q + d_r,) * 2, dtype=complex)
+            f0[q:, :q] = rng.normal(size=(d_r, q)) + 1j * rng.normal(size=(d_r, q))
+            f0[:q, q:] = f0[q:, :q].conj().T
+            f0[q:, q:] = np.eye(d_r)
+            a, b = np.triu_indices(q)
+            res = sdp.solve_lmi(np.concatenate([np.where(a == b, 1.0, 0.0), np.zeros(q * m)]), f0, op)
+            status, iterations = res.status, res.iterations
+            assert taus[0] > 0
+        else:
+            sol = solve_with(Checking, fixture("random_full_rank", [3, 5, 3, 3]), monkeypatch)
+            status, iterations = sol.status, sol.iterations
+            assert max(taus) == 0.0
+        assert status == "Optimal"
+        assert calls == {"factor_congruence": iterations, "times_factor_inv": iterations,
+                         "congruence": 2 * iterations, "adjoint_congruence": iterations}
+
     def test_shifted_start_on_both_routes(self, monkeypatch):
         """From an infeasible start (τ > 0) both routes reach the closed-form optimum.
 

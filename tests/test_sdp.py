@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcrb import linalg
-from qcrb.sdp import (NT_EIGENVALUE, NUMERICAL_TROUBLE, OPTIMAL, SCHUR_CHOLESKY, _nt_scaling, _tri_inv,
-                      solve_lmi)
+from qcrb.sdp import (NT_EIGENVALUE, NUMERICAL_TROUBLE, OPTIMAL, SCHUR_CHOLESKY, _cholesky_inverse,
+                      _DenseForms, _nt_scaling, solve_lmi)
 from _support import DenseOperator
 
 
@@ -94,6 +94,11 @@ class TestSolveLmi:
         assert np.array_equal(res.u, u0)
         assert res.pobj == c @ u0
 
+    def test_rejects_negative_max_iter(self):
+        c, f0, op = epigraph_instance(np.eye(2, dtype=complex), np.eye(2))
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_lmi(c, f0, op, max_iter=-1)
+
     def test_respects_tight_tolerance(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -126,16 +131,17 @@ class TestSolveLmi:
         assert res.iterations == 0
 
 
-def cholesky_factor(rng, n, cond, complex_):
-    """Cholesky factor of a random positive definite matrix with condition number ``cond``."""
+def positive_definite(rng, n, cond, complex_=True):
+    """Random positive definite matrix with condition number ``cond``."""
     a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0.0)
     u, _ = np.linalg.qr(a)
     mat = (u * np.logspace(0.0, -np.log10(cond), n)) @ u.conj().T
-    return np.linalg.cholesky((mat + mat.conj().T) / 2)
+    return (mat + mat.conj().T) / 2
 
 
 class TestTriInv:
-    """The blocked triangular inverse against numpy's general inverse."""
+    """The recursive Cholesky factor and its inverse against numpy's
+    Cholesky factorization and general inverse."""
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("n", [1, 47, 48, 49, 97, 300])
@@ -143,16 +149,34 @@ class TestTriInv:
         rng = np.random.default_rng(n + 1000 * complex_)
         eye = np.eye(n)
         for cond in (1e2, 1e8):
-            low = cholesky_factor(rng, n, cond, complex_)
-            got = _tri_inv(low)
-            assert got.dtype == low.dtype
-            assert np.linalg.norm(low @ got - eye) <= 10 * np.linalg.norm(low @ np.linalg.inv(low) - eye)
+            mat = positive_definite(rng, n, cond, complex_)
+            low, low_inv = _cholesky_inverse(mat)
+            assert low.dtype == low_inv.dtype == mat.dtype
+            assert np.linalg.norm(low @ low.conj().T - mat) <= 1e-14 * np.linalg.norm(mat)
+            numpy_inv = np.linalg.inv(np.linalg.cholesky(mat))
+            assert (np.linalg.norm(low_inv.conj().T @ low_inv @ mat - eye)
+                    <= 10 * np.linalg.norm(numpy_inv.conj().T @ numpy_inv @ mat - eye))
 
+    def test_reads_the_lower_triangle_only(self):
+        mat = positive_definite(np.random.default_rng(3), 97, 1e3)
+        got = _cholesky_inverse(np.tril(mat))
+        want = _cholesky_inverse(mat)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
-def positive_definite(rng, n, cond):
-    """Random complex positive definite matrix with condition number ``cond``."""
-    low = cholesky_factor(rng, n, cond, True)
-    return low @ low.conj().T
+    def test_rejects_negative_trailing_schur_complement(self):
+        """H = L·D·Lᴴ with one negative entry of D past the first leaf: the
+        leading block is positive definite, the trailing Schur complement is not."""
+        n = 97
+        rng = np.random.default_rng(97)
+        low = np.tril(rng.normal(size=(n, n)), -1) + np.eye(n)
+        d = np.ones(n)
+        d[80] = -1.0
+        mat = (low * d) @ low.T
+        assert np.linalg.eigvalsh(mat[:48, :48]).min() > 0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(mat)
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_inverse(mat)
 
 
 class TestNtScaling:
@@ -164,8 +188,7 @@ class TestNtScaling:
         rng = np.random.default_rng(n + int(np.log10(cond_x)) + 10 * int(np.log10(cond_s)))
         for _ in range(2):
             x, s = positive_definite(rng, n, cond_x), positive_definite(rng, n, cond_s)
-            lx = np.linalg.cholesky(x)
-            lam, r_inv = _nt_scaling(lx, _tri_inv(lx), s)
+            lam, r_inv = _nt_scaling(_DenseForms, _cholesky_inverse(x), s)
             assert np.all(lam > 0)
             r = np.linalg.inv(r_inv)
             for got in (r_inv @ x @ r_inv.conj().T, r.conj().T @ s @ r):
