@@ -2,7 +2,8 @@
 
 Computes the three scalar bounds on the weighted mean square error of
 locally unbiased measurements — the generalized Helstrom bound, the
-D-matrix bound, and the Holevo bound (by semidefinite programming) — on
+D-matrix bound, and the Holevo bound (by semidefinite programming, or as
+the D-matrix bound on D-invariant models) — on
 finite-dimensional models and Gaussian shift models, and provides POVM
 audits against the matrix Cramér-Rao inequalities.
 """

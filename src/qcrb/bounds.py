@@ -47,11 +47,13 @@ def sandwich(analysis: ModelAnalysis) -> ClosedFormBounds:
 
     The check allows 1e-9 relative to max(1, c_gs), so that roundoff on a
     weak signal's large bounds passes; a real violation raises
-    :class:`VerificationFailed`.
+    :class:`VerificationFailed`.  A c_d that passes above 2 c_gs is
+    returned as 2 c_gs: ‖√W Im Z √W‖₁ ≤ tr W Re Z for Z = Z(X_eff) ⪰ 0, so
+    the excess is roundoff (pure states, where c_d = 2 c_gs, show it).
     """
     gs = c_gs(analysis)
     d = c_d(analysis)
     slack = 1e-9 * max(1.0, gs)
     if not (gs <= d + slack and d <= 2 * gs + slack):
         raise VerificationFailed(f"bound ordering violated: c_gs={gs!r}, c_d={d!r}")
-    return ClosedFormBounds(c_gs=gs, c_d=d)
+    return ClosedFormBounds(c_gs=gs, c_d=min(d, 2 * gs))

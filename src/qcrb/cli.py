@@ -23,7 +23,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gaussian as gaussian_mod
 from . import holevo, linalg, povm as povm_mod, sdp
-from .exceptions import IllDefinedFim, InfeasibleModel, NotLocallyUnbiased, VerificationFailed
+from .exceptions import (IllDefinedFim, InfeasibleModel, NotLocallyUnbiased, ResidualTooLarge,
+                         VerificationFailed)
 from .model import FIXTURE_NAMES, fixture, load_model, model_to_dict, save_model, validate
 from .sld import analyze
 
@@ -31,6 +32,9 @@ EXIT_OK = 0
 EXIT_FILE = 1
 EXIT_REJECTED = 2
 EXIT_SOLVER = 3
+
+#: The smallest relative duality gap ``--tol`` may ask for: roundoff sets the floor.
+_EPS = float(np.finfo(float).eps)
 
 #: Exit code and stderr prefix per error class; the first matching row
 #: wins, so the more specific classes come first.  ``ModelError`` is a
@@ -70,12 +74,22 @@ def _check_solver_flags(args) -> None:
     where it means anything, naming the flag."""
     if not hasattr(args, "tol"):
         return
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be a finite number > 0, got {args.tol!r}")
+    if not (np.isfinite(args.tol) and args.tol >= _EPS):
+        raise ValueError(f"--tol must be a finite number >= {_EPS!r} (machine epsilon), got {args.tol!r}")
     if args.max_iter < 0:
         raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
     if not 0 <= args.rank_tol < 1:
         raise ValueError(f"--rank-tol must be a finite number in [0, 1), got {args.rank_tol!r}")
+
+
+def _analyze(model, args):
+    """:func:`qcrb.sld.analyze` with ``--rank-tol``; an SLD equation left
+    unsolved names the flag and the support rank it kept."""
+    try:
+        return analyze(model, args.rank_tol)
+    except ResidualTooLarge as exc:
+        raise ResidualTooLarge(f"{exc} (--rank-tol {args.rank_tol!r} kept support rank "
+                               f"{exc.support_rank} of {model.dim})") from None
 
 
 def _tolerances(args) -> dict:
@@ -93,7 +107,7 @@ def _bound_pipeline(analysis, args):
     t0 = time.perf_counter()
     closed = bounds_mod.sandwich(analysis)
     t1 = time.perf_counter()
-    sol = holevo.solve(analysis, tol=args.tol, max_iter=args.max_iter)
+    sol = holevo.solve(analysis, closed, tol=args.tol, max_iter=args.max_iter)
     t2 = time.perf_counter()
     report = {
         "model_label": model.label,
@@ -105,6 +119,7 @@ def _bound_pipeline(analysis, args):
         "duality_gap": sol.duality_gap,
         "solver_status": sol.status,
         "iterations": sol.iterations,
+        "c_h_method": sol.method,
         "tolerances": _tolerances(args),
     }
     timings = {"closed_forms_s": t1 - t0, "sdp_s": t2 - t1}
@@ -137,7 +152,8 @@ def _emit_bound_report(report: dict, timings: dict, args) -> None:
         f"{_fmt(report['c_gs'])} <= {_fmt(report['c_h'])} <= "
         f"{_fmt(report['c_d'])} <= {_fmt(report['two_c_gs'])}"
     )
-    lines.append(f"solver: {report['solver_status']} after {report['iterations']} iterations, "
+    method = "" if report["c_h_method"] == holevo.SDP else f" (c_h_method {report['c_h_method']})"
+    lines.append(f"solver: {report['solver_status']} after {report['iterations']} iterations{method}, "
                  f"relative gap {_fmt(report['duality_gap'])}")
     if "unbias_residual" in report:
         lines.append(f"verification: unbiasedness residual {_fmt(report['unbias_residual'])}")
@@ -145,7 +161,7 @@ def _emit_bound_report(report: dict, timings: dict, args) -> None:
 
 
 def cmd_bounds(args) -> int:
-    report, sol, timings, code = _bound_pipeline(analyze(load_model(args.model), args.rank_tol), args)
+    report, sol, timings, code = _bound_pipeline(_analyze(load_model(args.model), args), args)
     if code == EXIT_SOLVER:
         status = f"{sol.status} ({sol.reason})" if sol.reason else sol.status
         _diag(f"solver failed: status {status} after {sol.iterations} iterations "
@@ -199,7 +215,7 @@ def cmd_gaussian(args) -> int:
 def cmd_check_povm(args) -> int:
     povm = povm_mod.load_povm(args.povm)
     model = load_model(args.model)
-    analysis = analyze(model, args.rank_tol)
+    analysis = _analyze(model, args)
     q = model.n_targets
     beta = np.array([float(x) for x in args.beta.split(",")]) if args.beta else np.zeros(q)
     if beta.shape != (q,):
@@ -222,6 +238,7 @@ def cmd_check_povm(args) -> int:
         "c_gs": breport["c_gs"],
         "c_h": breport["c_h"],
         "c_d": breport["c_d"],
+        "c_h_method": breport["c_h_method"],
         "tolerances": _tolerances(args),
     }
     if args.format == "json":
@@ -258,7 +275,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         model = fixture(args.fixture, [value] + fixed)
         validate(model)
-        report, sol, _, code = _bound_pipeline(analyze(model, args.rank_tol), args)
+        report, sol, _, code = _bound_pipeline(_analyze(model, args), args)
         if code != EXIT_OK:
             _diag(f"solver failed at param {value!r}: {sol.status}")
             return EXIT_SOLVER

@@ -41,7 +41,12 @@ class KernelBlockDerivative(ModelError):
 
 
 class ResidualTooLarge(ModelError):
-    """A Lyapunov solve left a residual above tolerance."""
+    """A Lyapunov solve left a residual above tolerance; ``support_rank`` is
+    the rank of rho's support it was solved on."""
+
+    def __init__(self, message: str, support_rank: int | None = None):
+        super().__init__(message)
+        self.support_rank = support_rank
 
 
 class InfeasibleModel(ModelError):

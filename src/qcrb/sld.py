@@ -3,10 +3,12 @@
 :func:`analyze` computes, once per model, everything the three bounds
 read: the eigendecomposition of rho and its support/kernel split, the
 symmetric logarithmic derivatives, J = Re Z(L) and D = Im Z(L), the rank
-and pseudoinverse of J, and the efficient influence operators
-(dbeta)ᵀ J⁺ L.  Every rank decision — rho's support, the SLD kernel
-block, the rank of J and the feasibility verdict — is taken with the one
-relative ``rank_tol`` it is given.
+and pseudoinverse of J, the efficient influence operators (dbeta)ᵀ J⁺ L,
+and how far the SLD span is from being closed under the commutation
+superoperator 𝒟_ρ (which decides whether c_h = c_d).  Every rank
+decision — rho's support, the SLD kernel block, the rank of J and the
+feasibility verdict — is taken with the one relative ``rank_tol`` it is
+given.
 
 The Lyapunov equation drho_j = rho ∘ L_j is solved in the eigenbasis of
 rho; on rank-deficient states the kernel×kernel block of L_j is set to
@@ -28,6 +30,7 @@ __all__ = [
     "ModelAnalysis",
     "analyze",
     "compute_slds",
+    "d_invariance_residual",
     "information",
     "infeasible_columns",
 ]
@@ -46,6 +49,7 @@ class ModelAnalysis:
     reconstruction ``residuals``; ``qfim`` = J is symmetric and ``dmat`` = D
     antisymmetric to the bit.  ``x_eff`` (q, d, d) are the efficient
     influence operators, ``z_eff`` = Z(X_eff) and ``root_weight`` = √W.
+    ``d_invariance_residual`` is :func:`d_invariance_residual` of the SLDs.
     Only estimable models have an analysis (:func:`analyze` raises
     otherwise), so no consumer checks feasibility again.
     """
@@ -64,6 +68,7 @@ class ModelAnalysis:
     x_eff: np.ndarray
     z_eff: np.ndarray
     root_weight: np.ndarray
+    d_invariance_residual: float
 
 
 def compute_slds(rho: np.ndarray, drho: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray,
@@ -92,11 +97,41 @@ def compute_slds(rho: np.ndarray, drho: np.ndarray, eigvals: np.ndarray, eigvecs
         res = np.linalg.norm(linalg.jordan_product(rho, lj) - dj)
         if res > RESIDUAL_TOL:
             raise ResidualTooLarge(
-                f"SLD equation for parameter {j} left residual {res:.3e} > {RESIDUAL_TOL:.1e}"
+                f"SLD equation for parameter {j} left residual {res:.3e} > {RESIDUAL_TOL:.1e}",
+                support_rank=int(np.count_nonzero(support)),
             )
         slds.append(lj)
         residuals.append(res)
     return np.array(slds), np.array(residuals)
+
+
+def d_invariance_residual(slds: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray,
+                          support: np.ndarray) -> float:
+    """How far span_R{L_j} is from being closed under 𝒟_ρ, as one relative residual.
+
+    In the eigenbasis of rho, (𝒟L)_ab = 2i (λ_b − λ_a)/(λ_a + λ_b) L_ab on
+    every pair touching the ``support`` and 0 on the kernel×kernel block;
+    𝒟L is the Hermitian solution of rho ∘ 𝒟L = i[L, rho].  Returns the
+    largest, over j, of ‖𝒟L_j − P 𝒟L_j‖_F / ‖L_j‖_F, P being the real
+    least-squares projection onto the span of the SLDs (0 for L_j = 0).
+    The span is 𝒟-invariant exactly when this is 0.  The scale is ‖L_j‖,
+    not ‖𝒟L_j‖, so that a commuting model written in another frame, whose
+    𝒟L_j is roundoff, measures roundoff too.
+    """
+    p, dim = slds.shape[0], eigvals.size
+    if p == 0:
+        return 0.0
+    l_eig = eigvecs.conj().T @ slds @ eigvecs
+    pair_sums = eigvals[:, None] + eigvals[None, :]
+    factor = np.zeros_like(pair_sums)
+    np.divide(2.0 * (eigvals[None, :] - eigvals[:, None]), pair_sums, out=factor,
+              where=support[:, None] | support[None, :])
+    span = np.ascontiguousarray(l_eig).reshape(p, dim * dim).view(float).T  # real (2d², p)
+    image = np.ascontiguousarray(1j * factor * l_eig).reshape(p, dim * dim).view(float).T
+    coef, *_ = np.linalg.lstsq(span, image, rcond=None)
+    norms = np.linalg.norm(span, axis=0)
+    misfit = np.linalg.norm(image - span @ coef, axis=0)
+    return float(np.divide(misfit, norms, out=np.zeros(p), where=norms > 0).max())
 
 
 def information(slds: np.ndarray, rho: np.ndarray,
@@ -178,4 +213,5 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
         x_eff=x_eff,
         z_eff=linalg.z_matrix(x_eff, rho),
         root_weight=linalg.psd_sqrt(model.weight),
+        d_invariance_residual=d_invariance_residual(slds, eigvals, eigvecs, support),
     )

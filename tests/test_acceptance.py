@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from qcrb import linalg
-from qcrb.bounds import c_d, c_gs
+from qcrb.bounds import c_d, c_gs, sandwich
 from qcrb.cli import main
 from qcrb.gaussian import GaussianMeasurement, GaussianShiftModel, gaussian_qfim, half_qfim_check
 from qcrb.holevo import solve
@@ -45,7 +45,7 @@ def solve_bounds(model):
     analysis = analyze(model)
     gs = c_gs(analysis)
     dd = c_d(analysis)
-    sol = solve(analysis, tol=1e-9)
+    sol = solve(analysis, sandwich(analysis), tol=1e-9)
     return gs, sol, dd
 
 

@@ -42,6 +42,14 @@ def xy_model_file(tmp_path):
 
 
 @pytest.fixture
+def sdp_model_file(tmp_path):
+    """A model that is not D-invariant, so ``bounds`` runs the SDP."""
+    path = tmp_path / "d3.json"
+    save_model(fixture("random_full_rank", [3, 3, 2, 2]), path)
+    return str(path)
+
+
+@pytest.fixture
 def vacuum_file(tmp_path):
     path = tmp_path / "vac.json"
     save_gaussian_model(
@@ -80,6 +88,39 @@ class TestBounds:
         assert "timings" not in json.loads(captured.out)
         assert "verify_s=" in captured.err
 
+    def test_d_invariant_short_cut_reported(self, xy_model_file, sdp_model_file, capsys):
+        assert main(["bounds", xy_model_file, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["c_h_method"] == "d_invariant" and report["iterations"] == 0
+        assert report["c_gs"] <= report["c_h"] == report["c_d"] <= report["two_c_gs"]
+        assert main(["bounds", xy_model_file]) == 0
+        assert "solver: Optimal after 0 iterations (c_h_method d_invariant), " in capsys.readouterr().out
+        assert main(["bounds", sdp_model_file, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["c_h_method"] == "sdp" and report["iterations"] > 0
+        assert main(["bounds", sdp_model_file]) == 0
+        assert "c_h_method" not in capsys.readouterr().out
+
+    def test_weak_signal_pure_qubit(self, tmp_path, capsys):
+        """∂ρ × 1e-6 scales every bound by 1e12; the D-invariant short cut
+        needs no SDP, which does not survive that scale."""
+        model = fixture("pure_qubit_angles", [1.4025641025641025, 0.3])
+        path = tmp_path / "weak.json"
+        save_model(QuantumModel(dim=2, rho=model.rho, drho=model.drho * 1e-6, dbeta=model.dbeta,
+                                weight=model.weight), path)
+        assert main(["bounds", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["c_h_method"] == "d_invariant" and report["verified"] is True
+        assert report["c_h"] == report["c_d"] == pytest.approx(4e12, rel=1e-12)
+
+    def test_coarse_rank_tol_named(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        save_model(fixture("random_full_rank", [3, 8, 3, 3]), path)
+        assert main(["bounds", str(path), "--rank-tol", "0.999"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: SLD equation for parameter 0")
+        assert "(--rank-tol 0.999 kept support rank 1 of 8)" in err
+
     def test_include_x_opt(self, xy_model_file, capsys):
         assert main(["bounds", xy_model_file, "--format", "json", "--include-x-opt"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -116,14 +157,15 @@ class TestBounds:
         assert "not estimable" in err
         assert "[0]" in err
 
-    def test_solver_failure_exit_3(self, xy_model_file, capsys):
-        assert main(["bounds", xy_model_file, "--max-iter", "1"]) == 3
+    def test_solver_failure_exit_3(self, sdp_model_file, capsys):
+        assert main(["bounds", sdp_model_file, "--max-iter", "1"]) == 3
         assert "solver failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-iter", "-1"),
         ("--tol", "nan"),
         ("--tol", "-1"),
+        ("--tol", "1e-300"),  # below machine epsilon: no gap that small is reachable
         ("--rank-tol", "nan"),
         ("--rank-tol", "2"),
         ("--rank-tol", "-1"),
@@ -135,13 +177,13 @@ class TestBounds:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: {flag} must be") and value in captured.err
 
-    def test_numerical_trouble_reason_reported(self, xy_model_file, monkeypatch, capsys):
+    def test_numerical_trouble_reason_reported(self, sdp_model_file, monkeypatch, capsys):
         class NegativeSchur(holevo.EpigraphOperator):
             def schur(self, g):
                 return -np.eye(self.n)
 
         monkeypatch.setattr(holevo, "EpigraphOperator", NegativeSchur)
-        assert main(["bounds", xy_model_file]) == 3
+        assert main(["bounds", sdp_model_file]) == 3
         assert "NumericalTrouble (Schur Cholesky failed after regularisation)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, edit", [
@@ -273,6 +315,7 @@ class TestCheckPovm:
         assert report["tr_w_sigma"] == pytest.approx(1.0, abs=1e-9)
         assert report["c_gs"] == pytest.approx(1.0, abs=1e-9)
         assert report["c_h"] == pytest.approx(1.0, abs=1e-7)
+        assert report["c_h_method"] == "d_invariant"  # a commuting model: 𝒟L = 0
         assert report["min_eig_sigma_minus_v"] == pytest.approx(0.0, abs=1e-9)
         assert report["min_eig_sigma_minus_z"] == pytest.approx(0.0, abs=1e-9)
 
@@ -338,6 +381,14 @@ class TestSweep:
         vals = [float(x) for x in capsys.readouterr().out.strip().splitlines()[1].split(",")]
         assert vals[1] == pytest.approx(vals[2], abs=1e-7)  # c_gs == c_h
         assert vals[1] == pytest.approx(vals[3], abs=1e-9)  # c_gs == c_d
+
+    def test_pure_state_rows_print_ordered_floats(self, capsys):
+        """Every row is D-invariant, so c_h = c_d; c_d = 2·c_gs on pure states,
+        and a c_d that rounds above 2·c_gs (the second row) is printed as it."""
+        assert main(["sweep", "pure_qubit_angles", "0.4:2.7:5", "--fixed", "0.3"]) == 0
+        for line in capsys.readouterr().out.strip().splitlines()[1:]:
+            _, gs, h, d, two_gs, gap = (float(x) for x in line.split(","))
+            assert gs <= h == d <= two_gs and gap == 0.0
 
     def test_grid_syntax(self, capsys):
         assert main(["sweep", "qubit_xy_at_z", "0:0.8:5"]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcrb import holevo, sdp
+from qcrb import holevo, linalg, sdp
 from qcrb.bounds import ClosedFormBounds, c_d, c_gs, sandwich
 from qcrb.exceptions import InfeasibleModel, VerificationFailed
 from qcrb.holevo import EpigraphOperator, solve, verify_solution
@@ -12,7 +12,7 @@ from qcrb.model import QuantumModel, fixture
 from qcrb.povm import unbiasedness_residual
 from qcrb.sld import analyze
 from _support import (DenseOperator, direct_holevo_oracle, epigraph_matrices, holevo_objective,
-                      random_hermitian, random_model)
+                      random_hermitian, random_model, random_weight)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -25,6 +25,11 @@ def diag_model(w):
         dbeta=np.array([[1.0]]),
         weight=np.array([[1.0]]),
     )
+
+
+def solve_model(model):
+    analysis = analyze(model)
+    return solve(analysis, sandwich(analysis))
 
 
 def captured_operator(model, monkeypatch):
@@ -77,26 +82,26 @@ class TestSolve:
     def test_scalar_model_collapses_to_c_gs(self):
         for w in (0.0, 0.3, 0.8):
             m = diag_model(w)
-            sol = solve(analyze(m))
+            sol = solve_model(m)
             assert sol.status == "Optimal"
             assert sol.c_h == pytest.approx(1 - w * w, abs=1e-7)
 
     def test_commuting_model_collapses_to_c_gs(self):
         m = fixture("classical_diagonal", [0.2, 0.3])
         analysis = analyze(m)
-        sol = solve(analysis)
+        sol = solve(analysis, sandwich(analysis))
         assert sol.c_h == pytest.approx(c_gs(analysis), abs=1e-7)
 
     def test_transverse_qubit_within_sandwich(self):
         m = fixture("qubit_xy_at_z", [0.5])
-        sol = solve(analyze(m))
+        sol = solve_model(m)
         assert 2.0 - 1e-7 <= sol.c_h <= 3.0 + 1e-7
         assert sol.c_h <= 4.0 + 1e-7
 
     def test_transverse_qubit_matches_direct_oracle(self):
         rng = np.random.default_rng(2)
         m = fixture("qubit_xy_at_z", [0.5])
-        sol = solve(analyze(m))
+        sol = solve_model(m)
         oracle = direct_holevo_oracle(m, rng)
         assert sol.c_h == pytest.approx(oracle, abs=1e-5)
 
@@ -104,7 +109,7 @@ class TestSolve:
         rng = np.random.default_rng(3)
         for _ in range(8):
             m = random_model(rng, d=3, p=2, q=2, weighted=True)
-            sol = solve(analyze(m))
+            sol = solve_model(m)
             assert sol.status == "Optimal"
             assert sol.duality_gap <= 1e-8
             assert sol.dual_residual <= 1e-8
@@ -123,7 +128,7 @@ class TestSolve:
         for _ in range(5):
             m = random_model(rng, d=3, p=2, q=2, rank=2, weighted=True)
             analysis = analyze(m)
-            sol = solve(analysis)
+            sol = solve(analysis, sandwich(analysis))
             kern = analysis.eigvecs[:, ~analysis.support]
             shifted = sol.x_opt + np.array(
                 [kern @ random_hermitian(block_rng, kern.shape[1]) @ kern.conj().T for _ in sol.x_opt])
@@ -136,7 +141,7 @@ class TestSolve:
         the full basis, kernel×kernel direction included."""
         rng = np.random.default_rng(7)
         m = fixture("pure_qubit_angles", [1.0, 0.2])
-        sol = solve(analyze(m))
+        sol = solve_model(m)
         assert sol.status == "Optimal"
         assert sol.c_h == pytest.approx(direct_holevo_oracle(m, rng), abs=1e-5)
 
@@ -148,7 +153,7 @@ class TestSolve:
             q = int(rng.integers(1, p + 1))
             m = random_model(rng, d, p, q, weighted=True)
             analysis = analyze(m)
-            sol = solve(analysis)
+            sol = solve(analysis, sandwich(analysis))
             gs = c_gs(analysis)
             dd = c_d(analysis)
             assert sol.status == "Optimal"
@@ -160,8 +165,8 @@ class TestVerifySolution:
     def test_accepts_optimal_solution(self):
         m = fixture("qubit_xy_at_z", [0.3])
         analysis = analyze(m)
-        sol = solve(analysis)
         closed = sandwich(analysis)
+        sol = solve(analysis, closed)
         report = verify_solution(analysis, sol, closed)
         assert report.objective_deviation < 1e-7
         assert report.unbias_residual < 1e-8
@@ -170,7 +175,7 @@ class TestVerifySolution:
     def test_rejects_corrupted_minimizer(self):
         m = fixture("qubit_xy_at_z", [0.3])
         analysis = analyze(m)
-        sol = solve(analysis)
+        sol = solve(analysis, sandwich(analysis))
         corrupted = dataclasses.replace(sol, x_opt=sol.x_opt + 0.05 * SZ)
         with pytest.raises(VerificationFailed):
             verify_solution(analysis, corrupted, sandwich(analysis))
@@ -178,8 +183,8 @@ class TestVerifySolution:
     def test_rejects_closed_forms_below_c_h(self):
         # this model is D-invariant, so c_h = c_d = 2.6; a c_d below c_h breaks the ordering
         analysis = analyze(fixture("qubit_xy_at_z", [0.3]))
-        sol = solve(analysis)
         closed = sandwich(analysis)
+        sol = solve(analysis, closed)
         low = ClosedFormBounds(c_gs=closed.c_gs, c_d=sol.c_h * (1 - 1e-3))
         with pytest.raises(VerificationFailed, match="bound ordering violated"):
             verify_solution(analysis, sol, low)
@@ -187,7 +192,7 @@ class TestVerifySolution:
     def test_rejects_non_optimal_status(self):
         m = fixture("qubit_xy_at_z", [0.3])
         analysis = analyze(m)
-        sol = solve(analysis, max_iter=1)
+        sol = holevo._solve_sdp(analysis, max_iter=1)
         with pytest.raises(VerificationFailed, match="status"):
             verify_solution(analysis, sol, sandwich(analysis))
 
@@ -198,10 +203,82 @@ class TestVerifySolution:
             phi = rng.uniform(0, 2 * np.pi)
             m = fixture("pure_qubit_angles", [theta, phi])
             analysis = analyze(m)
-            sol = solve(analysis)
+            sol = solve(analysis, sandwich(analysis))
             gs = c_gs(analysis)
             assert sol.c_h / gs == pytest.approx(2.0, abs=1e-4)
             assert c_d(analysis) / gs == pytest.approx(2.0, abs=1e-8)
+
+
+def equatorial_qubit(rng, q):
+    """Full-rank qubit whose two derivatives span the plane orthogonal to its
+    Bloch vector (qubit_xy_at_z in a random frame): a D-invariant p = 2 model."""
+    r = rng.normal(size=3)
+    r *= rng.uniform(0.1, 0.9) / np.linalg.norm(r)
+    plane = np.linalg.svd(r[None, :])[2][1:]  # orthonormal rows orthogonal to r
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    rho = (np.eye(2) + np.tensordot(r, pauli, axes=1)) / 2
+    drho = np.tensordot(rng.normal(size=(2, 2)) @ plane, pauli, axes=1) / 2
+    return QuantumModel(dim=2, rho=rho, drho=drho, dbeta=rng.normal(size=(2, q)),
+                        weight=random_weight(rng, q))
+
+
+def short_cut_models():
+    """D-invariant models: the four fixtures, random pure qubits (p = 2) and
+    random full-rank qubits (p = 3, and p = 2 orthogonal to the Bloch vector)."""
+    rng = np.random.default_rng(20)
+    models = [fixture("qubit_xy_at_z", [0.5]), fixture("pure_qubit_angles", [1.0, 0.2]),
+              fixture("qubit_bloch", [0.1, 0.2, 0.3]), fixture("classical_diagonal", [0.2, 0.3])]
+    for q in (1, 2):
+        models += [random_model(rng, 2, 2, q, rank=1, weighted=True) for _ in range(3)]
+        models += [equatorial_qubit(rng, q) for _ in range(3)]
+    for q in (1, 2, 3):
+        models += [random_model(rng, 2, 3, q, weighted=True) for _ in range(3)]
+    return models
+
+
+class TestDInvariantShortCut:
+    """c_h = c_d at X_eff, with no SDP, on models whose SLD span is 𝒟-invariant."""
+
+    @pytest.mark.parametrize("model", short_cut_models(), ids=lambda m: m.label or None)
+    def test_matches_forced_sdp(self, model):
+        analysis = analyze(model)
+        assert analysis.d_invariance_residual <= holevo.D_INVARIANCE_TOL
+        closed = sandwich(analysis)
+        sol = solve(analysis, closed)
+        assert (sol.method, sol.status, sol.iterations) == (holevo.D_INVARIANT, "Optimal", 0)
+        forced = holevo._solve_sdp(analysis)
+        assert forced.status == "Optimal" and forced.method == holevo.SDP
+        assert abs(sol.c_h - forced.c_h) <= 1e-8 * max(1.0, abs(forced.c_h))
+
+        # the certificate: (x_opt, v_opt) is feasible with objective c_h
+        z = linalg.z_matrix(sol.x_opt, model.rho)
+        assert np.linalg.eigvalsh(sol.v_opt - z).min() >= -1e-12 * np.linalg.norm(sol.v_opt, 2)
+        assert float(np.trace(model.weight @ sol.v_opt)) == pytest.approx(sol.c_h, rel=1e-12)
+        assert unbiasedness_residual(model, sol.x_opt) <= holevo.CONSTRAINT_TOL
+        verify_solution(analysis, sol, closed)
+        # the reported floats are ordered exactly
+        assert closed.c_gs <= sol.c_h <= closed.c_d <= 2 * closed.c_gs
+
+    @pytest.mark.parametrize("params", [[1, 3, 2, 2], [2, 3, 4, 3], [3, 4, 3, 2], [4, 2, 2, 2],
+                                        [5, 2, 1, 1], [6, 5, 3, 3], [7, 8, 3, 3]])
+    def test_random_full_rank_takes_the_sdp(self, params):
+        analysis = analyze(fixture("random_full_rank", params))
+        assert analysis.d_invariance_residual > 1e-3
+        sol = solve(analysis, sandwich(analysis))
+        assert sol.method == holevo.SDP and sol.iterations > 0
+
+    def test_full_tangent_space_is_invariant(self):
+        """With p = d² − 1 the SLDs span every L with tr ρL = 0, which 𝒟
+        preserves (𝒟L has a zero diagonal in ρ's eigenbasis)."""
+        analysis = analyze(fixture("random_full_rank", [1, 3, 8, 2]))
+        assert analysis.d_invariance_residual <= holevo.D_INVARIANCE_TOL
+        assert solve(analysis, sandwich(analysis)).method == holevo.D_INVARIANT
+
+    def test_singular_weight_takes_the_sdp(self):
+        model = dataclasses.replace(fixture("qubit_xy_at_z", [0.5]), weight=np.diag([1.0, 0.0]))
+        analysis = analyze(model)
+        sol = solve(analysis, sandwich(analysis))
+        assert sol.method == holevo.SDP and sol.status == "Optimal"
 
 
 def dense_epigraph(q, cols):
@@ -211,7 +288,7 @@ def dense_epigraph(q, cols):
 def solve_with(operator, model, monkeypatch):
     """Solve ``model`` with ``operator(q, cols)`` in place of EpigraphOperator."""
     monkeypatch.setattr(holevo, "EpigraphOperator", operator)
-    return solve(analyze(model))
+    return holevo._solve_sdp(analyze(model))
 
 
 class TestEpigraphOperator:
@@ -323,9 +400,9 @@ class TestEpigraphOperator:
         model = fixture("random_full_rank", [3, 4, 4, 3])  # N = 19
         analysis = analyze(model)
         monkeypatch.setattr(sdp, "_STRUCTURED_MIN", 0)
-        structured = solve(analysis)
+        structured = holevo._solve_sdp(analysis)
         monkeypatch.setattr(sdp, "_STRUCTURED_MIN", 10 ** 9)
-        dense = solve(analysis)
+        dense = holevo._solve_sdp(analysis)
         assert structured.status == dense.status == "Optimal"
         assert structured.iterations == dense.iterations
         assert abs(structured.c_h - dense.c_h) <= 1e-10 * abs(dense.c_h)

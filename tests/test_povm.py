@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcrb.bounds import c_gs
+from qcrb.bounds import c_gs, sandwich
 from qcrb.exceptions import IllDefinedFim, ModelError, NotLocallyUnbiased
 from qcrb.linalg import pseudoinverse
 from qcrb.model import QuantumModel, fixture
@@ -268,7 +268,8 @@ class TestOperationalBounds:
         residual, ok = check_local_unbiasedness(povm, m, np.zeros(2))
         assert ok, residual
         sigma = error_covariance(povm, m.rho, np.zeros(2))
-        sol = solve(analyze(m))
+        analysis = analyze(m)
+        sol = solve(analysis, sandwich(analysis))
         assert float(np.trace(m.weight @ sigma)) >= sol.c_h - 1e-7
 
     def test_classical_crb_consistency(self):

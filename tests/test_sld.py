@@ -67,9 +67,10 @@ class TestComputeSlds:
         # bypass the kernel-block check of analyze: feed a kernel-block derivative directly
         rho = np.diag([1.0, 0.0]).astype(complex)
         eigvals, eigvecs = np.linalg.eigh(rho)
-        with pytest.raises(ResidualTooLarge):
+        with pytest.raises(ResidualTooLarge) as raised:
             compute_slds(rho, np.array([np.diag([-1.0, 1.0]).astype(complex)]),
                          eigvals, eigvecs, eigvals > 1e-10)
+        assert raised.value.support_rank == 1
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(3)
@@ -81,6 +82,49 @@ class TestComputeSlds:
         info_c = analyze(scaled)
         assert_allclose(info_c.slds, c * info.slds, atol=1e-10)
         assert_allclose(info_c.qfim, c * c * info.qfim, atol=1e-9)
+
+
+class TestDInvarianceResidual:
+    """How far span_R{L_j} is from being closed under 𝒟_ρ."""
+
+    @pytest.mark.parametrize("name, params", [
+        ("qubit_xy_at_z", [0.5]), ("pure_qubit_angles", [1.0, 0.2]),
+        ("qubit_bloch", [0.1, 0.2, 0.3]), ("classical_diagonal", [0.2, 0.3]),
+        ("random_full_rank", [1, 3, 8, 2]),  # p = d² − 1: every L with tr ρL = 0
+    ])
+    def test_invariant_models(self, name, params):
+        assert analyze(fixture(name, params)).d_invariance_residual <= 1e-14
+
+    def test_commuting_model_is_exactly_zero(self):
+        assert analyze(diag_model(0.4)).d_invariance_residual == 0.0
+
+    def test_against_hand_computed_qubit(self):
+        """ρ = (I + z σ_z)/2 with one derivative σ_x/2: L = σ_x and
+        𝒟L = 2z·σ_y, orthogonal to L, so nothing of it is fitted; at
+        z = 0.5 its norm is ‖L‖."""
+        model = fixture("qubit_xy_at_z", [0.5])
+        single = QuantumModel(dim=2, rho=model.rho, drho=model.drho[:1], dbeta=np.eye(1), weight=np.eye(1))
+        assert analyze(single).d_invariance_residual == pytest.approx(1.0, abs=1e-15)
+
+    @staticmethod
+    def rotated(model, rng):
+        d = model.dim
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        return QuantumModel(dim=d, rho=u @ model.rho @ u.conj().T, drho=u @ model.drho @ u.conj().T,
+                            dbeta=model.dbeta, weight=model.weight)
+
+    def test_frame_invariant(self):
+        rng = np.random.default_rng(8)
+        model = random_model(rng, d=3, p=2, q=2, rank=2)
+        residual = analyze(model).d_invariance_residual
+        assert residual > 0.1
+        assert analyze(self.rotated(model, rng)).d_invariance_residual == pytest.approx(residual, rel=1e-10)
+
+    def test_commuting_model_in_another_frame(self):
+        """There 𝒟L_j is roundoff, and so is the residual: it is scaled by ‖L_j‖."""
+        rng = np.random.default_rng(9)
+        model = self.rotated(fixture("classical_diagonal", [0.2, 0.3]), rng)
+        assert analyze(model).d_invariance_residual <= 1e-14
 
 
 class TestInformation:
