@@ -97,7 +97,7 @@ def _tolerances(args) -> dict:
 
 
 def _bound_pipeline(analysis, args):
-    """closed forms -> SDP -> verification, on a model's analysis.
+    """closed forms -> c_h -> verification, on a model's analysis.
 
     Returns (report dict, solution, timings, exit code); the timings hold
     ``closed_forms_s``, ``sdp_s`` and, when the solve reached verification,
@@ -327,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, formats=("text", "json")):
-        p.add_argument("--tol", type=float, default=1e-8, help="SDP relative-gap tolerance")
-        p.add_argument("--max-iter", type=int, default=200, help="SDP iteration cap")
+        p.add_argument("--tol", type=float, default=1e-8,
+                       help="relative width of c_h's certified bracket (dual) or duality gap (SDP)")
+        p.add_argument("--max-iter", type=int, default=200,
+                       help="Newton steps on the dual before the SDP takes over; SDP iteration cap")
         p.add_argument("--rank-tol", type=float, default=1e-10, help="relative spectral rank cutoff")
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])

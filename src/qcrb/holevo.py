@@ -1,4 +1,4 @@
-"""The Holevo bound as a semidefinite program over influence operators.
+"""The Holevo bound: a semidefinite program over influence operators, and its dual.
 
 The locally unbiased influence operators are X_s = X_eff,s + Σ_l y_sl D_l:
 the efficient operators of the model's :class:`~qcrb.sld.ModelAnalysis`
@@ -36,9 +36,28 @@ is a feasible point of the SDP of objective tr W V = c_d: V − Z =
 W^-½ (|K| − iK) W^-½ with K = W^½ Im Z W^½, which is ⪰ 0 because iK is
 Hermitian and |iK| = |K|.  :func:`solve` returns that point, with no
 iteration, whenever the analysis's ``d_invariance_residual`` is at most
-:data:`D_INVARIANCE_TOL` and W is positive definite; every other model
-takes the interior-point path.  The short cut's ``dual_objective`` is c_d,
-the lower bound the theorem gives.
+:data:`D_INVARIANCE_TOL` and W is positive definite.  The short cut's
+``dual_objective`` is c_d, the lower bound the theorem gives.
+
+The dual over K.  The trace norm has the variational form
+tr W Re Z + ‖√W Im Z √W‖₁ = max Re tr[(W + iK)Z], over the real
+antisymmetric q×q matrices K with W + iK ⪰ 0.  The objective is convex in
+X and linear in K, and the K-set is compact and convex, so Sion's minimax
+theorem (Pacific J. Math. 8, 171 (1958)) gives
+
+    c_h = max_K f(K),      f(K) = min over unbiased X of Re tr[(W + iK)Z(X)],
+
+a concave maximization over q(q−1)/2 numbers.  f(0) = c_gs, attained at
+X_eff.  Every f(K) is a lower bound on c_h and the nonsmooth objective at
+any unbiased X an upper bound, so :func:`_solve_dual` climbs f by Newton's
+method and stops once the two ends agree within ``tol`` relative.
+
+Routing.  With W ≻ 0, a D-invariant model takes the short cut, and any
+other model with q ≥ 2 the dual.  A model with q = 1, a singular W, and a
+model on which Newton's method fails (a step would reach the boundary
+‖W^-½KW^-½‖ = 1, where the maximizer of pure-state and qubit models often
+lies, or would not narrow the bracket, or ``max_iter`` steps pass) is
+solved by the interior-point path.
 """
 
 from __future__ import annotations
@@ -67,16 +86,20 @@ D_INVARIANCE_TOL = 1e-9
 #: multiple of its largest; a singular W may have no finite V attaining c_d.
 WEIGHT_DEFINITE_TOL = 1e-12
 
-#: ``HolevoSolution.method`` of an interior-point solve and of the short cut.
+#: ``HolevoSolution.method`` of an interior-point solve, of the short cut
+#: and of the Newton solve of the dual.
 SDP = "sdp"
 D_INVARIANT = "d_invariant"
+DUAL = "dual"
 
 
 @dataclass(frozen=True)
 class HolevoSolution:
-    """SDP outcome: bound value, minimizer, and certificates; ``reason``
+    """Solver outcome: bound value, minimizer, and certificates; ``reason``
     says what failed when ``status`` is ``NumericalTrouble``, and ``method``
-    is :data:`SDP` or :data:`D_INVARIANT` (the short cut, 0 iterations)."""
+    is :data:`SDP`, :data:`D_INVARIANT` (the short cut, 0 iterations) or
+    :data:`DUAL` (Newton steps on f(K); ``dual_objective`` is f at the last
+    step, and neither residual applies)."""
 
     c_h: float
     x_opt: np.ndarray
@@ -332,30 +355,44 @@ def solve(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float = 1e-8,
           max_iter: int = 200) -> HolevoSolution:
     """The Holevo bound of ``analysis``, whose closed-form bounds are ``closed``.
 
-    A D-invariant model with W ≻ 0 gets c_h = c_d at X_eff with no SDP (the
-    module docstring gives the theorem and the certificate); every other
-    model is solved by :func:`_solve_sdp` with ``tol`` and ``max_iter``.
+    With W ≻ 0, a D-invariant model gets c_h = c_d at X_eff, and any other
+    model with q ≥ 2 is solved by :func:`_solve_dual` (the module docstring
+    gives both certificates).  Everything else, and every model the dual
+    hands back, is solved by :func:`_solve_sdp`.  ``tol`` and ``max_iter``
+    go to whichever solver runs.
     """
-    if analysis.d_invariance_residual <= D_INVARIANCE_TOL:
-        w_vals, w_vecs = np.linalg.eigh(analysis.model.weight)
-        if w_vals.min() > WEIGHT_DEFINITE_TOL * w_vals.max():
-            return _d_invariant_solution(analysis, closed, w_vals, w_vecs)
+    w_vals, w_vecs = np.linalg.eigh(analysis.model.weight)
+    if w_vals.min() > WEIGHT_DEFINITE_TOL * w_vals.max():
+        if analysis.d_invariance_residual <= D_INVARIANCE_TOL:
+            return _d_invariant_solution(analysis, closed, (w_vals, w_vecs))
+        if analysis.model.n_targets >= 2:
+            sol = _solve_dual(analysis, closed, (w_vals, w_vecs), tol, max_iter)
+            if sol is not None:
+                return sol
     return _solve_sdp(analysis, tol, max_iter)
 
 
-def _d_invariant_solution(analysis: ModelAnalysis, closed: ClosedFormBounds,
-                          w_vals: np.ndarray, w_vecs: np.ndarray) -> HolevoSolution:
-    """c_h = c_d attained at X_eff, certified by V = Re Z + W^-½|W^½ Im Z W^½|W^-½."""
-    z = analysis.z_eff
-    root_w = analysis.root_weight
+def _inv_root(w_eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """W^-½ from the eigendecomposition ``w_eig`` of W ≻ 0."""
+    w_vals, w_vecs = w_eig
+    return (w_vecs / np.sqrt(w_vals)) @ w_vecs.T
+
+
+def _epigraph_v(z: np.ndarray, root_w: np.ndarray, inv_root_w: np.ndarray) -> np.ndarray:
+    """V = Re Z + W^-½|W^½ Im Z W^½|W^-½: V ⪰ Z, and tr W V is the nonsmooth objective."""
     mu, vecs = np.linalg.eigh(1j * (root_w @ z.imag @ root_w))  # iK, K = W^½ Im Z W^½
     abs_k = ((vecs * np.abs(mu)) @ vecs.conj().T).real
-    inv_root_w = (w_vecs / np.sqrt(w_vals)) @ w_vecs.T
-    v_opt = z.real + inv_root_w @ abs_k @ inv_root_w
+    v = z.real + inv_root_w @ abs_k @ inv_root_w
+    return (v + v.T) / 2
+
+
+def _d_invariant_solution(analysis: ModelAnalysis, closed: ClosedFormBounds,
+                          w_eig: tuple[np.ndarray, np.ndarray]) -> HolevoSolution:
+    """c_h = c_d attained at X_eff, certified by V = Re Z + W^-½|W^½ Im Z W^½|W^-½."""
     return HolevoSolution(
         c_h=closed.c_d,
         x_opt=analysis.x_eff,
-        v_opt=(v_opt + v_opt.T) / 2,
+        v_opt=_epigraph_v(analysis.z_eff, analysis.root_weight, _inv_root(w_eig)),
         duality_gap=0.0,
         iterations=0,
         status=sdp.OPTIMAL,
@@ -363,6 +400,191 @@ def _d_invariant_solution(analysis: ModelAnalysis, closed: ClosedFormBounds,
         primal_residual=0.0,
         dual_residual=0.0,
         method=D_INVARIANT,
+    )
+
+
+@dataclass(frozen=True)
+class _DualPoint:
+    """f and its derivatives' ingredients at one A = W^-½KW^-½.
+
+    ``u`` diagonalizes iA = U diag(σ) Uᴴ and ``t_cols`` = W^-½U, ``den``
+    (pairs × q) holds (1 + σ_k)λ_a + (1 − σ_k)λ_b, ``info`` is 𝒥 and ``y``
+    the minimizer's coordinates: x_ab = W^-½U y_ab.  ``gradient`` is ∂f/∂A
+    over the entries s < t, and ``upper`` the nonsmooth objective at the
+    minimizer.
+    """
+
+    a: np.ndarray
+    u: np.ndarray
+    t_cols: np.ndarray
+    den: np.ndarray
+    info: np.ndarray
+    y: np.ndarray
+    value: float
+    upper: float
+    gradient: np.ndarray
+
+
+class _Dual:
+    """f(K) = min over unbiased X of Re tr[(W + iK)Z(X)], in ρ's eigenbasis.
+
+    Take the pairs a ≤ b that touch ρ's support, with x_ab = ((X_s)_ab)_s,
+    g_ab = ((∂_jρ)_ba)_j and c_ab the number of ordered pairs (1 on the
+    diagonal, 2 off it).  With K = W^½AW^½ the objective is
+    Σ (c/2) x_abᴴ N_ab x_ab, N_ab = λ_a(W + iK) + λ_b(W − iK), and the
+    constraints are Σ c Re(g_ab,j x_ab,s) = ∂β_js.  Diagonalizing
+    iA = U diag(σ) Uᴴ once turns every N_ab⁻¹ into Σ_k t_k t_kᴴ/den_k with
+    t_k = W^-½u_k and den_k = (1 + σ_k)λ_a + (1 − σ_k)λ_b, so the KKT
+    system is the q·r × q·r matrix
+
+        𝒥 = Re Σ_k A_k ⊗ t_k t_kᴴ,      A_k = Σ_ab 2c·g_ab g_abᴴ / den_k,
+
+    f = vec(∂β)ᵀ 𝒥⁻¹ vec(∂β), and x_ab = 2 Σ_k t_k t_kᴴ Λᵀḡ_ab / den_k with
+    Λ = 𝒥⁻¹ vec(∂β).  At A = 0, 𝒥 = J ⊗ W⁻¹ and f = c_gs.  The constraint
+    tr ρX = 0 is left out: tr ∂_jρ = 0 makes the minimizer satisfy it.  The
+    parameters are rotated onto the r-dimensional range of J (the analysis's
+    rank decision), where 𝒥 is positive definite for ‖A‖ < 1; a direction
+    v with Jv = 0 has v·g_ab = 0 on every pair, so it constrains nothing.
+    """
+
+    def __init__(self, analysis: ModelAnalysis, w_eig: tuple[np.ndarray, np.ndarray]):
+        model = analysis.model
+        q = model.n_targets
+        vecs, support = analysis.eigvecs, analysis.support
+        vals = np.where(support, analysis.eigvals, 0.0)
+        a, b = np.triu_indices(vals.size)
+        touching = support[a] | support[b]
+        a, b = a[touching], b[touching]
+        drho = vecs.conj().T @ np.asarray(model.drho, dtype=complex) @ vecs
+        _, j_vecs = np.linalg.eigh(analysis.qfim)
+        span = j_vecs[:, j_vecs.shape[1] - analysis.qfim_rank:]  # range of J
+        g = drho[:, b, a].T @ span  # (pairs, r)
+        self.q, self.r, self.pairs = q, span.shape[1], (a, b)
+        self.count = np.where(a == b, 1.0, 2.0)
+        self.lam_sum, self.lam_diff = vals[a] + vals[b], vals[a] - vals[b]
+        self.g = g
+        self.gram = (2.0 * self.count[:, None, None] * g[:, :, None] * g.conj()[:, None, :]).reshape(
+            g.shape[0], -1)  # rows 2c·g gᴴ
+        self.dbeta = span.T @ np.asarray(model.dbeta, dtype=float)  # (r, q)
+        self.inv_root_w = _inv_root(w_eig)
+        self.tri = np.triu_indices(q, 1)  # the entries s < t of A
+
+    def point(self, a_vec: np.ndarray) -> _DualPoint | None:
+        """f at A with upper triangle ``a_vec``; None when ‖A‖ ≥ 1 (or is not
+        finite) or 𝒥 is singular."""
+        q, r = self.q, self.r
+        a = np.zeros((q, q))
+        a[self.tri] = a_vec
+        a -= a.T
+        sigma, u = np.linalg.eigh(1j * a)
+        if not np.abs(sigma).max() < 1.0:
+            return None
+        t_cols = self.inv_root_w @ u
+        den = self.lam_sum[:, None] + self.lam_diff[:, None] * sigma  # (pairs, q)
+        blocks = (1.0 / den).T @ self.gram  # A_k, (q, r²)
+        outer = (t_cols[:, None, :] * t_cols.conj()[None]).reshape(q * q, q)  # t_k t_kᴴ, (q², q)
+        info = (blocks.T @ outer.T).real.reshape(r, r, q, q).transpose(0, 2, 1, 3).reshape(r * q, r * q)
+        try:
+            lam = np.linalg.solve(info, self.dbeta.ravel())
+        except np.linalg.LinAlgError:
+            return None
+        y = 2.0 * ((self.g.conj() @ lam.reshape(r, q)) @ t_cols.conj()) / den  # x_ab = W^-½U y_ab
+        xi = y @ u.T  # W^½ x_ab
+        # W^½ Z W^½ = Σ (c/2)(λ_a ξξᴴ + λ_b ξ̄ξᵀ): real part with λ_a + λ_b, imaginary with λ_a − λ_b
+        re_z = ((xi * (0.5 * self.count * self.lam_sum)[:, None]).T @ xi.conj()).real
+        im_z = ((xi * (0.5 * self.count * self.lam_diff)[:, None]).T @ xi.conj()).imag
+        im_z = (im_z - im_z.T) / 2
+        value = float(lam @ self.dbeta.ravel())
+        upper = float(np.trace(re_z)) + float(np.abs(np.linalg.eigvalsh(1j * im_z)).sum())
+        if not np.isfinite(value + upper):
+            return None
+        return _DualPoint(a=a, u=u, t_cols=t_cols, den=den, info=info, y=y, value=value,
+                          upper=upper, gradient=2.0 * im_z[self.tri])
+
+    def hessian(self, pt: _DualPoint) -> np.ndarray:
+        """∂²f/∂A² over the entries s < t: 2R𝒥⁻¹Rᵀ − S.
+
+        A moves N_ab by (λ_a − λ_b)W^½(iE_st)W^½.  With η = (λ_a − λ_b)Uᴴ(iE_st)ξ,
+        ξ = W^½x_ab, the minimizer moves by 2N⁻¹Λ′ᵀḡ − W^-½U(η/den), where
+        𝒥Λ′ = R keeps it unbiased: R_(st),js = Σ c Re[g_j (W^-½U η/den)_s].
+        S_(st),(s′t′) = Σ c Re Σ_k η̄_k η′_k/den_k.
+        """
+        (s, t), n = self.tri, self.tri[0].size
+        u_conj = pt.u.conj()
+        xi = pt.y @ pt.u.T
+        eta = 1j * self.lam_diff[:, None, None] * (
+            xi[:, t, None] * u_conj[s][None] - xi[:, s, None] * u_conj[t][None])  # (pairs, n, q)
+        omega = eta / pt.den[:, None, :]
+        flat_eta = eta.transpose(1, 0, 2).reshape(n, -1)
+        flat_omega = (omega * self.count[:, None, None]).transpose(1, 0, 2).reshape(n, -1)
+        curvature = (flat_omega.conj() @ flat_eta.T).real
+        moved = omega @ pt.t_cols.T  # W^-½U(η/den), (pairs, n, q)
+        rhs = ((self.g * self.count[:, None]).T @ moved.reshape(moved.shape[0], -1)).real
+        rhs = rhs.reshape(self.r, n, self.q).transpose(1, 0, 2).reshape(n, -1)
+        return 2.0 * rhs @ np.linalg.solve(pt.info, rhs.T) - curvature
+
+    def operators(self, pt: _DualPoint, analysis: ModelAnalysis) -> np.ndarray:
+        """The minimizer X(K) as (q, d, d) operators in the original frame."""
+        dim = analysis.eigvals.size
+        a, b = self.pairs
+        x = pt.y @ pt.t_cols.T  # (pairs, q)
+        x_eig = np.zeros((self.q, dim, dim), dtype=complex)
+        x_eig[:, a, b] = x.T
+        x_eig[:, b, a] = x.T.conj()
+        vecs = analysis.eigvecs
+        return vecs @ x_eig @ vecs.conj().T
+
+
+def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds,
+                w_eig: tuple[np.ndarray, np.ndarray], tol: float,
+                max_iter: int) -> HolevoSolution | None:
+    """Maximize f(K) by Newton's method from K = 0, closing a certified bracket.
+
+    f(K) ≤ c_h for every feasible K (weak duality) and c_h ≤ N(X) for every
+    unbiased X, N the nonsmooth objective, so the largest f(K) and the
+    smallest of c_d and N(X(K)) met so far bracket c_h; they start as
+    [c_gs, c_d].  Returns c_h = the upper end once the width is at most
+    ``tol`` times it, or None, for :func:`_solve_sdp` to take over, when a
+    step would leave ‖A‖ < 1, narrows the bracket by nothing, or
+    ``max_iter`` steps pass.  Narrowing, not a rise of f, is the test of a
+    step: f converges quadratically and reaches roundoff one step before
+    N(X(K)) − f(K), which shrinks with the gradient, does.
+    """
+    dual = _Dual(analysis, w_eig)
+    pt = dual.point(np.zeros(dual.tri[0].size))
+    if pt is None:
+        return None
+    lower = pt.value
+    best = pt if pt.upper < closed.c_d else None  # None: X_eff, at N = c_d
+    upper = closed.c_d if best is None else best.upper
+    for iterations in range(max_iter + 1):
+        if upper - lower <= tol * upper:
+            break
+        if iterations == max_iter:
+            return None
+        try:
+            step = np.linalg.solve(dual.hessian(pt), -pt.gradient)
+        except np.linalg.LinAlgError:
+            return None
+        pt = dual.point(pt.a[dual.tri] + step)
+        if pt is None or min(upper, pt.upper) - max(lower, pt.value) >= upper - lower:
+            return None
+        lower = max(lower, pt.value)
+        if pt.upper < upper:
+            best, upper = pt, pt.upper
+    x_opt = analysis.x_eff if best is None else dual.operators(best, analysis)
+    z = analysis.z_eff if best is None else linalg.z_matrix(x_opt, analysis.rho)
+    return HolevoSolution(
+        c_h=upper,
+        x_opt=x_opt,
+        v_opt=_epigraph_v(z, analysis.root_weight, dual.inv_root_w),
+        duality_gap=(upper - lower) / upper,
+        iterations=iterations,
+        status=sdp.OPTIMAL,
+        dual_objective=lower,
+        primal_residual=0.0,
+        dual_residual=0.0,
+        method=DUAL,
     )
 
 
@@ -451,8 +673,9 @@ def verify_solution(analysis: ModelAnalysis, sol: HolevoSolution,
     Recomputes the nonsmooth objective tr W Re Z(X) + ‖√W Im Z(X) √W‖₁ at
     the reported minimizer and the unbiasedness residuals, and checks
     c_gs ≤ c_h ≤ c_d against ``closed``, the closed-form bounds of the same
-    analysis.  Raises :class:`VerificationFailed` naming the first violated
-    check.
+    analysis.  On the dual path it also checks that the bracket has not
+    crossed: the lower end f(K) may not exceed c_h.  Raises
+    :class:`VerificationFailed` naming the first violated check.
     """
     if sol.status != sdp.OPTIMAL:
         raise VerificationFailed(f"solution status is {sol.status}, not {sdp.OPTIMAL}")
@@ -475,6 +698,11 @@ def verify_solution(analysis: ModelAnalysis, sol: HolevoSolution,
     if not (gs - OBJECTIVE_TOL * max(1.0, gs) <= sol.c_h <= d + OBJECTIVE_TOL * max(1.0, d)):
         raise VerificationFailed(
             f"bound ordering violated: c_gs={gs!r}, c_h={sol.c_h!r}, c_d={d!r}"
+        )
+
+    if sol.method == DUAL and sol.dual_objective > sol.c_h + OBJECTIVE_TOL * max(1.0, abs(sol.c_h)):
+        raise VerificationFailed(
+            f"dual bracket crossed: f(K)={sol.dual_objective!r} above c_h={sol.c_h!r}"
         )
     return HolevoVerification(
         nonsmooth_objective=nonsmooth,

@@ -43,7 +43,15 @@ def xy_model_file(tmp_path):
 
 @pytest.fixture
 def sdp_model_file(tmp_path):
-    """A model that is not D-invariant, so ``bounds`` runs the SDP."""
+    """A q = 1 model that is not D-invariant, so ``bounds`` runs the SDP."""
+    path = tmp_path / "d3q1.json"
+    save_model(fixture("random_full_rank", [3, 3, 2, 1]), path)
+    return str(path)
+
+
+@pytest.fixture
+def dual_model_file(tmp_path):
+    """A q = 2 model that is not D-invariant, so ``bounds`` maximizes the dual."""
     path = tmp_path / "d3.json"
     save_model(fixture("random_full_rank", [3, 3, 2, 2]), path)
     return str(path)
@@ -88,13 +96,19 @@ class TestBounds:
         assert "timings" not in json.loads(captured.out)
         assert "verify_s=" in captured.err
 
-    def test_d_invariant_short_cut_reported(self, xy_model_file, sdp_model_file, capsys):
+    def test_d_invariant_short_cut_reported(self, xy_model_file, dual_model_file, sdp_model_file, capsys):
         assert main(["bounds", xy_model_file, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["c_h_method"] == "d_invariant" and report["iterations"] == 0
         assert report["c_gs"] <= report["c_h"] == report["c_d"] <= report["two_c_gs"]
         assert main(["bounds", xy_model_file]) == 0
         assert "solver: Optimal after 0 iterations (c_h_method d_invariant), " in capsys.readouterr().out
+        assert main(["bounds", dual_model_file, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["c_h_method"] == "dual" and report["iterations"] > 0
+        assert report["duality_gap"] <= report["tolerances"]["sdp_gap"]
+        assert main(["bounds", dual_model_file]) == 0
+        assert " iterations (c_h_method dual), " in capsys.readouterr().out
         assert main(["bounds", sdp_model_file, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["c_h_method"] == "sdp" and report["iterations"] > 0
@@ -112,6 +126,24 @@ class TestBounds:
         report = json.loads(capsys.readouterr().out)
         assert report["c_h_method"] == "d_invariant" and report["verified"] is True
         assert report["c_h"] == report["c_d"] == pytest.approx(4e12, rel=1e-12)
+
+    @pytest.mark.parametrize("params", [[3, 3, 2, 2], [1, 2, 2, 2], [3, 4, 3, 2]])
+    def test_weak_signal_takes_the_dual(self, params, tmp_path, capsys):
+        """∂ρ × 1e-6 scales every bound by 1e12.  These models are not
+        D-invariant; the dual's Newton steps and its relative bracket do not
+        depend on the scale."""
+        model = fixture("random_full_rank", params)
+        reports = []
+        for scale in (1.0, 1e-6):
+            path = tmp_path / f"weak{scale}.json"
+            save_model(QuantumModel(dim=model.dim, rho=model.rho, drho=model.drho * scale,
+                                    dbeta=model.dbeta, weight=model.weight), path)
+            assert main(["bounds", str(path), "--format", "json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        strong, weak = reports
+        assert weak["c_h_method"] == "dual" and weak["verified"] is True
+        assert weak["duality_gap"] <= 1e-8
+        assert weak["c_h"] == pytest.approx(1e12 * strong["c_h"], rel=1e-8)
 
     def test_coarse_rank_tol_named(self, tmp_path, capsys):
         path = tmp_path / "big.json"
@@ -160,6 +192,17 @@ class TestBounds:
     def test_solver_failure_exit_3(self, sdp_model_file, capsys):
         assert main(["bounds", sdp_model_file, "--max-iter", "1"]) == 3
         assert "solver failed" in capsys.readouterr().err
+
+    def test_dual_hands_over_after_max_iter(self, dual_model_file, capsys):
+        """The dual needs two Newton steps here; with one allowed the model
+        goes to the SDP under the same cap, which stops it too."""
+        assert main(["bounds", dual_model_file, "--max-iter", "1", "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert "solver failed: status MaxIterations after 1 iterations" in captured.err
+        assert json.loads(captured.out)["c_h_method"] == "sdp"
+        assert main(["bounds", dual_model_file, "--max-iter", "2", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["c_h_method"], report["iterations"]) == ("dual", 2)
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-iter", "-1"),

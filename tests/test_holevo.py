@@ -262,10 +262,12 @@ class TestDInvariantShortCut:
     @pytest.mark.parametrize("params", [[1, 3, 2, 2], [2, 3, 4, 3], [3, 4, 3, 2], [4, 2, 2, 2],
                                         [5, 2, 1, 1], [6, 5, 3, 3], [7, 8, 3, 3]])
     def test_random_full_rank_takes_the_sdp(self, params):
+        """Models that are not D-invariant are solved, not short-cut: by the
+        dual when q ≥ 2, by the SDP when q = 1."""
         analysis = analyze(fixture("random_full_rank", params))
         assert analysis.d_invariance_residual > 1e-3
         sol = solve(analysis, sandwich(analysis))
-        assert sol.method == holevo.SDP and sol.iterations > 0
+        assert sol.method == (holevo.DUAL if params[3] >= 2 else holevo.SDP) and sol.iterations > 0
 
     def test_full_tangent_space_is_invariant(self):
         """With p = d² − 1 the SLDs span every L with tr ρL = 0, which 𝒟
@@ -279,6 +281,118 @@ class TestDInvariantShortCut:
         analysis = analyze(model)
         sol = solve(analysis, sandwich(analysis))
         assert sol.method == holevo.SDP and sol.status == "Optimal"
+
+
+def dual_models():
+    """Models that are not D-invariant, with q ≥ 2: full rank, rank-deficient,
+    singular J and random W."""
+    rng = np.random.default_rng(30)
+    return [fixture("random_full_rank", [1, 3, 2, 2]), fixture("random_full_rank", [7, 8, 3, 3]),
+            fixture("random_full_rank", [2, 3, 4, 3]), random_model(rng, 4, 3, 2, rank=2),
+            random_model(rng, 4, 3, 3, rank=2, weighted=True),
+            random_model(rng, 3, 3, 2, singular_j=True, weighted=True),
+            random_model(rng, 5, 4, 3, weighted=True)]
+
+
+def dual_of(model):
+    analysis = analyze(model)
+    return analysis, holevo._Dual(analysis, np.linalg.eigh(model.weight))
+
+
+def random_inside(rng, q, radius):
+    """Upper triangle of a random q×q antisymmetric A with ‖A‖ = ``radius``."""
+    a = np.triu(rng.normal(size=(q, q)), 1)
+    a *= radius / np.linalg.norm(a - a.T, 2)
+    return a[np.triu_indices(q, 1)]
+
+
+class TestDual:
+    """c_h = max f(K), climbed by Newton's method in :func:`holevo._solve_dual`."""
+
+    @pytest.mark.parametrize("model", dual_models())
+    def test_f_at_zero_is_c_gs(self, model):
+        analysis, dual = dual_of(model)
+        closed = sandwich(analysis)
+        pt = dual.point(np.zeros(dual.tri[0].size))
+        assert pt.value == pytest.approx(closed.c_gs, rel=1e-13)
+        assert pt.upper == pytest.approx(closed.c_d, rel=1e-13)
+        x0 = dual.operators(pt, analysis)
+        assert np.abs(x0 - analysis.x_eff).max() <= 1e-12 * np.abs(analysis.x_eff).max()
+
+    @pytest.mark.parametrize("model", dual_models())
+    def test_derivatives_match_central_differences(self, model):
+        _, dual = dual_of(model)
+        rng = np.random.default_rng(31)
+        n, h = dual.tri[0].size, 1e-6
+        a = random_inside(rng, dual.q, 0.5)
+        pt = dual.point(a)
+        steps = h * np.eye(n)
+        grad = [(dual.point(a + e).value - dual.point(a - e).value) / (2 * h) for e in steps]
+        hess = [(dual.point(a + e).gradient - dual.point(a - e).gradient) / (2 * h) for e in steps]
+        scale = abs(pt.value)
+        assert np.abs(pt.gradient - grad).max() <= 1e-7 * scale
+        assert np.abs(dual.hessian(pt) - np.array(hess)).max() <= 1e-6 * scale
+        # f is concave: the Hessian is negative semidefinite
+        assert np.linalg.eigvalsh(dual.hessian(pt)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("model", dual_models())
+    def test_f_is_a_lower_bound(self, model):
+        """Weak duality: f(K) ≤ c_h at every feasible K."""
+        analysis, dual = dual_of(model)
+        c_h = holevo._solve_sdp(analysis, tol=1e-12).c_h
+        rng = np.random.default_rng(32)
+        for radius in (0.1, 0.5, 0.9, 0.999):
+            for _ in range(3):
+                assert dual.point(random_inside(rng, dual.q, radius)).value <= c_h * (1 + 1e-12)
+
+    @pytest.mark.parametrize("model", dual_models())
+    def test_matches_tight_sdp(self, model):
+        analysis = analyze(model)
+        closed = sandwich(analysis)
+        sol = solve(analysis, closed, tol=1e-10)
+        assert (sol.method, sol.status) == (holevo.DUAL, "Optimal") and sol.iterations > 0
+        reference = holevo._solve_sdp(analysis, tol=1e-12)
+        assert abs(sol.c_h - reference.c_h) <= 1e-9 * reference.c_h
+        # the certified bracket (its ends may cross by roundoff), and the
+        # certificate (x_opt, v_opt) at its upper end
+        assert sol.dual_objective <= sol.c_h * (1 + 1e-14)
+        assert sol.duality_gap == pytest.approx((sol.c_h - sol.dual_objective) / sol.c_h, abs=1e-16)
+        assert sol.duality_gap <= 1e-10
+        z = linalg.z_matrix(sol.x_opt, model.rho)
+        assert np.linalg.eigvalsh(sol.v_opt - z).min() >= -1e-12 * np.linalg.norm(sol.v_opt, 2)
+        assert float(np.trace(model.weight @ sol.v_opt)) == pytest.approx(sol.c_h, rel=1e-12)
+        assert unbiasedness_residual(model, sol.x_opt) <= holevo.CONSTRAINT_TOL
+        verify_solution(analysis, sol, closed)
+        assert closed.c_gs <= sol.dual_objective and sol.c_h <= closed.c_d
+
+    def test_pure_state_falls_back_to_the_sdp(self):
+        """A pure state's maximizer lies on ‖W^-½KW^-½‖ = 1: the first Newton
+        step leaves the open set and the SDP's own result is returned."""
+        model = random_model(np.random.default_rng(33), 3, 3, 3, rank=1)
+        analysis = analyze(model)
+        assert analysis.d_invariance_residual > holevo.D_INVARIANCE_TOL
+        sol = solve(analysis, sandwich(analysis))
+        forced = holevo._solve_sdp(analysis)
+        assert sol.method == holevo.SDP
+        for field in dataclasses.fields(sol):
+            assert np.array_equal(getattr(sol, field.name), getattr(forced, field.name)), field.name
+
+    def test_max_iter_hands_over(self):
+        analysis = analyze(fixture("random_full_rank", [3, 4, 3, 2]))  # closes in 4 steps
+        closed = sandwich(analysis)
+        assert solve(analysis, closed, max_iter=4).method == holevo.DUAL
+        sol = solve(analysis, closed, max_iter=3)
+        assert (sol.method, sol.status, sol.iterations) == (holevo.SDP, "MaxIterations", 3)
+
+    def test_rejects_crossed_bracket(self):
+        analysis = analyze(fixture("random_full_rank", [3, 3, 2, 2]))
+        closed = sandwich(analysis)
+        sol = solve(analysis, closed)
+        assert sol.method == holevo.DUAL
+        verify_solution(analysis, sol, closed)
+        crossed = dataclasses.replace(sol, dual_objective=sol.c_h * (1 + 1e-6))
+        with pytest.raises(VerificationFailed, match="dual bracket crossed"):
+            verify_solution(analysis, crossed, closed)
 
 
 def dense_epigraph(q, cols):
