@@ -2,10 +2,11 @@
 
 Computes the three scalar bounds on the weighted mean square error of
 locally unbiased measurements — the generalized Helstrom bound, the
-D-matrix bound, and the Holevo bound (by semidefinite programming, or as
-the D-matrix bound on D-invariant models) — on
-finite-dimensional models and Gaussian shift models, and provides POVM
-audits against the matrix Cramér-Rao inequalities.
+D-matrix bound, and the Holevo bound — on finite-dimensional models and
+Gaussian shift models, and provides POVM audits against the matrix
+Cramér-Rao inequalities.  c_h is c_d on D-invariant models; otherwise
+Newton's method on its minimax dual certifies it, or a semidefinite
+program assembled in the state's eigenbasis solves for it.
 """
 
 from .bounds import ClosedFormBounds, c_d, c_gs, sandwich

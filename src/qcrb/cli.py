@@ -92,6 +92,12 @@ def _analyze(model, args):
                                f"{exc.support_rank} of {model.dim})") from None
 
 
+def _failed_solve(sol) -> str:
+    """How stderr describes a solve that did not reach ``Optimal``."""
+    status = f"{sol.status} ({sol.reason})" if sol.reason else sol.status
+    return f"status {status} after {sol.iterations} iterations (gap {sol.duality_gap:.3e})"
+
+
 def _tolerances(args) -> dict:
     return {"sdp_gap": args.tol, "max_iter": args.max_iter, "rank_tol": args.rank_tol}
 
@@ -163,9 +169,7 @@ def _emit_bound_report(report: dict, timings: dict, args) -> None:
 def cmd_bounds(args) -> int:
     report, sol, timings, code = _bound_pipeline(_analyze(load_model(args.model), args), args)
     if code == EXIT_SOLVER:
-        status = f"{sol.status} ({sol.reason})" if sol.reason else sol.status
-        _diag(f"solver failed: status {status} after {sol.iterations} iterations "
-              f"(gap {sol.duality_gap:.3e}); best iterate reported")
+        _diag(f"solver failed: {_failed_solve(sol)}; best iterate reported")
     _emit_bound_report(report, timings, args)
     return code
 
@@ -226,7 +230,7 @@ def cmd_check_povm(args) -> int:
     tr_w_sigma = float(np.trace(model.weight @ report_data.sigma))
     breport, sol, timings, code = _bound_pipeline(analysis, args)
     if code != EXIT_OK:
-        _diag(f"solver failed while computing bound comparison: {sol.status}")
+        _diag(f"solver failed while computing bound comparison: {_failed_solve(sol)}")
         return EXIT_SOLVER
     report = {
         "model_label": model.label,
@@ -277,7 +281,7 @@ def cmd_sweep(args) -> int:
         validate(model)
         report, sol, _, code = _bound_pipeline(_analyze(model, args), args)
         if code != EXIT_OK:
-            _diag(f"solver failed at param {value!r}: {sol.status}")
+            _diag(f"solver failed at param {value!r}: {_failed_solve(sol)}")
             return EXIT_SOLVER
         rows.append((value, report["c_gs"], report["c_h"], report["c_d"],
                      report["two_c_gs"], report["duality_gap"]))

@@ -181,11 +181,7 @@ def gaussian_model_to_dict(model: GaussianShiftModel) -> dict:
 
 
 def load_gaussian_model(path) -> GaussianShiftModel:
-    data = read_json(path)
-    try:
-        return gaussian_model_from_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return read_json(path, gaussian_model_from_dict)
 
 
 def save_gaussian_model(model: GaussianShiftModel, path) -> None:
@@ -194,10 +190,12 @@ def save_gaussian_model(model: GaussianShiftModel, path) -> None:
 
 def load_measurement(path, modes: int) -> GaussianMeasurement:
     """Load a measurement CM file {"cm": [[...]]} and shape-check it."""
-    data = read_json(path)
-    if "cm" not in data:
-        raise ValueError(f"{path}: measurement file misses field 'cm'")
-    cm = _real_matrix(data["cm"], "cm")
-    if cm.shape != (2 * modes, 2 * modes):
-        raise ValueError(f"{path}: cm shape {cm.shape} does not match modes={modes}")
-    return GaussianMeasurement(cm_m=cm)
+    def parse(data):
+        if "cm" not in data:
+            raise ValueError("measurement file misses field 'cm'")
+        cm = _real_matrix(data["cm"], "cm")
+        if cm.shape != (2 * modes, 2 * modes):
+            raise ValueError(f"cm shape {cm.shape} does not match modes={modes}")
+        return GaussianMeasurement(cm_m=cm)
+
+    return read_json(path, parse)

@@ -3,25 +3,25 @@
 The locally unbiased influence operators are X_s = X_eff,s + Σ_l y_sl D_l:
 the efficient operators of the model's :class:`~qcrb.sld.ModelAnalysis`
 plus any combination of feasible directions D_l, the Hermitian operators
-orthogonal to rho and to every drho_j.  The directions span the nullspace
-of those constraints within the operators touching rho's support, so
-iterates stay feasible by construction.  The kernel×kernel block is left
-out: it changes neither X√ρ nor any constraint (drho carries no content
-there).  The epigraph matrix V ⪰ Z(X) is imposed through the
-Schur-complement block
+orthogonal to rho and to every drho_j.  The SDP is assembled in rho's
+eigenbasis, on the index pairs a ≤ b touching its support that the dual
+below uses, so iterates stay feasible by construction; the minimizer is
+rotated back once.  The kernel×kernel block is left out: it changes
+neither X√ρ nor any constraint (drho carries no content there).  The
+epigraph matrix V ⪰ Z(X) is imposed through the Schur-complement block
 
     [[V, M(y)†], [M(y), I]]  ⪰ 0,      M(y)† M(y) = Z(X),
 
-where column s of M(y) holds the entries of X_s √ρ.  The single PSD block
-goes to the interior-point core in :mod:`qcrb.sdp`, its constraint
-matrices held by an :class:`EpigraphOperator` in factored form rather
-than as a dense (n, N, N) array.
+where column s of M(y) holds the eigenbasis entries of X_s √ρ.  The
+single PSD block goes to the interior-point core in :mod:`qcrb.sdp`, its
+constraint matrices held by an :class:`EpigraphOperator` in factored form
+rather than as a dense (n, N, N) array.
 
-:func:`solve` reads rho's eigenbasis and the efficient influence
-operators from the model's one analysis, which has already decided that
-the model is estimable.  :func:`verify_solution` rechecks a solution
-against that analysis and against the closed-form bounds that
-:func:`qcrb.bounds.sandwich` computed for it.
+:func:`solve` reads everything it needs, J's range and W's
+eigendecomposition included, from the model's one analysis, which has
+already decided that the model is estimable.  :func:`verify_solution`
+rechecks a solution against that analysis and against the closed-form
+bounds that :func:`qcrb.bounds.sandwich` computed for it.
 
 Short cut on D-invariant models.  At the efficient operators the Holevo
 objective tr W Re Z + ‖√W Im Z √W‖₁ equals c_d.  When span_R{L_j} is
@@ -51,13 +51,6 @@ a concave maximization over q(q−1)/2 numbers.  f(0) = c_gs, attained at
 X_eff.  Every f(K) is a lower bound on c_h and the nonsmooth objective at
 any unbiased X an upper bound, so :func:`_solve_dual` climbs f by Newton's
 method and stops once the two ends agree within ``tol`` relative.
-
-Routing.  With W ≻ 0, a D-invariant model takes the short cut, and any
-other model with q ≥ 2 the dual.  A model with q = 1, a singular W, and a
-model on which Newton's method fails (a step would reach the boundary
-‖W^-½KW^-½‖ = 1, where the maximizer of pure-state and qubit models often
-lies, or would not narrow the bracket, or ``max_iter`` steps pass) is
-solved by the interior-point path.
 """
 
 from __future__ import annotations
@@ -82,9 +75,6 @@ CONSTRAINT_TOL = 1e-8
 #: A fixed constant, not the analysis's ``rank_tol``: invariant models
 #: measure below 1e-13, and the others of the benchmark pool 8.8e-3 and up.
 D_INVARIANCE_TOL = 1e-9
-#: W counts as positive definite when its smallest eigenvalue exceeds this
-#: multiple of its largest; a singular W may have no finite V attaining c_d.
-WEIGHT_DEFINITE_TOL = 1e-12
 
 #: ``HolevoSolution.method`` of an interior-point solve, of the short cut
 #: and of the Newton solve of the dual.
@@ -114,26 +104,11 @@ class HolevoSolution:
     method: str = SDP
 
 
-def _reduced_hermitian_basis(supp: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """Basis of Hermitian operators touching the support of rho.
-
-    ``supp``/``kern`` are orthonormal support and kernel eigenvector
-    blocks.  Returns r² support-block elements followed by 2·r·k cross
-    pairs; all orthonormal under the Hilbert-Schmidt inner product.  With
-    an empty kernel this is the full basis, rotated into rho's eigenbasis.
-    """
-    r = supp.shape[1]
-    k = kern.shape[1]
-    elems = [supp @ e @ supp.conj().T for e in linalg.hermitian_basis(r)]
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(r):
-        u = supp[:, i]
-        for j in range(k):
-            v = kern[:, j]
-            cross = np.outer(u, v.conj())
-            elems.append((cross + cross.conj().T) * inv_sqrt2)
-            elems.append((-1j * cross + 1j * cross.conj().T) * inv_sqrt2)
-    return np.array(elems)
+def _support_pairs(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs a ≤ b of rho's eigenbasis that touch its ``support``, row-major."""
+    a, b = np.triu_indices(support.size)
+    touching = support[a] | support[b]
+    return a[touching], b[touching]
 
 
 def _re_im(vec: np.ndarray) -> np.ndarray:
@@ -149,7 +124,7 @@ class EpigraphOperator:
     an arrow e_t ĉ_kᴴ + ĉ_k e_tᴴ, halved when ĉ_k = e_t: e_t is a unit
     vector of the q×q block and ĉ_k a column of Ĉ = diag(I_q, C).  V entry
     (a, b) pairs t = a with ĉ = e_b; y[s, l] pairs t = s with column l of
-    C (d·r × m), the entries of D_l √ρ.  With P = ĈᴴG[:, :q] and Q = ĈᴴGĈ,
+    C (d·r × m), the eigenbasis entries of D_l √ρ.  With P = ĈᴴG[:, :q] and Q = ĈᴴGĈ,
 
         Re tr(G F_i G F_j) = 2 w_i w_j Re(P[k_i, t_j] P[k_j, t_i] + Q[k_i, k_j] G[t_j, t_i]),
 
@@ -357,25 +332,19 @@ def solve(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float = 1e-8,
 
     With W ≻ 0, a D-invariant model gets c_h = c_d at X_eff, and any other
     model with q ≥ 2 is solved by :func:`_solve_dual` (the module docstring
-    gives both certificates).  Everything else, and every model the dual
-    hands back, is solved by :func:`_solve_sdp`.  ``tol`` and ``max_iter``
-    go to whichever solver runs.
+    gives both certificates).  Everything else (q = 1, a singular W), and
+    every model the dual hands back (often pure states and qubits, whose
+    maximizer lies on ‖W^-½KW^-½‖ = 1), is solved by :func:`_solve_sdp`.
+    ``tol`` and ``max_iter`` go to whichever solver runs.
     """
-    w_vals, w_vecs = np.linalg.eigh(analysis.model.weight)
-    if w_vals.min() > WEIGHT_DEFINITE_TOL * w_vals.max():
+    if analysis.inv_root_weight is not None:  # W ≻ 0
         if analysis.d_invariance_residual <= D_INVARIANCE_TOL:
-            return _d_invariant_solution(analysis, closed, (w_vals, w_vecs))
+            return _d_invariant_solution(analysis, closed)
         if analysis.model.n_targets >= 2:
-            sol = _solve_dual(analysis, closed, (w_vals, w_vecs), tol, max_iter)
+            sol = _solve_dual(analysis, closed, tol, max_iter)
             if sol is not None:
                 return sol
     return _solve_sdp(analysis, tol, max_iter)
-
-
-def _inv_root(w_eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """W^-½ from the eigendecomposition ``w_eig`` of W ≻ 0."""
-    w_vals, w_vecs = w_eig
-    return (w_vecs / np.sqrt(w_vals)) @ w_vecs.T
 
 
 def _epigraph_v(z: np.ndarray, root_w: np.ndarray, inv_root_w: np.ndarray) -> np.ndarray:
@@ -386,13 +355,12 @@ def _epigraph_v(z: np.ndarray, root_w: np.ndarray, inv_root_w: np.ndarray) -> np
     return (v + v.T) / 2
 
 
-def _d_invariant_solution(analysis: ModelAnalysis, closed: ClosedFormBounds,
-                          w_eig: tuple[np.ndarray, np.ndarray]) -> HolevoSolution:
+def _d_invariant_solution(analysis: ModelAnalysis, closed: ClosedFormBounds) -> HolevoSolution:
     """c_h = c_d attained at X_eff, certified by V = Re Z + W^-½|W^½ Im Z W^½|W^-½."""
     return HolevoSolution(
         c_h=closed.c_d,
         x_opt=analysis.x_eff,
-        v_opt=_epigraph_v(analysis.z_eff, analysis.root_weight, _inv_root(w_eig)),
+        v_opt=_epigraph_v(analysis.z_eff, analysis.root_weight, analysis.inv_root_weight),
         duality_gap=0.0,
         iterations=0,
         status=sdp.OPTIMAL,
@@ -447,26 +415,19 @@ class _Dual:
     v with Jv = 0 has v·g_ab = 0 on every pair, so it constrains nothing.
     """
 
-    def __init__(self, analysis: ModelAnalysis, w_eig: tuple[np.ndarray, np.ndarray]):
-        model = analysis.model
-        q = model.n_targets
-        vecs, support = analysis.eigvecs, analysis.support
-        vals = np.where(support, analysis.eigvals, 0.0)
-        a, b = np.triu_indices(vals.size)
-        touching = support[a] | support[b]
-        a, b = a[touching], b[touching]
-        drho = vecs.conj().T @ np.asarray(model.drho, dtype=complex) @ vecs
-        _, j_vecs = np.linalg.eigh(analysis.qfim)
-        span = j_vecs[:, j_vecs.shape[1] - analysis.qfim_rank:]  # range of J
-        g = drho[:, b, a].T @ span  # (pairs, r)
-        self.q, self.r, self.pairs = q, span.shape[1], (a, b)
+    def __init__(self, analysis: ModelAnalysis):
+        q, span = analysis.model.n_targets, analysis.qfim_range
+        vals = np.where(analysis.support, analysis.eigvals, 0.0)
+        a, b = self.pairs = _support_pairs(analysis.support)
+        g = analysis.drho_eig[:, b, a].T @ span  # (pairs, r)
+        self.q, self.r = q, span.shape[1]
         self.count = np.where(a == b, 1.0, 2.0)
         self.lam_sum, self.lam_diff = vals[a] + vals[b], vals[a] - vals[b]
         self.g = g
         self.gram = (2.0 * self.count[:, None, None] * g[:, :, None] * g.conj()[:, None, :]).reshape(
             g.shape[0], -1)  # rows 2c·g gᴴ
-        self.dbeta = span.T @ np.asarray(model.dbeta, dtype=float)  # (r, q)
-        self.inv_root_w = _inv_root(w_eig)
+        self.dbeta = span.T @ np.asarray(analysis.model.dbeta, dtype=float)  # (r, q)
+        self.inv_root_w = analysis.inv_root_weight
         self.tri = np.triu_indices(q, 1)  # the entries s < t of A
 
     def point(self, a_vec: np.ndarray) -> _DualPoint | None:
@@ -535,8 +496,7 @@ class _Dual:
         return vecs @ x_eig @ vecs.conj().T
 
 
-def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds,
-                w_eig: tuple[np.ndarray, np.ndarray], tol: float,
+def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
                 max_iter: int) -> HolevoSolution | None:
     """Maximize f(K) by Newton's method from K = 0, closing a certified bracket.
 
@@ -550,7 +510,7 @@ def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds,
     step: f converges quadratically and reaches roundoff one step before
     N(X(K)) − f(K), which shrinks with the gradient, does.
     """
-    dual = _Dual(analysis, w_eig)
+    dual = _Dual(analysis)
     pt = dual.point(np.zeros(dual.tri[0].size))
     if pt is None:
         return None
@@ -588,6 +548,33 @@ def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds,
     )
 
 
+def _feasible_directions(analysis: ModelAnalysis) -> np.ndarray:
+    """Orthonormal feasible directions D_l, (m, d, d) in rho's eigenbasis.
+
+    Over the support pairs a ≤ b, tr(AX) is the dot product of the real
+    coordinates X_aa, √2 Re X_ab and √2 Im X_ab (a < b).  The D_l span the
+    nullspace of those of rho and of every drho_j, cut at 1e-12 of the
+    largest singular value, and have no kernel×kernel block.
+    """
+    a, b = _support_pairs(analysis.support)
+    diag, off = a == b, a != b
+    n_diag, n_off = np.count_nonzero(diag), np.count_nonzero(off)
+    cross = analysis.drho_eig[:, a[off], b[off]]
+    rho_row = np.zeros(n_diag + 2 * n_off)
+    rho_row[:n_diag] = analysis.eigvals[a[diag]]
+    drho_rows = np.hstack([analysis.drho_eig[:, a[diag], a[diag]].real,
+                           np.sqrt(2.0) * cross.real, np.sqrt(2.0) * cross.imag])
+    _, svals, vh = np.linalg.svd(np.vstack([rho_row, drho_rows]), full_matrices=True)
+    null = vh[np.count_nonzero(svals > max(svals.max(), 1e-300) * 1e-12):]
+    values = np.zeros((null.shape[0], a.size), dtype=complex)  # entries (D_l)_ab
+    values[:, diag] = null[:, :n_diag]
+    values[:, off] = (null[:, n_diag:n_diag + n_off] + 1j * null[:, n_diag + n_off:]) / np.sqrt(2.0)
+    directions = np.zeros((null.shape[0],) + analysis.rho.shape, dtype=complex)
+    directions[:, a, b] = values
+    directions[:, b, a] = values.conj()
+    return directions
+
+
 def _solve_sdp(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) -> HolevoSolution:
     """Minimize tr(W V) over the epigraph SDP by the interior-point core.
 
@@ -599,21 +586,15 @@ def _solve_sdp(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) 
     """
     model = analysis.model
     q = model.n_targets
-    vals, vecs, support = analysis.eigvals, analysis.eigvecs, analysis.support
-    right_factor = vecs[:, support] * np.sqrt(vals[support])  # √ρ restricted to the support
-    d_r = right_factor.size
+    vecs, support = analysis.eigvecs, analysis.support
+    root_vals = np.sqrt(analysis.eigvals[support])  # √ρ on the support, in its eigenbasis
+    d_r = support.size * root_vals.size
     block = q + d_r
     weight = np.asarray(model.weight, dtype=float)
 
-    # feasible directions: the nullspace of the basis coefficients of [rho, drho_1 … drho_p]
-    basis = _reduced_hermitian_basis(vecs[:, support], vecs[:, ~support])
-    constraints = np.array([linalg.basis_coefficients(a, basis)
-                            for a in (analysis.rho, *np.asarray(model.drho, dtype=complex))])
-    _, svals, vh = np.linalg.svd(constraints, full_matrices=True)
-    rank = int(np.count_nonzero(svals > max(svals.max(), 1e-300) * 1e-12))
-    directions = np.tensordot(vh[rank:], basis, axes=(1, 0))  # (m, d, d)
+    directions = _feasible_directions(analysis)  # (m, d, d), in rho's eigenbasis
     m_s = directions.shape[0]
-    op = EpigraphOperator(q, (directions @ right_factor).reshape(m_s, d_r).T)
+    op = EpigraphOperator(q, (directions[:, :, support] * root_vals).reshape(m_s, d_r).T)
     a, b = np.triu_indices(q)  # the V variables, in the operator's order
     n_v = a.size
     n = n_v + q * m_s
@@ -622,7 +603,8 @@ def _solve_sdp(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) 
     c[:n_v] = np.where(a == b, 1.0, 2.0) * weight[a, b]
 
     f0 = np.zeros((block, block), dtype=complex)
-    m0 = (analysis.x_eff @ right_factor).reshape(q, d_r).T  # column s: X_eff,s √ρ
+    x_eff_eig = vecs.conj().T @ analysis.x_eff @ vecs
+    m0 = (x_eff_eig[:, :, support] * root_vals).reshape(q, d_r).T  # column s: X_eff,s √ρ
     f0[q:, :q] = m0
     f0[:q, q:] = m0.conj().T
     f0[q:, q:] = np.eye(d_r)
@@ -643,7 +625,7 @@ def _solve_sdp(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) 
     v_opt = np.zeros((q, q))
     v_opt[a, b] = v_opt[b, a] = result.u[:n_v]
     y = result.u[n_v:].reshape(q, m_s)
-    x_opt = analysis.x_eff + np.tensordot(y, directions, axes=(1, 0))
+    x_opt = analysis.x_eff + vecs @ np.tensordot(y, directions, axes=(1, 0)) @ vecs.conj().T
 
     return HolevoSolution(
         c_h=float(np.trace(weight @ v_opt)),

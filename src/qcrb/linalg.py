@@ -15,6 +15,7 @@ __all__ = [
     "jordan_product",
     "z_matrix",
     "trace_norm",
+    "symmetric_eigh",
     "pseudoinverse",
     "psd_sqrt",
     "hermitian_basis",
@@ -85,23 +86,27 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def pseudoinverse(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def symmetric_eigh(m: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigendecomposition of the real symmetric ``m``, symmetrized exactly first;
+    ``ValueError`` when ``m`` is not square or not symmetric within ``HERMITICITY_TOL``."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got {m.shape}")
+    if np.abs(m - m.T).max() > HERMITICITY_TOL * max(np.abs(m).max(), 1.0):
+        raise ValueError(f"{name} must be symmetric")
+    return np.linalg.eigh((m + m.T) / 2)
+
+
+def pseudoinverse(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,
+                  eig: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a real symmetric matrix.
 
     Eigendecomposition based: eigenvalues with |λ| ≤ ``rank_tol`` times the
-    largest eigenvalue magnitude are treated as exact zeros.
-
-    Raises
-    ------
-    ValueError
-        If ``m`` is not symmetric.
+    largest eigenvalue magnitude are treated as exact zeros.  ``eig`` is
+    :func:`symmetric_eigh` of ``m`` when the caller already holds it, which
+    otherwise raises ``ValueError`` for a matrix that is not symmetric.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got {m.shape}")
-    if np.abs(m - m.T).max() > HERMITICITY_TOL * max(np.abs(m).max(), 1.0):
-        raise ValueError("pseudoinverse expects a symmetric matrix")
-    w, v = np.linalg.eigh((m + m.T) / 2)
+    w, v = symmetric_eigh(m) if eig is None else eig
     inv_w = np.zeros_like(w)
     keep = np.abs(w) > rank_tol * (np.abs(w).max() if w.size else 1.0)
     inv_w[keep] = 1.0 / w[keep]
@@ -109,18 +114,16 @@ def pseudoinverse(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarr
     return (out + out.T) / 2
 
 
-def psd_sqrt(w: np.ndarray, name: str = "weight") -> np.ndarray:
+def psd_sqrt(w: np.ndarray, name: str = "weight",
+             eig: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Spectral square root of a symmetric PSD matrix, clipping eigenvalues at 0.
 
-    Raises ``ValueError`` when ``w`` is not symmetric or clearly not PSD
-    (minimum eigenvalue below −1e−8 times the trace scale).
+    ``eig`` is :func:`symmetric_eigh` of ``w`` when the caller already
+    holds it.  Raises ``ValueError`` when ``w`` is not symmetric or clearly
+    not PSD (minimum eigenvalue below −1e−8 times the trace scale).
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"{name} must be square, got {w.shape}")
-    if np.abs(w - w.T).max() > HERMITICITY_TOL * max(1.0, np.abs(w).max()):
-        raise ValueError(f"{name} must be symmetric")
-    vals, vecs = np.linalg.eigh((w + w.T) / 2)
+    vals, vecs = symmetric_eigh(w, name) if eig is None else eig
     scale = max(float(np.trace(w)), float(np.abs(vals).max()) if vals.size else 0.0, 1e-300)
     if vals.min() < -1e-8 * scale:
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {vals.min():.3e})")

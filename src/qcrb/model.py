@@ -136,13 +136,20 @@ def validate(model: QuantumModel) -> None:
 # serialization
 
 
-def read_json(path):
-    """Parse a JSON input file; a decode error becomes a ValueError naming the position."""
+def read_json(path, parse):
+    """``parse`` of the JSON object in the input file ``path``; a decode error, another
+    top level and a ValueError of ``parse`` all become a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    try:
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object at the top level, got {json.dumps(data)[:40]}")
+        return parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_json(data, path) -> None:
@@ -243,11 +250,7 @@ def model_from_dict(data: dict) -> QuantumModel:
 
 def load_model(path) -> QuantumModel:
     """Load and validate a model file (JSON, complex entries as [re, im])."""
-    data = read_json(path)
-    try:
-        model = model_from_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    model = read_json(path, model_from_dict)
     validate(model)
     return model
 

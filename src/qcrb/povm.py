@@ -217,27 +217,25 @@ def measurement_report(povm: DiscretePovm, model: QuantumModel,
 
 def load_povm(path) -> DiscretePovm:
     """Load a POVM file {"dim", "elements", "estimates"} and validate it."""
-    data = read_json(path)
-    try:
-        for key in ("dim", "elements", "estimates"):
-            if key not in data:
-                raise ValueError(f"povm file misses required field '{key}'")
-        d = _positive_int(data["dim"], "dim")
-        elements = np.array(
-            [_pairs_to_complex_matrix(m, f"elements[{i}]") for i, m in enumerate(data["elements"])]
-        )
-        if elements.shape[1:] != (d, d):
-            raise ValueError(f"elements: matrices of shape {elements.shape[1:]} do not match dim={d}")
-        estimates = _real_matrix(data["estimates"], "estimates")
-        if estimates.shape[0] != elements.shape[0]:
-            raise ValueError(
-                f"estimates: {estimates.shape[0]} rows for {elements.shape[0]} POVM elements"
-            )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    povm = DiscretePovm(elements=elements, estimates=estimates)
+    povm = read_json(path, _povm_from_dict)
     validate_povm(povm)
     return povm
+
+
+def _povm_from_dict(data: dict) -> DiscretePovm:
+    for key in ("dim", "elements", "estimates"):
+        if key not in data:
+            raise ValueError(f"povm file misses required field '{key}'")
+    d = _positive_int(data["dim"], "dim")
+    elements = np.array(
+        [_pairs_to_complex_matrix(m, f"elements[{i}]") for i, m in enumerate(data["elements"])]
+    )
+    if elements.shape[1:] != (d, d):
+        raise ValueError(f"elements: matrices of shape {elements.shape[1:]} do not match dim={d}")
+    estimates = _real_matrix(data["estimates"], "estimates")
+    if estimates.shape[0] != elements.shape[0]:
+        raise ValueError(f"estimates: {estimates.shape[0]} rows for {elements.shape[0]} POVM elements")
+    return DiscretePovm(elements=elements, estimates=estimates)
 
 
 def save_povm(povm: DiscretePovm, path) -> None:

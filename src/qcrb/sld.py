@@ -1,19 +1,15 @@
 """One local analysis of a model: SLDs, information matrices, efficient operators.
 
 :func:`analyze` computes, once per model, everything the three bounds
-read: the eigendecomposition of rho and its support/kernel split, the
-symmetric logarithmic derivatives, J = Re Z(L) and D = Im Z(L), the rank
-and pseudoinverse of J, the efficient influence operators (dbeta)ᵀ J⁺ L,
+read: the eigendecomposition of rho and its support/kernel split, drho
+and the symmetric logarithmic derivatives in rho's eigenbasis, J = Re Z(L)
+and D = Im Z(L), the one eigendecomposition of J (its rank, range and
+pseudoinverse) and of W, the efficient influence operators (dbeta)ᵀ J⁺ L,
 and how far the SLD span is from being closed under the commutation
 superoperator 𝒟_ρ (which decides whether c_h = c_d).  Every rank
 decision — rho's support, the SLD kernel block, the rank of J and the
 feasibility verdict — is taken with the one relative ``rank_tol`` it is
 given.
-
-The Lyapunov equation drho_j = rho ∘ L_j is solved in the eigenbasis of
-rho; on rank-deficient states the kernel×kernel block of L_j is set to
-zero (minimum-norm representative of the SLD equivalence class).  Every
-downstream bound is invariant to that choice.
 """
 
 from __future__ import annotations
@@ -37,6 +33,9 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-8
 FEASIBILITY_TOL = 1e-8
+#: W counts as positive definite when its smallest eigenvalue exceeds this
+#: multiple of its largest; a singular W may have no finite V attaining c_d.
+WEIGHT_DEFINITE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,13 @@ class ModelAnalysis:
 
     ``rho`` is the exactly Hermitized density matrix; ``eigvals``/``eigvecs``
     its ascending eigendecomposition and ``support`` the mask of eigenvalues
-    above ``rank_tol`` times the largest.  ``slds`` (p, d, d) carry their
+    above ``rank_tol`` times the largest; ``drho_eig`` and ``slds_eig`` are
+    drho and the SLDs in that eigenbasis.  ``slds`` (p, d, d) carry their
     reconstruction ``residuals``; ``qfim`` = J is symmetric and ``dmat`` = D
-    antisymmetric to the bit.  ``x_eff`` (q, d, d) are the efficient
-    influence operators, ``z_eff`` = Z(X_eff) and ``root_weight`` = √W.
+    antisymmetric to the bit.  ``qfim_range`` holds the eigenvectors of J
+    that ``qfim_pinv`` keeps.  ``root_weight`` = √W, and ``inv_root_weight``
+    = W^-½ when W is positive definite, else None.  ``x_eff`` (q, d, d) are
+    the efficient influence operators and ``z_eff`` = Z(X_eff).
     ``d_invariance_residual`` is :func:`d_invariance_residual` of the SLDs.
     Only estimable models have an analysis (:func:`analyze` raises
     otherwise), so no consumer checks feasibility again.
@@ -59,24 +61,30 @@ class ModelAnalysis:
     eigvals: np.ndarray
     eigvecs: np.ndarray
     support: np.ndarray
+    drho_eig: np.ndarray
+    slds_eig: np.ndarray
     slds: np.ndarray
     residuals: np.ndarray
     qfim: np.ndarray
     dmat: np.ndarray
     qfim_rank: int
+    qfim_range: np.ndarray
     qfim_pinv: np.ndarray
+    root_weight: np.ndarray
+    inv_root_weight: np.ndarray | None
     x_eff: np.ndarray
     z_eff: np.ndarray
-    root_weight: np.ndarray
     d_invariance_residual: float
 
 
-def compute_slds(rho: np.ndarray, drho: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray,
-                 support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve drho_j = rho ∘ L_j for every parameter; returns (slds, residuals).
+def compute_slds(rho: np.ndarray, drho: np.ndarray, drho_eig: np.ndarray, eigvals: np.ndarray,
+                 eigvecs: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve drho_j = rho ∘ L_j for every parameter; returns (slds, slds_eig, residuals).
 
-    In the eigenbasis of rho, (L_j)_ab = 2 (drho_j)_ab / (λ_a + λ_b) on every
-    pair touching the ``support`` and 0 on the kernel×kernel block.  Raises
+    In the eigenbasis of rho, where drho is ``drho_eig``,
+    (L_j)_ab = 2 (drho_j)_ab / (λ_a + λ_b) on every pair touching the
+    ``support``, and 0 on the kernel×kernel block: the minimum-norm
+    representative of the SLD, to which no bound is sensitive.  Raises
     :class:`ResidualTooLarge` when the reconstruction ‖rho ∘ L_j − drho_j‖_F
     exceeds ``RESIDUAL_TOL`` (content the kernel-block check of
     :func:`analyze` let through).
@@ -84,32 +92,28 @@ def compute_slds(rho: np.ndarray, drho: np.ndarray, eigvals: np.ndarray, eigvecs
     pair_sums = eigvals[:, None] + eigvals[None, :]
     inv_pairs = np.zeros_like(pair_sums)
     np.divide(2.0, pair_sums, out=inv_pairs, where=support[:, None] | support[None, :])
-
-    slds = []
-    residuals = []
-    for j, dj in enumerate(np.asarray(drho, dtype=complex)):
-        # entries near the float limit overflow here; the non-finite SLD is
-        # rejected, naming drho, by :func:`information`
-        with np.errstate(over="ignore", invalid="ignore"):
-            dj_eig = eigvecs.conj().T @ dj @ eigvecs
-            l_eig = dj_eig * inv_pairs
-            lj = linalg.hermitian_part(eigvecs @ l_eig @ eigvecs.conj().T)
-        res = np.linalg.norm(linalg.jordan_product(rho, lj) - dj)
-        if res > RESIDUAL_TOL:
-            raise ResidualTooLarge(
-                f"SLD equation for parameter {j} left residual {res:.3e} > {RESIDUAL_TOL:.1e}",
-                support_rank=int(np.count_nonzero(support)),
-            )
-        slds.append(lj)
-        residuals.append(res)
-    return np.array(slds), np.array(residuals)
+    # entries near the float limit overflow here; the non-finite SLD is
+    # rejected, naming drho, by :func:`information`
+    with np.errstate(over="ignore", invalid="ignore"):
+        slds_eig = drho_eig * inv_pairs
+        slds = eigvecs @ slds_eig @ eigvecs.conj().T
+        slds = slds / 2 + slds.conj().transpose(0, 2, 1) / 2
+        residuals = np.linalg.norm((rho @ slds + slds @ rho) / 2 - drho, axis=(1, 2))
+    failed = residuals > RESIDUAL_TOL
+    if failed.any():
+        j = int(failed.argmax())  # the first
+        raise ResidualTooLarge(
+            f"SLD equation for parameter {j} left residual {residuals[j]:.3e} > {RESIDUAL_TOL:.1e}",
+            support_rank=int(np.count_nonzero(support)),
+        )
+    return slds, slds_eig, residuals
 
 
-def d_invariance_residual(slds: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray,
-                          support: np.ndarray) -> float:
+def d_invariance_residual(slds_eig: np.ndarray, eigvals: np.ndarray, support: np.ndarray) -> float:
     """How far span_R{L_j} is from being closed under 𝒟_ρ, as one relative residual.
 
-    In the eigenbasis of rho, (𝒟L)_ab = 2i (λ_b − λ_a)/(λ_a + λ_b) L_ab on
+    In the eigenbasis of rho, where the SLDs are ``slds_eig``,
+    (𝒟L)_ab = 2i (λ_b − λ_a)/(λ_a + λ_b) L_ab on
     every pair touching the ``support`` and 0 on the kernel×kernel block;
     𝒟L is the Hermitian solution of rho ∘ 𝒟L = i[L, rho].  Returns the
     largest, over j, of ‖𝒟L_j − P 𝒟L_j‖_F / ‖L_j‖_F, P being the real
@@ -118,25 +122,23 @@ def d_invariance_residual(slds: np.ndarray, eigvals: np.ndarray, eigvecs: np.nda
     not ‖𝒟L_j‖, so that a commuting model written in another frame, whose
     𝒟L_j is roundoff, measures roundoff too.
     """
-    p, dim = slds.shape[0], eigvals.size
+    p, dim = slds_eig.shape[0], eigvals.size
     if p == 0:
         return 0.0
-    l_eig = eigvecs.conj().T @ slds @ eigvecs
     pair_sums = eigvals[:, None] + eigvals[None, :]
     factor = np.zeros_like(pair_sums)
     np.divide(2.0 * (eigvals[None, :] - eigvals[:, None]), pair_sums, out=factor,
               where=support[:, None] | support[None, :])
-    span = np.ascontiguousarray(l_eig).reshape(p, dim * dim).view(float).T  # real (2d², p)
-    image = np.ascontiguousarray(1j * factor * l_eig).reshape(p, dim * dim).view(float).T
+    span = np.ascontiguousarray(slds_eig).reshape(p, dim * dim).view(float).T  # real (2d², p)
+    image = np.ascontiguousarray(1j * factor * slds_eig).reshape(p, dim * dim).view(float).T
     coef, *_ = np.linalg.lstsq(span, image, rcond=None)
     norms = np.linalg.norm(span, axis=0)
     misfit = np.linalg.norm(image - span @ coef, axis=0)
     return float(np.divide(misfit, norms, out=np.zeros(p), where=norms > 0).max())
 
 
-def information(slds: np.ndarray, rho: np.ndarray,
-                rank_tol: float = linalg.DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray, int]:
-    """Information matrices from the SLDs: returns (J, D, rank of J).
+def information(slds: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Information matrices from the SLDs: returns (J, D).
 
     J = Re Z(L) is symmetrized and D = Im Z(L) antisymmetrized exactly, so
     downstream code can rely on J = Jᵀ and D = −Dᵀ holding to the bit.
@@ -149,9 +151,7 @@ def information(slds: np.ndarray, rho: np.ndarray,
         raise ModelError("drho: the information matrix Z(L) is not finite (derivative entries too large)")
     j = (z.real + z.real.T) / 2
     d = (z.imag - z.imag.T) / 2
-    w = np.linalg.eigvalsh(j)
-    rank = int(np.count_nonzero(np.abs(w) > rank_tol * max(np.abs(w).max(), 1e-300)))
-    return j, d, rank
+    return j, d
 
 
 def infeasible_columns(qfim: np.ndarray, qfim_pinv: np.ndarray, dbeta: np.ndarray) -> list[int]:
@@ -180,23 +180,28 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
     rho = linalg.hermitian_part(np.asarray(model.rho, dtype=complex))
     eigvals, eigvecs = np.linalg.eigh(rho)
     support = eigvals > rank_tol * max(eigvals.max(), 1e-300)
-    kernel = eigvecs[:, ~support]
-    for j, dj in enumerate(np.asarray(model.drho, dtype=complex)):
-        block = kernel.conj().T @ dj @ kernel
+    drho = np.asarray(model.drho, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected by :func:`information`
+        drho_eig = eigvecs.conj().T @ drho @ eigvecs
+    for j, (dj, block) in enumerate(zip(drho, drho_eig[:, ~support][:, :, ~support])):
         if block.size and np.abs(block).max() > rank_tol * max(1.0, np.abs(dj).max()):
             raise KernelBlockDerivative(
                 f"drho[{j}] has kernel-block content {np.abs(block).max():.3e}; "
                 "the SLD equation is unsolvable there (rank of rho not locally fixed)"
             )
-    slds, residuals = compute_slds(rho, model.drho, eigvals, eigvecs, support)
-    qfim, dmat, qfim_rank = information(slds, rho, rank_tol)
-    qfim_pinv = linalg.pseudoinverse(qfim, rank_tol)
+    slds, slds_eig, residuals = compute_slds(rho, drho, drho_eig, eigvals, eigvecs, support)
+    qfim, dmat = information(slds, rho)
+    j_vals, j_vecs = j_eig = linalg.symmetric_eigh(qfim, "J")
+    j_range = np.abs(j_vals) > rank_tol * max(np.abs(j_vals).max(), 1e-300)  # the pseudoinverse's cut
+    qfim_pinv = linalg.pseudoinverse(qfim, rank_tol, eig=j_eig)
     bad = infeasible_columns(qfim, qfim_pinv, model.dbeta)
     if bad:
         raise InfeasibleModel(
             f"beta component(s) {bad} are not estimable (dbeta column outside range of J)",
             bad_columns=bad,
         )
+    w_vals, w_vecs = w_eig = linalg.symmetric_eigh(model.weight, "weight")
+    definite = w_vals.min() > WEIGHT_DEFINITE_TOL * w_vals.max()
     x_eff = np.tensordot((qfim_pinv @ model.dbeta).T, slds, axes=(1, 0))
     return ModelAnalysis(
         model=model,
@@ -204,14 +209,18 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
         eigvals=eigvals,
         eigvecs=eigvecs,
         support=support,
+        drho_eig=drho_eig,
+        slds_eig=slds_eig,
         slds=slds,
         residuals=residuals,
         qfim=qfim,
         dmat=dmat,
-        qfim_rank=qfim_rank,
+        qfim_rank=int(np.count_nonzero(j_range)),
+        qfim_range=j_vecs[:, j_range],
         qfim_pinv=qfim_pinv,
+        root_weight=linalg.psd_sqrt(model.weight, eig=w_eig),
+        inv_root_weight=(w_vecs / np.sqrt(w_vals)) @ w_vecs.T if definite else None,
         x_eff=x_eff,
         z_eff=linalg.z_matrix(x_eff, rho),
-        root_weight=linalg.psd_sqrt(model.weight),
-        d_invariance_residual=d_invariance_residual(slds, eigvals, eigvecs, support),
+        d_invariance_residual=d_invariance_residual(slds_eig, eigvals, support),
     )

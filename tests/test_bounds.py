@@ -193,7 +193,7 @@ class TestVarianceMinimality:
         vals, vecs = np.linalg.eigh(m.rho)
         k = vecs[:, vals < 1e-10][:, 0]
         slds_p = analysis.slds + 2.0 * np.outer(k, k.conj())
-        qfim_p, dmat_p, _ = information(slds_p, m.rho)
+        qfim_p, dmat_p = information(slds_p, m.rho)
         perturbed = dataclasses.replace(analysis, slds=slds_p, qfim=qfim_p, dmat=dmat_p,
                                         qfim_pinv=linalg.pseudoinverse(qfim_p))
         assert c_gs(perturbed) == pytest.approx(base_gs, abs=1e-10)

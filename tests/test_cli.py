@@ -18,6 +18,7 @@ from qcrb.exceptions import (
 from qcrb.gaussian import GaussianShiftModel, save_gaussian_model
 from qcrb.model import QuantumModel, fixture, model_to_dict, save_model
 from qcrb.povm import DiscretePovm, save_povm
+from _support import locally_unbiased_povm
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -192,6 +193,25 @@ class TestBounds:
     def test_solver_failure_exit_3(self, sdp_model_file, capsys):
         assert main(["bounds", sdp_model_file, "--max-iter", "1"]) == 3
         assert "solver failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bounds", "check-povm", "sweep"])
+    def test_solver_failure_reported_alike(self, command, sdp_model_file, tmp_path, capsys):
+        """Every command that solves names the status, iterations and gap of a failed solve."""
+        model = fixture("random_full_rank", [3, 3, 2, 1])
+        rng = np.random.default_rng(0)
+        povm = None
+        while povm is None:
+            povm = locally_unbiased_povm(rng, model, np.zeros(1))
+        ppath = tmp_path / "povm.json"
+        save_povm(povm, ppath)
+        argv = {"bounds": ["bounds", sdp_model_file],
+                "check-povm": ["check-povm", str(ppath), sdp_model_file],
+                "sweep": ["sweep", "random_full_rank", "3", "--fixed", "3,2,1"]}[command]
+        assert main(argv + ["--max-iter", "1"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        failure = [line for line in err if line.startswith("solver failed")]
+        assert len(failure) == 1
+        assert "status MaxIterations after 1 iterations (gap " in failure[0]
 
     def test_dual_hands_over_after_max_iter(self, dual_model_file, capsys):
         """The dual needs two Newton steps here; with one allowed the model
@@ -483,6 +503,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(error) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("top", ["5", "null", "true", "[1]", '"x"'])
+    @pytest.mark.parametrize("kind", ["model", "povm", "gaussian", "measurement-cm"])
+    def test_non_object_json_exits_1(self, kind, top, tmp_path, vacuum_file, capsys):
+        """An input file whose top level is not a JSON object is named, not a traceback."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(top + "\n")
+        model = tmp_path / "model.json"
+        save_model(fixture("qubit_xy_at_z", [0.5]), model)
+        argv = {"model": ["bounds", str(bad)],
+                "povm": ["check-povm", str(bad), str(model)],
+                "gaussian": ["gaussian", str(bad)],
+                "measurement-cm": ["gaussian", vacuum_file, "--measurement-cm", str(bad)]}[kind]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {bad}: expected a JSON object at the top level, got ")
 
 
 class TestFixturesCommand:

@@ -8,7 +8,7 @@ from qcrb import holevo, linalg, sdp
 from qcrb.bounds import ClosedFormBounds, c_d, c_gs, sandwich
 from qcrb.exceptions import InfeasibleModel, VerificationFailed
 from qcrb.holevo import EpigraphOperator, solve, verify_solution
-from qcrb.model import QuantumModel, fixture
+from qcrb.model import QuantumModel, fixture, validate
 from qcrb.povm import unbiasedness_residual
 from qcrb.sld import analyze
 from _support import (DenseOperator, direct_holevo_oracle, epigraph_matrices, holevo_objective,
@@ -68,6 +68,28 @@ class TestBuildProblem:
         # support-touching elements only: d^2 - (d-r)^2 = 3 for d=2, r=1, all
         # fixed by the 1 + p = 3 constraints; X √ρ has d·r = 2 entries
         assert cols.shape == (2, 0)
+
+    @pytest.mark.parametrize("model", [
+        fixture("random_full_rank", [3, 4, 3, 1]),  # full rank
+        random_model(np.random.default_rng(41), 4, 3, 2, rank=2, weighted=True),  # rank-deficient
+        random_model(np.random.default_rng(42), 3, 2, 1, rank=1),  # pure state
+    ], ids=["full-rank", "rank-deficient", "pure"])
+    def test_directions(self, model):
+        """Every feasible direction is Hermitian, orthonormal, orthogonal to
+        rho and to every drho_j, and zero on the kernel×kernel block."""
+        analysis = analyze(model)
+        vecs, kernel = analysis.eigvecs, ~analysis.support
+        directions = vecs @ holevo._feasible_directions(analysis) @ vecs.conj().T
+        r, k = np.count_nonzero(analysis.support), np.count_nonzero(kernel)
+        # r² + 2rk coordinates, less one constraint for rho and one per independent drho_j
+        assert directions.shape == (r * r + 2 * r * k - 1 - model.n_params, model.dim, model.dim)
+        assert np.abs(directions - directions.conj().transpose(0, 2, 1)).max() <= 1e-15
+        gram = np.einsum("lab,mba->lm", directions, directions)
+        assert np.abs(gram - np.eye(len(directions))).max() <= 1e-14
+        for op in (model.rho, *model.drho):
+            assert np.abs(np.einsum("ab,lba->l", op, directions)).max() <= 1e-14 * max(1.0, np.abs(op).max())
+        kernel_block = vecs[:, kernel].conj().T @ directions @ vecs[:, kernel]
+        assert not kernel_block.size or np.abs(kernel_block).max() <= 1e-15
 
     def test_infeasible_model_rejected(self):
         rng = np.random.default_rng(1)
@@ -296,7 +318,7 @@ def dual_models():
 
 def dual_of(model):
     analysis = analyze(model)
-    return analysis, holevo._Dual(analysis, np.linalg.eigh(model.weight))
+    return analysis, holevo._Dual(analysis)
 
 
 def random_inside(rng, q, radius):
@@ -393,6 +415,39 @@ class TestDual:
         crossed = dataclasses.replace(sol, dual_objective=sol.c_h * (1 + 1e-6))
         with pytest.raises(VerificationFailed, match="dual bracket crossed"):
             verify_solution(analysis, crossed, closed)
+
+
+class TestOneAnalysis:
+    """Each model's J and W are diagonalized once, by :func:`analyze`, and
+    every Holevo path reads that result."""
+
+    @pytest.mark.parametrize("model, method", [
+        (random_model(np.random.default_rng(43), 4, 3, 2, weighted=True), holevo.DUAL),
+        (random_model(np.random.default_rng(44), 4, 3, 1, weighted=True), holevo.SDP),
+        (fixture("qubit_bloch", [0.1, 0.2, 0.3]), holevo.D_INVARIANT),
+    ], ids=["dual", "sdp", "d_invariant"])
+    def test_j_and_w_decomposed_once(self, model, method, monkeypatch):
+        qfim, weight = analyze(model).qfim, model.weight
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            def recording(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                seen.append(np.asarray(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+
+        def decompositions(target):
+            return sum(1 for a in seen if a.shape == target.shape and np.array_equal(a, target))
+
+        validate(model)  # the boundary check of the model file: √W exists
+        assert (decompositions(qfim), decompositions(weight)) == (0, 1)
+        seen.clear()
+        analysis = analyze(model)
+        closed = sandwich(analysis)
+        sol = solve(analysis, closed)
+        verify_solution(analysis, sol, closed)
+        assert sol.method == method
+        assert (decompositions(qfim), decompositions(weight)) == (1, 1)
 
 
 def dense_epigraph(q, cols):

@@ -67,9 +67,9 @@ class TestComputeSlds:
         # bypass the kernel-block check of analyze: feed a kernel-block derivative directly
         rho = np.diag([1.0, 0.0]).astype(complex)
         eigvals, eigvecs = np.linalg.eigh(rho)
+        drho = np.array([np.diag([-1.0, 1.0]).astype(complex)])
         with pytest.raises(ResidualTooLarge) as raised:
-            compute_slds(rho, np.array([np.diag([-1.0, 1.0]).astype(complex)]),
-                         eigvals, eigvecs, eigvals > 1e-10)
+            compute_slds(rho, drho, eigvecs.conj().T @ drho @ eigvecs, eigvals, eigvecs, eigvals > 1e-10)
         assert raised.value.support_rank == 1
 
     def test_scale_covariance(self):
@@ -162,7 +162,7 @@ class TestInformation:
         vals, vecs = np.linalg.eigh(m.rho)
         k = vecs[:, vals < 1e-10][:, 0]
         perturbed = info.slds + 3.0 * np.outer(k, k.conj())
-        qfim_p, dmat_p, _ = information(perturbed, m.rho)
+        qfim_p, dmat_p = information(perturbed, m.rho)
         assert_allclose(qfim_p, info.qfim, atol=1e-10)
         assert_allclose(dmat_p, info.dmat, atol=1e-10)
 
