@@ -4,10 +4,17 @@ Subcommands: ``bounds``, ``gaussian``, ``check-povm``, ``sweep``,
 ``fixtures``.  Reports go to stdout (byte-deterministic for identical
 inputs and flags), diagnostics and timings to stderr.
 
-Exit codes: 0 success; 1 unreadable or invalid input file; 2 semantic
-rejection (infeasible model, unphysical covariance matrix, locally biased
-POVM); 3 solver failure.  ``main`` maps every error to its code through
-one table, :data:`FAILURES`.
+Exit codes: 0 success; 1 unreadable or invalid input file, or a usage
+error (an unknown command, a missing argument, a malformed or
+out-of-range flag value); 2 semantic rejection (infeasible model,
+unphysical covariance matrix, locally biased POVM); 3 solver failure.
+``main`` maps every error to its code through one table,
+:data:`FAILURES`, and returns it; every error ends in one stderr line.
+
+The argument parser, :data:`PARSER`, is built once per process, at
+import.  ``main`` looks the subcommand's ``cmd_*`` function up in this
+module when it is called, so a replacement of ``cmd_bounds`` and the like
+(a wrapper, a test double) is the function that runs.
 """
 
 from __future__ import annotations
@@ -315,12 +322,17 @@ _NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 class _Parser(argparse.ArgumentParser):
     """Reads a token that starts with a minus sign and a number, such as the
-    list ``-0.3,0.1``, as a value; argparse would take it for an option."""
+    list ``-0.3,0.1``, as a value; argparse would take it for an option.  A
+    usage error is a ValueError, which :func:`main` maps to exit 1 with one
+    stderr line, where argparse would print the usage and exit 2."""
 
     def _parse_optional(self, arg_string):
         if _NEGATIVE_VALUE.match(arg_string):
             return None
         return super()._parse_optional(arg_string)
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,42 +358,42 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include optimal influence-operator coefficients in the report")
     p.add_argument("--timings", action="store_true",
                    help="embed wall-clock timings in the report (breaks byte determinism)")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("gaussian", help="information matrices of a Gaussian shift model")
     p.add_argument("model")
     p.add_argument("--measurement-cm", help="measurement CM file; default sigma_m = sigma")
     common(p)
-    p.set_defaults(func=cmd_gaussian)
 
     p = sub.add_parser("check-povm", help="audit a POVM against a model")
     p.add_argument("povm")
     p.add_argument("model")
     p.add_argument("--beta", help="comma-separated target values at the true point (default 0)")
     common(p)
-    p.set_defaults(func=cmd_check_povm)
 
     p = sub.add_parser("sweep", help="sweep a fixture parameter, CSV to stdout")
     p.add_argument("fixture")
     p.add_argument("values", help="comma-separated values or start:stop:count")
     p.add_argument("--fixed", help="comma-separated trailing fixture params")
     common(p, formats=())
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fixtures", help="list built-in fixtures or emit one as a model file")
     p.add_argument("--emit", help="fixture name to materialize")
     p.add_argument("--params", help="comma-separated fixture parameters")
     p.add_argument("--seed", type=int, help="seed (prepended to params) for randomized fixtures")
     p.add_argument("--out", help="output model file path")
-    p.set_defaults(func=cmd_fixtures)
     return parser
 
 
+#: Built once per process; parsing leaves it unchanged.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = PARSER.parse_args(argv)
         _check_solver_flags(args)
-        return args.func(args)
+        # looked up now, not bound into the parser at import: see the module docstring
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except tuple(cls for cls, _, _ in FAILURES) as exc:
         code, prefix = next((code, prefix) for cls, code, prefix in FAILURES if isinstance(exc, cls))
         _diag(f"{prefix}: {exc}")

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,11 @@ class QuantumModel:
     dbeta : (p, q) real derivative matrix of the target map.
     weight : (q, q) real symmetric PSD weight matrix.
     label : free-form description.
+
+    ``rho_eig`` and ``weight_eig`` are decomposed on first use and kept with
+    the model, so that :func:`validate` and :func:`qcrb.sld.analyze` share
+    one decomposition of each; a model's arrays are therefore never changed
+    in place.
     """
 
     dim: int
@@ -73,6 +79,23 @@ class QuantumModel:
     @property
     def n_targets(self) -> int:
         return self.dbeta.shape[1]
+
+    @cached_property
+    def rho_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigendecomposition of the exactly Hermitized rho (read-only arrays)."""
+        return _read_only(np.linalg.eigh(linalg.hermitian_part(np.asarray(self.rho, dtype=complex))))
+
+    @cached_property
+    def weight_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`qcrb.linalg.symmetric_eigh` of the weight (read-only arrays);
+        ``ValueError`` when it is not square or not symmetric."""
+        return _read_only(linalg.symmetric_eigh(self.weight, "weight"))
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def validate(model: QuantumModel) -> None:
@@ -97,7 +120,7 @@ def validate(model: QuantumModel) -> None:
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotDensityMatrix(f"Tr rho = {tr!r} differs from 1 beyond {TRACE_TOL}")
-    vals = np.linalg.eigvalsh(rho)
+    vals = model.rho_eig[0]
     if vals.min() < -PSD_TOL:
         raise NotDensityMatrix(f"rho has negative eigenvalue {vals.min():.3e}")
 
@@ -127,7 +150,7 @@ def validate(model: QuantumModel) -> None:
     if weight.shape != (q, q):
         raise ModelError(f"weight has shape {weight.shape}, expected ({q}, {q})")
     try:
-        linalg.psd_sqrt(weight, "weight")
+        linalg.psd_sqrt(weight, "weight", eig=model.weight_eig)
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
 
@@ -137,13 +160,16 @@ def validate(model: QuantumModel) -> None:
 
 
 def read_json(path, parse):
-    """``parse`` of the JSON object in the input file ``path``; a decode error, another
-    top level and a ValueError of ``parse`` all become a ValueError naming the file."""
+    """``parse`` of the JSON object in the input file ``path``; bytes that are not
+    UTF-8, a decode error, another top level and a ValueError of ``parse`` all
+    become a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object at the top level, got {json.dumps(data)[:40]}")
@@ -182,35 +208,63 @@ def _positive_int(value, where: str) -> int:
     return value
 
 
-def _pairs_to_complex_matrix(obj, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
+def _decode_matrix(obj, where: str, pairs: bool) -> np.ndarray:
+    """The float array of a JSON matrix: rows of numbers, shape (n, m), or with
+    ``pairs`` a non-empty list of rows of [re, im] pairs, shape (n, m, 2) or
+    (n, 0).
+
+    Every entry must be a finite int or float (not a bool).  Their types are
+    checked once over the whole matrix, then one conversion and one
+    finiteness check follow; when any of them fails, :func:`_reject` reads
+    the input again to name the first bad entry.  Numbers are not checked
+    in a real matrix whose rows are not all lists: the conversion rejects
+    it or returns an array of the wrong rank.
+    """
+    if pairs and not (isinstance(obj, list) and obj):
         raise ValueError(f"{where}: expected a non-empty list of rows")
-    rows = []
+    nested = isinstance(obj, list) and all(isinstance(row, list) for row in obj)
+    if not (pairs or nested):
+        try:
+            arr = np.array(obj, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{where}: expected a rectangular real matrix") from exc
+    else:
+        if pairs and not (nested and all(isinstance(x, list) and len(x) == 2 for row in obj for x in row)):
+            _reject(obj, where, pairs)
+        entries = [v for row in obj for x in row for v in x] if pairs else [x for row in obj for x in row]
+        numbers = all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, entries)))
+        try:
+            arr = np.array(obj, dtype=float) if numbers else None
+        except (OverflowError, ValueError):  # an int beyond the float range; ragged rows
+            arr = None
+        if arr is None or not np.isfinite(arr).all():
+            _reject(obj, where, pairs)
+    if not pairs and arr.ndim != 2:
+        raise ValueError(f"{where}: expected a matrix, got ndim={arr.ndim}")
+    return arr
+
+
+def _reject(obj, where: str, pairs: bool):
+    """Raise the error that names the first bad entry of the matrix ``obj``
+    of :func:`_decode_matrix`, in reading order, else the error for its rows."""
     for i, row in enumerate(obj):
         if not isinstance(row, list):
             raise ValueError(f"{where}[{i}]: expected a list of [re, im] pairs")
-        entries = []
-        for j, pair in enumerate(row):
-            if not (isinstance(pair, list) and len(pair) == 2):
+        for j, x in enumerate(row):
+            if pairs and not (isinstance(x, list) and len(x) == 2):
                 raise ValueError(f"{where}[{i}][{j}]: expected an [re, im] pair")
-            entries.append(complex(_number(pair[0], f"{where}[{i}][{j}]"),
-                                   _number(pair[1], f"{where}[{i}][{j}]")))
-        rows.append(entries)
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError(f"{where}: ragged rows")
-    return np.array(rows, dtype=complex)
+            for value in x if pairs else (x,):
+                _number(value, f"{where}[{i}][{j}]")
+    raise ValueError(f"{where}: ragged rows" if pairs else f"{where}: expected a rectangular real matrix")
+
+
+def _pairs_to_complex_matrix(obj, where: str) -> np.ndarray:
+    arr = _decode_matrix(obj, where, pairs=True)
+    return arr.view(complex).reshape(arr.shape[:2])
 
 
 def _real_matrix(obj, where: str) -> np.ndarray:
-    if isinstance(obj, list) and all(isinstance(row, list) for row in obj):
-        obj = [[_number(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(obj)]
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: expected a rectangular real matrix") from exc
-    if arr.ndim != 2:
-        raise ValueError(f"{where}: expected a matrix, got ndim={arr.ndim}")
-    return arr
+    return _decode_matrix(obj, where, pairs=False)
 
 
 def model_to_dict(model: QuantumModel) -> dict:

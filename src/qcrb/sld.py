@@ -1,12 +1,15 @@
 """One local analysis of a model: SLDs, information matrices, efficient operators.
 
 :func:`analyze` computes, once per model, everything the three bounds
-read: the eigendecomposition of rho and its support/kernel split, drho
+read: the support/kernel split of rho's eigendecomposition, drho
 and the symmetric logarithmic derivatives in rho's eigenbasis, J = Re Z(L)
 and D = Im Z(L), the one eigendecomposition of J (its rank, range and
-pseudoinverse) and of W, the efficient influence operators (dbeta)ᵀ J⁺ L,
+pseudoinverse), √W and W^-½, the efficient influence operators (dbeta)ᵀ J⁺ L,
 and how far the SLD span is from being closed under the commutation
-superoperator 𝒟_ρ (which decides whether c_h = c_d).  Every rank
+superoperator 𝒟_ρ (which decides whether c_h = c_d).  The
+eigendecompositions of rho and W are the model's ``rho_eig`` and
+``weight_eig``, which :func:`qcrb.model.validate` has already taken for
+its boundary checks when the model came from a file.  Every rank
 decision — rho's support, the SLD kernel block, the rank of J and the
 feasibility verdict — is taken with the one relative ``rank_tol`` it is
 given.
@@ -43,9 +46,10 @@ class ModelAnalysis:
     """Everything the bounds need from one model, decided with one ``rank_tol``.
 
     ``rho`` is the exactly Hermitized density matrix; ``eigvals``/``eigvecs``
-    its ascending eigendecomposition and ``support`` the mask of eigenvalues
-    above ``rank_tol`` times the largest; ``drho_eig`` and ``slds_eig`` are
-    drho and the SLDs in that eigenbasis.  ``slds`` (p, d, d) carry their
+    its ascending eigendecomposition (the model's read-only ``rho_eig``) and
+    ``support`` the mask of eigenvalues above ``rank_tol`` times the
+    largest; ``drho_eig`` and ``slds_eig`` are drho and the SLDs in that
+    eigenbasis.  ``slds`` (p, d, d) carry their
     reconstruction ``residuals``; ``qfim`` = J is symmetric and ``dmat`` = D
     antisymmetric to the bit.  ``qfim_range`` holds the eigenvectors of J
     that ``qfim_pinv`` keeps.  ``root_weight`` = √W, and ``inv_root_weight``
@@ -178,7 +182,7 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
     of J.
     """
     rho = linalg.hermitian_part(np.asarray(model.rho, dtype=complex))
-    eigvals, eigvecs = np.linalg.eigh(rho)
+    eigvals, eigvecs = model.rho_eig
     support = eigvals > rank_tol * max(eigvals.max(), 1e-300)
     drho = np.asarray(model.drho, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected by :func:`information`
@@ -200,7 +204,7 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
             f"beta component(s) {bad} are not estimable (dbeta column outside range of J)",
             bad_columns=bad,
         )
-    w_vals, w_vecs = w_eig = linalg.symmetric_eigh(model.weight, "weight")
+    w_vals, w_vecs = w_eig = model.weight_eig
     definite = w_vals.min() > WEIGHT_DEFINITE_TOL * w_vals.max()
     x_eff = np.tensordot((qfim_pinv @ model.dbeta).T, slds, axes=(1, 0))
     return ModelAnalysis(

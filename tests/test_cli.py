@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcrb import bounds, gaussian, holevo, linalg, sld
+from qcrb import bounds, cli, gaussian, holevo, linalg, sld
 from qcrb import povm as povm_mod
 from qcrb.cli import main
 from qcrb.exceptions import (
@@ -168,6 +168,14 @@ class TestBounds:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["bounds", str(path)]) == 1
+
+    def test_non_utf8_file_named_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(model_to_dict(fixture("qubit_xy_at_z", [0.5]))).encode("utf-16-le"))
+        assert main(["bounds", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {path}: ")
 
     def test_invalid_model_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -521,6 +529,67 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: {bad}: expected a JSON object at the top level, got ")
+
+
+class TestParser:
+    """One parser, built at import, serves every ``main`` call of a process."""
+
+    def test_calls_in_one_process_match_a_fresh_parser(self, dual_model_file, tmp_path, monkeypatch, capsys):
+        ppath, mpath = TestCheckPovm().make_files(tmp_path)
+        sequence = [
+            ["bounds", dual_model_file, "--tol", "1e-6", "--format", "json"],
+            ["bounds", dual_model_file],
+            ["sweep", "qubit_xy_at_z", "0:0.9:3"],
+            ["fixtures", "--emit", "qubit_bloch", "--params", "-0.3,0.1,0.2"],
+            ["bounds", dual_model_file, "--tol", "abc"],
+            ["check-povm", ppath, mpath, "--format", "json"],
+            ["bounds", dual_model_file, "--format", "json"],
+        ]
+        shared = []
+        for argv in sequence:
+            code = main(argv)
+            shared.append((code, capsys.readouterr().out))
+        for argv, (code, out) in zip(sequence, shared):
+            with monkeypatch.context() as m:
+                m.setattr(cli, "PARSER", cli.build_parser())
+                assert (main(argv), capsys.readouterr().out) == (code, out), argv
+        assert [code for code, _ in shared] == [0, 0, 0, 0, 1, 0, 0]
+        first, last = json.loads(shared[0][1]), json.loads(shared[-1][1])
+        assert first["tolerances"]["sdp_gap"] == 1e-6
+        assert last["tolerances"] == {"sdp_gap": 1e-8, "max_iter": 200, "rank_tol": 1e-10}
+
+    def test_dispatch_looked_up_at_call_time(self, xy_model_file, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_bounds", lambda args: seen.append(args.model) or 7)
+        assert main(["bounds", xy_model_file]) == 7
+        assert seen == [xy_model_file]
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "m.json", "--tol", "abc"], "error: argument --tol: invalid float value: 'abc'\n"),
+        (["bounds", "m.json", "--max-iter", "1.5"], "error: argument --max-iter: invalid int value: '1.5'\n"),
+        (["bounds", "m.json", "--format", "xml"], None),
+        (["bounds", "m.json", "--tol"], "error: argument --tol: expected one argument\n"),
+        (["bounds", "m.json", "--frobnicate"], "error: unrecognized arguments: --frobnicate\n"),
+        (["bounds"], "error: the following arguments are required: model\n"),
+        ([], "error: the following arguments are required: command\n"),
+        (["frobnicate"], None),
+    ], ids=["bad-float", "bad-int", "bad-choice", "missing-value", "unknown-flag", "missing-argument",
+            "no-command", "unknown-command"])
+    def test_usage_error_exits_1_on_one_line(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "usage:" not in captured.err
+        if message is not None:
+            assert captured.err == message
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bounds", "--help"])
+        assert info.value.code == 0
+        assert "usage: qcrb bounds" in capsys.readouterr().out
 
 
 class TestFixturesCommand:

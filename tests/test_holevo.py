@@ -418,8 +418,9 @@ class TestDual:
 
 
 class TestOneAnalysis:
-    """Each model's J and W are diagonalized once, by :func:`analyze`, and
-    every Holevo path reads that result."""
+    """Each model's rho, J and W are diagonalized once: rho and W where
+    :func:`validate` first needs them, J by :func:`analyze`; every later
+    consumer reads those results."""
 
     @pytest.mark.parametrize("model, method", [
         (random_model(np.random.default_rng(43), 4, 3, 2, weighted=True), holevo.DUAL),
@@ -427,7 +428,9 @@ class TestOneAnalysis:
         (fixture("qubit_bloch", [0.1, 0.2, 0.3]), holevo.D_INVARIANT),
     ], ids=["dual", "sdp", "d_invariant"])
     def test_j_and_w_decomposed_once(self, model, method, monkeypatch):
-        qfim, weight = analyze(model).qfim, model.weight
+        rho, weight = linalg.hermitian_part(model.rho), model.weight
+        qfim = analyze(dataclasses.replace(model)).qfim
+        model = dataclasses.replace(model)  # a copy that nothing has decomposed yet
         seen = []
         for name in ("eigh", "eigvalsh"):
             def recording(a, *args, _original=getattr(np.linalg, name), **kwargs):
@@ -439,15 +442,14 @@ class TestOneAnalysis:
         def decompositions(target):
             return sum(1 for a in seen if a.shape == target.shape and np.array_equal(a, target))
 
-        validate(model)  # the boundary check of the model file: √W exists
-        assert (decompositions(qfim), decompositions(weight)) == (0, 1)
-        seen.clear()
+        validate(model)  # the boundary check of the model file: rho ⪰ 0 and √W exist
+        assert (decompositions(rho), decompositions(qfim), decompositions(weight)) == (1, 0, 1)
         analysis = analyze(model)
         closed = sandwich(analysis)
         sol = solve(analysis, closed)
         verify_solution(analysis, sol, closed)
         assert sol.method == method
-        assert (decompositions(qfim), decompositions(weight)) == (1, 1)
+        assert (decompositions(rho), decompositions(qfim), decompositions(weight)) == (1, 1, 1)
 
 
 def dense_epigraph(q, cols):

@@ -14,6 +14,8 @@ from qcrb.exceptions import (
 from qcrb.model import (
     FIXTURE_NAMES,
     QuantumModel,
+    _pairs_to_complex_matrix,
+    _real_matrix,
     fixture,
     load_model,
     model_from_dict,
@@ -172,6 +174,117 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="dim"):
             model_from_dict({"rho": []})
+
+    def test_load_names_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(json.dumps(model_to_dict(simple_qubit())).encode("utf-16"))  # starts ff fe
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: not UTF-8 text: ")
+        assert "\n" not in str(info.value)
+
+
+BIG = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+class TestDecoder:
+    """Matrices of the model file: one decoder for [re, im] pairs and for reals."""
+
+    def test_matches_entrywise_construction(self):
+        rng = np.random.default_rng(5)
+        specials = [0, -0.0, 5e-324, -3e-310, 1e308, -1e308, 2**53 + 1, 10**20, -(2**63) - 1]
+
+        def entry():
+            if rng.random() < 0.4:
+                return specials[rng.integers(len(specials))]
+            return int(rng.integers(-10**6, 10**6)) if rng.random() < 0.3 else float(rng.normal())
+
+        for _ in range(200):
+            rows, cols = (int(n) for n in rng.integers(1, 6, 2))
+            pairs = [[[entry(), entry()] for _ in range(cols)] for _ in range(rows)]
+            reals = [[entry() for _ in range(cols)] for _ in range(rows)]
+            # the reference: one Python complex, or float, per entry
+            want_c = np.array([[complex(float(re), float(im)) for re, im in row] for row in pairs])
+            want_r = np.array([[float(x) for x in row] for row in reals])
+            got_c, got_r = _pairs_to_complex_matrix(pairs, "rho"), _real_matrix(reals, "dbeta")
+            assert got_c.dtype == complex and got_c.shape == want_c.shape
+            assert got_c.tobytes() == want_c.tobytes()
+            assert got_r.dtype == float and got_r.tobytes() == want_r.tobytes()
+
+    # (where in the qubit_xy_at_z model file, the JSON text put there, the message
+    # the entry-by-entry decoder gave, which the file's reader keeps byte for byte)
+    @pytest.mark.parametrize("path, raw, message", [
+    (('rho', 1, 0, 0), 'true', 'rho[1][0]: expected a number, got True'),
+    (('rho', 1, 0, 0), 'false', 'rho[1][0]: expected a number, got False'),
+    (('rho', 1, 0, 0), '"0.5"', "rho[1][0]: expected a number, got '0.5'"),
+    (('rho', 1, 0, 0), 'null', 'rho[1][0]: expected a number, got None'),
+    (('rho', 1, 0, 0), 'NaN', 'rho[1][0]: expected a finite number, got nan'),
+    (('rho', 1, 0, 0), 'Infinity', 'rho[1][0]: expected a finite number, got inf'),
+    (('rho', 1, 0, 0), '-Infinity', 'rho[1][0]: expected a finite number, got -inf'),
+    (('rho', 1, 0, 0), '1e400', 'rho[1][0]: expected a finite number, got inf'),
+    (('rho', 1, 0, 0), '-1e400', 'rho[1][0]: expected a finite number, got -inf'),
+    (('rho', 1, 0, 0), BIG, 'rho[1][0]: expected a finite number, got inf'),
+    (('rho', 1, 0, 0), "-" + BIG, 'rho[1][0]: expected a finite number, got inf'),
+    (('rho', 1, 0, 0), '[1]', 'rho[1][0]: expected a number, got [1]'),
+    (('rho', 1, 0, 0), '{}', 'rho[1][0]: expected a number, got {}'),
+    (('rho', 1, 0, 1), 'true', 'rho[1][0]: expected a number, got True'),
+    (('rho', 1, 0, 1), BIG, 'rho[1][0]: expected a finite number, got inf'),
+    (('rho', 1, 0), '[0.5]', 'rho[1][0]: expected an [re, im] pair'),
+    (('rho', 1, 0), '[0.5, 0, 0]', 'rho[1][0]: expected an [re, im] pair'),
+    (('rho', 1, 0), '0.5', 'rho[1][0]: expected an [re, im] pair'),
+    (('rho', 1, 0), 'null', 'rho[1][0]: expected an [re, im] pair'),
+    (('rho', 1, 0), '[]', 'rho[1][0]: expected an [re, im] pair'),
+    (('rho', 1), '5', 'rho[1]: expected a list of [re, im] pairs'),
+    (('rho', 1), '[[0.5, 0]]', 'rho: ragged rows'),
+    (('rho', 1), '[]', 'rho: ragged rows'),
+    (('rho', 1), 'null', 'rho[1]: expected a list of [re, im] pairs'),
+    (('rho',), '[]', 'rho: expected a non-empty list of rows'),
+    (('rho',), '5', 'rho: expected a non-empty list of rows'),
+    (('rho',), 'null', 'rho: expected a non-empty list of rows'),
+    (('rho',), '"x"', 'rho: expected a non-empty list of rows'),
+    (('rho',), '[[]]', 'rho: shape (1, 0) does not match dim=2'),
+    (('rho',), '[[[0.5, 0], [NaN, 0]], [[0, 0]]]', 'rho[0][1]: expected a finite number, got nan'),
+    (('rho',), '[[[0.5, 0], ["x", 0]], 5]', "rho[0][1]: expected a number, got 'x'"),
+    (('rho',), '[[[0.5, 0], [0, 0]], [[0, 0], [0.5]]]', 'rho[1][1]: expected an [re, im] pair'),
+    (('drho', 0, 0, 1, 1), 'NaN', 'drho[0][0][1]: expected a finite number, got nan'),
+    (('drho', 0, 0, 1, 1), '1e400', 'drho[0][0][1]: expected a finite number, got inf'),
+    (('drho', 0, 0, 1, 1), 'false', 'drho[0][0][1]: expected a number, got False'),
+    (('dbeta', 0, 0), 'true', 'dbeta[0][0]: expected a number, got True'),
+    (('dbeta', 0, 0), '"x"', "dbeta[0][0]: expected a number, got 'x'"),
+    (('dbeta', 0, 0), 'null', 'dbeta[0][0]: expected a number, got None'),
+    (('dbeta', 0, 0), 'NaN', 'dbeta[0][0]: expected a finite number, got nan'),
+    (('dbeta', 0, 0), '1e400', 'dbeta[0][0]: expected a finite number, got inf'),
+    (('dbeta', 0, 0), BIG, 'dbeta[0][0]: expected a finite number, got inf'),
+    (('dbeta', 0, 0), '[1]', 'dbeta[0][0]: expected a number, got [1]'),
+    (('dbeta',), '5', 'dbeta: expected a matrix, got ndim=0'),
+    (('dbeta',), '"x"', 'dbeta: expected a rectangular real matrix'),
+    (('dbeta',), 'null', 'dbeta: expected a matrix, got ndim=0'),
+    (('dbeta',), '[1, 2]', 'dbeta: expected a matrix, got ndim=1'),
+    (('dbeta',), '[[1, 0], [0]]', 'dbeta: expected a rectangular real matrix'),
+    (('dbeta',), '[]', 'dbeta: expected a matrix, got ndim=1'),
+    (('dbeta',), '[[1, 0], 2]', 'dbeta: expected a rectangular real matrix'),
+    (('dbeta',), '[[1, NaN], [0]]', 'dbeta[0][1]: expected a finite number, got nan'),
+    (('dbeta',), '{}', 'dbeta: expected a rectangular real matrix'),
+    (('weight', 1, 1), '-Infinity', 'weight[1][1]: expected a finite number, got -inf'),
+    (('weight', 0), '[1, true]', 'weight[0][1]: expected a number, got True'),
+    ])
+    def test_malformed_entry_messages(self, path, raw, message):
+        data = model_to_dict(fixture("qubit_xy_at_z", [0.5]))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "@"
+        text = json.dumps(data).replace('"@"', raw)
+        with pytest.raises(ValueError) as info:
+            model_from_dict(json.loads(text))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("raw", [f"[{BIG}]", BIG, f"[[1], -{BIG}]"])
+    def test_huge_integer_outside_rows_is_named(self, raw):
+        data = json.loads(json.dumps(model_to_dict(fixture("qubit_xy_at_z", [0.5]))).replace(
+            '"dbeta": [[1.0, 0.0], [0.0, 1.0]]', f'"dbeta": {raw}'))
+        with pytest.raises(ValueError, match=r"^dbeta: expected a"):
+            model_from_dict(data)
 
 
 class TestFixtures:
