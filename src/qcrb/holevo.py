@@ -50,12 +50,19 @@ theorem (Pacific J. Math. 8, 171 (1958)) gives
 a concave maximization over q(q−1)/2 numbers.  f(0) = c_gs, attained at
 X_eff.  Every f(K) is a lower bound on c_h and the nonsmooth objective at
 any unbiased X an upper bound, so :func:`_solve_dual` climbs f by Newton's
-method and stops once the two ends agree within ``tol`` relative.
+method and stops once the two ends agree within ``tol`` relative.  Each
+point is one evaluation of :class:`_Dual` on constants computed once per
+model, and the Hessian reuses that point's 𝒥⁻¹ and minimizer.  The
+certificate V is formed from the W^½ Z(X) W^½ that the point at the upper
+end already holds; :func:`verify_solution` recomputes Z(X) from ``x_opt``
+and the model, so the check does not rest on the solver's own Z.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,9 +113,8 @@ class HolevoSolution:
 
 def _support_pairs(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs a ≤ b of rho's eigenbasis that touch its ``support``, row-major."""
-    a, b = np.triu_indices(support.size)
-    touching = support[a] | support[b]
-    return a[touching], b[touching]
+    index = np.arange(support.size)
+    return np.nonzero((index[:, None] <= index) & (support[:, None] | support))
 
 
 def _re_im(vec: np.ndarray) -> np.ndarray:
@@ -347,11 +353,15 @@ def solve(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float = 1e-8,
     return _solve_sdp(analysis, tol, max_iter)
 
 
+def _abs_antisymmetric(k: np.ndarray) -> np.ndarray:
+    """|iK| for a real antisymmetric K: real, symmetric and ⪰ 0."""
+    mu, vecs = np.linalg.eigh(1j * k)
+    return ((vecs * np.abs(mu)) @ vecs.conj().T).real
+
+
 def _epigraph_v(z: np.ndarray, root_w: np.ndarray, inv_root_w: np.ndarray) -> np.ndarray:
     """V = Re Z + W^-½|W^½ Im Z W^½|W^-½: V ⪰ Z, and tr W V is the nonsmooth objective."""
-    mu, vecs = np.linalg.eigh(1j * (root_w @ z.imag @ root_w))  # iK, K = W^½ Im Z W^½
-    abs_k = ((vecs * np.abs(mu)) @ vecs.conj().T).real
-    v = z.real + inv_root_w @ abs_k @ inv_root_w
+    v = z.real + inv_root_w @ _abs_antisymmetric(root_w @ z.imag @ root_w) @ inv_root_w
     return (v + v.T) / 2
 
 
@@ -371,26 +381,25 @@ def _d_invariant_solution(analysis: ModelAnalysis, closed: ClosedFormBounds) -> 
     )
 
 
-@dataclass(frozen=True)
-class _DualPoint:
-    """f and its derivatives' ingredients at one A = W^-½KW^-½.
+class _Point(NamedTuple):
+    """f at one A = W^-½KW^-½, with what its Hessian, minimizer and certificate reuse.
 
-    ``u`` diagonalizes iA = U diag(σ) Uᴴ and ``t_cols`` = W^-½U, ``den``
-    (pairs × q) holds (1 + σ_k)λ_a + (1 − σ_k)λ_b, ``info`` is 𝒥 and ``y``
-    the minimizer's coordinates: x_ab = W^-½U y_ab.  ``gradient`` is ∂f/∂A
-    over the entries s < t, and ``upper`` the nonsmooth objective at the
-    minimizer.
+    ``upper`` is the nonsmooth objective N(X(K)) and ``gradient`` ∂f/∂A
+    over the entries s < t.  ``u`` diagonalizes iA = U diag(σ) Uᴴ,
+    ``inv_den`` (pairs × q) holds the 1/den_k, ``inv_info`` is 𝒥⁻¹, ``xi``
+    holds the minimizer's ξ_ab = W^½x_ab, and ``re_z`` and ``im_z`` are the
+    real and imaginary parts of W^½ Z(X(K)) W^½.
     """
 
-    a: np.ndarray
-    u: np.ndarray
-    t_cols: np.ndarray
-    den: np.ndarray
-    info: np.ndarray
-    y: np.ndarray
     value: float
     upper: float
     gradient: np.ndarray
+    u: np.ndarray
+    inv_den: np.ndarray
+    inv_info: np.ndarray
+    xi: np.ndarray
+    re_z: np.ndarray
+    im_z: np.ndarray
 
 
 class _Dual:
@@ -398,21 +407,25 @@ class _Dual:
 
     Take the pairs a ≤ b that touch ρ's support, with x_ab = ((X_s)_ab)_s,
     g_ab = ((∂_jρ)_ba)_j and c_ab the number of ordered pairs (1 on the
-    diagonal, 2 off it).  With K = W^½AW^½ the objective is
-    Σ (c/2) x_abᴴ N_ab x_ab, N_ab = λ_a(W + iK) + λ_b(W − iK), and the
-    constraints are Σ c Re(g_ab,j x_ab,s) = ∂β_js.  Diagonalizing
-    iA = U diag(σ) Uᴴ once turns every N_ab⁻¹ into Σ_k t_k t_kᴴ/den_k with
-    t_k = W^-½u_k and den_k = (1 + σ_k)λ_a + (1 − σ_k)λ_b, so the KKT
-    system is the q·r × q·r matrix
+    diagonal, 2 off it).  With K = W^½AW^½ and ξ_ab = W^½x_ab, the objective
+    is Σ (c/2) ξ_abᴴ N_ab ξ_ab, N_ab = λ_a(I + iA) + λ_b(I − iA), and the
+    constraints are Σ c Re(g_ab,j ξ_ab,s) = ∂β̃_js with ∂β̃ = ∂βW^½: W enters
+    through ∂β̃ alone.  Diagonalizing iA = U diag(σ) Uᴴ once turns every
+    N_ab⁻¹ into Σ_k u_k u_kᴴ/den_k with den_k = (1 + σ_k)λ_a + (1 − σ_k)λ_b,
+    so the KKT system is the q·r × q·r matrix
 
-        𝒥 = Re Σ_k A_k ⊗ t_k t_kᴴ,      A_k = Σ_ab 2c·g_ab g_abᴴ / den_k,
+        𝒥 = Re Σ_k A_k ⊗ u_k u_kᴴ,      A_k = Σ_ab 2c·g_ab g_abᴴ / den_k,
 
-    f = vec(∂β)ᵀ 𝒥⁻¹ vec(∂β), and x_ab = 2 Σ_k t_k t_kᴴ Λᵀḡ_ab / den_k with
-    Λ = 𝒥⁻¹ vec(∂β).  At A = 0, 𝒥 = J ⊗ W⁻¹ and f = c_gs.  The constraint
+    f = vec(∂β̃)ᵀ 𝒥⁻¹ vec(∂β̃), and ξ_ab = 2 Σ_k u_k u_kᴴ Λᵀḡ_ab / den_k with
+    Λ = 𝒥⁻¹ vec(∂β̃).  At A = 0, 𝒥 = J ⊗ I and f = c_gs.  The constraint
     tr ρX = 0 is left out: tr ∂_jρ = 0 makes the minimizer satisfy it.  The
     parameters are rotated onto the r-dimensional range of J (the analysis's
     rank decision), where 𝒥 is positive definite for ‖A‖ < 1; a direction
     v with Jv = 0 has v·g_ab = 0 on every pair, so it constrains nothing.
+
+    Everything that does not depend on A is computed here, once per model,
+    so that :meth:`point` and :meth:`hessian` are a few products each on
+    arrays of pairs × q.
     """
 
     def __init__(self, analysis: ModelAnalysis):
@@ -420,80 +433,85 @@ class _Dual:
         vals = np.where(analysis.support, analysis.eigvals, 0.0)
         a, b = self.pairs = _support_pairs(analysis.support)
         g = analysis.drho_eig[:, b, a].T @ span  # (pairs, r)
+        count = np.where(a == b, 1.0, 2.0)[:, None]
+        lam_a, lam_b = vals[a, None], vals[b, None]
         self.q, self.r = q, span.shape[1]
-        self.count = np.where(a == b, 1.0, 2.0)
-        self.lam_sum, self.lam_diff = vals[a] + vals[b], vals[a] - vals[b]
-        self.g = g
-        self.gram = (2.0 * self.count[:, None, None] * g[:, :, None] * g.conj()[:, None, :]).reshape(
-            g.shape[0], -1)  # rows 2c·g gᴴ
-        self.dbeta = span.T @ np.asarray(analysis.model.dbeta, dtype=float)  # (r, q)
+        self.lam_sum, self.lam_diff = lam_a + lam_b, lam_a - lam_b
+        self.count = count
+        self.g_conj2, self.g_count = 2.0 * g.conj(), (count * g).T
+        self.gram_t = (self.g_count[:, None, :] * self.g_conj2.T).reshape(-1, g.shape[0])  # rows 2c·g gᴴ
+        # (2, 1, pairs): the weights (c/2)(λ_a + λ_b) and (c/2)(λ_a − λ_b) of W^½ Z W^½
+        self.halves = (0.5 * count.T * np.concatenate([self.lam_sum.T, self.lam_diff.T]))[:, None]
+        self.i_diff = 1j * self.lam_diff
+        self.dbeta = (span.T @ np.asarray(analysis.model.dbeta, dtype=float) @ analysis.root_weight).ravel()
         self.inv_root_w = analysis.inv_root_weight
-        self.tri = np.triu_indices(q, 1)  # the entries s < t of A
+        index = np.arange(q)
+        self.tri = s, t = np.nonzero(index[:, None] < index)  # the entries s < t of A, row-major
+        entry = np.arange(s.size)
+        self.basis = np.zeros((q * q, s.size), dtype=complex)  # iA = basis @ (upper triangle of A)
+        self.basis[s * q + t, entry], self.basis[t * q + s, entry] = 1j, -1j
 
-    def point(self, a_vec: np.ndarray) -> _DualPoint | None:
+    def point(self, a_vec: np.ndarray) -> _Point | None:
         """f at A with upper triangle ``a_vec``; None when ‖A‖ ≥ 1 (or is not
         finite) or 𝒥 is singular."""
         q, r = self.q, self.r
-        a = np.zeros((q, q))
-        a[self.tri] = a_vec
-        a -= a.T
-        sigma, u = np.linalg.eigh(1j * a)
-        if not np.abs(sigma).max() < 1.0:
+        sigma, u = np.linalg.eigh((self.basis @ a_vec).reshape(q, q))
+        if not (sigma[-1] < 1.0 and sigma[0] > -1.0):
             return None
-        t_cols = self.inv_root_w @ u
-        den = self.lam_sum[:, None] + self.lam_diff[:, None] * sigma  # (pairs, q)
-        blocks = (1.0 / den).T @ self.gram  # A_k, (q, r²)
-        outer = (t_cols[:, None, :] * t_cols.conj()[None]).reshape(q * q, q)  # t_k t_kᴴ, (q², q)
-        info = (blocks.T @ outer.T).real.reshape(r, r, q, q).transpose(0, 2, 1, 3).reshape(r * q, r * q)
+        u_conj = u.conj()
+        inv_den = 1.0 / (self.lam_sum + self.lam_diff * sigma)  # (pairs, q)
+        outer = (u[:, None, :] * u_conj).reshape(q * q, q)  # u_k u_kᴴ, (q², q)
+        info = ((self.gram_t @ inv_den) @ outer.T).real  # A_k entries × u_k u_kᴴ entries
         try:
-            lam = np.linalg.solve(info, self.dbeta.ravel())
+            inv_info = np.linalg.inv(info.reshape(r, r, q, q).transpose(0, 2, 1, 3).reshape(r * q, r * q))
         except np.linalg.LinAlgError:
             return None
-        y = 2.0 * ((self.g.conj() @ lam.reshape(r, q)) @ t_cols.conj()) / den  # x_ab = W^-½U y_ab
-        xi = y @ u.T  # W^½ x_ab
+        lam = inv_info @ self.dbeta
+        xi = ((self.g_conj2 @ (lam.reshape(r, q) @ u_conj)) * inv_den) @ u.T
         # W^½ Z W^½ = Σ (c/2)(λ_a ξξᴴ + λ_b ξ̄ξᵀ): real part with λ_a + λ_b, imaginary with λ_a − λ_b
-        re_z = ((xi * (0.5 * self.count * self.lam_sum)[:, None]).T @ xi.conj()).real
-        im_z = ((xi * (0.5 * self.count * self.lam_diff)[:, None]).T @ xi.conj()).imag
+        z_w = (xi.T * self.halves).reshape(2 * q, -1) @ xi.conj()
+        re_z, im_z = z_w[:q].real, z_w[q:].imag
         im_z = (im_z - im_z.T) / 2
-        value = float(lam @ self.dbeta.ravel())
-        upper = float(np.trace(re_z)) + float(np.abs(np.linalg.eigvalsh(1j * im_z)).sum())
-        if not np.isfinite(value + upper):
+        value = float(lam @ self.dbeta)
+        upper = float(re_z.trace()) + float(np.abs(np.linalg.eigvalsh(1j * im_z)).sum())
+        if not math.isfinite(value + upper):
             return None
-        return _DualPoint(a=a, u=u, t_cols=t_cols, den=den, info=info, y=y, value=value,
-                          upper=upper, gradient=2.0 * im_z[self.tri])
+        return _Point(value, upper, 2.0 * im_z[self.tri], u, inv_den, inv_info, xi, re_z, im_z)
 
-    def hessian(self, pt: _DualPoint) -> np.ndarray:
-        """∂²f/∂A² over the entries s < t: 2R𝒥⁻¹Rᵀ − S.
+    def hessian(self, pt: _Point) -> np.ndarray:
+        """∂²f/∂A² over the entries s < t: 2R𝒥⁻¹Rᵀ − S, from the point's own 𝒥⁻¹.
 
-        A moves N_ab by (λ_a − λ_b)W^½(iE_st)W^½.  With η = (λ_a − λ_b)Uᴴ(iE_st)ξ,
-        ξ = W^½x_ab, the minimizer moves by 2N⁻¹Λ′ᵀḡ − W^-½U(η/den), where
-        𝒥Λ′ = R keeps it unbiased: R_(st),js = Σ c Re[g_j (W^-½U η/den)_s].
+        A moves N_ab by (λ_a − λ_b)(iE_st − iE_ts).  With
+        η = (λ_a − λ_b)Uᴴ(iE_st − iE_ts)ξ_ab, the minimizer moves by
+        2N⁻¹Λ′ᵀḡ − U(η/den), where 𝒥Λ′ = R keeps it unbiased:
+        R_(st),js = Σ c Re[g_j (U η/den)_s].
         S_(st),(s′t′) = Σ c Re Σ_k η̄_k η′_k/den_k.
         """
         (s, t), n = self.tri, self.tri[0].size
-        u_conj = pt.u.conj()
-        xi = pt.y @ pt.u.T
-        eta = 1j * self.lam_diff[:, None, None] * (
-            xi[:, t, None] * u_conj[s][None] - xi[:, s, None] * u_conj[t][None])  # (pairs, n, q)
-        omega = eta / pt.den[:, None, :]
-        flat_eta = eta.transpose(1, 0, 2).reshape(n, -1)
-        flat_omega = (omega * self.count[:, None, None]).transpose(1, 0, 2).reshape(n, -1)
-        curvature = (flat_omega.conj() @ flat_eta.T).real
-        moved = omega @ pt.t_cols.T  # W^-½U(η/den), (pairs, n, q)
-        rhs = ((self.g * self.count[:, None]).T @ moved.reshape(moved.shape[0], -1)).real
-        rhs = rhs.reshape(self.r, n, self.q).transpose(1, 0, 2).reshape(n, -1)
-        return 2.0 * rhs @ np.linalg.solve(pt.info, rhs.T) - curvature
+        u_conj, xi_t = pt.u.conj(), pt.xi.T
+        eta = self.i_diff * (xi_t[t, :, None] * u_conj[s, None, :]
+                             - xi_t[s, :, None] * u_conj[t, None, :])  # (n, pairs, q)
+        omega = eta * pt.inv_den
+        curvature = ((omega * self.count).reshape(n, -1).conj() @ eta.reshape(n, -1).T).real
+        rhs = (self.g_count @ (omega @ pt.u.T)).real.reshape(n, -1)
+        return 2.0 * rhs @ pt.inv_info @ rhs.T - curvature
 
-    def operators(self, pt: _DualPoint, analysis: ModelAnalysis) -> np.ndarray:
+    def operators(self, pt: _Point, analysis: ModelAnalysis) -> np.ndarray:
         """The minimizer X(K) as (q, d, d) operators in the original frame."""
         dim = analysis.eigvals.size
         a, b = self.pairs
-        x = pt.y @ pt.t_cols.T  # (pairs, q)
+        x = pt.xi @ self.inv_root_w  # (pairs, q)
         x_eig = np.zeros((self.q, dim, dim), dtype=complex)
         x_eig[:, a, b] = x.T
         x_eig[:, b, a] = x.T.conj()
         vecs = analysis.eigvecs
         return vecs @ x_eig @ vecs.conj().T
+
+    def certificate(self, pt: _Point) -> np.ndarray:
+        """V = W^-½(W^½ Re Z W^½ + |W^½ Im Z W^½|)W^-½ at the point's own Z = Z(X(K)):
+        the V of :func:`_epigraph_v`, with tr W V = N(X(K))."""
+        v = self.inv_root_w @ (pt.re_z + _abs_antisymmetric(pt.im_z)) @ self.inv_root_w
+        return (v + v.T) / 2
 
 
 def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
@@ -509,9 +527,17 @@ def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
     ``max_iter`` steps pass.  Narrowing, not a rise of f, is the test of a
     step: f converges quadratically and reaches roundoff one step before
     N(X(K)) − f(K), which shrinks with the gradient, does.
+
+    The certificate is the minimizer X(K) of the point at the upper end and
+    V = W^-½(W^½ Re Z W^½ + |W^½ Im Z W^½|)W^-½, formed from the W^½ Z W^½
+    that point already holds (:meth:`_Dual.certificate`); the upper end
+    c_d is certified by X_eff and V from Z(X_eff).  Z is not recomputed
+    from the operators here: :func:`verify_solution` does that, from the
+    model, independently of this solver.
     """
     dual = _Dual(analysis)
-    pt = dual.point(np.zeros(dual.tri[0].size))
+    a_vec = np.zeros(dual.tri[0].size)
+    pt = dual.point(a_vec)
     if pt is None:
         return None
     lower = pt.value
@@ -526,18 +552,21 @@ def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
             step = np.linalg.solve(dual.hessian(pt), -pt.gradient)
         except np.linalg.LinAlgError:
             return None
-        pt = dual.point(pt.a[dual.tri] + step)
+        a_vec = a_vec + step
+        pt = dual.point(a_vec)
         if pt is None or min(upper, pt.upper) - max(lower, pt.value) >= upper - lower:
             return None
         lower = max(lower, pt.value)
         if pt.upper < upper:
             best, upper = pt, pt.upper
-    x_opt = analysis.x_eff if best is None else dual.operators(best, analysis)
-    z = analysis.z_eff if best is None else linalg.z_matrix(x_opt, analysis.rho)
+    if best is None:
+        x_opt, v_opt = analysis.x_eff, _epigraph_v(analysis.z_eff, analysis.root_weight, dual.inv_root_w)
+    else:
+        x_opt, v_opt = dual.operators(best, analysis), dual.certificate(best)
     return HolevoSolution(
         c_h=upper,
         x_opt=x_opt,
-        v_opt=_epigraph_v(z, analysis.root_weight, dual.inv_root_w),
+        v_opt=v_opt,
         duality_gap=(upper - lower) / upper,
         iterations=iterations,
         status=sdp.OPTIMAL,

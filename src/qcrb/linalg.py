@@ -72,9 +72,8 @@ def z_matrix(x_ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     x_ops = np.asarray(x_ops, dtype=complex)
     if x_ops.shape[-1] != rho.shape[-1]:
         raise ValueError("operator dimension does not match rho")
-    rho_x = np.array([rho @ xs for xs in x_ops])
     # Tr(rho X_s X_t) = sum over entries of (rho X_s) * (X_t)^T
-    z = (rho_x[:, None] * x_ops.transpose(0, 2, 1)[None]).sum(axis=(-2, -1))
+    z = ((rho @ x_ops)[:, None] * x_ops.transpose(0, 2, 1)[None]).sum(axis=(-2, -1))
     return hermitian_part(z)
 
 

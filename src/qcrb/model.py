@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -127,14 +128,18 @@ def validate(model: QuantumModel) -> None:
     drho = np.asarray(model.drho, dtype=complex)
     if drho.ndim != 3 or drho.shape[1:] != (model.dim, model.dim):
         raise NonHermitianDerivative(f"drho has shape {drho.shape}, expected (p, {model.dim}, {model.dim})")
-    for j, dj in enumerate(drho):
-        try:
-            linalg.require_hermitian(dj, f"drho[{j}]")
-        except ValueError as exc:
-            raise NonHermitianDerivative(str(exc)) from exc
-        dtr = np.trace(dj)
-        if abs(dtr) > TRACE_TOL * max(1.0, np.abs(dj).max()):
-            raise NonHermitianDerivative(f"drho[{j}] has trace {dtr!r}, expected 0 (unit-trace family)")
+    # the checks of linalg.require_hermitian and of the trace, on every drho[j] at once
+    scale = np.fmax(np.abs(drho).max(axis=(1, 2)), 1.0)
+    deviation = np.abs(drho - drho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    traces = np.trace(drho, axis1=1, axis2=2)
+    skew = deviation > linalg.HERMITICITY_TOL * scale
+    bad = skew | (np.abs(traces) > TRACE_TOL * scale)
+    if bad.any():
+        j = int(bad.argmax())  # the first
+        if skew[j]:
+            raise NonHermitianDerivative(
+                f"drho[{j}] is not Hermitian (deviation {deviation[j]:.3e}, scale {scale[j]:.3e})")
+        raise NonHermitianDerivative(f"drho[{j}] has trace {traces[j]!r}, expected 0 (unit-trace family)")
 
     dbeta = np.asarray(model.dbeta, dtype=float)
     p, q = drho.shape[0], dbeta.shape[1] if dbeta.ndim == 2 else 0
@@ -210,37 +215,45 @@ def _positive_int(value, where: str) -> int:
 
 def _decode_matrix(obj, where: str, pairs: bool) -> np.ndarray:
     """The float array of a JSON matrix: rows of numbers, shape (n, m), or with
-    ``pairs`` a non-empty list of rows of [re, im] pairs, shape (n, m, 2) or
-    (n, 0).
+    ``pairs`` a non-empty list of rows of [re, im] pairs, shape (n, m, 2).
 
-    Every entry must be a finite int or float (not a bool).  Their types are
-    checked once over the whole matrix, then one conversion and one
-    finiteness check follow; when any of them fails, :func:`_reject` reads
-    the input again to name the first bad entry.  Numbers are not checked
-    in a real matrix whose rows are not all lists: the conversion rejects
-    it or returns an array of the wrong rank.
+    Every entry must be a finite int or float (not a bool).  The rows, the
+    pairs and the set of entry types are read with C-level iteration
+    (``map``, ``chain``) over the whole matrix, then the flat list of
+    entries takes one conversion, one reshape and one finiteness check;
+    when any of them fails, :func:`_reject` reads the input again to name
+    the first bad entry.  Numbers are not checked in a real matrix whose
+    rows are not all lists (or that has no rows): the conversion rejects it
+    or returns an array of the wrong rank.
     """
     if pairs and not (isinstance(obj, list) and obj):
         raise ValueError(f"{where}: expected a non-empty list of rows")
-    nested = isinstance(obj, list) and all(isinstance(row, list) for row in obj)
+    nested = isinstance(obj, list) and bool(obj) and all(map(isinstance, obj, repeat(list)))
     if not (pairs or nested):
         try:
             arr = np.array(obj, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where}: expected a rectangular real matrix") from exc
-    else:
-        if pairs and not (nested and all(isinstance(x, list) and len(x) == 2 for row in obj for x in row)):
+        if arr.ndim != 2:
+            raise ValueError(f"{where}: expected a matrix, got ndim={arr.ndim}")
+        return arr
+    if not nested:
+        _reject(obj, where, pairs)
+    values = list(chain.from_iterable(obj))
+    if pairs:
+        if not (all(map(isinstance, values, repeat(list))) and set(map(len, values)) <= {2}):
             _reject(obj, where, pairs)
-        entries = [v for row in obj for x in row for v in x] if pairs else [x for row in obj for x in row]
-        numbers = all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, entries)))
+        values = list(chain.from_iterable(values))
+    types = set(map(type, values))
+    widths = set(map(len, obj))
+    arr = None
+    if bool not in types and all(map(issubclass, types, repeat((int, float)))) and len(widths) == 1:
         try:
-            arr = np.array(obj, dtype=float) if numbers else None
-        except (OverflowError, ValueError):  # an int beyond the float range; ragged rows
-            arr = None
-        if arr is None or not np.isfinite(arr).all():
-            _reject(obj, where, pairs)
-    if not pairs and arr.ndim != 2:
-        raise ValueError(f"{where}: expected a matrix, got ndim={arr.ndim}")
+            arr = np.array(values, dtype=float).reshape((len(obj), *widths) + (2,) * pairs)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if arr is None or not np.isfinite(arr).all():
+        _reject(obj, where, pairs)
     return arr
 
 
@@ -303,9 +316,18 @@ def model_from_dict(data: dict) -> QuantumModel:
 
 
 def load_model(path) -> QuantumModel:
-    """Load and validate a model file (JSON, complex entries as [re, im])."""
+    """Load and validate a model file (JSON, complex entries as [re, im]).
+
+    Every error names the file: :func:`read_json` names it for what it
+    reads, and a :func:`validate` error keeps its type with the file
+    prepended to its message.
+    """
     model = read_json(path, model_from_dict)
-    validate(model)
+    try:
+        validate(model)
+    except ModelError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     return model
 
 

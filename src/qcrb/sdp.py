@@ -245,6 +245,21 @@ def _scaled_extremes(lam: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
     return float(eigs[0]), float(eigs[-1])
 
 
+def _min_eig_below(mat: np.ndarray, floor: float) -> float | None:
+    """The smallest eigenvalue of the Hermitian ``mat`` when it is below ``floor``, else None.
+
+    A Cholesky factorization of mat − floor·I, which succeeds when every
+    eigenvalue exceeds ``floor`` (to roundoff), decides first; the
+    eigenvalues, an N×N eigenproblem, are computed only when it fails.
+    """
+    try:
+        np.linalg.cholesky(mat - floor * np.eye(mat.shape[0]))
+        return None
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(mat).min())
+        return min_eig if min_eig < floor else None
+
+
 def _step_length(min_eig: float) -> float:
     """Largest alpha with I + alpha*K ⪰ 0 for λ_min(K) = ``min_eig`` (inf if unbounded)."""
     return np.inf if min_eig >= -1e-16 else -1.0 / min_eig
@@ -293,12 +308,12 @@ def solve_lmi(
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
     tau = 0.0
     x = slack(u, tau)
-    min_eig = float(np.linalg.eigvalsh(x).min())
-    if min_eig < 1e-8:
+    min_eig = _min_eig_below(x, 1e-8)
+    if min_eig is not None:
         tau = abs(min_eig) * 1.1 + max(1.0, 1e-3 * np.trace(x).real / dim)
         x = x + tau * eye
     dual = np.eye(dim, dtype=complex) if s0 is None else np.array(s0, dtype=complex)
-    if float(np.linalg.eigvalsh(dual).min()) < 1e-12:
+    if _min_eig_below(dual, 1e-12) is not None:
         dual = dual + np.eye(dim)
 
     f0_scale = 1.0 + np.linalg.norm(f0)

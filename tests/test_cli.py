@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrb import bounds, cli, gaussian, holevo, linalg, sld
 from qcrb import povm as povm_mod
@@ -529,6 +536,56 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: {bad}: expected a JSON object at the top level, got ")
+
+
+#: What a mutation puts in place of a node of a model file: bools, a string,
+#: null, NaN and ±Infinity tokens, integers beyond the float range, pairs of
+#: the wrong length, a nested list, an empty list and an object.
+BAD_NODES = (True, False, "1.5", None, math.nan, math.inf, -math.inf, 10**400, -(10**400),
+             [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [], {})
+
+
+@st.composite
+def mutated_model_files(draw):
+    """A valid dual-route model file (d = 3, q = 2) with one node replaced by
+    one of :data:`BAD_NODES`, one list element dropped (ragged rows, short
+    pairs, a missing matrix or row) or one key deleted."""
+    doc = copy.deepcopy(model_to_dict(fixture("random_full_rank", [3, 3, 2, 2])))
+    kind = draw(st.sampled_from(["replace", "drop", "delete"]))
+    key = draw(st.sampled_from(sorted(doc)))
+    if kind == "delete":
+        del doc[key]
+        return doc
+    parent = doc
+    while isinstance(parent[key], list) and parent[key] and draw(st.booleans()):
+        parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+    if kind == "drop" and isinstance(parent[key], list) and parent[key]:
+        del parent[key][draw(st.integers(0, len(parent[key]) - 1))]
+    else:
+        parent[key] = draw(st.sampled_from(BAD_NODES))
+    return doc
+
+
+class TestFuzzedModelFile:
+    """Mutated model files through ``main``: every run ends in a documented
+    exit code, and a rejected file is named on one stderr line, never a
+    traceback."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(doc=mutated_model_files(), fmt=st.sampled_from(["text", "json"]))
+    def test_exit_code_and_one_named_line(self, doc, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/model.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc))  # NaN and Infinity tokens for the non-finite floats
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["bounds", path, "--format", fmt])
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1 and path in err.getvalue(), err.getvalue()
+            assert "Traceback" not in err.getvalue()
 
 
 class TestParser:

@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from qcrb import holevo, linalg, sdp
 from qcrb.bounds import ClosedFormBounds, c_d, c_gs, sandwich
 from qcrb.exceptions import InfeasibleModel, VerificationFailed
 from qcrb.holevo import EpigraphOperator, solve, verify_solution
-from qcrb.model import QuantumModel, fixture, validate
+from qcrb.model import QuantumModel, fixture, model_from_dict, validate
 from qcrb.povm import unbiasedness_residual
 from qcrb.sld import analyze
 from _support import (DenseOperator, direct_holevo_oracle, epigraph_matrices, holevo_objective,
@@ -328,6 +331,27 @@ def random_inside(rng, q, radius):
     return a[np.triu_indices(q, 1)]
 
 
+def benchmark_large_q3_models():
+    """The p = q = 3 models of the benchmark's ``large_models`` workload
+    (d = 8, 10 and 12), generated by ``perfbench/inputs.py`` in their own frame."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(inputs)
+    return [model_from_dict(inputs.model_dict(kind.arrays(instance), f"{kind.name}/{instance}"))
+            for kind, instance in inputs.LARGE_SLOTS if kind.q == 3]
+
+
+def small_dual_models():
+    """Random d ≤ 4 models that the dual solves: full rank and rank-deficient,
+    q = 2 and 3, identity and random W."""
+    rng = np.random.default_rng(34)
+    models = [random_model(rng, d, p, q, rank=rank, weighted=weighted)
+              for d, rank in ((2, 2), (3, 3), (3, 2), (4, 4), (4, 2))
+              for p, q in ((2, 2), (3, 2), (3, 3)) for weighted in (False, True)]
+    return [m for m in models if solve_model(m).method == holevo.DUAL]
+
+
 class TestDual:
     """c_h = max f(K), climbed by Newton's method in :func:`holevo._solve_dual`."""
 
@@ -415,6 +439,42 @@ class TestDual:
         crossed = dataclasses.replace(sol, dual_objective=sol.c_h * (1 + 1e-6))
         with pytest.raises(VerificationFailed, match="dual bracket crossed"):
             verify_solution(analysis, crossed, closed)
+
+
+class TestDualCertificate:
+    """The dual's certificate V comes from the W^½ Z W^½ of its own best
+    point; :func:`verify_solution` recomputes Z from ``x_opt`` and the model."""
+
+    @pytest.mark.parametrize("model", benchmark_large_q3_models() + small_dual_models(),
+                             ids=lambda m: m.label or f"d{m.dim}q{m.n_targets}")
+    def test_v_matches_epigraph_v_of_z_at_x_opt(self, model):
+        analysis = analyze(model)
+        sol = solve(analysis, sandwich(analysis))
+        assert sol.method == holevo.DUAL and sol.iterations > 0
+        z = linalg.z_matrix(sol.x_opt, analysis.rho)
+        expected = holevo._epigraph_v(z, analysis.root_weight, analysis.inv_root_weight)
+        assert np.abs(sol.v_opt - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("direction, message", [
+        ("feasible", "nonsmooth objective"),  # still unbiased: only the recomputed Z tells
+        ("identity", "local unbiasedness"),  # Z moves by δ², Tr ρX_0 by δ
+    ])
+    def test_verify_rejects_perturbed_minimizer(self, direction, message):
+        analysis = analyze(fixture("random_full_rank", [7, 8, 3, 3]))
+        closed = sandwich(analysis)
+        sol = solve(analysis, closed)
+        assert sol.method == holevo.DUAL
+        verify_solution(analysis, sol, closed)
+        vecs = analysis.eigvecs
+        if direction == "feasible":
+            feasible = vecs @ holevo._feasible_directions(analysis)[0] @ vecs.conj().T
+            step = 0.1 * np.abs(sol.x_opt).max() * feasible
+        else:
+            step = 1e-7 * np.eye(analysis.model.dim)
+        x_opt = sol.x_opt.copy()
+        x_opt[0] += step
+        with pytest.raises(VerificationFailed, match=message):
+            verify_solution(analysis, dataclasses.replace(sol, x_opt=x_opt), closed)
 
 
 class TestOneAnalysis:

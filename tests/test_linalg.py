@@ -59,6 +59,18 @@ class TestZMatrix:
             assert np.linalg.eigvalsh(z).min() >= -1e-10
 
 
+    def test_matches_loop_form(self):
+        """The batched products equal Tr ρ X_s X_t taken one pair at a time."""
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            d, n = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            ops = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+            loop = np.array([[np.trace(rho @ xs @ xt) for xt in ops] for xs in ops])
+            expected = linalg.hermitian_part(loop)
+            assert np.abs(linalg.z_matrix(ops, rho) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 class TestVMatrix:
     def test_real_part_of_z(self):
         rho = (I2 + 0.4 * SZ) / 2

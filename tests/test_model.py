@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qcrb import linalg
 from qcrb.exceptions import (
     KernelBlockDerivative,
     ModelError,
@@ -13,6 +14,7 @@ from qcrb.exceptions import (
 )
 from qcrb.model import (
     FIXTURE_NAMES,
+    TRACE_TOL,
     QuantumModel,
     _pairs_to_complex_matrix,
     _real_matrix,
@@ -24,7 +26,7 @@ from qcrb.model import (
     validate,
 )
 from qcrb.sld import analyze
-from _support import random_model
+from _support import random_hermitian, random_model
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -70,6 +72,42 @@ class TestValidate:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(NonHermitianDerivative):
             validate(simple_qubit(drho=np.array([bad])))
+
+    @pytest.mark.parametrize("faults", [
+        {1: "skew", 2: "trace"}, {0: "trace", 3: "skew"}, {2: "skew+trace"}, {3: "trace"},
+        {1: "nan+trace"}, {0: "large+skew"},
+    ])
+    def test_names_first_bad_derivative(self, faults):
+        """The checks of every drho[j], made at once, name the first bad j with
+        the message of the per-matrix checks they replace."""
+        rng = np.random.default_rng(14)
+        drho = np.array([random_hermitian(rng, 3) for _ in range(4)])
+        drho -= np.trace(drho, axis1=1, axis2=2).real[:, None, None] / 3 * np.eye(3)
+        for j, fault in faults.items():
+            if "large" in fault:
+                drho[j] *= 1e6
+            if "skew" in fault:
+                drho[j, 0, 1] += 1e-3 * max(1.0, np.abs(drho[j]).max())
+            if "trace" in fault:
+                drho[j, 2, 2] += 0.25
+            if "nan" in fault:
+                drho[j, 0, 1] = drho[j, 1, 0] = np.nan
+        expected = None
+        for j, dj in enumerate(drho):  # the per-matrix loop
+            try:
+                linalg.require_hermitian(dj, f"drho[{j}]")
+            except ValueError as exc:
+                expected = str(exc)
+                break
+            dtr = np.trace(dj)
+            if abs(dtr) > TRACE_TOL * max(1.0, np.abs(dj).max()):
+                expected = f"drho[{j}] has trace {dtr!r}, expected 0 (unit-trace family)"
+                break
+        model = simple_qubit(dim=3, rho=np.eye(3, dtype=complex) / 3, drho=drho,
+                             dbeta=np.eye(4, 1), weight=np.eye(1))
+        with pytest.raises(NonHermitianDerivative) as err:
+            validate(model)
+        assert str(err.value) == expected
 
     def test_kernel_block_derivative(self):
         # rank-1 state whose derivative grows the kernel eigenvalue: the

@@ -17,6 +17,7 @@ from qcrb.povm import (
     measurement_report,
     povm_fim,
     save_povm,
+    unbiasedness_residual,
     validate_povm,
 )
 from qcrb.sld import analyze
@@ -176,6 +177,20 @@ class TestLocalUnbiasedness:
         residual, ok = check_local_unbiasedness(povm, z_family_model(0.0), np.zeros(1))
         assert not ok
         assert residual == pytest.approx(0.5)
+
+
+    def test_residual_matches_loop_form(self):
+        """The batched traces equal Tr ρ X_s and Tr ∂_jρ X_s taken one at a time."""
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            d, p = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+            model = random_model(rng, d, p, int(rng.integers(1, p + 1)))
+            q = model.dbeta.shape[1]
+            x_ops = rng.normal(size=(q, d, d)) + 1j * rng.normal(size=(q, d, d))
+            mean_res = max(abs(np.trace(model.rho @ xs)) for xs in x_ops)
+            deriv = np.array([[np.trace(dj @ xs).real for xs in x_ops] for dj in model.drho])
+            expected = max(mean_res, np.abs(deriv - model.dbeta).max())
+            assert abs(unbiasedness_residual(model, x_ops) - expected) <= 1e-14 * expected
 
 
 class TestErrorCovariance:

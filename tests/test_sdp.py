@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from qcrb import linalg
 from qcrb.sdp import (NT_EIGENVALUE, NUMERICAL_TROUBLE, OPTIMAL, SCHUR_CHOLESKY, _cholesky_inverse,
-                      _DenseForms, _nt_scaling, solve_lmi)
+                      _DenseForms, _min_eig_below, _nt_scaling, solve_lmi)
 from _support import DenseOperator
 
 
@@ -74,6 +74,33 @@ class TestSolveLmi:
         )
         assert res.status == OPTIMAL
         assert res.u[0] == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("low", [1e-6, 1e-9, 0.0, -3.0])
+    def test_start_shift_decision_matches_eigenvalues(self, low):
+        """The start is shifted when λ_min < floor, as the eigenvalues decide;
+        a Cholesky factorization settles the strictly feasible case."""
+        rng = np.random.default_rng(8)
+        u, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        mat = (u * np.array([2.0, 1.5, 1.0, 0.5, low])) @ u.conj().T
+        min_eig = float(np.linalg.eigvalsh(mat).min())
+        assert _min_eig_below(mat, 1e-8) == (min_eig if min_eig < 1e-8 else None)
+
+    def test_strictly_feasible_start_takes_no_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        z0 = g @ g.conj().T
+        c, f0, op = epigraph_instance(z0, np.eye(3))
+        a, b = np.triu_indices(3)
+        v = z0.real + (np.linalg.norm(z0, 2) + 1.0) * np.eye(3)  # F(u0) = V − Z0 ⪰ I
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            def counting(*args, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        res = solve_lmi(c, f0, op, u0=v[a, b], max_iter=0)
+        assert res.pinfeas == 0.0 and not calls
 
     def test_max_iterations_status(self):
         rng = np.random.default_rng(2)
