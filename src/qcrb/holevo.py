@@ -19,9 +19,10 @@ rather than as a dense (n, N, N) array.
 
 :func:`solve` reads everything it needs, J's range and W's
 eigendecomposition included, from the model's one analysis, which has
-already decided that the model is estimable.  :func:`verify_solution`
-rechecks a solution against that analysis and against the closed-form
-bounds that :func:`qcrb.bounds.sandwich` computed for it.
+already decided that the model is estimable.  On every route the
+certificate is the unbiased minimizer ``x_opt``, and :func:`verify_solution`
+recomputes the nonsmooth objective N(x_opt) from the model and checks it
+against c_h and the closed-form bounds of :func:`qcrb.bounds.sandwich`.
 
 Short cut on D-invariant models.  At the efficient operators the Holevo
 objective tr W Re Z + ‖√W Im Z √W‖₁ equals c_d.  When span_R{L_j} is
@@ -34,7 +35,7 @@ and Statistical Aspects of Quantum Theory").  For W ≻ 0 the pair
 
 is a feasible point of the SDP of objective tr W V = c_d: V − Z =
 W^-½ (|K| − iK) W^-½ with K = W^½ Im Z W^½, which is ⪰ 0 because iK is
-Hermitian and |iK| = |K|.  :func:`solve` returns that point, with no
+Hermitian and |iK| = |K|.  :func:`solve` returns c_d at X_eff, with no
 iteration, whenever the analysis's ``d_invariance_residual`` is at most
 :data:`D_INVARIANCE_TOL` and W is positive definite.  The short cut's
 ``dual_objective`` is c_d, the lower bound the theorem gives.
@@ -53,9 +54,9 @@ any unbiased X an upper bound, so :func:`_solve_dual` climbs f by Newton's
 method and stops once the two ends agree within ``tol`` relative.  Each
 point is one evaluation of :class:`_Dual` on constants computed once per
 model, and the Hessian reuses that point's 𝒥⁻¹ and minimizer.  The
-certificate V is formed from the W^½ Z(X) W^½ that the point at the upper
-end already holds; :func:`verify_solution` recomputes Z(X) from ``x_opt``
-and the model, so the check does not rest on the solver's own Z.
+certificate is the minimizer at the upper end; :func:`verify_solution`
+recomputes Z(x_opt) from the model, so the check does not rest on the
+solver's own Z.
 """
 
 from __future__ import annotations
@@ -92,21 +93,19 @@ DUAL = "dual"
 
 @dataclass(frozen=True)
 class HolevoSolution:
-    """Solver outcome: bound value, minimizer, and certificates; ``reason``
-    says what failed when ``status`` is ``NumericalTrouble``, and ``method``
-    is :data:`SDP`, :data:`D_INVARIANT` (the short cut, 0 iterations) or
-    :data:`DUAL` (Newton steps on f(K); ``dual_objective`` is f at the last
-    step, and neither residual applies)."""
+    """Solver outcome: the bound value and its certificate, the unbiased
+    minimizer ``x_opt``, whose nonsmooth objective :func:`verify_solution`
+    recomputes; ``reason`` says what failed when ``status`` is
+    ``NumericalTrouble``, and ``method`` is :data:`SDP`, :data:`D_INVARIANT`
+    (the short cut, 0 iterations) or :data:`DUAL` (Newton steps on f(K);
+    ``dual_objective`` is the largest f met)."""
 
     c_h: float
     x_opt: np.ndarray
-    v_opt: np.ndarray
     duality_gap: float
     iterations: int
     status: str
     dual_objective: float
-    primal_residual: float
-    dual_residual: float
     reason: str = ""
     method: str = SDP
 
@@ -142,8 +141,8 @@ class EpigraphOperator:
     of G_qqᵀ and Q_CC = Q[q:, q:], which are summed by one (q, m, q, m)
     broadcast.
 
-    A slack of this LMI is X = [[V′, Mᴴ], [M, cI]]: F0's lower-right block
-    is I and no F_i touches it, so c = 1 + τ.  :meth:`factor` and
+    A slack of this LMI is X = [[V′, Mᴴ], [M, I]]: F0's lower-right block
+    is I and no F_i touches it.  :meth:`factor` and
     :meth:`scaled_extremes` rest on that form, which reduces them to q×q work,
     and :meth:`factor_congruence` and :meth:`times_factor_inv` on the block
     form of its factor, which reduces products with it to O(N²q).  Every
@@ -229,57 +228,52 @@ class EpigraphOperator:
         return out
 
     def factor(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(L, L⁻¹) with L Lᴴ = x for a slack x = [[V′, Mᴴ], [M, cI]] ≻ 0.
+        """(L, L⁻¹) with L Lᴴ = x for a slack x = [[V′, Mᴴ], [M, I]] ≻ 0.
 
-        L = [[Mᴴ/√c, L_R], [√c I, 0]], where L_R is the Cholesky factor of
-        the q×q Schur complement V′ − MᴴM/c, so that
-        L⁻¹ = [[0, I/√c], [L_R⁻¹, −L_R⁻¹Mᴴ/c]].  Raises ``LinAlgError``
-        when x is not positive definite.
+        L = [[Mᴴ, L_R], [I, 0]], where L_R is the Cholesky factor of the q×q
+        Schur complement V′ − MᴴM, so that L⁻¹ = [[0, I], [L_R⁻¹, −L_R⁻¹Mᴴ]].
+        Raises ``LinAlgError`` when x is not positive definite.
         """
         q = self.q
-        c = x[q, q].real
         m_h = x[:q, q:]
-        l_r = np.linalg.cholesky(x[:q, :q] - m_h @ x[q:, :q] / c)
+        l_r = np.linalg.cholesky(x[:q, :q] - m_h @ x[q:, :q])
         l_r_inv = np.linalg.inv(l_r)
-        root_c = np.sqrt(c)
         d_r = self.cols.shape[0]
         diag = np.arange(d_r)
         low = np.zeros_like(x)
-        low[:q, :d_r] = m_h / root_c
+        low[:q, :d_r] = m_h
         low[:q, d_r:] = l_r
-        low[q + diag, diag] = root_c
+        low[q + diag, diag] = 1.0
         low_inv = np.zeros_like(x)
-        low_inv[diag, q + diag] = 1.0 / root_c
+        low_inv[diag, q + diag] = 1.0
         low_inv[d_r:, :q] = l_r_inv
-        low_inv[d_r:, q:] = l_r_inv @ m_h / -c
+        low_inv[d_r:, q:] = -(l_r_inv @ m_h)
         return low, low_inv
 
     def factor_congruence(self, low: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """Lᴴ·mat·L for L as returned by :meth:`factor`.
 
-        L = E_q·[Mᴴ/√c, L_R] + √c·P, with E_q the first q columns of I and
+        L = E_q·[Mᴴ, L_R] + P, with E_q the first q columns of I and
         P = [[0, 0], [I, 0]] (the identity block d·r × d·r), so each of the
         two products costs O(N²q).
         """
         q = self.q
         d_r = self.cols.shape[0]
-        root_c = low[q, 0].real
         top = low[:q]
         right = mat[:, :q] @ top  # mat·L
-        right[:, :d_r] += root_c * mat[:, q:]
+        right[:, :d_r] += mat[:, q:]
         out = top.conj().T @ right[:q]
-        out[:d_r] += root_c * right[q:]
+        out[:d_r] += right[q:]
         return out
 
     def times_factor_inv(self, mat: np.ndarray, low_inv: np.ndarray) -> np.ndarray:
-        """mat·L⁻¹ for L⁻¹ = [[0, I/√c], [L_R⁻¹, −L_R⁻¹Mᴴ/c]] from :meth:`factor`.
+        """mat·L⁻¹ for L⁻¹ = [[0, I], [L_R⁻¹, −L_R⁻¹Mᴴ]] from :meth:`factor`.
 
-        L⁻¹'s first d·r rows are unit rows scaled by 1/√c, so the product
-        costs O(N²q).
+        L⁻¹'s first d·r rows are unit rows, so the product costs O(N²q).
         """
         d_r = self.cols.shape[0]
         out = mat[:, d_r:] @ low_inv[d_r:]
-        out[:, self.q:] += mat[:, :d_r] * low_inv[0, self.q].real
+        out[:, self.q:] += mat[:, :d_r]
         return out
 
     def congruence(self, a: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -298,38 +292,28 @@ class EpigraphOperator:
     def scaled_extremes(self, low_inv: np.ndarray, dx: np.ndarray) -> tuple[float, float]:
         """(λ_min, λ_max) of L⁻¹·dx·L⁻ᴴ, L⁻¹ as returned by :meth:`factor`.
 
-        ``dx`` is a slack direction [[dV′, dMᴴ], [dM, −τI]].  L⁻¹·dx·L⁻ᴴ is
-        [[−tI, B], [Bᴴ, D]] with t = τ/c, B = (dM + τM/c)·L_R⁻ᴴ/√c and a q×q
-        block D, so its eigenvalues are −t and the 2q roots of
-        det((λ + t)(λ − D) − BᴴB) = 0, which are the eigenvalues of the
-        companion matrix [[−tI, BᴴB], [I, D]].  They are real in exact
-        arithmetic, so their real parts are taken.  −t is counted among them:
-        it is an eigenvalue whenever d·r > q, and otherwise changes no step
-        length, since the lower-right block (c − ατ)I of x + α·dx caps every
-        primal step at c/τ, the step −1/λ that λ = −t gives.  The cost is
-        O(N·q²), against O(N³) for the N×N eigenvalue problem.
+        ``dx`` is a slack direction [[dV′, dMᴴ], [dM, 0]].  L⁻¹·dx·L⁻ᴴ is
+        [[0, B], [Bᴴ, D]] with B = dM·L_R⁻ᴴ and a q×q block D, so its
+        eigenvalues are 0 and the 2q roots of det(λ(λ − D) − BᴴB) = 0, which
+        are the eigenvalues of the companion matrix [[0, BᴴB], [I, D]].  They
+        are real in exact arithmetic, so their real parts are taken.  0 is
+        counted among them: it is an eigenvalue whenever d·r > q, and
+        otherwise changes no step length.  The cost is O(N·q²), against
+        O(N³) for the N×N eigenvalue problem.
         """
         q = self.q
         d_r = self.cols.shape[0]
         k = low_inv[d_r:, :q]  # L_R⁻¹
         k_h = k.conj().T
-        e = low_inv[d_r:, q:]  # −L_R⁻¹Mᴴ/c
+        e = low_inv[d_r:, q:]  # −L_R⁻¹Mᴴ
         f = dx[q:, :q] @ k_h
         ef = e @ f
-        d = k @ dx[:q, :q] @ k_h + ef + ef.conj().T
-        inv_c = low_inv[0, q].real ** 2
-        tau = -dx[q, q].real
-        if tau:
-            f = f - tau * e.conj().T
-            d = d - tau * (e @ e.conj().T)
-        t = tau * inv_c
         companion = np.zeros((2 * q, 2 * q), dtype=complex)
-        companion[:q, :q] = -t * np.eye(q)
-        companion[:q, q:] = inv_c * (f.conj().T @ f)  # BᴴB
+        companion[:q, q:] = f.conj().T @ f  # BᴴB
         companion[q:, :q] = np.eye(q)
-        companion[q:, q:] = d
+        companion[q:, q:] = k @ dx[:q, :q] @ k_h + ef + ef.conj().T
         roots = np.linalg.eigvals(companion).real
-        return min(float(roots.min()), -t), max(float(roots.max()), -t)
+        return min(float(roots.min()), 0.0), max(float(roots.max()), 0.0)
 
 
 def solve(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float = 1e-8,
@@ -338,7 +322,7 @@ def solve(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float = 1e-8,
 
     With W ≻ 0, a D-invariant model gets c_h = c_d at X_eff, and any other
     model with q ≥ 2 is solved by :func:`_solve_dual` (the module docstring
-    gives both certificates).  Everything else (q = 1, a singular W), and
+    gives both theorems).  Everything else (q = 1, a singular W), and
     every model the dual hands back (often pure states and qubits, whose
     maximizer lies on ‖W^-½KW^-½‖ = 1), is solved by :func:`_solve_sdp`.
     ``tol`` and ``max_iter`` go to whichever solver runs.
@@ -353,42 +337,26 @@ def solve(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float = 1e-8,
     return _solve_sdp(analysis, tol, max_iter)
 
 
-def _abs_antisymmetric(k: np.ndarray) -> np.ndarray:
-    """|iK| for a real antisymmetric K: real, symmetric and ⪰ 0."""
-    mu, vecs = np.linalg.eigh(1j * k)
-    return ((vecs * np.abs(mu)) @ vecs.conj().T).real
-
-
-def _epigraph_v(z: np.ndarray, root_w: np.ndarray, inv_root_w: np.ndarray) -> np.ndarray:
-    """V = Re Z + W^-½|W^½ Im Z W^½|W^-½: V ⪰ Z, and tr W V is the nonsmooth objective."""
-    v = z.real + inv_root_w @ _abs_antisymmetric(root_w @ z.imag @ root_w) @ inv_root_w
-    return (v + v.T) / 2
-
-
 def _d_invariant_solution(analysis: ModelAnalysis, closed: ClosedFormBounds) -> HolevoSolution:
-    """c_h = c_d attained at X_eff, certified by V = Re Z + W^-½|W^½ Im Z W^½|W^-½."""
+    """c_h = c_d, attained at X_eff."""
     return HolevoSolution(
         c_h=closed.c_d,
         x_opt=analysis.x_eff,
-        v_opt=_epigraph_v(analysis.z_eff, analysis.root_weight, analysis.inv_root_weight),
         duality_gap=0.0,
         iterations=0,
         status=sdp.OPTIMAL,
         dual_objective=closed.c_d,
-        primal_residual=0.0,
-        dual_residual=0.0,
         method=D_INVARIANT,
     )
 
 
 class _Point(NamedTuple):
-    """f at one A = W^-½KW^-½, with what its Hessian, minimizer and certificate reuse.
+    """f at one A = W^-½KW^-½, with what its Hessian and minimizer reuse.
 
     ``upper`` is the nonsmooth objective N(X(K)) and ``gradient`` ∂f/∂A
     over the entries s < t.  ``u`` diagonalizes iA = U diag(σ) Uᴴ,
-    ``inv_den`` (pairs × q) holds the 1/den_k, ``inv_info`` is 𝒥⁻¹, ``xi``
-    holds the minimizer's ξ_ab = W^½x_ab, and ``re_z`` and ``im_z`` are the
-    real and imaginary parts of W^½ Z(X(K)) W^½.
+    ``inv_den`` (pairs × q) holds the 1/den_k, ``inv_info`` is 𝒥⁻¹ and
+    ``xi`` holds the minimizer's ξ_ab = W^½x_ab.
     """
 
     value: float
@@ -398,8 +366,6 @@ class _Point(NamedTuple):
     inv_den: np.ndarray
     inv_info: np.ndarray
     xi: np.ndarray
-    re_z: np.ndarray
-    im_z: np.ndarray
 
 
 class _Dual:
@@ -476,7 +442,7 @@ class _Dual:
         upper = float(re_z.trace()) + float(np.abs(np.linalg.eigvalsh(1j * im_z)).sum())
         if not math.isfinite(value + upper):
             return None
-        return _Point(value, upper, 2.0 * im_z[self.tri], u, inv_den, inv_info, xi, re_z, im_z)
+        return _Point(value, upper, 2.0 * im_z[self.tri], u, inv_den, inv_info, xi)
 
     def hessian(self, pt: _Point) -> np.ndarray:
         """∂²f/∂A² over the entries s < t: 2R𝒥⁻¹Rᵀ − S, from the point's own 𝒥⁻¹.
@@ -507,12 +473,6 @@ class _Dual:
         vecs = analysis.eigvecs
         return vecs @ x_eig @ vecs.conj().T
 
-    def certificate(self, pt: _Point) -> np.ndarray:
-        """V = W^-½(W^½ Re Z W^½ + |W^½ Im Z W^½|)W^-½ at the point's own Z = Z(X(K)):
-        the V of :func:`_epigraph_v`, with tr W V = N(X(K))."""
-        v = self.inv_root_w @ (pt.re_z + _abs_antisymmetric(pt.im_z)) @ self.inv_root_w
-        return (v + v.T) / 2
-
 
 def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
                 max_iter: int) -> HolevoSolution | None:
@@ -528,12 +488,10 @@ def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
     step: f converges quadratically and reaches roundoff one step before
     N(X(K)) − f(K), which shrinks with the gradient, does.
 
-    The certificate is the minimizer X(K) of the point at the upper end and
-    V = W^-½(W^½ Re Z W^½ + |W^½ Im Z W^½|)W^-½, formed from the W^½ Z W^½
-    that point already holds (:meth:`_Dual.certificate`); the upper end
-    c_d is certified by X_eff and V from Z(X_eff).  Z is not recomputed
-    from the operators here: :func:`verify_solution` does that, from the
-    model, independently of this solver.
+    The certificate is ``x_opt``, the unbiased minimizer X(K) of the point
+    at the upper end, or X_eff when that end is still c_d.
+    :func:`verify_solution` checks it by recomputing N(x_opt) from Z(x_opt)
+    and the model, independently of this solver.
     """
     dual = _Dual(analysis)
     a_vec = np.zeros(dual.tri[0].size)
@@ -559,20 +517,13 @@ def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
         lower = max(lower, pt.value)
         if pt.upper < upper:
             best, upper = pt, pt.upper
-    if best is None:
-        x_opt, v_opt = analysis.x_eff, _epigraph_v(analysis.z_eff, analysis.root_weight, dual.inv_root_w)
-    else:
-        x_opt, v_opt = dual.operators(best, analysis), dual.certificate(best)
     return HolevoSolution(
         c_h=upper,
-        x_opt=x_opt,
-        v_opt=v_opt,
+        x_opt=analysis.x_eff if best is None else dual.operators(best, analysis),
         duality_gap=(upper - lower) / upper,
         iterations=iterations,
         status=sdp.OPTIMAL,
         dual_objective=lower,
-        primal_residual=0.0,
-        dual_residual=0.0,
         method=DUAL,
     )
 
@@ -607,11 +558,12 @@ def _feasible_directions(analysis: ModelAnalysis) -> np.ndarray:
 def _solve_sdp(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) -> HolevoSolution:
     """Minimize tr(W V) over the epigraph SDP by the interior-point core.
 
-    The iteration starts from the efficient influence operators with
-    V = Re Z(X_eff) plus a spectral margin, which is strictly interior.
-    Status is ``Optimal`` when primal/dual feasibility and the relative
-    duality gap reach tolerance; ``MaxIterations``/``NumericalTrouble``
-    return the best iterate found.
+    The strictly feasible start that :func:`qcrb.sdp.solve_lmi` requires is
+    X_eff with V₀ = Re Z + (1.1‖Z‖₂ + 1)I, Z = Z(X_eff), so that
+    V₀ − Z ⪰ (0.1‖Z‖₂ + 1)I, and S₀ = diag(W + εI, w̄I), w̄ = max(tr W / q, 1),
+    whose ε = 1e-6·w̄ + max(0, −λ_min(W)) covers the slightly negative
+    eigenvalues of W that validation accepts.  ``MaxIterations`` and
+    ``NumericalTrouble`` return the best iterate found.
     """
     model = analysis.model
     q = model.n_targets
@@ -646,26 +598,23 @@ def _solve_sdp(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) 
 
     w_scale = max(float(np.trace(weight)) / q, 1.0)
     s0 = np.zeros((block, block), dtype=complex)
-    s0[:q, :q] = weight + 1e-6 * w_scale * np.eye(q)
+    s0[:q, :q] = weight + (1e-6 * w_scale + max(0.0, -model.weight_eig[0][0])) * np.eye(q)
     s0[q:, q:] = w_scale * np.eye(d_r)
 
     result = sdp.solve_lmi(c, f0, op, u0=u0, s0=s0, tol=tol, max_iter=max_iter)
 
-    v_opt = np.zeros((q, q))
-    v_opt[a, b] = v_opt[b, a] = result.u[:n_v]
+    v = np.zeros((q, q))
+    v[a, b] = v[b, a] = result.u[:n_v]
     y = result.u[n_v:].reshape(q, m_s)
     x_opt = analysis.x_eff + vecs @ np.tensordot(y, directions, axes=(1, 0)) @ vecs.conj().T
 
     return HolevoSolution(
-        c_h=float(np.trace(weight @ v_opt)),
+        c_h=float(np.trace(weight @ v)),
         x_opt=x_opt,
-        v_opt=v_opt,
         duality_gap=result.relgap,
         iterations=result.iterations,
         status=result.status,
         dual_objective=result.dobj,
-        primal_residual=result.pinfeas,
-        dual_residual=result.dinfeas,
         reason=result.reason,
     )
 

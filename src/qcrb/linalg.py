@@ -17,7 +17,6 @@ __all__ = [
     "trace_norm",
     "symmetric_eigh",
     "pseudoinverse",
-    "psd_sqrt",
     "hermitian_basis",
     "basis_coefficients",
 ]
@@ -111,23 +110,6 @@ def pseudoinverse(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,
     inv_w[keep] = 1.0 / w[keep]
     out = (v * inv_w) @ v.T
     return (out + out.T) / 2
-
-
-def psd_sqrt(w: np.ndarray, name: str = "weight",
-             eig: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Spectral square root of a symmetric PSD matrix, clipping eigenvalues at 0.
-
-    ``eig`` is :func:`symmetric_eigh` of ``w`` when the caller already
-    holds it.  Raises ``ValueError`` when ``w`` is not symmetric or clearly
-    not PSD (minimum eigenvalue below −1e−8 times the trace scale).
-    """
-    w = np.asarray(w, dtype=float)
-    vals, vecs = symmetric_eigh(w, name) if eig is None else eig
-    scale = max(float(np.trace(w)), float(np.abs(vals).max()) if vals.size else 0.0, 1e-300)
-    if vals.min() < -1e-8 * scale:
-        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {vals.min():.3e})")
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    return (root + root.T) / 2
 
 
 def hermitian_basis(d: int) -> np.ndarray:

@@ -155,9 +155,12 @@ def validate(model: QuantumModel) -> None:
     if weight.shape != (q, q):
         raise ModelError(f"weight has shape {weight.shape}, expected ({q}, {q})")
     try:
-        linalg.psd_sqrt(weight, "weight", eig=model.weight_eig)
+        vals = model.weight_eig[0]
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
+    scale = max(float(np.trace(weight)), float(np.abs(vals).max()), 1e-300)
+    if vals.min() < -1e-8 * scale:
+        raise ModelError(f"weight is not positive semidefinite (min eigenvalue {vals.min():.3e})")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ X is not positive definite.  ``scaled_extremes`` may count among the
 eigenvalues a value that changes no step length read from them: the
 primal step −1/λ_min and the predictor's dual step 1/(1 + λ_max) when
 λ_max > 0, else 1.  ``factor`` and ``scaled_extremes`` are handed only
-slacks X = F(u) + τI and directions dX = Σ_i du_i F_i − τI.  The methods
+slacks X = F(u) and directions dX = Σ_i du_i F_i.  The methods
 from ``factor`` on are used only on blocks of at least
 ``_STRUCTURED_MIN + _STRUCTURED_PER_TARGET·q`` rows; a smaller block takes
 their dense forms (:class:`_DenseForms`), and its step lengths from the
@@ -41,11 +41,12 @@ structured form whose fixed cost grows with q.  The Holevo operator
 only q rows and columns besides a constant block, so each of its products
 costs O(N²q) where the dense form costs O(N³).
 
-The primal iterate is held as (u, τ) with slack X = F(u) + τI: τ is the
-shift that makes the start strictly feasible (0 when it already is), and
-a primal step of length α multiplies it by 1 − α.  The primal residual
-F(u) − X is therefore −τI exactly, and no slack is carried beside u.
-F0 is made Hermitian once, so every slack is exactly Hermitian.
+The caller supplies a strictly feasible start, F(u0) ≻ 0 and S0 ≻ 0;
+every step keeps the slack X = F(u) inside the cone, so no slack is
+carried beside u and there is no primal residual.  A start that is not
+strictly feasible ends ``NumericalTrouble`` at 0 iterations, decided by
+the factor of X that the first step needs anyway or by the Nesterov-Todd
+eigenvalues.  F0 is made Hermitian once, so every slack is exactly Hermitian.
 
 The iteration is the standard Nesterov-Todd-scaled Mehrotra
 predictor-corrector.  The scaling point R comes from one Hermitian
@@ -58,30 +59,29 @@ splits the matrix in halves and forms both from a few large matrix
 products, so each of the two solves per iteration is the pair of
 products L⁻ᵀ(L⁻¹g); the same routine factors the slack on small blocks.
 Scaled constraint matrices R⁻¹F_iR⁻ᴴ are never formed.  A slack
-direction is dX = T − τI with T = apply(du), so the scaled step is
-R⁻¹·dX·R⁻ᴴ = ``congruence(R⁻¹, T)`` − τR⁻¹R⁻ᴴ, and the corrector's
+direction is dX = apply(du), so the scaled step is
+R⁻¹·dX·R⁻ᴴ = ``congruence(R⁻¹, dX)``, and the corrector's
 right-hand side is ``adjoint_congruence(R⁻¹, Y)`` = adjoint(R⁻ᴴ·Y·R⁻¹).
 The predictor's Y = −Λ needs neither: R⁻ᴴ(−Λ)R⁻¹ = −S, so its
-right-hand side is −c (plus ``adjoint(τG²)`` from a shifted start).  Its
-dual direction is −Λ − R⁻¹·dX·R⁻ᴴ, so both predictor step lengths follow
-from the extremes of L⁻¹·dX·L⁻ᴴ, to which Λ^-½·R⁻¹·dX·R⁻ᴴ·Λ^-½ is
-unitarily similar.  The dual step lifts the difference,
+right-hand side is −c.  Its dual direction is −Λ − R⁻¹·dX·R⁻ᴴ, so both
+predictor step lengths follow from the extremes of L⁻¹·dX·L⁻ᴴ, to which
+Λ^-½·R⁻¹·dX·R⁻ᴴ·Λ^-½ is unitarily similar.  The dual step lifts the difference,
 R⁻ᴴ·(Y − R⁻¹·dX·R⁻ᴴ)·R⁻¹: near the optimum the two terms nearly cancel,
 and lifting them apart as R⁻ᴴYR⁻¹ − G·dX·G would cost S digits.
 
-Per iteration, on the structured route from a strictly feasible start,
-the solver itself forms four N×N products (G, the corrector's
-second-order term and the two of the dual step) and runs one ``eigh``
+Per iteration, on the structured route, the solver itself forms four N×N
+products (G, the corrector's second-order term and the two of the dual
+step) and runs one ``eigh``
 (the NT scaling) and one ``eigvalsh`` (the corrector's dual step); the
 operator's products cost O(N²q) each.  The Schur factorization takes
 about 7n³/6 flops, all but the leaves' in matrix products.  The operator
 calls are three ``apply``, one ``adjoint``, one ``adjoint_congruence``,
 one ``schur``, one ``factor``, ``factor_congruence`` and
 ``times_factor_inv`` each, two ``congruence`` and two
-``scaled_extremes``.  A shifted start adds one ``adjoint`` and the two
-products of R⁻¹R⁻ᴴ and G² while τ > 0; a small block runs all of these
-as dense products, with two more ``eigvalsh`` in place of
-``scaled_extremes``.
+``scaled_extremes``; the iterate that ends the solve is factored too,
+since X ≻ 0 is decided before an iterate may count as optimal.  A small
+block runs all of these as dense products, with two more ``eigvalsh`` in
+place of ``scaled_extremes``.
 
 Accuracy of the scaling: the eigendecomposition of LxᴴSLx resolves Λ²,
 whose spread is the square of the NT spread, where an SVD of LzᴴLx
@@ -131,10 +131,9 @@ class SdpResult:
     """Solver outcome.
 
     ``gap`` is the absolute complementarity ⟨X, S⟩, ``relgap`` the gap
-    relative to the mean objective magnitude; ``pinfeas``/``dinfeas`` are
-    scaled primal/dual residual norms; ``pinfeas`` = τ·√N / (1 + ‖F0‖)
-    exactly, for the shift τ left in the slack X = F(u) + τI, and 0 from a
-    strictly feasible start.  ``dobj`` = −⟨F0, S⟩ is the dual
+    relative to the mean objective magnitude; ``dinfeas`` is the scaled
+    dual residual norm (the primal one is 0: X = F(u) at every iterate).
+    ``dobj`` = −⟨F0, S⟩ is the dual
     objective at the returned dual iterate.  It is not a certified lower
     bound on the optimum, even with ``dinfeas`` at roundoff: S solves the
     dual constraints only approximately, and on the Holevo SDP of
@@ -144,7 +143,9 @@ class SdpResult:
     the slack's Cholesky factorization (X not positive definite), a
     non-positive eigenvalue of LxᴴSLx in the Nesterov-Todd scaling (S not
     positive definite), the Schur Cholesky factorization after
-    regularisation, or steps that stalled.
+    regularisation, or steps that stalled.  A start that is not strictly
+    feasible ends with the first or the second at 0 iterations, never
+    ``Optimal``.
     """
 
     u: np.ndarray
@@ -154,7 +155,6 @@ class SdpResult:
     dobj: float
     gap: float
     relgap: float
-    pinfeas: float
     dinfeas: float
     iterations: int
     status: str
@@ -245,21 +245,6 @@ def _scaled_extremes(lam: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
     return float(eigs[0]), float(eigs[-1])
 
 
-def _min_eig_below(mat: np.ndarray, floor: float) -> float | None:
-    """The smallest eigenvalue of the Hermitian ``mat`` when it is below ``floor``, else None.
-
-    A Cholesky factorization of mat − floor·I, which succeeds when every
-    eigenvalue exceeds ``floor`` (to roundoff), decides first; the
-    eigenvalues, an N×N eigenproblem, are computed only when it fails.
-    """
-    try:
-        np.linalg.cholesky(mat - floor * np.eye(mat.shape[0]))
-        return None
-    except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(mat).min())
-        return min_eig if min_eig < floor else None
-
-
 def _step_length(min_eig: float) -> float:
     """Largest alpha with I + alpha*K ⪰ 0 for λ_min(K) = ``min_eig`` (inf if unbounded)."""
     return np.inf if min_eig >= -1e-16 else -1.0 / min_eig
@@ -274,8 +259,8 @@ def solve_lmi(
     c: np.ndarray,
     f0: np.ndarray,
     op,
-    u0: np.ndarray | None = None,
-    s0: np.ndarray | None = None,
+    u0: np.ndarray,
+    s0: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> SdpResult:
@@ -288,35 +273,21 @@ def solve_lmi(
     op : the constraint matrices F_1 … F_n, as an object with the
         ``apply``/``adjoint``/``schur``/``factor``/``scaled_extremes``
         methods and the ``q`` attribute described in the module docstring.
-    u0 : optional start; the slack F(u0) is shifted to be safely positive
-        definite, so strict feasibility of u0 is helpful but not required.
-    s0 : optional positive-definite dual start.
+    u0 : strictly feasible start, F(u0) ≻ 0.
+    s0 : positive definite dual start.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be a non-negative integer, got {max_iter}")
     c = np.asarray(c, dtype=float)
-    f0 = _herm(np.asarray(f0, dtype=complex))  # every slack F(u) + τI is then exactly Hermitian
+    f0 = _herm(np.asarray(f0, dtype=complex))  # every slack F(u) is then exactly Hermitian
     n = c.shape[0]
     dim = f0.shape[0]
-    eye = np.eye(dim)
     forms = op if dim >= _STRUCTURED_MIN + _STRUCTURED_PER_TARGET * op.q else _DenseForms(op)
 
-    def slack(u: np.ndarray, tau: float) -> np.ndarray:
-        x = f0 + op.apply(u)
-        return x + tau * eye if tau else x
+    u = np.array(u0, dtype=float)
+    x = f0 + op.apply(u)
+    dual = np.array(s0, dtype=complex)
 
-    u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
-    tau = 0.0
-    x = slack(u, tau)
-    min_eig = _min_eig_below(x, 1e-8)
-    if min_eig is not None:
-        tau = abs(min_eig) * 1.1 + max(1.0, 1e-3 * np.trace(x).real / dim)
-        x = x + tau * eye
-    dual = np.eye(dim, dtype=complex) if s0 is None else np.array(s0, dtype=complex)
-    if _min_eig_below(dual, 1e-12) is not None:
-        dual = dual + np.eye(dim)
-
-    f0_scale = 1.0 + np.linalg.norm(f0)
     c_scale = 1.0 + np.linalg.norm(c)
     best = None
     best_score = np.inf
@@ -331,22 +302,23 @@ def solve_lmi(
         pobj = float(c @ u)
         dobj = -float(np.vdot(dual, f0).real)
         relgap = gap / max(1.0, (abs(pobj) + abs(dobj)) / 2)
-        pinf = tau * np.sqrt(dim) / f0_scale  # ‖F(u) − X‖_F = ‖τI‖_F
         dinf = np.linalg.norm(rd) / c_scale
-        score = max(pinf, dinf, relgap)
+        score = max(dinf, relgap)
         if best is None or score < best_score:
             best_score = score
-            best = (u, x, dual, pobj, dobj, gap, relgap, pinf, dinf)
-        if pinf <= FEAS_TOL and dinf <= FEAS_TOL and relgap <= tol:
-            return SdpResult(u, x, dual, pobj, dobj, gap, relgap, pinf, dinf, iterations, OPTIMAL)
-        if iteration == max_iter:
-            break
-
+            best = (u, x, dual, pobj, dobj, gap, relgap, dinf)
+        # X ≻ 0 is decided before the iterate may count as optimal, by the
+        # factor the step needs
         try:
             factor = forms.factor(x)
         except np.linalg.LinAlgError:
             status, reason = NUMERICAL_TROUBLE, SLACK_CHOLESKY
             break
+        if dinf <= FEAS_TOL and relgap <= tol:
+            return SdpResult(u, x, dual, pobj, dobj, gap, relgap, dinf, iterations, OPTIMAL)
+        if iteration == max_iter:
+            break
+
         scaling = _nt_scaling(forms, factor, dual)
         if scaling is None:
             status, reason = NUMERICAL_TROUBLE, NT_EIGENVALUE
@@ -367,27 +339,15 @@ def solve_lmi(
             status, reason = NUMERICAL_TROUBLE, SCHUR_CHOLESKY
             break
 
-        # schur⁻¹ = L⁻ᵀ L⁻¹ is applied as two products.  A slack direction is
-        # dX = T − τI with T = apply(du), so R⁻¹·dX·R⁻ᴴ = R⁻¹TR⁻ᴴ − τR⁻¹R⁻ᴴ, and
-        # the primal residual X − F(u) = τI, scaled to R⁻¹τIR⁻ᴴ, enters the
-        # right-hand side as R⁻ᴴ(R⁻¹τIR⁻ᴴ)R⁻¹ = τG².
-        if tau:
-            r_gram = _herm(r_inv @ r_inv_h)
-            shift = op.adjoint(tau * (g_mat @ g_mat))
-        else:
-            shift = 0.0
-
         def extremes(dx, dlam_x):
             """(λ_min, λ_max) of L⁻¹·dx·L⁻ᴴ, unitarily similar to Λ^-½·dlam_x·Λ^-½."""
             return op.scaled_extremes(factor[1], dx) if forms is op else _scaled_extremes(lam, dlam_x)
 
         def direction(g):
+            """schur⁻¹g = L⁻ᵀ(L⁻¹g), the slack direction apply(du) and its scaled form."""
             du = chol_inv.T @ (chol_inv @ g)
-            t = op.apply(du)  # the slack moves by t − τI per unit step, τI shrinking with it
-            dlam_x = forms.congruence(r_inv, t)
-            if tau:
-                return du, t - tau * eye, dlam_x - tau * r_gram
-            return du, t, dlam_x
+            dx = op.apply(du)
+            return du, dx, forms.congruence(r_inv, dx)
 
         mu = gap / dim
         lam_mat = np.diag(lam)
@@ -396,7 +356,7 @@ def solve_lmi(
         # adjoint(S) in rd.  Its dual direction is −Λ − dlx_aff, so
         # Λ^-½(Λ + α·dlz_aff)Λ^-½ = (1 − α)I − αK with K = Λ^-½·dlx_aff·Λ^-½,
         # and both step lengths follow from K's extreme eigenvalues.
-        _, dx_aff, dlx_aff = direction(shift - c)
+        _, dx_aff, dlx_aff = direction(-c)
         dlz_aff = -lam_mat - dlx_aff
         k_min, k_max = extremes(dx_aff, dlx_aff)
         ap_aff = min(1.0, _step_length(k_min))
@@ -411,7 +371,7 @@ def solve_lmi(
         correction = _herm(dlx_aff @ dlz_aff)
         rhs = np.diag(sigma * mu - lam * lam) - correction
         y_comb = 2.0 * rhs / (lam[:, None] + lam[None, :])  # exactly Hermitian
-        du, dx, dlam_x = direction(forms.adjoint_congruence(r_inv, y_comb) + shift - rd)
+        du, dx, dlam_x = direction(forms.adjoint_congruence(r_inv, y_comb) - rd)
         dlam_z = y_comb - dlam_x
 
         alpha_p = min(1.0, _STEP_DAMPING * _step_length(extremes(dx, dlam_x)[0]))
@@ -425,10 +385,8 @@ def solve_lmi(
             stalls = 0
 
         u = u + alpha_p * du
-        tau *= 1.0 - alpha_p
-        x = slack(u, tau)
+        x = f0 + op.apply(u)
         dual = _herm(dual + alpha_d * (r_inv_h @ dlam_z @ r_inv))
 
     # not Optimal: fall back to the best iterate seen
-    u_b, x_b, s_b, pobj, dobj, gap, relgap, pinf, dinf = best
-    return SdpResult(u_b, x_b, s_b, pobj, dobj, gap, relgap, pinf, dinf, iterations, status, reason)
+    return SdpResult(*best, iterations, status, reason)

@@ -52,9 +52,10 @@ class ModelAnalysis:
     eigenbasis.  ``slds`` (p, d, d) carry their
     reconstruction ``residuals``; ``qfim`` = J is symmetric and ``dmat`` = D
     antisymmetric to the bit.  ``qfim_range`` holds the eigenvectors of J
-    that ``qfim_pinv`` keeps.  ``root_weight`` = √W, and ``inv_root_weight``
-    = W^-½ when W is positive definite, else None.  ``x_eff`` (q, d, d) are
-    the efficient influence operators and ``z_eff`` = Z(X_eff).
+    that ``qfim_pinv`` keeps.  ``root_weight`` = √W, its roundoff
+    eigenvalues (≤ q·eps·λ_max) taken as 0, and ``inv_root_weight`` = W^-½
+    when W is positive definite, else None.  ``x_eff`` (q, d, d) are the
+    efficient influence operators and ``z_eff`` = Z(X_eff).
     ``d_invariance_residual`` is :func:`d_invariance_residual` of the SLDs.
     Only estimable models have an analysis (:func:`analyze` raises
     otherwise), so no consumer checks feasibility again.
@@ -204,8 +205,12 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
             f"beta component(s) {bad} are not estimable (dbeta column outside range of J)",
             bad_columns=bad,
         )
-    w_vals, w_vecs = w_eig = model.weight_eig
+    w_vals, w_vecs = model.weight_eig
     definite = w_vals.min() > WEIGHT_DEFINITE_TOL * w_vals.max()
+    # √W drops only roundoff eigenvalues (numpy's matrix_rank cut): a larger
+    # cut would drop terms of order √w from c_d while the SDP reads all of W
+    roundoff = w_vals <= w_vals.size * np.finfo(float).eps * w_vals.max()
+    root_weight = (w_vecs * np.sqrt(np.where(roundoff, 0.0, w_vals))) @ w_vecs.T
     x_eff = np.tensordot((qfim_pinv @ model.dbeta).T, slds, axes=(1, 0))
     return ModelAnalysis(
         model=model,
@@ -222,7 +227,7 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
         qfim_rank=int(np.count_nonzero(j_range)),
         qfim_range=j_vecs[:, j_range],
         qfim_pinv=qfim_pinv,
-        root_weight=linalg.psd_sqrt(model.weight, eig=w_eig),
+        root_weight=(root_weight + root_weight.T) / 2,
         inv_root_weight=(w_vecs / np.sqrt(w_vals)) @ w_vecs.T if definite else None,
         x_eff=x_eff,
         z_eff=linalg.z_matrix(x_eff, rho),

@@ -197,10 +197,25 @@ def locally_unbiased_povm(
     return DiscretePovm(elements=elements, estimates=estimates)
 
 
+def psd_sqrt(w: np.ndarray, name: str = "weight") -> np.ndarray:
+    """Spectral square root of a symmetric PSD matrix, clipping eigenvalues at 0.
+
+    Raises ``ValueError`` when ``w`` is not symmetric or clearly not PSD
+    (minimum eigenvalue below −1e−8 times the trace scale).
+    """
+    w = np.asarray(w, dtype=float)
+    vals, vecs = linalg.symmetric_eigh(w, name)
+    scale = max(float(np.trace(w)), float(np.abs(vals).max()) if vals.size else 0.0, 1e-300)
+    if vals.min() < -1e-8 * scale:
+        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {vals.min():.3e})")
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    return (root + root.T) / 2
+
+
 def holevo_objective(model: QuantumModel, x_ops: np.ndarray) -> float:
     """Nonsmooth Holevo objective tr W Re Z(X) + ‖√W Im Z(X) √W‖₁."""
     z = linalg.z_matrix(x_ops, model.rho)
-    root_w = linalg.psd_sqrt(model.weight)
+    root_w = psd_sqrt(model.weight)
     return float(np.trace(model.weight @ z.real)) + linalg.trace_norm(root_w @ z.imag @ root_w)
 
 
@@ -295,7 +310,7 @@ def weighted_tracenorm_check(w: np.ndarray, a: np.ndarray) -> tuple[float, float
         raise ValueError(f"A must be square, got {a.shape}")
     if np.abs(a + a.T).max() > linalg.HERMITICITY_TOL * max(1.0, np.abs(a).max()):
         raise ValueError("A must be skew-symmetric")
-    root = linalg.psd_sqrt(w, "W")
+    root = psd_sqrt(w, "W")
     lhs = linalg.trace_norm(root @ a @ root)
     rhs = linalg.trace_norm(np.asarray(w, dtype=float) @ a)
     return lhs, rhs

@@ -6,11 +6,11 @@ from numpy.testing import assert_allclose
 
 from qcrb import linalg
 from qcrb.bounds import c_d, c_gs, sandwich
-from qcrb import bounds
+from qcrb import bounds, holevo
 from qcrb.exceptions import InfeasibleModel, VerificationFailed
 from qcrb.model import QuantumModel, fixture
 from qcrb.sld import analyze, information
-from _support import random_model, random_weight, v_matrix, zero_mean_hermitian
+from _support import holevo_objective, psd_sqrt, random_model, random_weight, v_matrix, zero_mean_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -93,11 +93,60 @@ class TestClosedFormValues:
             m = random_model(rng, d=3, p=3, q=3, weighted=True)
             analysis = analyze(m)
             cf = sandwich(analysis)
-            root_w = linalg.psd_sqrt(m.weight)
+            root_w = psd_sqrt(m.weight)
             direct = float(np.trace(m.weight @ analysis.z_eff.real)) + linalg.trace_norm(
                 root_w @ analysis.z_eff.imag @ root_w
             )
             assert cf.c_d == pytest.approx(direct, abs=1e-9)
+
+
+class TestSingularWeight:
+    def test_c_d_matches_the_reduced_model(self):
+        """W = U diag(w₊, 0) Uᵀ in a rotated frame.  The bounds depend on X
+        only through the targets in range(W), so c_d equals that of the
+        model reduced to them, (dbeta U₊, diag(w₊)).  √W reads W's one rank
+        decision, so the roundoff eigenvalues of the rotated W do not
+        enter it."""
+        rng = np.random.default_rng(17)
+        for i in range(40):
+            m = random_model(rng, d=3, p=3, q=3)
+            rank = 1 + i % 2
+            rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            w_plus = rng.uniform(0.5, 2.0, size=rank)
+            full = analyze(dataclasses.replace(m, weight=(rot[:, :rank] * w_plus) @ rot[:, :rank].T))
+            reduced = analyze(dataclasses.replace(m, dbeta=m.dbeta @ rot[:, :rank], weight=np.diag(w_plus)))
+            assert full.inv_root_weight is None and reduced.inv_root_weight is not None
+            assert c_d(full) == pytest.approx(c_d(reduced), rel=1e-13)
+
+    @staticmethod
+    def near_singular(ratio, angle):
+        """qubit_xy_at_z (D-invariant, so Im Z₁₂ is fixed by the constraints)
+        with W's eigenvalues 1 and ``ratio``, rotated by ``angle``."""
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        weight = rot @ np.diag([1.0, ratio]) @ rot.T
+        return analyze(dataclasses.replace(fixture("qubit_xy_at_z", [0.5]), weight=weight))
+
+    @pytest.mark.parametrize("ratio", [5e-13, 1e-12])
+    @pytest.mark.parametrize("angle", [0.0, 0.7])
+    def test_small_eigenvalue_stays_in_root_weight(self, ratio, angle):
+        """An eigenvalue w₂ of W above roundoff but not above
+        ``WEIGHT_DEFINITE_TOL``·λ_max sends W to the SDP, which reads all of
+        W; √W keeps w₂ too, or c_d would lose its cross term 2√(w₁w₂)|Im Z₁₂|
+        (1.4e-6 relative here)."""
+        analysis = self.near_singular(ratio, angle)
+        assert analysis.inv_root_weight is None
+        exact = holevo_objective(analysis.model, analysis.x_eff)  # with the exact √W
+        assert c_d(analysis) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("ratio", [5e-13, 1e-12])
+    def test_small_eigenvalue_verifies(self, ratio):
+        """c_h of the SDP, which reads all of W, matches the nonsmooth
+        objective that :func:`verify_solution` forms with √W."""
+        analysis = self.near_singular(ratio, 0.0)
+        closed = sandwich(analysis)
+        sol = holevo.solve(analysis, closed)
+        assert sol.method == holevo.SDP
+        holevo.verify_solution(analysis, sol, closed)
 
 
 class TestSandwich:

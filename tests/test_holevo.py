@@ -137,14 +137,10 @@ class TestSolve:
             sol = solve_model(m)
             assert sol.status == "Optimal"
             assert sol.duality_gap <= 1e-8
-            assert sol.dual_residual <= 1e-8
             assert sol.dual_objective <= sol.c_h + 1e-6
-            # v_opt dominates Z(x_opt) in the PSD sense
-            from qcrb.linalg import z_matrix
-
-            z = z_matrix(sol.x_opt, m.rho)
-            assert np.linalg.eigvalsh(sol.v_opt.astype(complex) - z).min() > -1e-8
-            assert sol.c_h == pytest.approx(float(np.trace(m.weight @ sol.v_opt)), abs=1e-9)
+            # c_h is attained: the nonsmooth objective at x_opt recomputed from the model
+            tol = 1e-9 if sol.method == holevo.SDP else 1e-12 * sol.c_h
+            assert abs(holevo_objective(m, sol.x_opt) - sol.c_h) <= tol
 
     def test_kernel_reduction_invariance(self):
         """The kernel×kernel block left out of the SDP changes neither the
@@ -275,10 +271,8 @@ class TestDInvariantShortCut:
         assert forced.status == "Optimal" and forced.method == holevo.SDP
         assert abs(sol.c_h - forced.c_h) <= 1e-8 * max(1.0, abs(forced.c_h))
 
-        # the certificate: (x_opt, v_opt) is feasible with objective c_h
-        z = linalg.z_matrix(sol.x_opt, model.rho)
-        assert np.linalg.eigvalsh(sol.v_opt - z).min() >= -1e-12 * np.linalg.norm(sol.v_opt, 2)
-        assert float(np.trace(model.weight @ sol.v_opt)) == pytest.approx(sol.c_h, rel=1e-12)
+        # the certificate: the nonsmooth objective at the unbiased x_opt is c_h
+        assert holevo_objective(model, sol.x_opt) == pytest.approx(sol.c_h, rel=1e-12)
         assert unbiasedness_residual(model, sol.x_opt) <= holevo.CONSTRAINT_TOL
         verify_solution(analysis, sol, closed)
         # the reported floats are ordered exactly
@@ -400,13 +394,11 @@ class TestDual:
         reference = holevo._solve_sdp(analysis, tol=1e-12)
         assert abs(sol.c_h - reference.c_h) <= 1e-9 * reference.c_h
         # the certified bracket (its ends may cross by roundoff), and the
-        # certificate (x_opt, v_opt) at its upper end
+        # certificate x_opt at its upper end
         assert sol.dual_objective <= sol.c_h * (1 + 1e-14)
         assert sol.duality_gap == pytest.approx((sol.c_h - sol.dual_objective) / sol.c_h, abs=1e-16)
         assert sol.duality_gap <= 1e-10
-        z = linalg.z_matrix(sol.x_opt, model.rho)
-        assert np.linalg.eigvalsh(sol.v_opt - z).min() >= -1e-12 * np.linalg.norm(sol.v_opt, 2)
-        assert float(np.trace(model.weight @ sol.v_opt)) == pytest.approx(sol.c_h, rel=1e-12)
+        assert holevo_objective(model, sol.x_opt) == pytest.approx(sol.c_h, rel=1e-12)
         assert unbiasedness_residual(model, sol.x_opt) <= holevo.CONSTRAINT_TOL
         verify_solution(analysis, sol, closed)
         assert closed.c_gs <= sol.dual_objective and sol.c_h <= closed.c_d
@@ -442,18 +434,18 @@ class TestDual:
 
 
 class TestDualCertificate:
-    """The dual's certificate V comes from the W^½ Z W^½ of its own best
-    point; :func:`verify_solution` recomputes Z from ``x_opt`` and the model."""
+    """The dual's certificate is its minimizer ``x_opt``;
+    :func:`verify_solution` recomputes Z from ``x_opt`` and the model."""
 
     @pytest.mark.parametrize("model", benchmark_large_q3_models() + small_dual_models(),
                              ids=lambda m: m.label or f"d{m.dim}q{m.n_targets}")
     def test_v_matches_epigraph_v_of_z_at_x_opt(self, model):
+        """The epigraph V of Z(x_opt) is fixed by x_opt, and tr W V is the
+        nonsmooth objective at x_opt, so that objective must match c_h."""
         analysis = analyze(model)
         sol = solve(analysis, sandwich(analysis))
         assert sol.method == holevo.DUAL and sol.iterations > 0
-        z = linalg.z_matrix(sol.x_opt, analysis.rho)
-        expected = holevo._epigraph_v(z, analysis.root_weight, analysis.inv_root_weight)
-        assert np.abs(sol.v_opt - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert holevo_objective(model, sol.x_opt) == pytest.approx(sol.c_h, rel=1e-12)
 
     @pytest.mark.parametrize("direction, message", [
         ("feasible", "nonsmooth objective"),  # still unbiased: only the recomputed Z tells
@@ -522,6 +514,81 @@ def solve_with(operator, model, monkeypatch):
     return holevo._solve_sdp(analyze(model))
 
 
+def sdp_start_models():
+    """Models whose Holevo start must still be strictly feasible: weak and
+    strong signals, a pure state, a singular W, q = 8, and a W with an
+    eigenvalue of −1e-9 relative, which :func:`validate` accepts."""
+    rng = np.random.default_rng(50)
+    base = random_model(rng, 3, 3, 2, weighted=True)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    three = random_model(rng, 3, 3, 3)
+    return {
+        "weak": dataclasses.replace(base, drho=base.drho * 1e-6),
+        "strong": dataclasses.replace(base, drho=base.drho * 1e6),
+        "pure": random_model(rng, 3, 3, 3, rank=1),
+        "singular_w": dataclasses.replace(three, weight=2.0 * np.outer(rot[:, 0], rot[:, 0])),
+        "q8": fixture("random_full_rank", [3, 3, 8, 8]),
+        "negative_w": dataclasses.replace(three, weight=(rot * [1.0, 0.5, -1e-9]) @ rot.T),
+    }
+
+
+@pytest.mark.parametrize("name", list(sdp_start_models()))
+def test_sdp_start_is_strictly_feasible(name, monkeypatch):
+    """:func:`holevo._solve_sdp` hands :func:`qcrb.sdp.solve_lmi` a start with
+    V₀ − Z(X_eff) ⪰ (0.1‖Z‖₂ + 1)I and S₀ ≻ 0, which the solver requires."""
+    model = sdp_start_models()[name]
+    validate(model)
+    analysis = analyze(model)
+    seen = {}
+    original = sdp.solve_lmi
+
+    def recording(c, f0, op, u0, s0, **kwargs):
+        seen.update(f0=f0, op=op, u0=u0, s0=s0)
+        return original(c, f0, op, u0, s0, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve_lmi", recording)
+    sol = holevo._solve_sdp(analysis, max_iter=0)
+    assert (sol.status, sol.iterations) == ("MaxIterations", 0)  # the slack factored: X ≻ 0
+    q = model.n_targets
+    a, b = np.triu_indices(q)
+    v0 = np.zeros((q, q))
+    v0[a, b] = v0[b, a] = seen["u0"][:a.size]
+    z = analysis.z_eff
+    margin = 0.1 * np.linalg.norm(z, 2) + 1.0
+    assert np.linalg.eigvalsh(v0 - z).min() >= margin * (1 - 1e-12)
+    assert np.linalg.eigvalsh(seen["f0"] + seen["op"].apply(seen["u0"])).min() > 0
+    assert np.linalg.eigvalsh(seen["s0"]).min() > 0
+
+
+def test_sdp_dual_start_covers_negative_weight_eigenvalues(monkeypatch):
+    """At q = 120, with W's 119 small eigenvalues at −0.99e-8 of its largest
+    (which :func:`validate` accepts), the margin 1e-6·max(tr W / q, 1) is
+    below |λ_min(W)|; the −λ_min(W) term keeps S₀ ≻ 0.  The operator and the
+    solve are stubbed: only the start is built."""
+    model = fixture("random_full_rank", [1, 11, 120, 120])
+    rot, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(120, 120)))
+    vals = np.full(120, -0.99e-4)
+    vals[0] = 1e4
+    model = dataclasses.replace(model, weight=(rot * vals) @ rot.T)
+    validate(model)
+    w_scale = max(float(np.trace(model.weight)) / 120, 1.0)
+    assert 1e-6 * w_scale < -model.weight_eig[0][0]
+    seen = {}
+
+    class Stop(Exception):
+        pass
+
+    def recording(c, f0, op, u0, s0, **kwargs):
+        seen["s0"] = s0
+        raise Stop
+
+    monkeypatch.setattr(holevo, "EpigraphOperator", lambda q, cols: None)
+    monkeypatch.setattr(sdp, "solve_lmi", recording)
+    with pytest.raises(Stop):
+        holevo._solve_sdp(analyze(model))
+    assert np.linalg.eigvalsh(seen["s0"]).min() > 0
+
+
 class TestEpigraphOperator:
     """The structured operator against the dense matrices written out one by one."""
 
@@ -565,7 +632,6 @@ class TestEpigraphOperator:
         # x_opt differing by up to 3.5e-10 relative on these instances.
         assert np.linalg.norm(structured.x_opt - dense.x_opt) <= 1e-9 * np.linalg.norm(dense.x_opt)
 
-    @pytest.mark.parametrize("tau", [0.0, 0.3])
     @pytest.mark.parametrize("d, rank, p, q", [
         (3, 3, 2, 1),
         (3, 1, 2, 1),  # rank-deficient: d·r = 3
@@ -573,7 +639,7 @@ class TestEpigraphOperator:
         (4, 2, 4, 3),
         (6, 6, 3, 3),  # N = 39, a size at which solve_lmi uses these methods
     ])
-    def test_factor_and_max_step_match_dense(self, d, rank, p, q, tau, monkeypatch):
+    def test_factor_and_max_step_match_dense(self, d, rank, p, q, monkeypatch):
         rng = np.random.default_rng(1000 + 10 * d + rank)
         _, cols = captured_operator(random_model(rng, d, p, q, rank=rank, weighted=True), monkeypatch)
         op, dense = EpigraphOperator(q, cols), dense_epigraph(q, cols)
@@ -581,7 +647,7 @@ class TestEpigraphOperator:
         size = q + d_r
         eye = np.eye(size)
         for _ in range(3):
-            # a slack F(u) + τI of the form solve_lmi holds: F0 = [[0, M0ᴴ], [M0, I]]
+            # a slack F(u) of the form solve_lmi holds: F0 = [[0, M0ᴴ], [M0, I]]
             f0 = np.zeros((size, size), dtype=complex)
             f0[q:, :q] = rng.normal(size=(d_r, q)) + 1j * rng.normal(size=(d_r, q))
             f0[:q, q:] = f0[q:, :q].conj().T
@@ -589,7 +655,7 @@ class TestEpigraphOperator:
             u = 0.3 * rng.normal(size=op.n)
             a, b = np.triu_indices(q)
             u[:a.size] += np.where(a == b, 2.0 + np.linalg.norm(f0[q:, :q]) ** 2, 0.0)
-            x = f0 + op.apply(u) + tau * eye
+            x = f0 + op.apply(u)
             assert np.linalg.eigvalsh(x).min() > 0
 
             low, low_inv = op.factor(x)
@@ -598,25 +664,22 @@ class TestEpigraphOperator:
 
             _, dense_inv = dense.factor(x)
             for scale in (0.1, 1.0, 10.0):
-                dx = op.apply(scale * rng.normal(size=op.n)) - tau * eye
+                dx = op.apply(scale * rng.normal(size=op.n))
                 want = dense.scaled_extremes(dense_inv, dx)
                 assert np.isfinite(sdp._step_length(want[0]))
                 got = op.scaled_extremes(low_inv, dx)
                 assert got == pytest.approx(want, rel=1e-10)
                 assert sdp._step_length(got[0]) == pytest.approx(sdp._step_length(want[0]), rel=1e-10)
 
-            # a direction that only grows the slack: unbounded without a shift,
-            # limited by the vanishing τI otherwise
+            # a direction that only grows the slack: dx ⪰ 0, with N − q zero
+            # eigenvalues, so the step is unbounded
             du = np.zeros(op.n)
             du[:a.size] = np.where(a == b, 1.0, 0.0)
-            dx = op.apply(du) - tau * eye
+            dx = op.apply(du)
             got, want = op.scaled_extremes(low_inv, dx), dense.scaled_extremes(dense_inv, dx)
             assert got[1] == pytest.approx(want[1], rel=1e-10)
-            if tau == 0.0:  # dx ⪰ 0, with N − q zero eigenvalues
-                assert sdp._step_length(got[0]) == np.inf
-                assert sdp._step_length(want[0]) > 1e12  # the dense eigenvalues straddle 0 at roundoff
-            else:
-                assert got[0] == pytest.approx(want[0], rel=1e-10)
+            assert sdp._step_length(got[0]) == np.inf
+            assert sdp._step_length(want[0]) > 1e12  # the dense eigenvalues straddle 0 at roundoff
 
     def test_factor_rejects_indefinite_slack(self):
         op = EpigraphOperator(1, np.ones((2, 1), dtype=complex))
@@ -674,7 +737,8 @@ class TestEpigraphOperator:
 
         sol = solve_with(Counting, fixture("random_full_rank", params), monkeypatch)
         assert sol.status == "Optimal"
-        assert len(calls) == (sol.iterations if structured else 0)
+        # one factor per iterate, the last one's deciding X ≻ 0 before it counts as optimal
+        assert len(calls) == (sol.iterations + 1 if structured else 0)
 
     @pytest.mark.parametrize("threshold", [0, 10 ** 9])
     def test_predictor_dual_step_from_primal_extremes(self, threshold, monkeypatch):
@@ -713,15 +777,17 @@ class TestEpigraphOperator:
     @pytest.mark.parametrize("shifted", [False, True])
     def test_structured_products_match_dense_on_every_iterate(self, shifted, monkeypatch):
         """Each product the structured route takes from the operator's block
-        forms equals its dense form on every iterate of a solve, from a
-        strictly feasible start (τ = 0) and from a shifted one (τ > 0).
+        forms equals its dense form on every iterate of a solve: of a model
+        from the Holevo start, and of a generic LMI from V0 = (‖M0‖₂² + 1)I,
+        a start that the caller shifts to strict feasibility.  Every slack
+        handed to ``factor`` keeps the lower-right block I that it reads.
 
         The bound is relative to the product of the factors' norms, the scale
         at which both forms round: near the optimum a congruence cancels to
         far below it (LxᴴSLx to 1e-9 of it here) in either form alike.
         """
         calls = dict.fromkeys(["factor_congruence", "times_factor_inv", "congruence", "adjoint_congruence"], 0)
-        taus = []
+        corners = []
 
         class Checking(EpigraphOperator):
             def __init__(self, q, cols):
@@ -737,7 +803,7 @@ class TestEpigraphOperator:
                 return got
 
             def factor(self, x):
-                taus.append(x[self.q, self.q].real - 1.0)  # the lower-right block is (1 + τ)I
+                corners.append(np.array_equal(x[self.q:, self.q:], np.eye(x.shape[0] - self.q)))
                 return super().factor(x)
 
             def factor_congruence(self, low, mat):
@@ -762,19 +828,22 @@ class TestEpigraphOperator:
             f0[:q, q:] = f0[q:, :q].conj().T
             f0[q:, q:] = np.eye(d_r)
             a, b = np.triu_indices(q)
-            res = sdp.solve_lmi(np.concatenate([np.where(a == b, 1.0, 0.0), np.zeros(q * m)]), f0, op)
+            u0 = np.zeros(op.n)
+            u0[:a.size] = np.where(a == b, np.linalg.norm(f0[q:, :q], 2) ** 2 + 1.0, 0.0)
+            res = sdp.solve_lmi(np.concatenate([np.where(a == b, 1.0, 0.0), np.zeros(q * m)]), f0, op,
+                                u0, np.eye(q + d_r))
             status, iterations = res.status, res.iterations
-            assert taus[0] > 0
         else:
             sol = solve_with(Checking, fixture("random_full_rank", [3, 5, 3, 3]), monkeypatch)
             status, iterations = sol.status, sol.iterations
-            assert max(taus) == 0.0
+        assert all(corners) and len(corners) == iterations + 1
         assert status == "Optimal"
         assert calls == {"factor_congruence": iterations, "times_factor_inv": iterations,
                          "congruence": 2 * iterations, "adjoint_congruence": iterations}
 
     def test_shifted_start_on_both_routes(self, monkeypatch):
-        """From an infeasible start (τ > 0) both routes reach the closed-form optimum.
+        """From V0 = (‖M0‖₂² + 1)I, a start that the caller shifts to strict
+        feasibility, both routes reach the closed-form optimum.
 
         min tr V subject to V ⪰ M(y)ᴴM(y), M(y) = M0 + C·Y over real Y, is the
         least-squares distance min ‖M0 + C·Y‖_F² when C and M0 are real (V is
@@ -791,10 +860,12 @@ class TestEpigraphOperator:
         c = np.concatenate([np.where(a == b, 1.0, 0.0), np.zeros(q * m)])
         y, *_ = np.linalg.lstsq(cols.real, -m0.real, rcond=None)
         expected = np.linalg.norm(m0 + cols @ y) ** 2
+        u0 = np.zeros(op.n)
+        u0[:a.size] = np.where(a == b, np.linalg.norm(m0, 2) ** 2 + 1.0, 0.0)  # V0 − M0ᴴM0 ⪰ I
         results = []
         for threshold in (0, 10 ** 9):
             monkeypatch.setattr(sdp, "_STRUCTURED_MIN", threshold)
-            res = sdp.solve_lmi(c, f0, op)  # V = 0 start: the slack is indefinite
+            res = sdp.solve_lmi(c, f0, op, u0, np.eye(q + d_r))
             assert res.status == "Optimal"
             assert res.pobj == pytest.approx(expected, rel=1e-7)
             results.append(res)

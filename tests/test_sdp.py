@@ -3,13 +3,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcrb import linalg
-from qcrb.sdp import (NT_EIGENVALUE, NUMERICAL_TROUBLE, OPTIMAL, SCHUR_CHOLESKY, _cholesky_inverse,
-                      _DenseForms, _min_eig_below, _nt_scaling, solve_lmi)
-from _support import DenseOperator
+from qcrb.sdp import (NT_EIGENVALUE, NUMERICAL_TROUBLE, OPTIMAL, SCHUR_CHOLESKY, SLACK_CHOLESKY,
+                      _cholesky_inverse, _DenseForms, _nt_scaling, solve_lmi)
+from _support import DenseOperator, psd_sqrt
 
 
 def epigraph_instance(z0, w):
-    """min tr(W V) s.t. V >= Z0: analytic optimum is known in closed form."""
+    """min tr(W V) s.t. V >= Z0: analytic optimum is known in closed form.
+
+    Returns (c, F0, op, u0, S0) with the strictly feasible start
+    V0 = Re Z0 + (‖Z0‖₂ + 1)I, so F(u0) = V0 − Z0 ⪰ I, and S0 = I.
+    """
     q = z0.shape[0]
     fs, c = [], []
     for a in range(q):
@@ -19,7 +23,15 @@ def epigraph_instance(z0, w):
             e[b, a] = 1.0
             fs.append(e)
             c.append(w[a, a] if a == b else 2.0 * w[a, b])
-    return np.array(c), -z0.astype(complex), DenseOperator(np.array(fs))
+    a, b = np.triu_indices(q)
+    v0 = z0.real + (np.linalg.norm(z0, 2) + 1.0) * np.eye(q)
+    return np.array(c), -z0.astype(complex), DenseOperator(np.array(fs)), v0[a, b], np.eye(q)
+
+
+def random_epigraph(seed, q):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+    return epigraph_instance(g @ g.conj().T, np.eye(q))
 
 
 class TestSolveLmi:
@@ -29,6 +41,8 @@ class TestSolveLmi:
             np.array([1.0]),
             np.array([[0, 1], [1, 0]], dtype=complex),
             DenseOperator(np.array([np.eye(2, dtype=complex)])),
+            u0=np.array([2.0]),
+            s0=np.eye(2),
         )
         assert res.status == OPTIMAL
         assert res.u[0] == pytest.approx(1.0, abs=1e-7)
@@ -41,57 +55,50 @@ class TestSolveLmi:
             z0 = g @ g.conj().T
             gw = rng.normal(size=(q, q))
             w = gw @ gw.T + 0.2 * np.eye(q)
-            c, f0, op = epigraph_instance(z0, w)
-            res = solve_lmi(c, f0, op)
-            root = linalg.psd_sqrt(w)
+            res = solve_lmi(*epigraph_instance(z0, w))
+            root = psd_sqrt(w)
             expected = float(np.trace(w @ z0.real)) + linalg.trace_norm(root @ z0.imag @ root)
             assert res.status == OPTIMAL
             assert res.pobj == pytest.approx(expected, rel=1e-7, abs=1e-7)
 
     def test_certificates_at_optimum(self):
-        rng = np.random.default_rng(1)
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        z0 = g @ g.conj().T
-        c, f0, op = epigraph_instance(z0, np.eye(3))
-        res = solve_lmi(c, f0, op)
+        res = solve_lmi(*random_epigraph(1, 3))
         assert res.status == OPTIMAL
         assert res.relgap <= 1e-8
-        assert res.pinfeas <= 1e-8
         assert res.dinfeas <= 1e-8
         # weak duality: dual objective is a lower bound
         assert res.dobj <= res.pobj + 1e-7
-        # dual variable is PSD and complementary
+        # the slack and the dual variable are PSD and complementary
+        assert np.linalg.eigvalsh(res.slack).min() > 0
         assert np.linalg.eigvalsh(res.dual).min() > -1e-10
         assert abs(np.tensordot(res.slack, res.dual.conj(), axes=([0, 1], [0, 1])).real) < 1e-6
 
-    def test_infeasible_start_recovers(self):
-        # F(0) is indefinite; the solver must still find the optimum
-        res = solve_lmi(
-            np.array([1.0]),
-            np.array([[-2.0, 0.0], [0.0, -1.0]], dtype=complex),
-            DenseOperator(np.array([np.eye(2, dtype=complex)])),
-            u0=np.zeros(1),
-        )
-        assert res.status == OPTIMAL
-        assert res.u[0] == pytest.approx(2.0, abs=1e-6)
+    @pytest.mark.parametrize("low", [-1e-9, -3.0])
+    def test_start_not_strictly_feasible_is_numerical_trouble(self, low):
+        """A start with λ_min(F(u0)) < 0 ends at 0 iterations on the slack's
+        Cholesky factorization."""
+        c, f0, op, _, s0 = random_epigraph(10, 3)
+        a, b = np.triu_indices(3)
+        v = -f0.real  # Re Z0: F(u) = −i Im Z0, whose spectrum is symmetric about 0
+        v += (low - np.linalg.eigvalsh(f0 + op.apply(v[a, b]))[0]) * np.eye(3)
+        assert np.linalg.eigvalsh(f0 + op.apply(v[a, b]))[0] == pytest.approx(low, abs=1e-12)
+        for max_iter in (0, 200):
+            res = solve_lmi(c, f0, op, v[a, b], s0, max_iter=max_iter)
+            assert (res.status, res.reason, res.iterations) == (NUMERICAL_TROUBLE, SLACK_CHOLESKY, 0)
+            assert np.array_equal(res.u, v[a, b])
 
-    @pytest.mark.parametrize("low", [1e-6, 1e-9, 0.0, -3.0])
-    def test_start_shift_decision_matches_eigenvalues(self, low):
-        """The start is shifted when λ_min < floor, as the eigenvalues decide;
-        a Cholesky factorization settles the strictly feasible case."""
-        rng = np.random.default_rng(8)
-        u, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-        mat = (u * np.array([2.0, 1.5, 1.0, 0.5, low])) @ u.conj().T
-        min_eig = float(np.linalg.eigvalsh(mat).min())
-        assert _min_eig_below(mat, 1e-8) == (min_eig if min_eig < 1e-8 else None)
+    def test_singular_start_at_the_optimum_is_not_optimal(self):
+        """min u s.t. [[u, 1], [1, u]] ⪰ 0 started at its optimum u = 1 with the
+        optimal dual: the gap and the dual residual are 0, yet the singular
+        slack ends the solve before the iterate can count as optimal."""
+        res = solve_lmi(np.array([1.0]), np.array([[0, 1], [1, 0]], dtype=complex),
+                        DenseOperator(np.array([np.eye(2, dtype=complex)])),
+                        u0=np.array([1.0]), s0=np.array([[0.5, -0.5], [-0.5, 0.5]]))
+        assert (res.status, res.reason, res.iterations) == (NUMERICAL_TROUBLE, SLACK_CHOLESKY, 0)
+        assert res.relgap == 0.0 and res.dinfeas == 0.0
 
     def test_strictly_feasible_start_takes_no_eigensolve(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        z0 = g @ g.conj().T
-        c, f0, op = epigraph_instance(z0, np.eye(3))
-        a, b = np.triu_indices(3)
-        v = z0.real + (np.linalg.norm(z0, 2) + 1.0) * np.eye(3)  # F(u0) = V − Z0 ⪰ I
+        c, f0, op, u0, s0 = random_epigraph(9, 3)
         calls = []
         for name in ("eigvalsh", "eigh"):
             def counting(*args, _original=getattr(np.linalg, name), **kwargs):
@@ -99,39 +106,30 @@ class TestSolveLmi:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        res = solve_lmi(c, f0, op, u0=v[a, b], max_iter=0)
-        assert res.pinfeas == 0.0 and not calls
+        res = solve_lmi(c, f0, op, u0, s0, max_iter=0)
+        assert res.status == "MaxIterations" and not calls
 
     def test_max_iterations_status(self):
-        rng = np.random.default_rng(2)
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        z0 = g @ g.conj().T
-        c, f0, op = epigraph_instance(z0, np.eye(3))
-        res = solve_lmi(c, f0, op, max_iter=2)
+        res = solve_lmi(*random_epigraph(2, 3), max_iter=2)
         assert res.status == "MaxIterations"
         assert res.gap > 0
 
     def test_zero_iterations_returns_start(self):
         rng = np.random.default_rng(5)
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        c, f0, op = epigraph_instance(g @ g.conj().T, np.eye(3))
-        u0 = rng.normal(size=c.shape[0])
-        res = solve_lmi(c, f0, op, u0=u0, max_iter=0)
+        c, f0, op, u0, s0 = random_epigraph(5, 3)
+        u0 = u0 + 0.1 * rng.normal(size=c.shape[0])
+        assert np.linalg.eigvalsh(f0 + op.apply(u0)).min() > 0
+        res = solve_lmi(c, f0, op, u0, s0, max_iter=0)
         assert res.status == "MaxIterations" and res.iterations == 0
         assert np.array_equal(res.u, u0)
         assert res.pobj == c @ u0
 
     def test_rejects_negative_max_iter(self):
-        c, f0, op = epigraph_instance(np.eye(2, dtype=complex), np.eye(2))
         with pytest.raises(ValueError, match="max_iter"):
-            solve_lmi(c, f0, op, max_iter=-1)
+            solve_lmi(*epigraph_instance(np.eye(2, dtype=complex), np.eye(2)), max_iter=-1)
 
     def test_respects_tight_tolerance(self):
-        rng = np.random.default_rng(3)
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        z0 = g @ g.conj().T
-        c, f0, op = epigraph_instance(z0, np.eye(4))
-        res = solve_lmi(c, f0, op, tol=1e-11)
+        res = solve_lmi(*random_epigraph(3, 4), tol=1e-11)
         assert res.status == OPTIMAL
         assert res.relgap <= 1e-11
 
@@ -140,22 +138,19 @@ class TestSolveLmi:
             def schur(self, g):
                 return -np.eye(self.n)
 
-        rng = np.random.default_rng(4)
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        c, f0, op = epigraph_instance(g @ g.conj().T, np.eye(2))
-        res = solve_lmi(c, f0, NegativeSchur(op.fs))
+        c, f0, op, u0, s0 = random_epigraph(4, 2)
+        res = solve_lmi(c, f0, NegativeSchur(op.fs), u0, s0)
         assert res.status == NUMERICAL_TROUBLE
         assert res.reason == SCHUR_CHOLESKY
-        assert solve_lmi(c, f0, op).reason == ""
+        assert solve_lmi(c, f0, op, u0, s0).reason == ""
 
     def test_indefinite_dual_ends_with_nt_eigenvalue(self):
-        rng = np.random.default_rng(6)
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        c, f0, op = epigraph_instance(g @ g.conj().T, np.eye(2))
-        res = solve_lmi(c, f0, op, s0=-5.0 * np.eye(2))  # shifted by I, still indefinite
-        assert res.status == NUMERICAL_TROUBLE
-        assert res.reason == NT_EIGENVALUE
-        assert res.iterations == 0
+        c, f0, op, u0, _ = random_epigraph(6, 2)
+        for s0 in (-5.0 * np.eye(2), np.diag([1.0, -1e-9]), np.zeros((2, 2))):
+            res = solve_lmi(c, f0, op, u0, s0)
+            assert res.status == NUMERICAL_TROUBLE
+            assert res.reason == NT_EIGENVALUE
+            assert res.iterations == 0
 
 
 def positive_definite(rng, n, cond, complex_=True):
