@@ -143,10 +143,7 @@ def _bound_pipeline(analysis, args):
     report["verified"] = True
     report["unbias_residual"] = verification.unbias_residual
     if getattr(args, "include_x_opt", False):
-        basis = linalg.hermitian_basis(model.dim)
-        report["x_opt_coefficients"] = [
-            [float(c) for c in linalg.basis_coefficients(xs, basis)] for xs in sol.x_opt
-        ]
+        report["x_opt_coefficients"] = linalg.gell_mann_coefficients(sol.x_opt).tolist()
     return report, sol, timings, EXIT_OK
 
 

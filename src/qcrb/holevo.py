@@ -322,12 +322,14 @@ def solve(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float = 1e-8,
 
     With W ≻ 0, a D-invariant model gets c_h = c_d at X_eff, and any other
     model with q ≥ 2 is solved by :func:`_solve_dual` (the module docstring
-    gives both theorems).  Everything else (q = 1, a singular W), and
-    every model the dual hands back (often pure states and qubits, whose
-    maximizer lies on ‖W^-½KW^-½‖ = 1), is solved by :func:`_solve_sdp`.
+    gives both theorems).  Everything else (q = 1, a singular W, a
+    ``qfim_truncated`` J, whose dropped eigenvectors the dual leaves
+    unconstrained), and every model the dual hands back (often pure states
+    and qubits, whose maximizer lies on ‖W^-½KW^-½‖ = 1), goes to
+    :func:`_solve_sdp`, which keeps every drho_j.
     ``tol`` and ``max_iter`` go to whichever solver runs.
     """
-    if analysis.inv_root_weight is not None:  # W ≻ 0
+    if analysis.inv_root_weight is not None and not analysis.qfim_truncated:  # W ≻ 0, J cut at roundoff
         if analysis.d_invariance_residual <= D_INVARIANCE_TOL:
             return _d_invariant_solution(analysis, closed)
         if analysis.model.n_targets >= 2:
@@ -590,7 +592,7 @@ def _solve_sdp(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) 
     f0[:q, q:] = m0.conj().T
     f0[q:, q:] = np.eye(d_r)
 
-    z_eff = analysis.z_eff
+    z_eff = linalg.z_matrix(analysis.x_eff, analysis.rho)
     z_norm = float(np.linalg.norm(z_eff, 2))
     v_start = z_eff.real + (1.1 * z_norm + 1.0) * np.eye(q)
     u0 = np.zeros(n)
@@ -621,7 +623,6 @@ def _solve_sdp(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) 
 
 @dataclass(frozen=True)
 class HolevoVerification:
-    nonsmooth_objective: float
     objective_deviation: float
     unbias_residual: float
 
@@ -665,7 +666,6 @@ def verify_solution(analysis: ModelAnalysis, sol: HolevoSolution,
             f"dual bracket crossed: f(K)={sol.dual_objective!r} above c_h={sol.c_h!r}"
         )
     return HolevoVerification(
-        nonsmooth_objective=nonsmooth,
         objective_deviation=deviation,
         unbias_residual=unbias,
     )

@@ -12,13 +12,11 @@ import numpy as np
 __all__ = [
     "hermitian_part",
     "require_hermitian",
-    "jordan_product",
     "z_matrix",
     "trace_norm",
     "symmetric_eigh",
     "pseudoinverse",
-    "hermitian_basis",
-    "basis_coefficients",
+    "gell_mann_coefficients",
 ]
 
 #: Relative tolerance used to accept a matrix as Hermitian.
@@ -47,19 +45,6 @@ def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if dev > HERMITICITY_TOL * scale:
         raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e}, scale {scale:.3e})")
     return hermitian_part(a)
-
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def jordan_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Symmetrized product (AB + BA)/2 of two same-dimension operators."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    _check_same_dim(a, b)
-    return (a @ b + b @ a) / 2
 
 
 def z_matrix(x_ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -112,39 +97,22 @@ def pseudoinverse(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,
     return (out + out.T) / 2
 
 
-def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of d×d Hermitian matrices, shape (d², d, d).
+def gell_mann_coefficients(a: np.ndarray) -> np.ndarray:
+    """Coordinates (..., d²) of Hermitian operators (..., d, d) in the generalized Gell-Mann basis.
 
-    Generalized Gell-Mann construction under the Hilbert-Schmidt inner
-    product Tr(E_a E_b) = δ_ab, in a fixed documented order: symmetric
-    off-diagonal pairs (i<j, lexicographic), antisymmetric pairs, the d−1
-    diagonal traceless matrices, and the scaled identity last.
+    The basis, orthonormal under Tr(E_a E_b) = δ_ab, is never formed: each
+    Tr(A E) is read off A's entries, in a fixed documented order: √2 Re A_ij
+    for the symmetric pairs i < j (lexicographic), −√2 Im A_ij for the
+    antisymmetric ones, (Σ_{k<l} A_kk − l A_ll)/√(l(l+1)) for the d − 1
+    traceless diagonals, and tr A/√d for the identity last.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    basis = []
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = inv_sqrt2
-            e[j, i] = inv_sqrt2
-            basis.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = -1j * inv_sqrt2
-            e[j, i] = 1j * inv_sqrt2
-            basis.append(e)
-    for l in range(1, d):
-        diag = np.zeros(d)
-        diag[:l] = 1.0
-        diag[l] = -float(l)
-        basis.append(np.diag(diag).astype(complex) / np.sqrt(l * (l + 1)))
-    basis.append(np.eye(d, dtype=complex) / np.sqrt(d))
-    return np.array(basis)
-
-
-def basis_coefficients(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Real coefficients Tr(A E_a) of a Hermitian A in an orthonormal basis."""
-    return np.array([np.sum(e * a.T).real for e in basis])
+    a = np.asarray(a, dtype=complex)
+    i, j = np.triu_indices(a.shape[-1], 1)
+    half = 1.0 / np.sqrt(2.0)
+    diag = a.real.diagonal(axis1=-2, axis2=-1)
+    partial, level = np.cumsum(diag, axis=-1), np.arange(1, diag.shape[-1])  # partial_l = Σ_{k ≤ l} A_kk
+    # both triangles enter each pair term, as in Tr(A E); + 0.0 turns −0.0 into 0.0
+    return np.concatenate([half * a[..., i, j].real + half * a[..., j, i].real,
+                           half * a[..., j, i].imag - half * a[..., i, j].imag,
+                           (partial[..., :-1] - level * diag[..., 1:]) / np.sqrt(level * (level + 1.0)),
+                           partial[..., -1:] / np.sqrt(diag.shape[-1])], axis=-1) + 0.0

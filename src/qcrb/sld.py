@@ -1,9 +1,9 @@
 """One local analysis of a model: SLDs, information matrices, efficient operators.
 
 :func:`analyze` computes, once per model, everything the three bounds
-read: the support/kernel split of rho's eigendecomposition, drho
-and the symmetric logarithmic derivatives in rho's eigenbasis, J = Re Z(L)
-and D = Im Z(L), the one eigendecomposition of J (its rank, range and
+read: the support/kernel split of rho's eigendecomposition, drho in that
+eigenbasis, the symmetric logarithmic derivatives, J = Re Z(L) and
+D = Im Z(L), the one eigendecomposition of J (its rank, range and
 pseudoinverse), √W and W^-½, the efficient influence operators (dbeta)ᵀ J⁺ L,
 and how far the SLD span is from being closed under the commutation
 superoperator 𝒟_ρ (which decides whether c_h = c_d).  The
@@ -12,7 +12,7 @@ eigendecompositions of rho and W are the model's ``rho_eig`` and
 its boundary checks when the model came from a file.  Every rank
 decision — rho's support, the SLD kernel block, the rank of J and the
 feasibility verdict — is taken with the one relative ``rank_tol`` it is
-given.
+given; J's roundoff test takes the fixed :data:`QFIM_ROUNDOFF_TOL`.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ FEASIBILITY_TOL = 1e-8
 #: W counts as positive definite when its smallest eigenvalue exceeds this
 #: multiple of its largest; a singular W may have no finite V attaining c_d.
 WEIGHT_DEFINITE_TOL = 1e-12
+#: Eigenvalues of J at most this multiple of the largest are roundoff.
+QFIM_ROUNDOFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,14 +50,14 @@ class ModelAnalysis:
     ``rho`` is the exactly Hermitized density matrix; ``eigvals``/``eigvecs``
     its ascending eigendecomposition (the model's read-only ``rho_eig``) and
     ``support`` the mask of eigenvalues above ``rank_tol`` times the
-    largest; ``drho_eig`` and ``slds_eig`` are drho and the SLDs in that
-    eigenbasis.  ``slds`` (p, d, d) carry their
-    reconstruction ``residuals``; ``qfim`` = J is symmetric and ``dmat`` = D
-    antisymmetric to the bit.  ``qfim_range`` holds the eigenvectors of J
-    that ``qfim_pinv`` keeps.  ``root_weight`` = √W, its roundoff
-    eigenvalues (≤ q·eps·λ_max) taken as 0, and ``inv_root_weight`` = W^-½
-    when W is positive definite, else None.  ``x_eff`` (q, d, d) are the
-    efficient influence operators and ``z_eff`` = Z(X_eff).
+    largest; ``drho_eig`` is drho in that eigenbasis.  ``slds`` (p, d, d)
+    carry their reconstruction ``residuals``; ``qfim`` = J is symmetric and
+    ``dmat`` = D antisymmetric to the bit.  ``qfim_range`` holds the
+    eigenvectors of J that ``qfim_pinv`` keeps, and ``qfim_truncated`` says
+    that this cut dropped an eigenvalue above :data:`QFIM_ROUNDOFF_TOL`.
+    ``root_weight`` = √W, its roundoff eigenvalues (≤ q·eps·λ_max) taken as
+    0, and ``inv_root_weight`` = W^-½ when W is positive definite, else
+    None.  ``x_eff`` (q, d, d) are the efficient influence operators and
     ``d_invariance_residual`` is :func:`d_invariance_residual` of the SLDs.
     Only estimable models have an analysis (:func:`analyze` raises
     otherwise), so no consumer checks feasibility again.
@@ -67,18 +69,17 @@ class ModelAnalysis:
     eigvecs: np.ndarray
     support: np.ndarray
     drho_eig: np.ndarray
-    slds_eig: np.ndarray
     slds: np.ndarray
     residuals: np.ndarray
     qfim: np.ndarray
     dmat: np.ndarray
     qfim_rank: int
     qfim_range: np.ndarray
+    qfim_truncated: bool
     qfim_pinv: np.ndarray
     root_weight: np.ndarray
     inv_root_weight: np.ndarray | None
     x_eff: np.ndarray
-    z_eff: np.ndarray
     d_invariance_residual: float
 
 
@@ -197,7 +198,8 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
     slds, slds_eig, residuals = compute_slds(rho, drho, drho_eig, eigvals, eigvecs, support)
     qfim, dmat = information(slds, rho)
     j_vals, j_vecs = j_eig = linalg.symmetric_eigh(qfim, "J")
-    j_range = np.abs(j_vals) > rank_tol * max(np.abs(j_vals).max(), 1e-300)  # the pseudoinverse's cut
+    j_scale = max(np.abs(j_vals).max(), 1e-300)
+    j_range = np.abs(j_vals) > rank_tol * j_scale  # the pseudoinverse's cut
     qfim_pinv = linalg.pseudoinverse(qfim, rank_tol, eig=j_eig)
     bad = infeasible_columns(qfim, qfim_pinv, model.dbeta)
     if bad:
@@ -219,17 +221,16 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
         eigvecs=eigvecs,
         support=support,
         drho_eig=drho_eig,
-        slds_eig=slds_eig,
         slds=slds,
         residuals=residuals,
         qfim=qfim,
         dmat=dmat,
         qfim_rank=int(np.count_nonzero(j_range)),
         qfim_range=j_vecs[:, j_range],
+        qfim_truncated=bool((np.abs(j_vals[~j_range]) > QFIM_ROUNDOFF_TOL * j_scale).any()),
         qfim_pinv=qfim_pinv,
         root_weight=(root_weight + root_weight.T) / 2,
         inv_root_weight=(w_vecs / np.sqrt(w_vals)) @ w_vecs.T if definite else None,
         x_eff=x_eff,
-        z_eff=linalg.z_matrix(x_eff, rho),
         d_invariance_residual=d_invariance_residual(slds_eig, eigvals, support),
     )

@@ -19,6 +19,42 @@ from qcrb.povm import DiscretePovm, born_probs
 from qcrb.sld import analyze, infeasible_columns
 
 
+def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+
+
+def jordan_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Symmetrized product (AB + BA)/2 of two same-dimension operators."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    _check_same_dim(a, b)
+    return (a @ b + b @ a) / 2
+
+
+def gell_mann_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of d×d Hermitian matrices, shape (d², d, d), built matrix by matrix.
+
+    Generalized Gell-Mann construction under Tr(E_a E_b) = δ_ab, in the
+    order :func:`qcrb.linalg.gell_mann_coefficients` documents: symmetric
+    pairs (i < j, lexicographic), antisymmetric pairs, the d − 1 traceless
+    diagonals, and the scaled identity last.
+    """
+    basis = []
+    for imag in (False, True):
+        for i in range(d):
+            for j in range(i + 1, d):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j], e[j, i] = (-1j, 1j) if imag else (1.0, 1.0)
+                basis.append(e / np.sqrt(2.0))
+    for l in range(1, d):
+        diag = np.zeros(d)
+        diag[:l], diag[l] = 1.0, -float(l)
+        basis.append(np.diag(diag).astype(complex) / np.sqrt(l * (l + 1)))
+    basis.append(np.eye(d, dtype=complex) / np.sqrt(d))
+    return np.array(basis)
+
+
 def random_density(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
     rank = d if rank is None else rank
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
@@ -67,7 +103,7 @@ def random_model(
         if singular_j:
             coeffs = rng.normal(size=p - 1)
             seeds[-1] = sum(c * h for c, h in zip(coeffs, seeds[:-1]))
-        drho = np.array([linalg.jordan_product(rho, h) for h in seeds])
+        drho = np.array([jordan_product(rho, h) for h in seeds])
         model = QuantumModel(
             dim=d,
             rho=rho,
@@ -228,7 +264,7 @@ def direct_holevo_oracle(model: QuantumModel, rng: np.random.Generator, n_starts
     """
     from scipy.optimize import minimize
 
-    basis = linalg.hermitian_basis(model.dim)
+    basis = gell_mann_basis(model.dim)
     rows = [np.array([np.trace(model.rho @ e).real for e in basis])]
     for dj in model.drho:
         rows.append(np.array([np.trace(dj @ e).real for e in basis]))

@@ -10,7 +10,8 @@ from qcrb import bounds, holevo
 from qcrb.exceptions import InfeasibleModel, VerificationFailed
 from qcrb.model import QuantumModel, fixture
 from qcrb.sld import analyze, information
-from _support import holevo_objective, psd_sqrt, random_model, random_weight, v_matrix, zero_mean_hermitian
+from _support import (holevo_objective, jordan_product, psd_sqrt, random_model, random_weight, v_matrix,
+                      zero_mean_hermitian)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -84,7 +85,8 @@ class TestClosedFormValues:
             m = random_model(rng, d=3, p=2, q=2, weighted=True)
             analysis = analyze(m)
             cf = sandwich(analysis)
-            v_eff = (analysis.z_eff.real + analysis.z_eff.real.T) / 2
+            z_eff = linalg.z_matrix(analysis.x_eff, analysis.rho)
+            v_eff = (z_eff.real + z_eff.real.T) / 2
             assert cf.c_gs == pytest.approx(float(np.trace(m.weight @ v_eff)), abs=1e-9)
 
     def test_c_d_matches_z_eff_form(self):
@@ -94,9 +96,8 @@ class TestClosedFormValues:
             analysis = analyze(m)
             cf = sandwich(analysis)
             root_w = psd_sqrt(m.weight)
-            direct = float(np.trace(m.weight @ analysis.z_eff.real)) + linalg.trace_norm(
-                root_w @ analysis.z_eff.imag @ root_w
-            )
+            z_eff = linalg.z_matrix(analysis.x_eff, analysis.rho)
+            direct = float(np.trace(m.weight @ z_eff.real)) + linalg.trace_norm(root_w @ z_eff.imag @ root_w)
             assert cf.c_d == pytest.approx(direct, abs=1e-9)
 
 
@@ -170,7 +171,7 @@ class TestSandwich:
             cf = sandwich(analysis)
             assert cf.c_gs <= cf.c_d + 1e-9
             assert cf.c_d <= 2 * cf.c_gs + 1e-9
-            z_eff = analysis.z_eff
+            z_eff = linalg.z_matrix(analysis.x_eff, analysis.rho)
             assert_allclose((z_eff.real + z_eff.real.T) / 2, z_eff.real, atol=1e-10)
 
     def test_weak_signal_passes(self):
@@ -196,7 +197,7 @@ def tangent_orthogonal_noise(rng, analysis):
     for _ in range(q):
         h = zero_mean_hermitian(rng, model.dim, model.rho)
         overlaps = np.array(
-            [np.trace(model.rho @ linalg.jordan_product(lj, h)).real for lj in analysis.slds]
+            [np.trace(model.rho @ jordan_product(lj, h)).real for lj in analysis.slds]
         )
         h = h - np.tensordot(j_pinv @ overlaps, analysis.slds, axes=(0, 0))
         h = h - np.trace(model.rho @ h).real * np.eye(model.dim)
@@ -214,7 +215,7 @@ class TestVarianceMinimality:
             noise = tangent_orthogonal_noise(rng, analysis)
             cross = np.array(
                 [
-                    [np.trace(m.rho @ linalg.jordan_product(xs, gt)) for gt in noise]
+                    [np.trace(m.rho @ jordan_product(xs, gt)) for gt in noise]
                     for xs in ops
                 ]
             )

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -160,6 +161,29 @@ class TestBounds:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: SLD equation for parameter 0")
         assert "(--rank-tol 0.999 kept support rank 1 of 8)" in err
+
+    @pytest.mark.parametrize("rank_tol", ["1e-4", "1e-3"])
+    def test_rank_tol_dropping_signal_takes_the_sdp(self, rank_tol, tmp_path, capsys):
+        """drho[2] nearly a combination of the others puts J's eigenvalues at
+        8.8e-6 : 0.16 : 1, with dbeta on the top two eigenvectors.  A rank_tol
+        that drops the smallest leaves the dual unbiased on J's range only, so
+        the model takes the SDP, which keeps every drho_j."""
+        model = fixture("random_full_rank", [3, 3, 3, 2])
+        drho = np.array(model.drho)
+        drho[2] = 0.7 * drho[0] - 0.4 * drho[1] + 1e-2 * drho[2]
+        model = dataclasses.replace(model, drho=drho)
+        j_vals, j_vecs = np.linalg.eigh(sld.analyze(model).qfim)
+        assert j_vals[0] / j_vals[-1] == pytest.approx(8.8e-6, rel=0.01)
+        path = tmp_path / "near.json"
+        save_model(dataclasses.replace(model, dbeta=j_vecs[:, 1:]), path)
+        reports = []
+        for extra in ([], ["--rank-tol", rank_tol]):
+            assert main(["bounds", str(path), "--format", "json", "--tol", "1e-12", *extra]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        default, cut = reports
+        assert default["c_h_method"] == "dual"
+        assert cut["c_h_method"] == "sdp" and cut["verified"] is True
+        assert cut["c_h"] == pytest.approx(default["c_h"], rel=1e-10)
 
     def test_include_x_opt(self, xy_model_file, capsys):
         assert main(["bounds", xy_model_file, "--format", "json", "--include-x-opt"]) == 0

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qcrb import linalg
-from _support import belavkin_grishanin_gap, v_matrix, weighted_tracenorm_check
+from _support import (belavkin_grishanin_gap, gell_mann_basis, jordan_product, v_matrix,
+                      weighted_tracenorm_check)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -15,21 +16,21 @@ I2 = np.eye(2, dtype=complex)
 
 class TestJordanProduct:
     def test_pauli_square(self):
-        assert_allclose(linalg.jordan_product(SX, SX), I2, atol=1e-15)
+        assert_allclose(jordan_product(SX, SX), I2, atol=1e-15)
 
     def test_anticommuting_paulis(self):
-        assert_allclose(linalg.jordan_product(SX, SY), np.zeros((2, 2)), atol=1e-15)
+        assert_allclose(jordan_product(SX, SY), np.zeros((2, 2)), atol=1e-15)
 
     def test_commuting_diagonals(self):
         assert_allclose(
-            linalg.jordan_product(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])),
+            jordan_product(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])),
             np.diag([3.0, 8.0]),
             atol=1e-15,
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            linalg.jordan_product(I2, np.eye(3))
+            jordan_product(I2, np.eye(3))
 
 
 class TestZMatrix:
@@ -142,34 +143,44 @@ class TestPseudoinverse:
             assert np.abs(pinv @ m - (pinv @ m).T).max() < 1e-8
 
 
-class TestHermitianBasis:
-    def test_dim_one(self):
-        basis = linalg.hermitian_basis(1)
-        assert basis.shape == (1, 1, 1)
-        assert_allclose(basis[0], [[1.0]])
+def _random_hermitian_stack(rng, n, d):
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return a / 2 + a.conj().transpose(0, 2, 1) / 2
 
-    def test_dim_two_is_scaled_paulis(self):
-        basis = linalg.hermitian_basis(2)
-        expected = np.array([SX, SY, SZ, I2]) / np.sqrt(2)
-        assert_allclose(basis, expected, atol=1e-15)
+
+class TestGellMannCoefficients:
+    def test_dim_one(self):
+        assert_allclose(linalg.gell_mann_coefficients(np.array([[2.5]])), [2.5], atol=0)
+
+    def test_dim_two_scaled_paulis_are_unit_vectors(self):
+        coeffs = linalg.gell_mann_coefficients(np.array([SX, SY, SZ, I2]) / np.sqrt(2))
+        assert_allclose(coeffs, np.eye(4), atol=1e-15)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_parseval(self, d):
+        a = _random_hermitian_stack(np.random.default_rng(d), 1, d)[0]
+        coeffs = linalg.gell_mann_coefficients(a)
+        assert coeffs.shape == (d * d,)
+        assert np.sum(coeffs ** 2) == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_rebuilds_operator_from_oracle_basis(self, d):
+        a = _random_hermitian_stack(np.random.default_rng(10 + d), 1, d)[0]
+        rebuilt = np.tensordot(linalg.gell_mann_coefficients(a), gell_mann_basis(d), axes=(0, 0))
+        assert_allclose(rebuilt, a, atol=1e-13)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_gram_identity(self, d):
-        basis = linalg.hermitian_basis(d)
+    def test_oracle_basis_is_orthonormal(self, d):
+        basis = gell_mann_basis(d)
         gram = np.array([[np.trace(a @ b).real for b in basis] for a in basis])
         assert_allclose(gram, np.eye(d * d), atol=1e-12)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_expansion_round_trip(self, d):
-        rng = np.random.default_rng(d)
-        basis = linalg.hermitian_basis(d)
-        a = linalg.hermitian_part(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        coeffs = linalg.basis_coefficients(a, basis)
-        assert_allclose(np.tensordot(coeffs, basis, axes=(0, 0)), a, atol=1e-10)
-
-    def test_rejects_nonpositive_dim(self):
-        with pytest.raises(ValueError):
-            linalg.hermitian_basis(0)
+    def test_stack_matches_single_calls(self):
+        stack = _random_hermitian_stack(np.random.default_rng(3), 4, 5)
+        rows = linalg.gell_mann_coefficients(stack)
+        assert rows.shape == (4, 25)
+        for row, a in zip(rows, stack):
+            np.testing.assert_array_equal(row, linalg.gell_mann_coefficients(a))
 
 
 class TestBelavkinGrishanin:

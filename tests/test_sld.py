@@ -3,10 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcrb.exceptions import InfeasibleModel, KernelBlockDerivative, ResidualTooLarge
-from qcrb.linalg import jordan_product, pseudoinverse
+from qcrb.linalg import pseudoinverse
 from qcrb.model import QuantumModel, fixture
 from qcrb.sld import analyze, compute_slds, infeasible_columns, information
-from _support import random_model
+from _support import jordan_product, random_model
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
