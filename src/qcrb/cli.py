@@ -30,10 +30,10 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gaussian as gaussian_mod
 from . import holevo, linalg, povm as povm_mod, sdp
-from .exceptions import (IllDefinedFim, InfeasibleModel, NotLocallyUnbiased, ResidualTooLarge,
+from .exceptions import (IllDefinedFim, InfeasibleModel, ModelError, NotLocallyUnbiased, ResidualTooLarge,
                          VerificationFailed)
 from .model import FIXTURE_NAMES, fixture, load_model, model_to_dict, save_model, validate
-from .sld import analyze
+from .sld import analyze, check_estimable
 
 EXIT_OK = 0
 EXIT_FILE = 1
@@ -193,8 +193,10 @@ def cmd_gaussian(args) -> int:
     fim = gaussian_mod.gaussian_fim(model, meas) if args.measurement_cm else f_half
     dbeta = model.dbeta_or_default()
     weight = model.weight_or_default()
+    qfim_pinv = linalg.pseudoinverse(qfim, args.rank_tol)
+    check_estimable(qfim, qfim_pinv, dbeta)  # exit 2, as in bounds
     chained = float(np.trace(weight @ dbeta.T @ linalg.pseudoinverse(f_half, args.rank_tol) @ dbeta))
-    two_c_gs = 2.0 * float(np.trace(weight @ dbeta.T @ linalg.pseudoinverse(qfim, args.rank_tol) @ dbeta))
+    two_c_gs = 2.0 * float(np.trace(weight @ dbeta.T @ qfim_pinv @ dbeta))
     report = {
         "model_label": model.label,
         "modes": model.modes,
@@ -229,8 +231,14 @@ def cmd_check_povm(args) -> int:
     if beta.shape != (q,):
         raise ValueError(f"--beta needs {q} entries, got {beta.shape[0]}")
 
-    report_data = povm_mod.measurement_report(povm, model, beta)
-    dv_min, dz_min = povm_mod.matrix_crb_check(report_data, model)
+    try:  # every failure from here on is the measurement's: name its file
+        if povm.estimates.shape[1] != q:
+            raise ModelError(f"estimates: {povm.estimates.shape[1]} column(s), expected the model's q = {q}")
+        report_data = povm_mod.measurement_report(povm, model, beta)
+        dv_min, dz_min = povm_mod.matrix_crb_check(report_data, model)
+    except ModelError as exc:
+        exc.args = (f"{args.povm}: {exc}",)
+        raise
     tr_w_sigma = float(np.trace(model.weight @ report_data.sigma))
     breport, sol, timings, code = _bound_pipeline(analysis, args)
     if code != EXIT_OK:

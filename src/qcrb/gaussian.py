@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _positive_int, _real_matrix, read_json, write_json
+from .model import _check_weight, _label, _positive_int, _real_matrix, _real_vector, read_json, write_json
 
 __all__ = [
     "GaussianShiftModel",
@@ -92,10 +92,24 @@ def validate_cm(cm: np.ndarray, k: int) -> bool:
     cm = np.asarray(cm, dtype=float)
     if cm.shape != (2 * k, 2 * k):
         raise ValueError(f"covariance matrix has shape {cm.shape}, expected {(2 * k, 2 * k)}")
-    if np.abs(cm - cm.T).max() > 1e-12 * max(1.0, np.abs(cm).max()):
+    if _asymmetric(cm):
         raise ValueError("covariance matrix must be symmetric")
     herm = cm.astype(complex) + 1j * symplectic_form(k)
     return bool(np.linalg.eigvalsh(herm).min() >= -CM_TOL)
+
+
+def _asymmetric(cm: np.ndarray) -> bool:
+    return bool(np.abs(cm - cm.T).max() > 1e-12 * max(1.0, np.abs(cm).max()))
+
+
+def _decode_cm(obj, modes: int) -> np.ndarray:
+    """The symmetric 2k×2k covariance matrix of a file's ``cm`` field, k = ``modes``."""
+    cm = _real_matrix(obj, "cm")
+    if cm.shape != (2 * modes, 2 * modes):
+        raise ValueError(f"cm: shape {cm.shape} does not match modes={modes}")
+    if _asymmetric(cm):
+        raise ValueError("cm: covariance matrix must be symmetric")
+    return cm
 
 
 def _sum_cm(model: GaussianShiftModel, meas: GaussianMeasurement) -> np.ndarray:
@@ -146,22 +160,21 @@ def gaussian_model_from_dict(data: dict) -> GaussianShiftModel:
         if key not in data:
             raise ValueError(f"gaussian model file misses required field '{key}'")
     k = _positive_int(data["modes"], "modes")
-    cm = _real_matrix(data["cm"], "cm")
+    cm = _decode_cm(data["cm"], k)
     dj = _real_matrix(data["djacobian"], "djacobian")
-    if cm.shape != (2 * k, 2 * k):
-        raise ValueError(f"cm: shape {cm.shape} does not match modes={k}")
     if dj.shape[0] != 2 * k:
         raise ValueError(f"djacobian: {dj.shape[0]} rows do not match modes={k}")
-    mean = np.array(data.get("mean", np.zeros(2 * k)), dtype=float)
+    mean = _real_vector(data["mean"], "mean") if "mean" in data else np.zeros(2 * k)
     if mean.shape != (2 * k,):
         raise ValueError(f"mean: shape {mean.shape}, expected ({2 * k},)")
     dbeta = _real_matrix(data["dbeta"], "dbeta") if "dbeta" in data else None
     if dbeta is not None and dbeta.shape[0] != dj.shape[1]:
         raise ValueError(f"dbeta: {dbeta.shape[0]} rows do not match p={dj.shape[1]}")
     weight = _real_matrix(data["weight"], "weight") if "weight" in data else None
-    label = data.get("label", "")
+    if weight is not None:  # q×q and PSD, as in a quantum model file; q defaults to p
+        _check_weight(weight, dj.shape[1] if dbeta is None else dbeta.shape[1])
     return GaussianShiftModel(modes=k, djacobian=dj, cm=cm, mean=mean,
-                              dbeta=dbeta, weight=weight, label=label)
+                              dbeta=dbeta, weight=weight, label=_label(data))
 
 
 def gaussian_model_to_dict(model: GaussianShiftModel) -> dict:
@@ -189,13 +202,10 @@ def save_gaussian_model(model: GaussianShiftModel, path) -> None:
 
 
 def load_measurement(path, modes: int) -> GaussianMeasurement:
-    """Load a measurement CM file {"cm": [[...]]} and shape-check it."""
+    """Load a measurement CM file {"cm": [[...]]} and check its shape and symmetry."""
     def parse(data):
         if "cm" not in data:
             raise ValueError("measurement file misses field 'cm'")
-        cm = _real_matrix(data["cm"], "cm")
-        if cm.shape != (2 * modes, 2 * modes):
-            raise ValueError(f"cm shape {cm.shape} does not match modes={modes}")
-        return GaussianMeasurement(cm_m=cm)
+        return GaussianMeasurement(cm_m=_decode_cm(data["cm"], modes))
 
     return read_json(path, parse)

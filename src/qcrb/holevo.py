@@ -466,14 +466,12 @@ class _Dual:
 
     def operators(self, pt: _Point, analysis: ModelAnalysis) -> np.ndarray:
         """The minimizer X(K) as (q, d, d) operators in the original frame."""
-        dim = analysis.eigvals.size
         a, b = self.pairs
         x = pt.xi @ self.inv_root_w  # (pairs, q)
-        x_eig = np.zeros((self.q, dim, dim), dtype=complex)
+        x_eig = np.zeros((self.q,) + analysis.eigvecs.shape, dtype=complex)
         x_eig[:, a, b] = x.T
         x_eig[:, b, a] = x.T.conj()
-        vecs = analysis.eigvecs
-        return vecs @ x_eig @ vecs.conj().T
+        return analysis.eigvecs @ x_eig @ analysis.eigvecs.conj().T
 
 
 def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
@@ -551,7 +549,7 @@ def _feasible_directions(analysis: ModelAnalysis) -> np.ndarray:
     values = np.zeros((null.shape[0], a.size), dtype=complex)  # entries (D_l)_ab
     values[:, diag] = null[:, :n_diag]
     values[:, off] = (null[:, n_diag:n_diag + n_off] + 1j * null[:, n_diag + n_off:]) / np.sqrt(2.0)
-    directions = np.zeros((null.shape[0],) + analysis.rho.shape, dtype=complex)
+    directions = np.zeros((null.shape[0],) + analysis.eigvecs.shape, dtype=complex)
     directions[:, a, b] = values
     directions[:, b, a] = values.conj()
     return directions
@@ -592,7 +590,7 @@ def _solve_sdp(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) 
     f0[:q, q:] = m0.conj().T
     f0[q:, q:] = np.eye(d_r)
 
-    z_eff = linalg.z_matrix(analysis.x_eff, analysis.rho)
+    z_eff = linalg.z_matrix(x_eff_eig, np.diag(analysis.eigvals))
     z_norm = float(np.linalg.norm(z_eff, 2))
     v_start = z_eff.real + (1.1 * z_norm + 1.0) * np.eye(q)
     u0 = np.zeros(n)

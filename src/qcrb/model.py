@@ -151,11 +151,19 @@ def validate(model: QuantumModel) -> None:
             f"dbeta must have full column rank {q}; singular values {np.array2string(svals, precision=3)}"
         )
 
-    weight = np.asarray(model.weight, dtype=float)
+    _check_weight(model.weight, q, lambda: model.weight_eig)
+
+
+def _check_weight(weight: np.ndarray, q: int, eig=None) -> None:
+    """Raise :class:`ModelError` unless ``weight`` is a q×q symmetric
+    positive semidefinite matrix, eigenvalues down to −1e-8 of its scale
+    accepted.  ``eig`` returns its :func:`qcrb.linalg.symmetric_eigh` when
+    the caller keeps one."""
+    weight = np.asarray(weight, dtype=float)
     if weight.shape != (q, q):
         raise ModelError(f"weight has shape {weight.shape}, expected ({q}, {q})")
     try:
-        vals = model.weight_eig[0]
+        vals = (eig() if eig else linalg.symmetric_eigh(weight, "weight"))[0]
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
     scale = max(float(np.trace(weight)), float(np.abs(vals).max()), 1e-300)
@@ -274,6 +282,21 @@ def _reject(obj, where: str, pairs: bool):
     raise ValueError(f"{where}: ragged rows" if pairs else f"{where}: expected a rectangular real matrix")
 
 
+def _real_vector(obj, where: str) -> np.ndarray:
+    """The float array of a JSON list of finite numbers, shape (n,)."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{where}: expected a list of numbers")
+    return np.array([_number(x, f"{where}[{i}]") for i, x in enumerate(obj)], dtype=float)
+
+
+def _label(data: dict) -> str:
+    """The optional ``label`` of an input file, which must be a string."""
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError("label: expected a string")
+    return label
+
+
 def _pairs_to_complex_matrix(obj, where: str) -> np.ndarray:
     arr = _decode_matrix(obj, where, pairs=True)
     return arr.view(complex).reshape(arr.shape[:2])
@@ -312,10 +335,7 @@ def model_from_dict(data: dict) -> QuantumModel:
     dbeta = _real_matrix(data["dbeta"], "dbeta")
     q = dbeta.shape[1]
     weight = _real_matrix(data["weight"], "weight") if "weight" in data else np.eye(q)
-    label = data.get("label", "")
-    if not isinstance(label, str):
-        raise ValueError("label: expected a string")
-    return QuantumModel(dim=dim, rho=rho, drho=drho, dbeta=dbeta, weight=weight, label=label)
+    return QuantumModel(dim=dim, rho=rho, drho=drho, dbeta=dbeta, weight=weight, label=_label(data))
 
 
 def load_model(path) -> QuantumModel:

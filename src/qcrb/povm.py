@@ -219,9 +219,14 @@ def measurement_report(povm: DiscretePovm, model: QuantumModel,
 
 
 def load_povm(path) -> DiscretePovm:
-    """Load a POVM file {"dim", "elements", "estimates"} and validate it."""
+    """Load a POVM file {"dim", "elements", "estimates"} and validate it;
+    every error names the file, as :func:`qcrb.model.load_model`'s do."""
     povm = read_json(path, _povm_from_dict)
-    validate_povm(povm)
+    try:
+        validate_povm(povm)
+    except ModelError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     return povm
 
 
@@ -230,6 +235,8 @@ def _povm_from_dict(data: dict) -> DiscretePovm:
         if key not in data:
             raise ValueError(f"povm file misses required field '{key}'")
     d = _positive_int(data["dim"], "dim")
+    if not isinstance(data["elements"], list) or not data["elements"]:
+        raise ValueError("elements: expected a non-empty list of matrices")
     elements = np.array(
         [_pairs_to_complex_matrix(m, f"elements[{i}]") for i, m in enumerate(data["elements"])]
     )

@@ -1,18 +1,18 @@
 """One local analysis of a model: SLDs, information matrices, efficient operators.
 
-:func:`analyze` computes, once per model, everything the three bounds
-read: the support/kernel split of rho's eigendecomposition, drho in that
-eigenbasis, the symmetric logarithmic derivatives, J = Re Z(L) and
-D = Im Z(L), the one eigendecomposition of J (its rank, range and
-pseudoinverse), √W and W^-½, the efficient influence operators (dbeta)ᵀ J⁺ L,
-and how far the SLD span is from being closed under the commutation
-superoperator 𝒟_ρ (which decides whether c_h = c_d).  The
-eigendecompositions of rho and W are the model's ``rho_eig`` and
-``weight_eig``, which :func:`qcrb.model.validate` has already taken for
-its boundary checks when the model came from a file.  Every rank
-decision — rho's support, the SLD kernel block, the rank of J and the
-feasibility verdict — is taken with the one relative ``rank_tol`` it is
-given; J's roundoff test takes the fixed :data:`QFIM_ROUNDOFF_TOL`.
+:func:`analyze` computes, once per model and in one frame, rho's
+eigenbasis, everything the three bounds read: the support/kernel split,
+drho, the symmetric logarithmic derivatives, J = Re Z(L) and D = Im Z(L),
+the one eigendecomposition of J (its rank, range and pseudoinverse), √W
+and W^-½, the efficient influence operators (dbeta)ᵀ J⁺ L, which alone
+are rotated to the original frame, and how far the SLD span is from
+being closed under the commutation superoperator 𝒟_ρ (which decides
+whether c_h = c_d).  The eigendecompositions of rho and W are the model's
+``rho_eig`` and ``weight_eig``, which :func:`qcrb.model.validate` has
+already taken when the model came from a file.  Every rank decision —
+rho's support, the SLD kernel block, the rank of J and the feasibility
+verdict — is taken with the one relative ``rank_tol`` it is given; J's
+roundoff test takes the fixed :data:`QFIM_ROUNDOFF_TOL`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .model import QuantumModel
 __all__ = [
     "ModelAnalysis",
     "analyze",
+    "check_estimable",
     "compute_slds",
     "d_invariance_residual",
     "information",
@@ -47,33 +48,31 @@ QFIM_ROUNDOFF_TOL = 1e-12
 class ModelAnalysis:
     """Everything the bounds need from one model, decided with one ``rank_tol``.
 
-    ``rho`` is the exactly Hermitized density matrix; ``eigvals``/``eigvecs``
-    its ascending eigendecomposition (the model's read-only ``rho_eig``) and
-    ``support`` the mask of eigenvalues above ``rank_tol`` times the
-    largest; ``drho_eig`` is drho in that eigenbasis.  ``slds`` (p, d, d)
-    carry their reconstruction ``residuals``; ``qfim`` = J is symmetric and
-    ``dmat`` = D antisymmetric to the bit.  ``qfim_range`` holds the
-    eigenvectors of J that ``qfim_pinv`` keeps, and ``qfim_truncated`` says
-    that this cut dropped an eigenvalue above :data:`QFIM_ROUNDOFF_TOL`.
-    ``root_weight`` = √W, its roundoff eigenvalues (≤ q·eps·λ_max) taken as
-    0, and ``inv_root_weight`` = W^-½ when W is positive definite, else
-    None.  ``x_eff`` (q, d, d) are the efficient influence operators and
+    ``eigvals``/``eigvecs`` are rho's ascending eigendecomposition (the
+    model's read-only ``rho_eig``), ``support`` the mask of eigenvalues
+    above ``rank_tol`` times the largest, and ``drho_eig`` is drho in that
+    eigenbasis, the frame of the analysis.  No copy of rho, no SLD and no
+    SLD residual is stored: rho is the model's, and :func:`compute_slds`
+    forms the SLDs and residuals from ``drho_eig``.  ``qfim`` = J is
+    symmetric and ``dmat`` = D antisymmetric to the bit.  ``qfim_range``
+    holds the eigenvectors of J that ``qfim_pinv`` keeps, one column per
+    unit of J's rank, and ``qfim_truncated`` says that this cut dropped an
+    eigenvalue above :data:`QFIM_ROUNDOFF_TOL`.  ``root_weight`` = √W, its
+    roundoff eigenvalues (≤ q·eps·λ_max) taken as 0, and ``inv_root_weight``
+    = W^-½ when W is positive definite, else None.  ``x_eff`` (q, d, d) are
+    the efficient influence operators in the original frame and
     ``d_invariance_residual`` is :func:`d_invariance_residual` of the SLDs.
     Only estimable models have an analysis (:func:`analyze` raises
     otherwise), so no consumer checks feasibility again.
     """
 
     model: QuantumModel
-    rho: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
     support: np.ndarray
     drho_eig: np.ndarray
-    slds: np.ndarray
-    residuals: np.ndarray
     qfim: np.ndarray
     dmat: np.ndarray
-    qfim_rank: int
     qfim_range: np.ndarray
     qfim_truncated: bool
     qfim_pinv: np.ndarray
@@ -83,28 +82,31 @@ class ModelAnalysis:
     d_invariance_residual: float
 
 
-def compute_slds(rho: np.ndarray, drho: np.ndarray, drho_eig: np.ndarray, eigvals: np.ndarray,
-                 eigvecs: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve drho_j = rho ∘ L_j for every parameter; returns (slds, slds_eig, residuals).
+def _pair_weights(eigvals: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """2/(λ_a + λ_b) on every pair of rho's eigenbasis touching the ``support``, 0 elsewhere."""
+    weights = np.zeros((eigvals.size, eigvals.size))
+    np.divide(2.0, eigvals[:, None] + eigvals[None, :], out=weights, where=support[:, None] | support[None, :])
+    return weights
 
-    In the eigenbasis of rho, where drho is ``drho_eig``,
+
+def compute_slds(drho_eig: np.ndarray, eigvals: np.ndarray,
+                 support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve drho_j = rho ∘ L_j in rho's eigenbasis; returns (slds_eig, residuals).
+
+    There, where drho is ``drho_eig``, the Hermitian
     (L_j)_ab = 2 (drho_j)_ab / (λ_a + λ_b) on every pair touching the
     ``support``, and 0 on the kernel×kernel block: the minimum-norm
     representative of the SLD, to which no bound is sensitive.  Raises
-    :class:`ResidualTooLarge` when the reconstruction ‖rho ∘ L_j − drho_j‖_F
-    exceeds ``RESIDUAL_TOL`` (content the kernel-block check of
-    :func:`analyze` let through).
+    :class:`ResidualTooLarge` when ‖((λ_a + λ_b)/2) L_ab − (drho_j)_ab‖_F,
+    which is ‖rho ∘ L_j − drho_j‖_F in any frame, exceeds ``RESIDUAL_TOL``
+    (content the kernel-block check of :func:`analyze` let through).
     """
-    pair_sums = eigvals[:, None] + eigvals[None, :]
-    inv_pairs = np.zeros_like(pair_sums)
-    np.divide(2.0, pair_sums, out=inv_pairs, where=support[:, None] | support[None, :])
     # entries near the float limit overflow here; the non-finite SLD is
     # rejected, naming drho, by :func:`information`
     with np.errstate(over="ignore", invalid="ignore"):
-        slds_eig = drho_eig * inv_pairs
-        slds = eigvecs @ slds_eig @ eigvecs.conj().T
-        slds = slds / 2 + slds.conj().transpose(0, 2, 1) / 2
-        residuals = np.linalg.norm((rho @ slds + slds @ rho) / 2 - drho, axis=(1, 2))
+        slds_eig = drho_eig * _pair_weights(eigvals, support)
+        slds_eig = slds_eig / 2 + slds_eig.conj().transpose(0, 2, 1) / 2
+        residuals = np.linalg.norm((eigvals[:, None] + eigvals) / 2 * slds_eig - drho_eig, axis=(1, 2))
     failed = residuals > RESIDUAL_TOL
     if failed.any():
         j = int(failed.argmax())  # the first
@@ -112,7 +114,7 @@ def compute_slds(rho: np.ndarray, drho: np.ndarray, drho_eig: np.ndarray, eigval
             f"SLD equation for parameter {j} left residual {residuals[j]:.3e} > {RESIDUAL_TOL:.1e}",
             support_rank=int(np.count_nonzero(support)),
         )
-    return slds, slds_eig, residuals
+    return slds_eig, residuals
 
 
 def d_invariance_residual(slds_eig: np.ndarray, eigvals: np.ndarray, support: np.ndarray) -> float:
@@ -131,10 +133,7 @@ def d_invariance_residual(slds_eig: np.ndarray, eigvals: np.ndarray, support: np
     p, dim = slds_eig.shape[0], eigvals.size
     if p == 0:
         return 0.0
-    pair_sums = eigvals[:, None] + eigvals[None, :]
-    factor = np.zeros_like(pair_sums)
-    np.divide(2.0 * (eigvals[None, :] - eigvals[:, None]), pair_sums, out=factor,
-              where=support[:, None] | support[None, :])
+    factor = (eigvals[None, :] - eigvals[:, None]) * _pair_weights(eigvals, support)
     span = np.ascontiguousarray(slds_eig).reshape(p, dim * dim).view(float).T  # real (2d², p)
     image = np.ascontiguousarray(1j * factor * slds_eig).reshape(p, dim * dim).view(float).T
     coef, *_ = np.linalg.lstsq(span, image, rcond=None)
@@ -143,21 +142,21 @@ def d_invariance_residual(slds_eig: np.ndarray, eigvals: np.ndarray, support: np
     return float(np.divide(misfit, norms, out=np.zeros(p), where=norms > 0).max())
 
 
-def information(slds: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Information matrices from the SLDs: returns (J, D).
+def information(slds_eig: np.ndarray, eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Information matrices from the SLDs in rho's eigenbasis: returns (J, D).
 
-    J = Re Z(L) is symmetrized and D = Im Z(L) antisymmetrized exactly, so
-    downstream code can rely on J = Jᵀ and D = −Dᵀ holding to the bit.
-    Raises :class:`ModelError` when Z(L) overflows (derivative entries too
-    large to square).
+    Z(L) is formed against diag(λ) over all of rho's ``eigvals``, the
+    kernel's roundoff ones included, as Tr ρ L_s L_t reads them.  J = Re Z
+    is symmetrized and D = Im Z antisymmetrized exactly, so downstream code
+    can rely on J = Jᵀ and D = −Dᵀ holding to the bit.  Raises
+    :class:`ModelError` when Z(L) overflows (derivative entries too large
+    to square).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        z = linalg.z_matrix(slds, rho)
+        z = linalg.z_matrix(slds_eig, np.diag(eigvals))
     if not np.isfinite(z).all():
         raise ModelError("drho: the information matrix Z(L) is not finite (derivative entries too large)")
-    j = (z.real + z.real.T) / 2
-    d = (z.imag - z.imag.T) / 2
-    return j, d
+    return (z.real + z.real.T) / 2, (z.imag - z.imag.T) / 2
 
 
 def infeasible_columns(qfim: np.ndarray, qfim_pinv: np.ndarray, dbeta: np.ndarray) -> list[int]:
@@ -174,6 +173,16 @@ def infeasible_columns(qfim: np.ndarray, qfim_pinv: np.ndarray, dbeta: np.ndarra
     return [s for s in range(dbeta.shape[1]) if dev[:, s].max() > FEASIBILITY_TOL]
 
 
+def check_estimable(qfim: np.ndarray, qfim_pinv: np.ndarray, dbeta: np.ndarray) -> None:
+    """Raise :class:`InfeasibleModel` naming the :func:`infeasible_columns`, if any."""
+    bad = infeasible_columns(qfim, qfim_pinv, dbeta)
+    if bad:
+        raise InfeasibleModel(
+            f"beta component(s) {bad} are not estimable (dbeta column outside range of J)",
+            bad_columns=bad,
+        )
+
+
 def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> ModelAnalysis:
     """Analyse ``model`` once, taking every rank decision with ``rank_tol``.
 
@@ -183,7 +192,6 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
     :class:`InfeasibleModel` naming the dbeta columns that leave the range
     of J.
     """
-    rho = linalg.hermitian_part(np.asarray(model.rho, dtype=complex))
     eigvals, eigvecs = model.rho_eig
     support = eigvals > rank_tol * max(eigvals.max(), 1e-300)
     drho = np.asarray(model.drho, dtype=complex)
@@ -195,42 +203,32 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
                 f"drho[{j}] has kernel-block content {np.abs(block).max():.3e}; "
                 "the SLD equation is unsolvable there (rank of rho not locally fixed)"
             )
-    slds, slds_eig, residuals = compute_slds(rho, drho, drho_eig, eigvals, eigvecs, support)
-    qfim, dmat = information(slds, rho)
+    slds_eig, _ = compute_slds(drho_eig, eigvals, support)
+    qfim, dmat = information(slds_eig, eigvals)
     j_vals, j_vecs = j_eig = linalg.symmetric_eigh(qfim, "J")
     j_scale = max(np.abs(j_vals).max(), 1e-300)
     j_range = np.abs(j_vals) > rank_tol * j_scale  # the pseudoinverse's cut
     qfim_pinv = linalg.pseudoinverse(qfim, rank_tol, eig=j_eig)
-    bad = infeasible_columns(qfim, qfim_pinv, model.dbeta)
-    if bad:
-        raise InfeasibleModel(
-            f"beta component(s) {bad} are not estimable (dbeta column outside range of J)",
-            bad_columns=bad,
-        )
+    check_estimable(qfim, qfim_pinv, model.dbeta)
     w_vals, w_vecs = model.weight_eig
     definite = w_vals.min() > WEIGHT_DEFINITE_TOL * w_vals.max()
     # √W drops only roundoff eigenvalues (numpy's matrix_rank cut): a larger
     # cut would drop terms of order √w from c_d while the SDP reads all of W
     roundoff = w_vals <= w_vals.size * np.finfo(float).eps * w_vals.max()
     root_weight = (w_vecs * np.sqrt(np.where(roundoff, 0.0, w_vals))) @ w_vecs.T
-    x_eff = np.tensordot((qfim_pinv @ model.dbeta).T, slds, axes=(1, 0))
     return ModelAnalysis(
         model=model,
-        rho=rho,
         eigvals=eigvals,
         eigvecs=eigvecs,
         support=support,
         drho_eig=drho_eig,
-        slds=slds,
-        residuals=residuals,
         qfim=qfim,
         dmat=dmat,
-        qfim_rank=int(np.count_nonzero(j_range)),
         qfim_range=j_vecs[:, j_range],
         qfim_truncated=bool((np.abs(j_vals[~j_range]) > QFIM_ROUNDOFF_TOL * j_scale).any()),
         qfim_pinv=qfim_pinv,
         root_weight=(root_weight + root_weight.T) / 2,
         inv_root_weight=(w_vecs / np.sqrt(w_vals)) @ w_vecs.T if definite else None,
-        x_eff=x_eff,
+        x_eff=eigvecs @ np.tensordot((qfim_pinv @ model.dbeta).T, slds_eig, axes=(1, 0)) @ eigvecs.conj().T,
         d_invariance_residual=d_invariance_residual(slds_eig, eigvals, support),
     )

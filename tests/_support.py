@@ -55,6 +55,28 @@ def gell_mann_basis(d: int) -> np.ndarray:
     return np.array(basis)
 
 
+def sld_oracle(model: QuantumModel) -> np.ndarray:
+    """The SLDs (p, d, d) of ``model`` in its original frame, without rho's eigenbasis.
+
+    Each L_j is the minimum-norm least-squares solution of
+    (ρ⊗I + I⊗ρᵀ)/2 · vec L_j = vec drho_j (row-major vec), singular values
+    below 1e-10 of the largest cut, then Hermitized: the minimum-norm
+    representative :func:`qcrb.sld.compute_slds` forms in the eigenbasis.
+    """
+    rho, d = np.asarray(model.rho, dtype=complex), model.dim
+    superop = (np.kron(rho, np.eye(d)) + np.kron(np.eye(d), rho.T)) / 2
+    drho = np.asarray(model.drho, dtype=complex).reshape(-1, d * d)
+    slds = np.linalg.lstsq(superop, drho.T, rcond=1e-10)[0].T.reshape(-1, d, d)
+    return slds / 2 + slds.conj().transpose(0, 2, 1) / 2
+
+
+def information_oracle(model: QuantumModel) -> tuple[np.ndarray, np.ndarray]:
+    """(J, D) of ``model`` from :func:`sld_oracle`, Z_st = Tr ρ L_s L_t summed entry by entry."""
+    slds = sld_oracle(model)
+    z = np.einsum("ab,sbc,tca->st", np.asarray(model.rho, dtype=complex), slds, slds)
+    return z.real, z.imag
+
+
 def random_density(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
     rank = d if rank is None else rank
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))

@@ -23,8 +23,8 @@ from qcrb.exceptions import (
     ResidualTooLarge,
     VerificationFailed,
 )
-from qcrb.gaussian import GaussianShiftModel, save_gaussian_model
-from qcrb.model import QuantumModel, fixture, model_to_dict, save_model
+from qcrb.gaussian import GaussianShiftModel, gaussian_model_to_dict, save_gaussian_model
+from qcrb.model import QuantumModel, fixture, model_to_dict, save_model, write_json
 from qcrb.povm import DiscretePovm, save_povm
 from _support import locally_unbiased_povm
 
@@ -392,6 +392,52 @@ class TestGaussian:
         gap = np.array(report["qfim"]) - np.array(report["fim"])
         assert np.linalg.eigvalsh(gap).min() > -1e-9
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"mean": 10**400}, "mean: expected a list of numbers"),
+        ({"mean": {}}, "mean: expected a list of numbers"),
+        ({"mean": [10**400, 0.0]}, "mean[0]: expected a finite number, got inf"),
+        ({"mean": [0.0, True]}, "mean[1]: expected a number, got True"),
+        ({"mean": [math.nan, 0.0]}, "mean[0]: expected a finite number, got nan"),
+        ({"weight": [[1.0, 2.0]]}, "weight has shape (1, 2), expected (2, 2)"),  # q = p = 2: dbeta omitted
+        ({"djacobian": [[1.0], [0.0]], "weight": [[-1.0]]},
+         "weight is not positive semidefinite (min eigenvalue -1.000e+00)"),
+        ({"label": 5}, "label: expected a string"),
+        ({"cm": [[1.0, 0.1], [0.0, 1.0]]}, "cm: covariance matrix must be symmetric"),
+    ], ids=["mean-overflow", "mean-object", "mean-entry-overflow", "mean-bool", "mean-nan", "weight-not-qxq",
+            "weight-negative", "label-int", "cm-asymmetric"])
+    def test_bad_field_exits_1_naming_the_file(self, fields, message, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        write_json({"modes": 1, "cm": [[1.0, 0.0], [0.0, 1.0]], "djacobian": [[1.0, 0.0], [0.0, 1.0]], **fields},
+                   path)
+        assert main(["gaussian", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
+    def test_weight_message_is_the_model_files(self, tmp_path, capsys):
+        doc = model_to_dict(fixture("qubit_xy_at_z", [0.5]))
+        doc["weight"] = [[1.0, 2.0]]
+        path = tmp_path / "m.json"
+        write_json(doc, path)
+        assert main(["bounds", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: weight has shape (1, 2), expected (2, 2)\n"
+
+    def test_asymmetric_measurement_cm_names_the_file(self, vacuum_file, tmp_path, capsys):
+        meas_path = tmp_path / "meas.json"
+        write_json({"cm": [[2.0, 0.5], [0.0, 2.0]]}, meas_path)
+        assert main(["gaussian", vacuum_file, "--measurement-cm", str(meas_path)]) == 1
+        assert capsys.readouterr().err == f"error: {meas_path}: cm: covariance matrix must be symmetric\n"
+
+    def test_non_estimable_target_exits_2(self, tmp_path, capsys):
+        """J = diag(2, 0): the second target component has no finite bound."""
+        path = tmp_path / "g.json"
+        write_json({"modes": 1, "cm": [[1.0, 0.0], [0.0, 1.0]], "djacobian": [[1.0, 0.0], [0.0, 0.0]]}, path)
+        assert main(["gaussian", str(path), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("infeasible model: beta component(s) [1] are not estimable "
+                                "(dbeta column outside range of J)\n")
+
 
 class TestCheckPovm:
     def make_files(self, tmp_path, estimates=((1.0,), (-1.0,))):
@@ -464,6 +510,32 @@ class TestCheckPovm:
         err = capsys.readouterr().err
         assert "POVM dimension 3 does not match model dimension 2" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("elements", [5, True, None, math.nan, math.inf, -math.inf],
+                             ids=["int", "bool", "null", "nan", "inf", "-inf"])
+    def test_elements_not_a_list_exits_1(self, elements, tmp_path, capsys):
+        ppath, mpath = self.make_files(tmp_path)
+        with open(ppath, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["elements"] = elements
+        write_json(doc, ppath)  # NaN and Infinity tokens for the non-finite floats
+        assert main(["check-povm", ppath, mpath]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {ppath}: elements: expected a non-empty list of matrices\n"
+
+    def test_invalid_povm_names_the_file(self, tmp_path, capsys):
+        _, mpath = self.make_files(tmp_path)
+        ppath = tmp_path / "half.json"
+        save_povm(DiscretePovm(elements=np.array([np.eye(2, dtype=complex) / 2]), estimates=np.zeros((1, 1))), ppath)
+        assert main(["check-povm", str(ppath), mpath]) == 1
+        assert capsys.readouterr().err == (f"error: {ppath}: POVM elements sum deviates from identity "
+                                           "by 5.000e-01\n")
+
+    def test_estimates_columns_must_match_q(self, tmp_path, capsys):
+        ppath, mpath = self.make_files(tmp_path, estimates=((1.0, 0.0), (-1.0, 0.0)))
+        assert main(["check-povm", ppath, mpath]) == 1
+        assert capsys.readouterr().err == f"error: {ppath}: estimates: 2 column(s), expected the model's q = 1\n"
 
 
 class TestSweep:
@@ -570,11 +642,11 @@ BAD_NODES = (True, False, "1.5", None, math.nan, math.inf, -math.inf, 10**400, -
 
 
 @st.composite
-def mutated_model_files(draw):
-    """A valid dual-route model file (d = 3, q = 2) with one node replaced by
-    one of :data:`BAD_NODES`, one list element dropped (ragged rows, short
-    pairs, a missing matrix or row) or one key deleted."""
-    doc = copy.deepcopy(model_to_dict(fixture("random_full_rank", [3, 3, 2, 2])))
+def mutated_files(draw, base):
+    """The input file ``base`` with one node replaced by one of
+    :data:`BAD_NODES`, one list element dropped (ragged rows, short pairs, a
+    missing matrix or row) or one key deleted."""
+    doc = copy.deepcopy(base)
     kind = draw(st.sampled_from(["replace", "drop", "delete"]))
     key = draw(st.sampled_from(sorted(doc)))
     if kind == "delete":
@@ -590,26 +662,65 @@ def mutated_model_files(draw):
     return doc
 
 
+#: A valid dual-route model file (d = 3, q = 2).
+MODEL_DOC = model_to_dict(fixture("random_full_rank", [3, 3, 2, 2]))
+#: A valid q = 1 qubit model file and a locally unbiased two-outcome POVM file for it.
+POVM_MODEL_DOC = model_to_dict(QuantumModel(dim=2, rho=np.eye(2, dtype=complex) / 2, drho=np.array([SZ / 2]),
+                                            dbeta=np.array([[1.0]]), weight=np.eye(1)))
+POVM_DOC = {"dim": 2, "elements": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                                   [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+            "estimates": [[1.0], [-1.0]]}
+#: A valid Gaussian model file with every optional field, and a measurement-CM file for it.
+GAUSSIAN_DOC = gaussian_model_to_dict(GaussianShiftModel(
+    modes=1, djacobian=np.eye(2), cm=np.eye(2), mean=np.zeros(2), dbeta=np.eye(2), weight=np.eye(2),
+    label="vacuum displacement"))
+MEASUREMENT_DOC = {"cm": [[2.0, 0.0], [0.0, 2.0]]}
+
+
+def run_on_file(doc, argv):
+    """``main`` on ``argv``, "{tmp}" in it standing for a temporary directory
+    that holds ``doc`` as input.json, the model of :data:`POVM_DOC` as
+    model.json and :data:`GAUSSIAN_DOC` as gaussian.json; returns the exit
+    code, stdout, stderr and the path of input.json."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/input.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))  # NaN and Infinity tokens for the non-finite floats
+        write_json(POVM_MODEL_DOC, f"{tmp}/model.json")
+        write_json(GAUSSIAN_DOC, f"{tmp}/gaussian.json")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.format(tmp=tmp) for arg in argv])
+    return code, out.getvalue(), err.getvalue(), path
+
+
 class TestFuzzedModelFile:
-    """Mutated model files through ``main``: every run ends in a documented
+    """Mutated input files through ``main``: every run ends in a documented
     exit code, and a rejected file is named on one stderr line, never a
     traceback."""
 
-    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(doc=mutated_model_files(), fmt=st.sampled_from(["text", "json"]))
-    def test_exit_code_and_one_named_line(self, doc, fmt):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = f"{tmp}/model.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc))  # NaN and Infinity tokens for the non-finite floats
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["bounds", path, "--format", fmt])
+    @staticmethod
+    def check(code, out, err, path):
         assert code in (0, 1, 2)
         if code:
-            assert out.getvalue() == ""
-            assert err.getvalue().count("\n") == 1 and path in err.getvalue(), err.getvalue()
-            assert "Traceback" not in err.getvalue()
+            assert out == ""
+            assert err.count("\n") == 1 and path in err, err
+            assert "Traceback" not in err
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(doc=mutated_files(MODEL_DOC), fmt=st.sampled_from(["text", "json"]))
+    def test_exit_code_and_one_named_line(self, doc, fmt):
+        self.check(*run_on_file(doc, ["bounds", "{tmp}/input.json", "--format", fmt]))
+
+    @pytest.mark.parametrize("base, argv", [
+        (POVM_DOC, ["check-povm", "{tmp}/input.json", "{tmp}/model.json"]),
+        (GAUSSIAN_DOC, ["gaussian", "{tmp}/input.json"]),
+        (MEASUREMENT_DOC, ["gaussian", "{tmp}/gaussian.json", "--measurement-cm", "{tmp}/input.json"]),
+    ], ids=["povm", "gaussian", "measurement-cm"])
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(data=st.data(), fmt=st.sampled_from(["text", "json"]))
+    def test_other_input_files(self, base, argv, data, fmt):
+        self.check(*run_on_file(data.draw(mutated_files(base)), argv + ["--format", fmt]))
 
 
 class TestParser:

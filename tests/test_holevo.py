@@ -553,7 +553,7 @@ def test_sdp_start_is_strictly_feasible(name, monkeypatch):
     a, b = np.triu_indices(q)
     v0 = np.zeros((q, q))
     v0[a, b] = v0[b, a] = seen["u0"][:a.size]
-    z = linalg.z_matrix(analysis.x_eff, analysis.rho)
+    z = linalg.z_matrix(analysis.x_eff, model.rho)
     margin = 0.1 * np.linalg.norm(z, 2) + 1.0
     assert np.linalg.eigvalsh(v0 - z).min() >= margin * (1 - 1e-12)
     assert np.linalg.eigvalsh(seen["f0"] + seen["op"].apply(seen["u0"])).min() > 0

@@ -6,9 +6,15 @@ from qcrb.exceptions import InfeasibleModel, KernelBlockDerivative, ResidualTooL
 from qcrb.linalg import pseudoinverse
 from qcrb.model import QuantumModel, fixture
 from qcrb.sld import analyze, compute_slds, infeasible_columns, information
-from _support import jordan_product, random_model
+from _support import information_oracle, jordan_product, random_model, sld_oracle
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def slds_of(analysis):
+    """:func:`compute_slds` of ``analysis``, its SLDs rotated to the model's frame."""
+    slds_eig, residuals = compute_slds(analysis.drho_eig, analysis.eigvals, analysis.support)
+    return analysis.eigvecs @ slds_eig @ analysis.eigvecs.conj().T, residuals
 
 
 def diag_model(w):
@@ -24,43 +30,40 @@ def diag_model(w):
 class TestComputeSlds:
     def test_diagonal_lyapunov_solve(self):
         w = 0.4
-        analysis = analyze(diag_model(w))
-        assert_allclose(analysis.slds[0], np.diag([1 / (1 + w), -1 / (1 - w)]), atol=1e-12)
-        assert analysis.residuals.max() < 1e-12
+        slds, residuals = slds_of(analyze(diag_model(w)))
+        assert_allclose(slds[0], np.diag([1 / (1 + w), -1 / (1 - w)]), atol=1e-12)
+        assert residuals.max() < 1e-12
 
     def test_maximally_mixed(self):
         m = QuantumModel(
             dim=2, rho=np.eye(2, dtype=complex) / 2, drho=np.array([SX / 2]),
             dbeta=np.array([[1.0]]), weight=np.array([[1.0]]),
         )
-        analysis = analyze(m)
-        assert_allclose(analysis.slds[0], SX, atol=1e-12)
+        assert_allclose(slds_of(analyze(m))[0][0], SX, atol=1e-12)
 
     def test_pure_state_kernel_block_zeroed(self):
         m = fixture("pure_qubit_angles", [1.0, 0.3])
-        analysis = analyze(m)
+        slds, residuals = slds_of(analyze(m))
         vals, vecs = np.linalg.eigh(m.rho)
         kernel = vecs[:, vals < 1e-10]
-        for lj in analysis.slds:
+        for lj in slds:
             block = kernel.conj().T @ lj @ kernel
             assert np.abs(block).max() < 1e-12
-        assert analysis.residuals.max() < 1e-12
+        assert residuals.max() < 1e-12
 
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             m = random_model(rng, d=int(rng.integers(2, 5)), p=2, q=2,
                              rank=None if rng.random() < 0.5 else 2)
-            analysis = analyze(m)
-            for lj, dj in zip(analysis.slds, m.drho):
+            for lj, dj in zip(slds_of(analyze(m))[0], m.drho):
                 assert np.linalg.norm(jordan_product(m.rho, lj) - dj) < 1e-8
 
     def test_zero_mean(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             m = random_model(rng, d=3, p=3, q=2)
-            analysis = analyze(m)
-            for lj in analysis.slds:
+            for lj in slds_of(analyze(m))[0]:
                 assert abs(np.trace(m.rho @ lj)) < 1e-10
 
     def test_residual_too_large_on_kernel_content(self):
@@ -69,7 +72,7 @@ class TestComputeSlds:
         eigvals, eigvecs = np.linalg.eigh(rho)
         drho = np.array([np.diag([-1.0, 1.0]).astype(complex)])
         with pytest.raises(ResidualTooLarge) as raised:
-            compute_slds(rho, drho, eigvecs.conj().T @ drho @ eigvecs, eigvals, eigvecs, eigvals > 1e-10)
+            compute_slds(eigvecs.conj().T @ drho @ eigvecs, eigvals, eigvals > 1e-10)
         assert raised.value.support_rank == 1
 
     def test_scale_covariance(self):
@@ -80,7 +83,7 @@ class TestComputeSlds:
                               dbeta=m.dbeta, weight=m.weight)
         info = analyze(m)
         info_c = analyze(scaled)
-        assert_allclose(info_c.slds, c * info.slds, atol=1e-10)
+        assert_allclose(slds_of(info_c)[0], c * slds_of(info)[0], atol=1e-10)
         assert_allclose(info_c.qfim, c * c * info.qfim, atol=1e-9)
 
 
@@ -140,7 +143,7 @@ class TestInformation:
         m = diag_model(w)
         info = analyze(m)
         assert_allclose(info.qfim, [[1 / (1 - w * w)]], atol=1e-12)
-        assert info.qfim_rank == 1
+        assert info.qfim_range.shape[1] == 1
 
     def test_commuting_family_has_zero_dmat(self):
         m = fixture("classical_diagonal", [0.3, 0.2, 0.1])
@@ -159,12 +162,35 @@ class TestInformation:
         # perturbing the SLD kernel block must leave J and D unchanged
         m = fixture("pure_qubit_angles", [0.8, 1.9])
         info = analyze(m)
-        vals, vecs = np.linalg.eigh(m.rho)
-        k = vecs[:, vals < 1e-10][:, 0]
-        perturbed = info.slds + 3.0 * np.outer(k, k.conj())
-        qfim_p, dmat_p = information(perturbed, m.rho)
+        k = np.flatnonzero(~info.support)[0]  # rho's kernel vector, in its eigenbasis
+        perturbed = compute_slds(info.drho_eig, info.eigvals, info.support)[0]
+        perturbed[:, k, k] += 3.0
+        qfim_p, dmat_p = information(perturbed, info.eigvals)
         assert_allclose(qfim_p, info.qfim, atol=1e-10)
         assert_allclose(dmat_p, info.dmat, atol=1e-10)
+
+
+class TestAgainstOracle:
+    """The SLDs, J, D and X_eff from rho's eigenbasis against :func:`sld_oracle`, the
+    least-squares solve of the SLD equation in the model's own frame.  X_eff
+    is formed from the oracle SLDs with the analysis's J⁺, which amplifies
+    the roundoff of both sides alike by J's condition number."""
+
+    @pytest.mark.parametrize("rank", [None, "deficient"])
+    def test_information_and_x_eff(self, rank):
+        rng = np.random.default_rng(12 if rank is None else 13)
+        for _ in range(40):
+            d = int(rng.integers(2, 6))
+            r = d if rank is None else int(rng.integers(1, d))
+            p = int(rng.integers(1, min(5, 2 * d * r - r * r - 1) + 1))  # at most the tangent dimension
+            m = random_model(rng, d, p, int(rng.integers(1, p + 1)), rank=r)
+            analysis = analyze(m)
+            qfim, dmat = information_oracle(m)
+            slds = sld_oracle(m)
+            x_eff = np.tensordot((analysis.qfim_pinv @ m.dbeta).T, slds, axes=(1, 0))
+            for got, want in ((slds_of(analysis)[0], slds), (analysis.qfim, qfim), (analysis.dmat, dmat),
+                              (analysis.x_eff, x_eff)):
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def feasible(j, dbeta):
@@ -229,10 +255,10 @@ class TestOneRankTol:
         assert analysis.support.tolist() == ([False, True] if rank == 1 else [True, True])
         # the SLD cutoff: the ε×ε entry of L_2 is solved only inside the support
         small = np.argmin(analysis.eigvals)
-        l2_small = (analysis.eigvecs.conj().T @ analysis.slds[1] @ analysis.eigvecs)[small, small]
+        l2_small = compute_slds(analysis.drho_eig, analysis.eigvals, analysis.support)[0][1, small, small]
         assert (abs(l2_small) > 0.5) == (rank == 2)
         # the rank of J
-        assert analysis.qfim_rank == rank
+        assert analysis.qfim_range.shape[1] == rank
         assert np.linalg.matrix_rank(analysis.qfim_pinv, tol=1e-3) == rank
         # the feasibility verdict on the second target component
         full = self.model(np.eye(2))
@@ -254,6 +280,6 @@ class TestOneRankTol:
             dbeta=np.eye(2),
             weight=np.eye(2),
         )
-        assert analyze(model, 1e-10).qfim_rank == 2
+        assert analyze(model, 1e-10).qfim_range.shape[1] == 2
         with pytest.raises(KernelBlockDerivative, match=r"drho\[1\]"):
             analyze(model, 1e-8)
