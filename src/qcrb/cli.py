@@ -30,8 +30,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gaussian as gaussian_mod
 from . import holevo, linalg, povm as povm_mod, sdp
-from .exceptions import (IllDefinedFim, InfeasibleModel, ModelError, NotLocallyUnbiased, ResidualTooLarge,
-                         VerificationFailed)
+from .exceptions import InfeasibleModel, ModelError, NotLocallyUnbiased, ResidualTooLarge, VerificationFailed
 from .model import FIXTURE_NAMES, fixture, load_model, model_to_dict, save_model, validate
 from .sld import analyze, check_estimable
 
@@ -49,7 +48,6 @@ _EPS = float(np.finfo(float).eps)
 FAILURES = (
     (InfeasibleModel, EXIT_REJECTED, "infeasible model"),
     (NotLocallyUnbiased, EXIT_REJECTED, "not locally unbiased"),
-    (IllDefinedFim, EXIT_REJECTED, "ill-defined information matrix"),
     (VerificationFailed, EXIT_SOLVER, "verification failed"),
     (OSError, EXIT_FILE, "error"),
     (ValueError, EXIT_FILE, "error"),
@@ -178,19 +176,27 @@ def cmd_bounds(args) -> int:
     return code
 
 
+def _unphysical(path, what: str) -> int:
+    _diag(f"unphysical covariance matrix: {path}: {what}")
+    return EXIT_REJECTED
+
+
 def cmd_gaussian(args) -> int:
     model = gaussian_mod.load_gaussian_model(args.model)
     if not gaussian_mod.validate_cm(model.cm, model.modes):
-        _diag("unphysical covariance matrix: sigma + i*Omega has negative eigenvalues")
-        return EXIT_REJECTED
+        return _unphysical(args.model, "sigma + i*Omega has negative eigenvalues")
     if args.measurement_cm:
         meas = gaussian_mod.load_measurement(args.measurement_cm, model.modes)
         if not gaussian_mod.validate_cm(meas.cm_m, model.modes):
-            _diag("unphysical measurement covariance matrix")
-            return EXIT_REJECTED
-
-    f_half, qfim, deviation = gaussian_mod.half_qfim_check(model)
-    fim = gaussian_mod.gaussian_fim(model, meas) if args.measurement_cm else f_half
+            return _unphysical(args.measurement_cm, "sigma_m + i*Omega has negative eigenvalues")
+    try:
+        f_half, qfim, deviation = gaussian_mod.half_qfim_check(model)
+    except np.linalg.LinAlgError:
+        return _unphysical(args.model, "sigma has no Cholesky factor")
+    try:
+        fim = gaussian_mod.gaussian_fim(model, meas) if args.measurement_cm else f_half
+    except np.linalg.LinAlgError:
+        return _unphysical(args.measurement_cm, "sigma + sigma_m has no Cholesky factor")
     dbeta = model.dbeta_or_default()
     weight = model.weight_or_default()
     qfim_pinv = linalg.pseudoinverse(qfim, args.rank_tol)

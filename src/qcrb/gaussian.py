@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_weight, _label, _positive_int, _real_matrix, _real_vector, read_json, write_json
+from .model import _check_dbeta, _check_weight, _label, _positive_int, _real_matrix, _real_vector, read_json, write_json
 
 __all__ = [
     "GaussianShiftModel",
@@ -112,39 +112,32 @@ def _decode_cm(obj, modes: int) -> np.ndarray:
     return cm
 
 
-def _sum_cm(model: GaussianShiftModel, meas: GaussianMeasurement) -> np.ndarray:
-    total = np.asarray(model.cm, dtype=float) + np.asarray(meas.cm_m, dtype=float)
-    vals = np.linalg.eigvalsh(total)
-    if vals.min() <= 1e-12 * max(vals.max(), 1.0):
-        raise ValueError("sigma + sigma_m is numerically singular")
-    return total
+def _information(cm: np.ndarray, dr: np.ndarray) -> np.ndarray:
+    """2 (∂r)ᵀ cm⁻¹ ∂r = 2GᵀG with G = L⁻¹∂r, L Lᵀ the Cholesky factorization of ``cm`` (σ or σ + σ_m).
+
+    The factor both decides that ``cm`` is positive definite and gives the solve;
+    ``np.linalg.LinAlgError`` when there is none, which a matrix :func:`validate_cm`
+    accepts lacks only through ``CM_TOL``'s slack, since σ + iΩ ⪰ 0 implies σ ≻ 0.
+    """
+    g = np.linalg.solve(np.linalg.cholesky(cm), dr)
+    return 2.0 * (g.T @ g)
 
 
 def gaussian_fim(model: GaussianShiftModel, meas: GaussianMeasurement) -> np.ndarray:
     """Classical information matrix 2 (∂r)ᵀ (σ + σ_m)⁻¹ ∂r of general-dyne outcomes."""
-    total = _sum_cm(model, meas)
-    dr = np.asarray(model.djacobian, dtype=float)
-    f = 2.0 * dr.T @ np.linalg.solve(total, dr)
-    return (f + f.T) / 2
+    return _information(np.asarray(model.cm, dtype=float) + np.asarray(meas.cm_m, dtype=float), model.djacobian)
 
 
 def gaussian_qfim(model: GaussianShiftModel) -> np.ndarray:
     """Quantum information matrix 2 (∂r)ᵀ σ⁻¹ ∂r of the shift model."""
-    cm = np.asarray(model.cm, dtype=float)
-    vals = np.linalg.eigvalsh(cm)
-    if vals.min() <= 1e-12 * max(vals.max(), 1.0):
-        raise ValueError("sigma is numerically singular")
-    dr = np.asarray(model.djacobian, dtype=float)
-    j = 2.0 * dr.T @ np.linalg.solve(cm, dr)
-    return (j + j.T) / 2
+    return _information(np.asarray(model.cm, dtype=float), model.djacobian)
 
 
 def half_qfim_check(model: GaussianShiftModel) -> tuple[np.ndarray, np.ndarray, float]:
     """Measure with σ_m = σ and compare: returns (F, J, ‖F − J/2‖_max).
 
     The deviation is zero up to linear-algebra roundoff for every valid
-    model: 2(σ+σ)⁻¹ = σ⁻¹ identically.  J is computed first, so a singular
-    σ is reported as such.
+    model: 2(σ+σ)⁻¹ = σ⁻¹ identically.
     """
     j = gaussian_qfim(model)
     f = gaussian_fim(model, GaussianMeasurement(cm_m=np.asarray(model.cm, dtype=float)))
@@ -168,8 +161,10 @@ def gaussian_model_from_dict(data: dict) -> GaussianShiftModel:
     if mean.shape != (2 * k,):
         raise ValueError(f"mean: shape {mean.shape}, expected ({2 * k},)")
     dbeta = _real_matrix(data["dbeta"], "dbeta") if "dbeta" in data else None
-    if dbeta is not None and dbeta.shape[0] != dj.shape[1]:
-        raise ValueError(f"dbeta: {dbeta.shape[0]} rows do not match p={dj.shape[1]}")
+    if dbeta is not None:  # p×q of full column rank, as in a quantum model file
+        if dbeta.shape[0] != dj.shape[1]:
+            raise ValueError(f"dbeta: {dbeta.shape[0]} rows do not match p={dj.shape[1]}")
+        _check_dbeta(dbeta)
     weight = _real_matrix(data["weight"], "weight") if "weight" in data else None
     if weight is not None:  # q×q and PSD, as in a quantum model file; q defaults to p
         _check_weight(weight, dj.shape[1] if dbeta is None else dbeta.shape[1])

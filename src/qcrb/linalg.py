@@ -31,12 +31,10 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return a / 2 + a.conj().T / 2
 
 
-def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is square and Hermitian within ``HERMITICITY_TOL`` (relative).
-
-    Returns the exactly Hermitized array so downstream eigendecompositions
-    see a symmetric input.  Raises ``ValueError`` otherwise.
-    """
+def require_hermitian(a: np.ndarray, name: str = "matrix") -> None:
+    """Raise ``ValueError`` unless ``a`` is square and Hermitian within
+    ``HERMITICITY_TOL`` (relative).  A caller that decomposes ``a`` forms
+    its :func:`hermitian_part` itself."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
@@ -44,7 +42,6 @@ def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     dev = np.abs(a - a.conj().T).max() if a.size else 0.0
     if dev > HERMITICITY_TOL * scale:
         raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e}, scale {scale:.3e})")
-    return hermitian_part(a)
 
 
 def z_matrix(x_ops: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -115,10 +115,10 @@ def validate(model: QuantumModel) -> None:
     if rho.shape != (model.dim, model.dim):
         raise NotDensityMatrix(f"rho has shape {rho.shape}, expected ({model.dim}, {model.dim})")
     try:
-        rho = linalg.require_hermitian(rho, "rho")
+        linalg.require_hermitian(rho, "rho")
     except ValueError as exc:
         raise NotDensityMatrix(str(exc)) from exc
-    tr = np.trace(rho).real
+    tr = np.trace(rho).real  # bitwise the trace of the Hermitized rho, which rho_eig decomposes
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotDensityMatrix(f"Tr rho = {tr!r} differs from 1 beyond {TRACE_TOL}")
     vals = model.rho_eig[0]
@@ -142,16 +142,23 @@ def validate(model: QuantumModel) -> None:
         raise NonHermitianDerivative(f"drho[{j}] has trace {traces[j]!r}, expected 0 (unit-trace family)")
 
     dbeta = np.asarray(model.dbeta, dtype=float)
-    p, q = drho.shape[0], dbeta.shape[1] if dbeta.ndim == 2 else 0
+    p = drho.shape[0]
     if dbeta.ndim != 2 or dbeta.shape[0] != p:
         raise RankDeficientDbeta(f"dbeta has shape {dbeta.shape}, expected ({p}, q)")
+    _check_dbeta(dbeta)
+
+    _check_weight(model.weight, dbeta.shape[1], lambda: model.weight_eig)
+
+
+def _check_dbeta(dbeta: np.ndarray) -> None:
+    """Raise :class:`RankDeficientDbeta` unless the p×q matrix ``dbeta`` has
+    full column rank q ≥ 1 (so q ≤ p)."""
+    q = dbeta.shape[1]
     svals = np.linalg.svd(dbeta, compute_uv=False)
-    if q == 0 or svals.min() <= RANK_TOL * max(svals.max(), 1e-300):
+    if not 0 < q <= svals.size or svals.min() <= RANK_TOL * max(svals.max(), 1e-300):
         raise RankDeficientDbeta(
             f"dbeta must have full column rank {q}; singular values {np.array2string(svals, precision=3)}"
         )
-
-    _check_weight(model.weight, q, lambda: model.weight_eig)
 
 
 def _check_weight(weight: np.ndarray, q: int, eig=None) -> None:

@@ -65,11 +65,9 @@ class DiscretePovm:
 
 @dataclass(frozen=True)
 class MeasurementReport:
-    """One-stop audit of a measurement on a model at a target point."""
+    """Σ, the influence operators X and the unbiasedness residual of a measurement on a model."""
 
-    probs: np.ndarray
     sigma: np.ndarray
-    fim: np.ndarray
     influence: np.ndarray
     unbias_residual: float
 
@@ -82,11 +80,12 @@ def validate_povm(povm: DiscretePovm) -> None:
     d = elements.shape[-1]
     for i, m in enumerate(elements):
         try:
-            m = linalg.require_hermitian(m, f"element[{i}]")
+            linalg.require_hermitian(m, f"element[{i}]")
         except ValueError as exc:
             raise ModelError(str(exc)) from exc
-        if np.linalg.eigvalsh(m).min() < -POVM_TOL:
-            raise ModelError(f"element[{i}] is not PSD (min eigenvalue {np.linalg.eigvalsh(m).min():.3e})")
+        low = np.linalg.eigvalsh(linalg.hermitian_part(m)).min()
+        if low < -POVM_TOL:
+            raise ModelError(f"element[{i}] is not PSD (min eigenvalue {low:.3e})")
     total = elements.sum(axis=0)
     if np.abs(total - np.eye(d)).max() > POVM_TOL:
         raise ModelError(f"POVM elements sum deviates from identity by {np.abs(total - np.eye(d)).max():.3e}")
@@ -113,10 +112,7 @@ def povm_fim(povm: DiscretePovm, model: QuantumModel) -> np.ndarray:
     probability derivatives vanish too; otherwise the matrix entry would
     diverge and :class:`IllDefinedFim` is raised.
     """
-    return _fim(povm, model, born_probs(povm, model.rho))
-
-
-def _fim(povm: DiscretePovm, model: QuantumModel, probs: np.ndarray) -> np.ndarray:
+    probs = born_probs(povm, model.rho)
     dprobs = np.array(
         [[np.trace(dj @ m).real for m in povm.elements] for dj in model.drho]
     )  # (p, n)
@@ -168,12 +164,8 @@ def check_local_unbiasedness(povm: DiscretePovm, model: QuantumModel,
 
 def error_covariance(povm: DiscretePovm, rho: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Mean square error matrix Σ = Σ_x (β̌(x) − β)(β̌(x) − β)ᵀ p(x)."""
-    return _covariance(povm, beta, born_probs(povm, rho))
-
-
-def _covariance(povm: DiscretePovm, beta: np.ndarray, probs: np.ndarray) -> np.ndarray:
     deviations = np.asarray(povm.estimates, dtype=float) - np.asarray(beta, dtype=float)
-    sigma = (deviations.T * probs) @ deviations
+    sigma = (deviations.T * born_probs(povm, rho)) @ deviations
     return (sigma + sigma.T) / 2
 
 
@@ -198,17 +190,13 @@ def matrix_crb_check(report: MeasurementReport, model: QuantumModel) -> tuple[fl
 
 def measurement_report(povm: DiscretePovm, model: QuantumModel,
                        beta: np.ndarray) -> MeasurementReport:
-    """Assemble probabilities, Σ, FIM, influence operators and the residual,
-    each computed once."""
-    validate_povm(povm)
+    """Σ, the influence operators and the unbiasedness residual, each computed once, of a
+    validated ``povm`` (:func:`load_povm` validates a file's) on ``model``; only the dimensions are checked here."""
     if povm.dim != model.dim:
         raise ModelError(f"POVM dimension {povm.dim} does not match model dimension {model.dim}")
     influence = influence_operators(povm, beta)
-    probs = born_probs(povm, model.rho)
     return MeasurementReport(
-        probs=probs,
-        sigma=_covariance(povm, beta, probs),
-        fim=_fim(povm, model, probs),
+        sigma=error_covariance(povm, model.rho, beta),
         influence=influence,
         unbias_residual=unbiasedness_residual(model, influence),
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from qcrb import linalg
-from qcrb.gaussian import GaussianMeasurement, GaussianShiftModel, _sum_cm
+from qcrb.gaussian import GaussianMeasurement, GaussianShiftModel
 from qcrb.model import QuantumModel
 from qcrb.povm import DiscretePovm, born_probs
 from qcrb.sld import analyze, infeasible_columns
@@ -350,7 +350,8 @@ def belavkin_grishanin_gap(a: np.ndarray) -> float:
     Raises ``ValueError`` when A fails the PSD check (minimum eigenvalue
     below −1e−8 · tr A).
     """
-    a = linalg.require_hermitian(a, "matrix")
+    linalg.require_hermitian(a, "matrix")
+    a = linalg.hermitian_part(np.asarray(a, dtype=complex))
     w = np.linalg.eigvalsh(a)
     tr = float(np.trace(a).real)
     if w.size and w.min() < -1e-8 * tr:
@@ -377,7 +378,7 @@ def weighted_tracenorm_check(w: np.ndarray, a: np.ndarray) -> tuple[float, float
 def generaldyne_logdensity(r_out: np.ndarray, model: GaussianShiftModel,
                            meas: GaussianMeasurement) -> float:
     """Log of the general-dyne outcome density at ``r_out``."""
-    total = _sum_cm(model, meas)
+    total = np.asarray(model.cm, dtype=float) + np.asarray(meas.cm_m, dtype=float)
     dev = np.asarray(r_out, dtype=float) - np.asarray(model.mean, dtype=float)
     if dev.shape != (2 * model.modes,):
         raise ValueError(f"outcome vector has shape {dev.shape}, expected ({2 * model.modes},)")

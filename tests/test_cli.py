@@ -16,13 +16,7 @@ from hypothesis import strategies as st
 from qcrb import bounds, cli, gaussian, holevo, linalg, sld
 from qcrb import povm as povm_mod
 from qcrb.cli import main
-from qcrb.exceptions import (
-    IllDefinedFim,
-    InfeasibleModel,
-    NotLocallyUnbiased,
-    ResidualTooLarge,
-    VerificationFailed,
-)
+from qcrb.exceptions import InfeasibleModel, NotLocallyUnbiased, ResidualTooLarge, VerificationFailed
 from qcrb.gaussian import GaussianShiftModel, gaussian_model_to_dict, save_gaussian_model
 from qcrb.model import QuantumModel, fixture, model_to_dict, save_model, write_json
 from qcrb.povm import DiscretePovm, save_povm
@@ -335,6 +329,21 @@ class TestBounds:
         assert linalg_calls == {"pseudoinverse": 1, "trace_norm": 2}
         assert sld_calls == {"information": 1}
 
+    def test_rho_hermitized_once(self, tmp_path, monkeypatch, capsys):
+        """``QuantumModel.rho_eig`` Hermitizes rho; ``validate`` only checks it."""
+        model = fixture("random_full_rank", [3, 4, 3, 2])
+        path = tmp_path / "d4.json"
+        save_model(model, path)
+        hermitize, on_rho = linalg.hermitian_part, []
+
+        def spy(a):
+            on_rho.append(np.array_equal(a, model.rho))
+            return hermitize(a)
+
+        monkeypatch.setattr(linalg, "hermitian_part", spy)
+        assert main(["bounds", str(path)]) == 0
+        assert on_rho.count(True) == 1
+
 
 class TestGaussian:
     def test_vacuum_report(self, vacuum_file, capsys):
@@ -403,8 +412,11 @@ class TestGaussian:
          "weight is not positive semidefinite (min eigenvalue -1.000e+00)"),
         ({"label": 5}, "label: expected a string"),
         ({"cm": [[1.0, 0.1], [0.0, 1.0]]}, "cm: covariance matrix must be symmetric"),
+        ({"djacobian": [[1.0], [0.0]], "dbeta": [[]]}, "dbeta must have full column rank 0; singular values []"),
+        ({"djacobian": [[1.0], [0.0]], "dbeta": [[1.0, 1.0]]},
+         "dbeta must have full column rank 2; singular values [1.414]"),
     ], ids=["mean-overflow", "mean-object", "mean-entry-overflow", "mean-bool", "mean-nan", "weight-not-qxq",
-            "weight-negative", "label-int", "cm-asymmetric"])
+            "weight-negative", "label-int", "cm-asymmetric", "dbeta-no-columns", "dbeta-rank-deficient"])
     def test_bad_field_exits_1_naming_the_file(self, fields, message, tmp_path, capsys):
         path = tmp_path / "g.json"
         write_json({"modes": 1, "cm": [[1.0, 0.0], [0.0, 1.0]], "djacobian": [[1.0, 0.0], [0.0, 1.0]], **fields},
@@ -427,6 +439,44 @@ class TestGaussian:
         write_json({"cm": [[2.0, 0.5], [0.0, 2.0]]}, meas_path)
         assert main(["gaussian", vacuum_file, "--measurement-cm", str(meas_path)]) == 1
         assert capsys.readouterr().err == f"error: {meas_path}: cm: covariance matrix must be symmetric\n"
+
+    def test_squeezed_p_displacement(self, tmp_path, capsys):
+        """det σ = 1 and σ's eigenvalues 1e7 and 1e-7: a physical state, J = 2/1e-7."""
+        path = tmp_path / "g.json"
+        write_json({"modes": 1, "cm": [[1e7, 0.0], [0.0, 1e-7]], "djacobian": [[0.0], [1.0]]}, path)
+        assert main(["gaussian", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        j = report["qfim"][0][0]
+        assert j == pytest.approx(2e7, rel=1e-12)
+        assert report["half_qfim_deviation"] <= 1e-12 * j
+
+    def test_squeezed_two_quadratures_keep_rank_tol(self, tmp_path, capsys):
+        """J = diag(2e-7, 2e7): the x target is cut at the default --rank-tol, kept at 1e-15."""
+        path = tmp_path / "g.json"
+        write_json({"modes": 1, "cm": [[1e7, 0.0], [0.0, 1e-7]], "djacobian": [[1.0, 0.0], [0.0, 1.0]]}, path)
+        assert main(["gaussian", str(path), "--format", "json"]) == 2
+        assert "not estimable" in capsys.readouterr().err
+        assert main(["gaussian", str(path), "--format", "json", "--rank-tol", "1e-15"]) == 0
+        assert json.loads(capsys.readouterr().out)["two_c_gs"] == pytest.approx(1e7 + 1e-7, rel=1e-12)
+
+    def test_cm_without_cholesky_factor_exits_2_naming_the_file(self, tmp_path, capsys):
+        """σ + iΩ ⪰ −CM_TOL passes, but σ has the eigenvalue −5e-11."""
+        path = tmp_path / "g.json"
+        write_json({"modes": 1, "cm": [[1e12, 0.0], [0.0, -5e-11]], "djacobian": [[1.0], [0.0]]}, path)
+        assert main(["gaussian", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"unphysical covariance matrix: {path}: sigma has no Cholesky factor\n"
+
+    def test_sum_without_cholesky_factor_names_the_measurement(self, tmp_path, capsys):
+        """Both matrices pass the physicality test; σ + σ_m has the eigenvalue −4e-11."""
+        path, meas_path = tmp_path / "g.json", tmp_path / "meas.json"
+        write_json({"modes": 1, "cm": [[1e11, 0.0], [0.0, 1e-11]], "djacobian": [[1.0], [0.0]]}, path)
+        write_json({"cm": [[1e12, 0.0], [0.0, -5e-11]]}, meas_path)
+        assert main(["gaussian", str(path), "--measurement-cm", str(meas_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"unphysical covariance matrix: {meas_path}: sigma + sigma_m has no Cholesky factor\n"
 
     def test_non_estimable_target_exits_2(self, tmp_path, capsys):
         """J = diag(2, 0): the second target component has no finite bound."""
@@ -477,13 +527,21 @@ class TestCheckPovm:
         calls = count_calls(monkeypatch, povm_mod, ["influence_operators", "born_probs", "unbiasedness_residual",
                                                     "error_covariance", "povm_fim", "check_local_unbiasedness"])
         assert main(["check-povm", ppath, mpath]) == 0
-        # Σ and the FIM come from the one probability vector of the report
+        # Σ takes the one probability vector; no classical information matrix is formed
         assert calls == {"influence_operators": 1, "born_probs": 1, "unbiasedness_residual": 1,
-                         "error_covariance": 0, "povm_fim": 0, "check_local_unbiasedness": 0}
+                         "error_covariance": 1, "povm_fim": 0, "check_local_unbiasedness": 0}
 
-    def test_ill_defined_fim_reported_before_bias(self, tmp_path, capsys):
-        # pure state; outcome 0 has probability ~1e-16 but derivative ~1e-8, and
-        # the estimates are biased as well
+    def test_povm_validated_once(self, tmp_path, monkeypatch, capsys):
+        ppath, mpath = self.make_files(tmp_path)
+        calls = count_calls(monkeypatch, povm_mod, ["validate_povm"])
+        assert main(["check-povm", ppath, mpath]) == 0
+        assert calls == {"validate_povm": 1}  # by load_povm, at the file boundary
+
+    @staticmethod
+    def low_probability_files(tmp_path, unbiased):
+        """Pure qubit |0⟩ with ∂ρ = σ_x/2 (c_gs = 1) and a POVM whose outcome 0 has
+        probability 1e-16 but derivative 1e-8; the estimates are locally unbiased,
+        or the biased (5, 5)."""
         model = QuantumModel(
             dim=2, rho=np.diag([1.0, 0.0]).astype(complex),
             drho=np.array([[[0.0, 0.5], [0.5, 0.0]]], dtype=complex),
@@ -491,15 +549,27 @@ class TestCheckPovm:
         )
         mpath = tmp_path / "model.json"
         save_model(model, mpath)
-        v = np.array([1e-8, 1.0]) / np.hypot(1e-8, 1.0)
+        v = np.array([1e-8, np.sqrt(1 - 1e-16)])
         element = np.outer(v, v).astype(complex)
+        p0, dp0 = element[0, 0].real, element[0, 1].real
+        e0 = 1 / (dp0 * (1 + p0 / (1 - p0)))
+        estimates = [[e0], [-e0 * p0 / (1 - p0)]] if unbiased else [[5.0], [5.0]]
         ppath = tmp_path / "povm.json"
         save_povm(DiscretePovm(elements=np.array([element, np.eye(2) - element]),
-                               estimates=np.array([[5.0], [5.0]])), ppath)
-        assert main(["check-povm", str(ppath), str(mpath)]) == 2
+                               estimates=np.array(estimates)), ppath)
+        return str(ppath), str(mpath)
+
+    def test_low_probability_outcome_unbiased_is_optimal(self, tmp_path, capsys):
+        # the classical information matrix, which no report prints, is not formed
+        assert main(["check-povm", *self.low_probability_files(tmp_path, True), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["c_gs"] == pytest.approx(1.0, abs=1e-12)
+        assert abs(report["tr_w_sigma"] - report["c_gs"]) <= 1e-12
+
+    def test_low_probability_outcome_biased_exits_2(self, tmp_path, capsys):
+        assert main(["check-povm", *self.low_probability_files(tmp_path, False)]) == 2
         err = capsys.readouterr().err
-        assert "outcome 0 has probability" in err
-        assert "not locally unbiased" not in err
+        assert err.count("\n") == 1 and "not locally unbiased" in err
 
     def test_dimension_mismatch_exit_1(self, tmp_path, capsys):
         _, mpath = self.make_files(tmp_path)
@@ -602,7 +672,7 @@ class TestExitCodes:
         (OSError("planted file"), 1),
         (InfeasibleModel("planted infeasible", bad_columns=[0]), 2),
         (NotLocallyUnbiased("planted bias"), 2),
-        (IllDefinedFim("planted fim"), 2),
+        (np.linalg.LinAlgError("planted linear algebra"), 1),  # a ValueError: only `gaussian` catches it, as exit 2
         (VerificationFailed("planted verification"), 3),
     ])
     def test_same_code_everywhere(self, argv, error, code, monkeypatch, capsys):

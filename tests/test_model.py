@@ -124,6 +124,11 @@ class TestValidate:
         with pytest.raises(RankDeficientDbeta):
             validate(simple_qubit(dbeta=np.array([[0.0]])))
 
+    def test_more_targets_than_parameters(self):
+        # p = 1, q = 2: a 1×2 dbeta has one singular value and rank 1 < q
+        with pytest.raises(RankDeficientDbeta, match=r"full column rank 2; singular values \[1.414\]"):
+            validate(simple_qubit(dbeta=np.array([[1.0, 1.0]]), weight=np.eye(2)))
+
     def test_rejects_non_psd_weight(self):
         with pytest.raises(ModelError):
             validate(simple_qubit(weight=np.array([[-1.0]])))

