@@ -157,6 +157,8 @@ def gaussian_model_from_dict(data: dict) -> GaussianShiftModel:
     dj = _real_matrix(data["djacobian"], "djacobian")
     if dj.shape[0] != 2 * k:
         raise ValueError(f"djacobian: {dj.shape[0]} rows do not match modes={k}")
+    if not dj.shape[1]:
+        raise ValueError("djacobian: expected one column per parameter, got none")
     mean = _real_vector(data["mean"], "mean") if "mean" in data else np.zeros(2 * k)
     if mean.shape != (2 * k,):
         raise ValueError(f"mean: shape {mean.shape}, expected ({2 * k},)")

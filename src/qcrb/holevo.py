@@ -322,7 +322,8 @@ def solve(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float = 1e-8,
 
     With W ≻ 0, a D-invariant model gets c_h = c_d at X_eff, and any other
     model with q ≥ 2 is solved by :func:`_solve_dual` (the module docstring
-    gives both theorems).  Everything else (q = 1, a singular W, a
+    gives both theorems), W ≻ 0 meaning that √W drops no eigenvalue.
+    Everything else (q = 1, a W with a roundoff eigenvalue, a
     ``qfim_truncated`` J, whose dropped eigenvectors the dual leaves
     unconstrained), and every model the dual hands back (often pure states
     and qubits, whose maximizer lies on ‖W^-½KW^-½‖ = 1), goes to

@@ -12,7 +12,8 @@ whether c_h = c_d).  The eigendecompositions of rho and W are the model's
 already taken when the model came from a file.  Every rank decision —
 rho's support, the SLD kernel block, the rank of J and the feasibility
 verdict — is taken with the one relative ``rank_tol`` it is given; J's
-roundoff test takes the fixed :data:`QFIM_ROUNDOFF_TOL`.
+roundoff test takes the fixed :data:`QFIM_ROUNDOFF_TOL`, and W's one
+decision, read by √W and W^-½ alike, the roundoff cut q·eps·λ_max.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-8
 FEASIBILITY_TOL = 1e-8
-#: W counts as positive definite when its smallest eigenvalue exceeds this
-#: multiple of its largest; a singular W may have no finite V attaining c_d.
-WEIGHT_DEFINITE_TOL = 1e-12
 #: Eigenvalues of J at most this multiple of the largest are roundoff.
 QFIM_ROUNDOFF_TOL = 1e-12
 
@@ -59,7 +57,7 @@ class ModelAnalysis:
     unit of J's rank, and ``qfim_truncated`` says that this cut dropped an
     eigenvalue above :data:`QFIM_ROUNDOFF_TOL`.  ``root_weight`` = √W, its
     roundoff eigenvalues (≤ q·eps·λ_max) taken as 0, and ``inv_root_weight``
-    = W^-½ when W is positive definite, else None.  ``x_eff`` (q, d, d) are
+    = W^-½ when √W drops none (W ≻ 0), else None.  ``x_eff`` (q, d, d) are
     the efficient influence operators in the original frame and
     ``d_invariance_residual`` is :func:`d_invariance_residual` of the SLDs.
     Only estimable models have an analysis (:func:`analyze` raises
@@ -211,9 +209,8 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
     qfim_pinv = linalg.pseudoinverse(qfim, rank_tol, eig=j_eig)
     check_estimable(qfim, qfim_pinv, model.dbeta)
     w_vals, w_vecs = model.weight_eig
-    definite = w_vals.min() > WEIGHT_DEFINITE_TOL * w_vals.max()
-    # √W drops only roundoff eigenvalues (numpy's matrix_rank cut): a larger
-    # cut would drop terms of order √w from c_d while the SDP reads all of W
+    # √W drops only roundoff eigenvalues (numpy's matrix_rank cut), and W ≻ 0
+    # when it drops none; a larger cut would drop terms of order √w from c_d
     roundoff = w_vals <= w_vals.size * np.finfo(float).eps * w_vals.max()
     root_weight = (w_vecs * np.sqrt(np.where(roundoff, 0.0, w_vals))) @ w_vecs.T
     return ModelAnalysis(
@@ -228,7 +225,7 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
         qfim_truncated=bool((np.abs(j_vals[~j_range]) > QFIM_ROUNDOFF_TOL * j_scale).any()),
         qfim_pinv=qfim_pinv,
         root_weight=(root_weight + root_weight.T) / 2,
-        inv_root_weight=(w_vecs / np.sqrt(w_vals)) @ w_vecs.T if definite else None,
+        inv_root_weight=None if roundoff.any() else (w_vecs / np.sqrt(w_vals)) @ w_vecs.T,
         x_eff=eigvecs @ np.tensordot((qfim_pinv @ model.dbeta).T, slds_eig, axes=(1, 0)) @ eigvecs.conj().T,
         d_invariance_residual=d_invariance_residual(slds_eig, eigvals, support),
     )

@@ -100,6 +100,12 @@ def random_weight(rng: np.random.Generator, q: int) -> np.ndarray:
     return g @ g.T + 0.1 * np.eye(q)
 
 
+def rotated_weight(small: float, angle: float) -> np.ndarray:
+    """W = R diag(1, ``small``) Rᵀ, R the plane rotation by ``angle``."""
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return rot @ np.diag([1.0, small]) @ rot.T
+
+
 def random_model(
     rng: np.random.Generator,
     d: int,

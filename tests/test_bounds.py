@@ -10,8 +10,8 @@ from qcrb import bounds, holevo
 from qcrb.exceptions import InfeasibleModel, VerificationFailed
 from qcrb.model import QuantumModel, fixture
 from qcrb.sld import analyze, compute_slds, information
-from _support import (holevo_objective, jordan_product, psd_sqrt, random_model, random_weight, sld_oracle,
-                      v_matrix, zero_mean_hermitian)
+from _support import (holevo_objective, jordan_product, psd_sqrt, random_model, random_weight, rotated_weight,
+                      sld_oracle, v_matrix, zero_mean_hermitian)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -123,31 +123,38 @@ class TestSingularWeight:
     def near_singular(ratio, angle):
         """qubit_xy_at_z (D-invariant, so Im Z₁₂ is fixed by the constraints)
         with W's eigenvalues 1 and ``ratio``, rotated by ``angle``."""
-        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-        weight = rot @ np.diag([1.0, ratio]) @ rot.T
-        return analyze(dataclasses.replace(fixture("qubit_xy_at_z", [0.5]), weight=weight))
+        return analyze(dataclasses.replace(fixture("qubit_xy_at_z", [0.5]), weight=rotated_weight(ratio, angle)))
 
     @pytest.mark.parametrize("ratio", [5e-13, 1e-12])
     @pytest.mark.parametrize("angle", [0.0, 0.7])
     def test_small_eigenvalue_stays_in_root_weight(self, ratio, angle):
-        """An eigenvalue w₂ of W above roundoff but not above
-        ``WEIGHT_DEFINITE_TOL``·λ_max sends W to the SDP, which reads all of
-        W; √W keeps w₂ too, or c_d would lose its cross term 2√(w₁w₂)|Im Z₁₂|
-        (1.4e-6 relative here)."""
+        """An eigenvalue w₂ of W above roundoff (q·eps·λ_max = 4.4e-16 here)
+        stays in √W, or c_d would lose its cross term 2√(w₁w₂)|Im Z₁₂|
+        (1.4e-6 relative here), and W^-½ exists: √W's cut is the one
+        decision that W is positive definite.  Only a W whose small
+        eigenvalue is at or below that cut has no W^-½."""
         analysis = self.near_singular(ratio, angle)
-        assert analysis.inv_root_weight is None
+        assert analysis.inv_root_weight is not None
         exact = holevo_objective(analysis.model, analysis.x_eff)  # with the exact √W
         assert c_d(analysis) == pytest.approx(exact, rel=1e-9)
+        assert self.near_singular(1e-16, angle).inv_root_weight is None
 
     @pytest.mark.parametrize("ratio", [5e-13, 1e-12])
     def test_small_eigenvalue_verifies(self, ratio):
-        """c_h of the SDP, which reads all of W, matches the nonsmooth
-        objective that :func:`verify_solution` forms with √W."""
+        """A W ≻ 0 down to roundoff takes the D-invariant short cut, whose
+        c_h = c_d matches the nonsmooth objective that :func:`verify_solution`
+        forms with √W.  The SDP, which reads all of W, still verifies on a
+        W with an exact zero eigenvalue."""
         analysis = self.near_singular(ratio, 0.0)
         closed = sandwich(analysis)
         sol = holevo.solve(analysis, closed)
-        assert sol.method == holevo.SDP
+        assert sol.method == holevo.D_INVARIANT and sol.c_h == closed.c_d
         holevo.verify_solution(analysis, sol, closed)
+        singular = self.near_singular(0.0, 0.0)
+        closed = sandwich(singular)
+        sol = holevo.solve(singular, closed)
+        assert sol.method == holevo.SDP
+        holevo.verify_solution(singular, sol, closed)
 
 
 class TestSandwich:

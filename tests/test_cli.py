@@ -20,7 +20,7 @@ from qcrb.exceptions import InfeasibleModel, NotLocallyUnbiased, ResidualTooLarg
 from qcrb.gaussian import GaussianShiftModel, gaussian_model_to_dict, save_gaussian_model
 from qcrb.model import QuantumModel, fixture, model_to_dict, save_model, write_json
 from qcrb.povm import DiscretePovm, save_povm
-from _support import locally_unbiased_povm
+from _support import locally_unbiased_povm, random_model, rotated_weight
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -345,6 +345,43 @@ class TestBounds:
         assert on_rho.count(True) == 1
 
 
+class TestNearSingularWeight:
+    """W's small eigenvalue ε lies above √W's roundoff cut q·eps·λ_max
+    (4.4e-16 here), so W is positive definite and takes the D-invariant
+    short cut or the dual, never the SDP, which does not survive it."""
+
+    MODELS = [random_model(np.random.default_rng(s), 3, 2, 2) for s in range(1, 21)]
+    ANGLES = np.random.default_rng(0).uniform(0, np.pi, size=60)  # ε-major
+
+    @staticmethod
+    def report(model, eps, angle, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        save_model(dataclasses.replace(model, weight=rotated_weight(eps, angle)), path)
+        code = main(["bounds", str(path), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        return json.loads(captured.out)
+
+    @pytest.mark.parametrize("k, eps", enumerate([5e-13, 1e-14, 1e-15]))
+    def test_random_models_verify(self, k, eps, tmp_path, capsys):
+        for model, angle in zip(self.MODELS, self.ANGLES[20 * k:]):
+            assert self.report(model, eps, angle, tmp_path, capsys)["verified"] is True
+
+    @pytest.mark.parametrize("eps", [1e-12, 5e-13, 1e-14, 1e-15])
+    @pytest.mark.parametrize("angle", [0.0, 0.7])
+    def test_d_invariant_c_h_is_c_d(self, angle, eps, tmp_path, capsys):
+        report = self.report(fixture("qubit_xy_at_z", [0.5]), eps, angle, tmp_path, capsys)
+        assert report["verified"] is True and report["c_h"] == report["c_d"]
+
+    def test_no_jump_at_1e_12(self, tmp_path, capsys):
+        """c_h is continuous as ε falls through 1e-12, where W used to leave
+        the dual for the SDP."""
+        for model, angle in zip(self.MODELS, self.ANGLES):
+            above, below = (self.report(model, eps, angle, tmp_path, capsys)["c_h"]
+                            for eps in (1.001e-12, 0.999e-12))
+            assert below == pytest.approx(above, rel=1e-9)
+
+
 class TestGaussian:
     def test_vacuum_report(self, vacuum_file, capsys):
         assert main(["gaussian", vacuum_file, "--format", "json"]) == 0
@@ -415,8 +452,10 @@ class TestGaussian:
         ({"djacobian": [[1.0], [0.0]], "dbeta": [[]]}, "dbeta must have full column rank 0; singular values []"),
         ({"djacobian": [[1.0], [0.0]], "dbeta": [[1.0, 1.0]]},
          "dbeta must have full column rank 2; singular values [1.414]"),
+        ({"djacobian": [[], []]}, "djacobian: expected one column per parameter, got none"),
     ], ids=["mean-overflow", "mean-object", "mean-entry-overflow", "mean-bool", "mean-nan", "weight-not-qxq",
-            "weight-negative", "label-int", "cm-asymmetric", "dbeta-no-columns", "dbeta-rank-deficient"])
+            "weight-negative", "label-int", "cm-asymmetric", "dbeta-no-columns", "dbeta-rank-deficient",
+            "djacobian-no-columns"])
     def test_bad_field_exits_1_naming_the_file(self, fields, message, tmp_path, capsys):
         path = tmp_path / "g.json"
         write_json({"modes": 1, "cm": [[1.0, 0.0], [0.0, 1.0]], "djacobian": [[1.0, 0.0], [0.0, 1.0]], **fields},
