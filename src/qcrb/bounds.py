@@ -35,11 +35,9 @@ def c_gs(analysis: ModelAnalysis) -> float:
 
 
 def c_d(analysis: ModelAnalysis) -> float:
-    """D-matrix bound c_gs + ‖√W (dbeta)ᵀ J⁺ D J⁺ dbeta √W‖₁."""
-    proj = analysis.qfim_pinv @ analysis.model.dbeta  # (p, q)
-    root_w = analysis.root_weight
-    skew = proj.T @ analysis.dmat @ proj
-    return c_gs(analysis) + linalg.trace_norm(root_w @ skew @ root_w)
+    """D-matrix bound c_gs + ‖√W (dbeta)ᵀ J⁺ D J⁺ dbeta √W‖₁, formed as ‖RᵀSR‖₁, W = RRᵀ."""
+    proj = analysis.qfim_pinv @ analysis.model.dbeta @ analysis.weight_factor  # (p, rank W)
+    return c_gs(analysis) + linalg.trace_norm(proj.T @ analysis.dmat @ proj)
 
 
 def sandwich(analysis: ModelAnalysis) -> ClosedFormBounds:

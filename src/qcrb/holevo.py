@@ -17,8 +17,8 @@ single PSD block goes to the interior-point core in :mod:`qcrb.sdp`, its
 constraint matrices held by an :class:`EpigraphOperator` in factored form
 rather than as a dense (n, N, N) array.
 
-:func:`solve` reads everything it needs, J's range and W's
-eigendecomposition included, from the model's one analysis, which has
+:func:`solve` reads everything it needs, J's range and W's factor
+R = U₊ diag(√w₊) included, from the model's one analysis, which has
 already decided that the model is estimable.  On every route the
 certificate is the unbiased minimizer ``x_opt``, and :func:`verify_solution`
 recomputes the nonsmooth objective N(x_opt) from the model and checks it
@@ -35,23 +35,27 @@ and Statistical Aspects of Quantum Theory").  For W ≻ 0 the pair
 
 is a feasible point of the SDP of objective tr W V = c_d: V − Z =
 W^-½ (|K| − iK) W^-½ with K = W^½ Im Z W^½, which is ⪰ 0 because iK is
-Hermitian and |iK| = |K|.  :func:`solve` returns c_d at X_eff, with no
-iteration, whenever the analysis's ``d_invariance_residual`` is at most
-:data:`D_INVARIANCE_TOL` and W is positive definite.  The short cut's
-``dual_objective`` is c_d, the lower bound the theorem gives.
+Hermitian and |iK| = |K|.  A singular W = RRᵀ reduces to that case: every
+bound reads X only through X̃ = XR, unbiased for ∂βR, so the bounds of
+(∂β, W) are those of (∂βU₊, diag(w₊)), a model with the same SLDs, and
+X̃ lifts back to the unbiased X = X̃R⁺ + X_eff(I − RR⁺).  :func:`solve`
+returns c_d at X_eff, with no iteration, whenever the analysis's
+``d_invariance_residual`` is at most :data:`D_INVARIANCE_TOL`.  The short
+cut's ``dual_objective`` is c_d, the lower bound the theorem gives.
 
 The dual over K.  The trace norm has the variational form
 tr W Re Z + ‖√W Im Z √W‖₁ = max Re tr[(W + iK)Z], over the real
-antisymmetric q×q matrices K with W + iK ⪰ 0.  The objective is convex in
-X and linear in K, and the K-set is compact and convex, so Sion's minimax
-theorem (Pacific J. Math. 8, 171 (1958)) gives
+antisymmetric K = RARᵀ with ‖A‖ ≤ 1, that is W + iK ⪰ 0.  The objective
+is convex in X and linear in K, and the K-set is compact and convex, so
+Sion's minimax theorem (Pacific J. Math. 8, 171 (1958)) gives
 
     c_h = max_K f(K),      f(K) = min over unbiased X of Re tr[(W + iK)Z(X)],
 
-a concave maximization over q(q−1)/2 numbers.  f(0) = c_gs, attained at
-X_eff.  Every f(K) is a lower bound on c_h and the nonsmooth objective at
-any unbiased X an upper bound, so :func:`_solve_dual` climbs f by Newton's
-method and stops once the two ends agree within ``tol`` relative.  Each
+a concave maximization over q′(q′−1)/2 numbers, q′ = rank W (none when
+q′ ≤ 1).  f(0) = c_gs, attained at X_eff.  Every f(K) is a lower bound on
+c_h and the nonsmooth objective at any unbiased X an upper bound, so
+:func:`_solve_dual` climbs f by Newton's method and stops once the two
+ends agree within ``tol`` relative.  Each
 point is one evaluation of :class:`_Dual` on constants computed once per
 model, and the Hessian reuses that point's 𝒥⁻¹ and minimizer.  The
 certificate is the minimizer at the upper end; :func:`verify_solution`
@@ -320,17 +324,16 @@ def solve(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float = 1e-8,
           max_iter: int = 200) -> HolevoSolution:
     """The Holevo bound of ``analysis``, whose closed-form bounds are ``closed``.
 
-    With W ≻ 0, a D-invariant model gets c_h = c_d at X_eff, and any other
-    model with q ≥ 2 is solved by :func:`_solve_dual` (the module docstring
-    gives both theorems), W ≻ 0 meaning that √W drops no eigenvalue.
-    Everything else (q = 1, a W with a roundoff eigenvalue, a
-    ``qfim_truncated`` J, whose dropped eigenvectors the dual leaves
-    unconstrained), and every model the dual hands back (often pure states
-    and qubits, whose maximizer lies on ‖W^-½KW^-½‖ = 1), goes to
-    :func:`_solve_sdp`, which keeps every drho_j.
+    For any W, singular included, a D-invariant model gets c_h = c_d at
+    X_eff, and any other model with q ≥ 2 is solved by :func:`_solve_dual`
+    (the module docstring gives both theorems and the reduction to
+    range(W)).  Everything else (q = 1, a ``qfim_truncated`` J, whose
+    dropped eigenvectors the dual leaves unconstrained), and every model
+    the dual hands back (often pure states and qubits, whose maximizer
+    lies on ‖A‖ = 1), goes to :func:`_solve_sdp`, which keeps every drho_j.
     ``tol`` and ``max_iter`` go to whichever solver runs.
     """
-    if analysis.inv_root_weight is not None and not analysis.qfim_truncated:  # W ≻ 0, J cut at roundoff
+    if not analysis.qfim_truncated:  # J cut at roundoff
         if analysis.d_invariance_residual <= D_INVARIANCE_TOL:
             return _d_invariant_solution(analysis, closed)
         if analysis.model.n_targets >= 2:
@@ -354,12 +357,12 @@ def _d_invariant_solution(analysis: ModelAnalysis, closed: ClosedFormBounds) -> 
 
 
 class _Point(NamedTuple):
-    """f at one A = W^-½KW^-½, with what its Hessian and minimizer reuse.
+    """f at one K = RARᵀ, with what its Hessian and minimizer reuse.
 
     ``upper`` is the nonsmooth objective N(X(K)) and ``gradient`` ∂f/∂A
     over the entries s < t.  ``u`` diagonalizes iA = U diag(σ) Uᴴ,
     ``inv_den`` (pairs × q) holds the 1/den_k, ``inv_info`` is 𝒥⁻¹ and
-    ``xi`` holds the minimizer's ξ_ab = W^½x_ab.
+    ``xi`` holds the minimizer's ξ_ab = Rᵀx_ab.
     """
 
     value: float
@@ -376,10 +379,10 @@ class _Dual:
 
     Take the pairs a ≤ b that touch ρ's support, with x_ab = ((X_s)_ab)_s,
     g_ab = ((∂_jρ)_ba)_j and c_ab the number of ordered pairs (1 on the
-    diagonal, 2 off it).  With K = W^½AW^½ and ξ_ab = W^½x_ab, the objective
-    is Σ (c/2) ξ_abᴴ N_ab ξ_ab, N_ab = λ_a(I + iA) + λ_b(I − iA), and the
-    constraints are Σ c Re(g_ab,j ξ_ab,s) = ∂β̃_js with ∂β̃ = ∂βW^½: W enters
-    through ∂β̃ alone.  Diagonalizing iA = U diag(σ) Uᴴ once turns every
+    diagonal, 2 off it).  With K = RARᵀ and ξ_ab = Rᵀx_ab (q here is rank W),
+    the objective is Σ (c/2) ξ_abᴴ N_ab ξ_ab, N_ab = λ_a(I + iA) + λ_b(I − iA),
+    and the constraints are Σ c Re(g_ab,j ξ_ab,s) = ∂β̃_js with ∂β̃ = ∂βR: W
+    enters through ∂β̃ alone.  Diagonalizing iA = U diag(σ) Uᴴ once turns every
     N_ab⁻¹ into Σ_k u_k u_kᴴ/den_k with den_k = (1 + σ_k)λ_a + (1 − σ_k)λ_b,
     so the KKT system is the q·r × q·r matrix
 
@@ -398,7 +401,7 @@ class _Dual:
     """
 
     def __init__(self, analysis: ModelAnalysis):
-        q, span = analysis.model.n_targets, analysis.qfim_range
+        q, span = analysis.weight_factor.shape[1], analysis.qfim_range
         vals = np.where(analysis.support, analysis.eigvals, 0.0)
         a, b = self.pairs = _support_pairs(analysis.support)
         g = analysis.drho_eig[:, b, a].T @ span  # (pairs, r)
@@ -409,11 +412,10 @@ class _Dual:
         self.count = count
         self.g_conj2, self.g_count = 2.0 * g.conj(), (count * g).T
         self.gram_t = (self.g_count[:, None, :] * self.g_conj2.T).reshape(-1, g.shape[0])  # rows 2c·g gᴴ
-        # (2, 1, pairs): the weights (c/2)(λ_a + λ_b) and (c/2)(λ_a − λ_b) of W^½ Z W^½
+        # (2, 1, pairs): the weights (c/2)(λ_a + λ_b) and (c/2)(λ_a − λ_b) of RᵀZR
         self.halves = (0.5 * count.T * np.concatenate([self.lam_sum.T, self.lam_diff.T]))[:, None]
         self.i_diff = 1j * self.lam_diff
-        self.dbeta = (span.T @ np.asarray(analysis.model.dbeta, dtype=float) @ analysis.root_weight).ravel()
-        self.inv_root_w = analysis.inv_root_weight
+        self.dbeta = (span.T @ np.asarray(analysis.model.dbeta, dtype=float) @ analysis.weight_factor).ravel()
         index = np.arange(q)
         self.tri = s, t = np.nonzero(index[:, None] < index)  # the entries s < t of A, row-major
         entry = np.arange(s.size)
@@ -425,7 +427,7 @@ class _Dual:
         finite) or 𝒥 is singular."""
         q, r = self.q, self.r
         sigma, u = np.linalg.eigh((self.basis @ a_vec).reshape(q, q))
-        if not (sigma[-1] < 1.0 and sigma[0] > -1.0):
+        if not (np.abs(sigma) < 1.0).all():
             return None
         u_conj = u.conj()
         inv_den = 1.0 / (self.lam_sum + self.lam_diff * sigma)  # (pairs, q)
@@ -437,8 +439,8 @@ class _Dual:
             return None
         lam = inv_info @ self.dbeta
         xi = ((self.g_conj2 @ (lam.reshape(r, q) @ u_conj)) * inv_den) @ u.T
-        # W^½ Z W^½ = Σ (c/2)(λ_a ξξᴴ + λ_b ξ̄ξᵀ): real part with λ_a + λ_b, imaginary with λ_a − λ_b
-        z_w = (xi.T * self.halves).reshape(2 * q, -1) @ xi.conj()
+        # RᵀZR = Σ (c/2)(λ_a ξξᴴ + λ_b ξ̄ξᵀ): real part with λ_a + λ_b, imaginary with λ_a − λ_b
+        z_w = (xi.T * self.halves).reshape(2 * q, xi.shape[0]) @ xi.conj()
         re_z, im_z = z_w[:q].real, z_w[q:].imag
         im_z = (im_z - im_z.T) / 2
         value = float(lam @ self.dbeta)
@@ -466,13 +468,16 @@ class _Dual:
         return 2.0 * rhs @ pt.inv_info @ rhs.T - curvature
 
     def operators(self, pt: _Point, analysis: ModelAnalysis) -> np.ndarray:
-        """The minimizer X(K) as (q, d, d) operators in the original frame."""
+        """The minimizer X(K) = ξR⁺ + X_eff(I − RR⁺) as (q, d, d) operators in the original frame."""
         a, b = self.pairs
-        x = pt.xi @ self.inv_root_w  # (pairs, q)
-        x_eig = np.zeros((self.q,) + analysis.eigvecs.shape, dtype=complex)
+        factor = analysis.weight_factor
+        pinv = (factor / (factor * factor).sum(axis=0)).T  # R⁺: R's columns are orthogonal
+        x = pt.xi @ pinv  # (pairs, q)
+        x_eig = np.zeros((x.shape[1],) + analysis.eigvecs.shape, dtype=complex)
         x_eig[:, a, b] = x.T
         x_eig[:, b, a] = x.T.conj()
-        return analysis.eigvecs @ x_eig @ analysis.eigvecs.conj().T
+        rest = np.tensordot(np.eye(x.shape[1]) - factor @ pinv, analysis.x_eff, axes=(0, 0))
+        return analysis.eigvecs @ x_eig @ analysis.eigvecs.conj().T + rest
 
 
 def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
@@ -500,10 +505,10 @@ def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
     if pt is None:
         return None
     lower = pt.value
-    best = pt if pt.upper < closed.c_d else None  # None: X_eff, at N = c_d
+    best = pt if pt.upper < closed.c_d and a_vec.size else None  # None: X_eff, at N = c_d
     upper = closed.c_d if best is None else best.upper
     for iterations in range(max_iter + 1):
-        if upper - lower <= tol * upper:
+        if upper - lower <= tol * upper or not a_vec.size:  # rank W ≤ 1: no variable, c_h = c_d = c_gs
             break
         if iterations == max_iter:
             return None
@@ -521,7 +526,7 @@ def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
     return HolevoSolution(
         c_h=upper,
         x_opt=analysis.x_eff if best is None else dual.operators(best, analysis),
-        duality_gap=(upper - lower) / upper,
+        duality_gap=(upper - lower) / upper if upper else 0.0,  # W = 0: c_h = 0
         iterations=iterations,
         status=sdp.OPTIMAL,
         dual_objective=lower,
@@ -642,8 +647,8 @@ def verify_solution(analysis: ModelAnalysis, sol: HolevoSolution,
     model = analysis.model
 
     z = linalg.z_matrix(sol.x_opt, model.rho)
-    root_w = analysis.root_weight
-    nonsmooth = float(np.trace(model.weight @ z.real)) + linalg.trace_norm(root_w @ z.imag @ root_w)
+    factor = analysis.weight_factor
+    nonsmooth = float(np.trace(model.weight @ z.real)) + linalg.trace_norm(factor.T @ z.imag @ factor)
     deviation = abs(nonsmooth - sol.c_h)
     if deviation > OBJECTIVE_TOL * max(1.0, abs(sol.c_h)):
         raise VerificationFailed(

@@ -3,9 +3,9 @@
 :func:`analyze` computes, once per model and in one frame, rho's
 eigenbasis, everything the three bounds read: the support/kernel split,
 drho, the symmetric logarithmic derivatives, J = Re Z(L) and D = Im Z(L),
-the one eigendecomposition of J (its rank, range and pseudoinverse), √W
-and W^-½, the efficient influence operators (dbeta)ᵀ J⁺ L, which alone
-are rotated to the original frame, and how far the SLD span is from
+the one eigendecomposition of J (its rank, range and pseudoinverse), the
+weight factor R with W = RRᵀ, the efficient influence operators (dbeta)ᵀ J⁺ L,
+which alone are rotated to the original frame, and how far the SLD span is from
 being closed under the commutation superoperator 𝒟_ρ (which decides
 whether c_h = c_d).  The eigendecompositions of rho and W are the model's
 ``rho_eig`` and ``weight_eig``, which :func:`qcrb.model.validate` has
@@ -13,7 +13,7 @@ already taken when the model came from a file.  Every rank decision —
 rho's support, the SLD kernel block, the rank of J and the feasibility
 verdict — is taken with the one relative ``rank_tol`` it is given; J's
 roundoff test takes the fixed :data:`QFIM_ROUNDOFF_TOL`, and W's one
-decision, read by √W and W^-½ alike, the roundoff cut q·eps·λ_max.
+decision, the columns of R, the roundoff cut q·eps·λ_max.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ class ModelAnalysis:
     symmetric and ``dmat`` = D antisymmetric to the bit.  ``qfim_range``
     holds the eigenvectors of J that ``qfim_pinv`` keeps, one column per
     unit of J's rank, and ``qfim_truncated`` says that this cut dropped an
-    eigenvalue above :data:`QFIM_ROUNDOFF_TOL`.  ``root_weight`` = √W, its
-    roundoff eigenvalues (≤ q·eps·λ_max) taken as 0, and ``inv_root_weight``
-    = W^-½ when √W drops none (W ≻ 0), else None.  ``x_eff`` (q, d, d) are
-    the efficient influence operators in the original frame and
-    ``d_invariance_residual`` is :func:`d_invariance_residual` of the SLDs.
+    eigenvalue above :data:`QFIM_ROUNDOFF_TOL`.  ``weight_factor`` is
+    R = U₊ diag(√w₊) (q × rank W) over W's eigenvalues above roundoff
+    (> q·eps·λ_max): W = RRᵀ up to roundoff, and R's columns are orthogonal.
+    ``x_eff`` (q, d, d) are the efficient influence operators in the original
+    frame and ``d_invariance_residual`` is :func:`d_invariance_residual` of the SLDs.
     Only estimable models have an analysis (:func:`analyze` raises
     otherwise), so no consumer checks feasibility again.
     """
@@ -74,8 +74,7 @@ class ModelAnalysis:
     qfim_range: np.ndarray
     qfim_truncated: bool
     qfim_pinv: np.ndarray
-    root_weight: np.ndarray
-    inv_root_weight: np.ndarray | None
+    weight_factor: np.ndarray
     x_eff: np.ndarray
     d_invariance_residual: float
 
@@ -209,10 +208,9 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
     qfim_pinv = linalg.pseudoinverse(qfim, rank_tol, eig=j_eig)
     check_estimable(qfim, qfim_pinv, model.dbeta)
     w_vals, w_vecs = model.weight_eig
-    # √W drops only roundoff eigenvalues (numpy's matrix_rank cut), and W ≻ 0
-    # when it drops none; a larger cut would drop terms of order √w from c_d
-    roundoff = w_vals <= w_vals.size * np.finfo(float).eps * w_vals.max()
-    root_weight = (w_vecs * np.sqrt(np.where(roundoff, 0.0, w_vals))) @ w_vecs.T
+    # R drops only roundoff eigenvalues (numpy's matrix_rank cut); a larger
+    # cut would drop terms of order √w from c_d
+    kept = w_vals > w_vals.size * np.finfo(float).eps * w_vals.max()
     return ModelAnalysis(
         model=model,
         eigvals=eigvals,
@@ -224,8 +222,7 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
         qfim_range=j_vecs[:, j_range],
         qfim_truncated=bool((np.abs(j_vals[~j_range]) > QFIM_ROUNDOFF_TOL * j_scale).any()),
         qfim_pinv=qfim_pinv,
-        root_weight=(root_weight + root_weight.T) / 2,
-        inv_root_weight=None if roundoff.any() else (w_vecs / np.sqrt(w_vals)) @ w_vecs.T,
+        weight_factor=w_vecs[:, kept] * np.sqrt(w_vals[kept]),
         x_eff=eigvecs @ np.tensordot((qfim_pinv @ model.dbeta).T, slds_eig, axes=(1, 0)) @ eigvecs.conj().T,
         d_invariance_residual=d_invariance_residual(slds_eig, eigvals, support),
     )

@@ -10,11 +10,13 @@ that the package itself never evaluates, live here too.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from qcrb import linalg
 from qcrb.gaussian import GaussianMeasurement, GaussianShiftModel
-from qcrb.model import QuantumModel
+from qcrb.model import QuantumModel, fixture
 from qcrb.povm import DiscretePovm, born_probs
 from qcrb.sld import analyze, infeasible_columns
 
@@ -104,6 +106,32 @@ def rotated_weight(small: float, angle: float) -> np.ndarray:
     """W = R diag(1, ``small``) Rᵀ, R the plane rotation by ``angle``."""
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     return rot @ np.diag([1.0, small]) @ rot.T
+
+
+def truncated_j_model(weight: np.ndarray) -> QuantumModel:
+    """``random_full_rank`` 3,3,3,2 with J's eigenvalues 8.8e-6 : 0.16 : 1,
+    dbeta on the top two eigenvectors of J and the given 2×2 ``weight``.
+    Analysed at ``rank_tol`` 1e-3, J's cut drops an eigenvalue above
+    roundoff (``qfim_truncated``), so the model takes the SDP."""
+    model = fixture("random_full_rank", [3, 3, 3, 2])
+    drho = np.array(model.drho)
+    drho[2] = 0.7 * drho[0] - 0.4 * drho[1] + 1e-2 * drho[2]
+    _, vecs = np.linalg.eigh(analyze(dataclasses.replace(model, drho=drho)).qfim)
+    return dataclasses.replace(model, drho=drho, dbeta=vecs[:, 1:], weight=weight)
+
+
+def singular_weight_models():
+    """40 pairs (full, reduced, rank): a random d = 3, p = q = 3 model with
+    W = U₊ diag(w₊) U₊ᵀ of rank 1 or 2 in a random frame, and the same
+    model reduced to range(W), (dbeta U₊, diag(w₊))."""
+    rng = np.random.default_rng(17)
+    for i in range(40):
+        model = random_model(rng, d=3, p=3, q=3)
+        rank = 1 + i % 2
+        rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        w_plus = rng.uniform(0.5, 2.0, size=rank)
+        yield (dataclasses.replace(model, weight=(rot[:, :rank] * w_plus) @ rot[:, :rank].T),
+               dataclasses.replace(model, dbeta=model.dbeta @ rot[:, :rank], weight=np.diag(w_plus)), rank)
 
 
 def random_model(

@@ -11,7 +11,8 @@ from qcrb.exceptions import InfeasibleModel, VerificationFailed
 from qcrb.model import QuantumModel, fixture
 from qcrb.sld import analyze, compute_slds, information
 from _support import (holevo_objective, jordan_product, psd_sqrt, random_model, random_weight, rotated_weight,
-                      sld_oracle, v_matrix, zero_mean_hermitian)
+                      singular_weight_models, sld_oracle, truncated_j_model, v_matrix,
+                      zero_mean_hermitian)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -105,18 +106,12 @@ class TestSingularWeight:
     def test_c_d_matches_the_reduced_model(self):
         """W = U diag(w₊, 0) Uᵀ in a rotated frame.  The bounds depend on X
         only through the targets in range(W), so c_d equals that of the
-        model reduced to them, (dbeta U₊, diag(w₊)).  √W reads W's one rank
-        decision, so the roundoff eigenvalues of the rotated W do not
-        enter it."""
-        rng = np.random.default_rng(17)
-        for i in range(40):
-            m = random_model(rng, d=3, p=3, q=3)
-            rank = 1 + i % 2
-            rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            w_plus = rng.uniform(0.5, 2.0, size=rank)
-            full = analyze(dataclasses.replace(m, weight=(rot[:, :rank] * w_plus) @ rot[:, :rank].T))
-            reduced = analyze(dataclasses.replace(m, dbeta=m.dbeta @ rot[:, :rank], weight=np.diag(w_plus)))
-            assert full.inv_root_weight is None and reduced.inv_root_weight is not None
+        model reduced to them, (dbeta U₊, diag(w₊)).  The weight factor R
+        reads W's one rank decision, so the roundoff eigenvalues of the
+        rotated W do not enter it."""
+        for full, reduced, rank in singular_weight_models():
+            full, reduced = analyze(full), analyze(reduced)
+            assert full.weight_factor.shape[1] == rank and reduced.weight_factor.shape[1] == rank
             assert c_d(full) == pytest.approx(c_d(reduced), rel=1e-13)
 
     @staticmethod
@@ -129,28 +124,28 @@ class TestSingularWeight:
     @pytest.mark.parametrize("angle", [0.0, 0.7])
     def test_small_eigenvalue_stays_in_root_weight(self, ratio, angle):
         """An eigenvalue w₂ of W above roundoff (q·eps·λ_max = 4.4e-16 here)
-        stays in √W, or c_d would lose its cross term 2√(w₁w₂)|Im Z₁₂|
-        (1.4e-6 relative here), and W^-½ exists: √W's cut is the one
-        decision that W is positive definite.  Only a W whose small
-        eigenvalue is at or below that cut has no W^-½."""
+        keeps its column √w₂u₂ in the weight factor R, or c_d would lose its
+        cross term 2√(w₁w₂)|Im Z₁₂| (1.4e-6 relative here).  Only an
+        eigenvalue at or below that cut is dropped from R."""
         analysis = self.near_singular(ratio, angle)
-        assert analysis.inv_root_weight is not None
+        assert analysis.weight_factor.shape == (2, 2)
         exact = holevo_objective(analysis.model, analysis.x_eff)  # with the exact √W
         assert c_d(analysis) == pytest.approx(exact, rel=1e-9)
-        assert self.near_singular(1e-16, angle).inv_root_weight is None
+        assert self.near_singular(1e-16, angle).weight_factor.shape == (2, 1)
 
     @pytest.mark.parametrize("ratio", [5e-13, 1e-12])
     def test_small_eigenvalue_verifies(self, ratio):
-        """A W ≻ 0 down to roundoff takes the D-invariant short cut, whose
-        c_h = c_d matches the nonsmooth objective that :func:`verify_solution`
-        forms with √W.  The SDP, which reads all of W, still verifies on a
-        W with an exact zero eigenvalue."""
-        analysis = self.near_singular(ratio, 0.0)
-        closed = sandwich(analysis)
-        sol = holevo.solve(analysis, closed)
-        assert sol.method == holevo.D_INVARIANT and sol.c_h == closed.c_d
-        holevo.verify_solution(analysis, sol, closed)
-        singular = self.near_singular(0.0, 0.0)
+        """A W ≻ 0 down to roundoff, and a W with an exact zero eigenvalue,
+        take the D-invariant short cut, whose c_h = c_d matches the nonsmooth
+        objective that :func:`verify_solution` forms with R.  The SDP, which
+        reads all of W, still verifies on a W with an exact zero eigenvalue
+        (a truncated J sends the model there)."""
+        for analysis in (self.near_singular(ratio, 0.0), self.near_singular(0.0, 0.0)):
+            closed = sandwich(analysis)
+            sol = holevo.solve(analysis, closed)
+            assert sol.method == holevo.D_INVARIANT and sol.c_h == closed.c_d
+            holevo.verify_solution(analysis, sol, closed)
+        singular = analyze(truncated_j_model(np.diag([1.0, 0.0])), rank_tol=1e-3)
         closed = sandwich(singular)
         sol = holevo.solve(singular, closed)
         assert sol.method == holevo.SDP

@@ -20,7 +20,7 @@ from qcrb.exceptions import InfeasibleModel, NotLocallyUnbiased, ResidualTooLarg
 from qcrb.gaussian import GaussianShiftModel, gaussian_model_to_dict, save_gaussian_model
 from qcrb.model import QuantumModel, fixture, model_to_dict, save_model, write_json
 from qcrb.povm import DiscretePovm, save_povm
-from _support import locally_unbiased_povm, random_model, rotated_weight
+from _support import locally_unbiased_povm, random_model, rotated_weight, singular_weight_models
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -345,27 +345,43 @@ class TestBounds:
         assert on_rho.count(True) == 1
 
 
+def bounds_report(model, tmp_path, capsys, *extra):
+    """The JSON report of ``qcrb bounds`` on ``model``, which must exit 0."""
+    path = tmp_path / "w.json"
+    save_model(model, path)
+    code = main(["bounds", str(path), "--format", "json", *extra])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return json.loads(captured.out)
+
+
 class TestNearSingularWeight:
-    """W's small eigenvalue ε lies above √W's roundoff cut q·eps·λ_max
-    (4.4e-16 here), so W is positive definite and takes the D-invariant
-    short cut or the dual, never the SDP, which does not survive it."""
+    """W's small eigenvalue ε lies above the weight factor's roundoff cut
+    q·eps·λ_max (4.4e-16 here), so W is positive definite and takes the
+    D-invariant short cut or the dual, never the SDP, which does not
+    survive it."""
 
     MODELS = [random_model(np.random.default_rng(s), 3, 2, 2) for s in range(1, 21)]
     ANGLES = np.random.default_rng(0).uniform(0, np.pi, size=60)  # ε-major
 
     @staticmethod
-    def report(model, eps, angle, tmp_path, capsys):
-        path = tmp_path / "w.json"
-        save_model(dataclasses.replace(model, weight=rotated_weight(eps, angle)), path)
-        code = main(["bounds", str(path), "--format", "json"])
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        return json.loads(captured.out)
+    def report(model, eps, angle, tmp_path, capsys, *extra):
+        return bounds_report(dataclasses.replace(model, weight=rotated_weight(eps, angle)), tmp_path, capsys, *extra)
 
     @pytest.mark.parametrize("k, eps", enumerate([5e-13, 1e-14, 1e-15]))
     def test_random_models_verify(self, k, eps, tmp_path, capsys):
         for model, angle in zip(self.MODELS, self.ANGLES[20 * k:]):
             assert self.report(model, eps, angle, tmp_path, capsys)["verified"] is True
+
+    @pytest.mark.parametrize("tol", ["1e-10", "1e-11", "1e-12"])
+    def test_random_models_verify_at_a_tight_tol(self, tol, tmp_path, capsys):
+        """The dual solves in W's eigenframe, where each column of ξ carries
+        roundoff on its own scale √w, so its minimizer ξR⁺ stays unbiased at
+        a tight ``--tol``; ξW^-½ in the original frame magnified the roundoff
+        by up to 1/√ε (seed 2 at ε = 1e-15 and angle 41)."""
+        for k, eps in enumerate([5e-13, 1e-14, 1e-15]):
+            for model, angle in zip(self.MODELS, self.ANGLES[20 * k:]):
+                assert self.report(model, eps, angle, tmp_path, capsys, "--tol", tol)["verified"] is True
 
     @pytest.mark.parametrize("eps", [1e-12, 5e-13, 1e-14, 1e-15])
     @pytest.mark.parametrize("angle", [0.0, 0.7])
@@ -380,6 +396,30 @@ class TestNearSingularWeight:
             above, below = (self.report(model, eps, angle, tmp_path, capsys)["c_h"]
                             for eps in (1.001e-12, 0.999e-12))
             assert below == pytest.approx(above, rel=1e-9)
+
+
+class TestSingularWeight:
+    """A singular W is solved on range(W) through its factor R: the short cut
+    and the dual serve it, not the SDP."""
+
+    def test_rank_deficient_weights_match_the_reduced_model(self, tmp_path, capsys):
+        for full, reduced, _ in singular_weight_models():
+            report = bounds_report(full, tmp_path, capsys)
+            assert report["verified"] is True and report["c_h_method"] == "dual"
+            exact = bounds_report(reduced, tmp_path, capsys, "--tol", "1e-12")["c_h"]
+            assert report["c_h"] == pytest.approx(exact, rel=1e-8)
+
+    def test_eigenvalue_at_the_cut_takes_the_short_cut(self, tmp_path, capsys):
+        """The rotated eigenvalue 5e-16 lands on the cut q·eps = 4.4e-16."""
+        model = dataclasses.replace(fixture("qubit_xy_at_z", [0.5]), weight=rotated_weight(5e-16, 0.7))
+        report = bounds_report(model, tmp_path, capsys)
+        assert report["c_h_method"] == "d_invariant" and report["c_h"] == report["c_d"]
+
+    def test_zero_weight(self, tmp_path, capsys):
+        """W = 0 leaves the dual no target (q′ = 0): c_h = 0."""
+        model = dataclasses.replace(fixture("random_full_rank", [3, 3, 3, 2]), weight=np.zeros((2, 2)))
+        report = bounds_report(model, tmp_path, capsys)
+        assert report["verified"] is True and report["c_h"] == 0.0
 
 
 class TestGaussian:

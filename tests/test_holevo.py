@@ -15,7 +15,7 @@ from qcrb.model import QuantumModel, fixture, model_from_dict, validate
 from qcrb.povm import unbiasedness_residual
 from qcrb.sld import analyze
 from _support import (DenseOperator, direct_holevo_oracle, epigraph_matrices, holevo_objective,
-                      random_hermitian, random_model, random_weight)
+                      random_hermitian, random_model, random_weight, rotated_weight, truncated_j_model)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -296,8 +296,13 @@ class TestDInvariantShortCut:
         assert solve(analysis, sandwich(analysis)).method == holevo.D_INVARIANT
 
     def test_singular_weight_takes_the_sdp(self):
+        """A D-invariant model takes the short cut whatever its W; a singular
+        W reaches the SDP with a truncated J."""
         model = dataclasses.replace(fixture("qubit_xy_at_z", [0.5]), weight=np.diag([1.0, 0.0]))
         analysis = analyze(model)
+        sol = solve(analysis, sandwich(analysis))
+        assert sol.method == holevo.D_INVARIANT and sol.status == "Optimal"
+        analysis = analyze(truncated_j_model(rotated_weight(0.0, 0.7)), rank_tol=1e-3)
         sol = solve(analysis, sandwich(analysis))
         assert sol.method == holevo.SDP and sol.status == "Optimal"
 
@@ -404,7 +409,7 @@ class TestDual:
         assert closed.c_gs <= sol.dual_objective and sol.c_h <= closed.c_d
 
     def test_pure_state_falls_back_to_the_sdp(self):
-        """A pure state's maximizer lies on ‖W^-½KW^-½‖ = 1: the first Newton
+        """A pure state's maximizer lies on ‖A‖ = 1, K = RARᵀ: the first Newton
         step leaves the open set and the SDP's own result is returned."""
         model = random_model(np.random.default_rng(33), 3, 3, 3, rank=1)
         analysis = analyze(model)
@@ -431,6 +436,20 @@ class TestDual:
         crossed = dataclasses.replace(sol, dual_objective=sol.c_h * (1 + 1e-6))
         with pytest.raises(VerificationFailed, match="dual bracket crossed"):
             verify_solution(analysis, crossed, closed)
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_at_most_one_weighted_target(self, rank):
+        """With q′ = rank W ≤ 1 the dual has no variable: c_h = c_d = f(0) = c_gs
+        at X_eff in no step, even at tol 0; c_d keeps the ordering exact."""
+        weight = rank * rotated_weight(0.0, 0.7)
+        analysis = analyze(dataclasses.replace(fixture("random_full_rank", [3, 3, 3, 2]), weight=weight))
+        assert analysis.weight_factor.shape == (2, rank)
+        closed = sandwich(analysis)
+        for tol in (1e-8, 0.0):
+            sol = solve(analysis, closed, tol=tol)
+            assert (sol.method, sol.iterations, sol.c_h) == (holevo.DUAL, 0, closed.c_d)
+            assert sol.c_h == pytest.approx(closed.c_gs, rel=1e-12) and sol.x_opt is analysis.x_eff
+            verify_solution(analysis, sol, closed)
 
 
 class TestDualCertificate:
