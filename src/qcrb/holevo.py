@@ -38,7 +38,10 @@ W^-½ (|K| − iK) W^-½ with K = W^½ Im Z W^½, which is ⪰ 0 because iK is
 Hermitian and |iK| = |K|.  A singular W = RRᵀ reduces to that case: every
 bound reads X only through X̃ = XR, unbiased for ∂βR, so the bounds of
 (∂β, W) are those of (∂βU₊, diag(w₊)), a model with the same SLDs, and
-X̃ lifts back to the unbiased X = X̃R⁺ + X_eff(I − RR⁺).  :func:`solve`
+X̃ lifts back to the unbiased X = X̃R⁺ + X_eff(I − RR⁺).  A J whose small
+eigenvalues ``rank_tol`` drops reduces to it too: every route solves
+(JJ⁺∂β, W) with all of its constraints, and J⁻¹JJ⁺∂β = J⁺∂β, so X_eff is
+that model's efficient operator.  :func:`solve`
 returns c_d at X_eff, with no iteration, whenever the analysis's
 ``d_invariance_residual`` is at most :data:`D_INVARIANCE_TOL`.  The short
 cut's ``dual_objective`` is c_d, the lower bound the theorem gives.
@@ -60,7 +63,7 @@ point is one evaluation of :class:`_Dual` on constants computed once per
 model, and the Hessian reuses that point's 𝒥⁻¹ and minimizer.  The
 certificate is the minimizer at the upper end; :func:`verify_solution`
 recomputes Z(x_opt) from the model, so the check does not rest on the
-solver's own Z.
+solver's own Z.  Only q = 1 and dual hand-backs reach the SDP.
 """
 
 from __future__ import annotations
@@ -139,11 +142,12 @@ class EpigraphOperator:
 
     w being the halving weight, so the Schur complement costs
     O(N²m + N m² + n²) and no N×N matrix is formed per variable.  Only the
-    q(q+1)/2 V rows are gathered entry by entry.  On the x–x block, which is
-    (q·m)², w = 1 and the formula splits into two real rank-2 products, an
-    outer product of the entries of P_C = P[q:] and the Kronecker product
-    of G_qqᵀ and Q_CC = Q[q:, q:], which are summed by one (q, m, q, m)
-    broadcast.
+    q(q+1)/2 V rows are gathered entry by entry, from rows and columns of
+    ĈᴴGĈ when :meth:`schur` runs, so the operator keeps no n_v × n table.
+    On the x–x block, which is (q·m)², w = 1 and the formula splits into two
+    real rank-2 products, an outer product of the entries of P_C = P[q:] and
+    the Kronecker product of G_qqᵀ and Q_CC = Q[q:, q:], which are summed by
+    one (q, m, q, m) broadcast.
 
     A slack of this LMI is X = [[V′, Mᴴ], [M, I]]: F0's lower-right block
     is I and no F_i touches it.  :meth:`factor` and
@@ -165,14 +169,6 @@ class EpigraphOperator:
         self.w = np.where(self.k == self.t, 0.5, 1.0)
         self.n = self.t.size
         self.n_v = a.size
-        # flat indices into Ĉᴴ G Ĉ ((q + m)², row-major) of the four factors
-        # P[k_i, t_j], P[k_j, t_i], Q[k_i, k_j], G[t_j, t_i] of each V-row entry
-        size = q + m
-        row_k, col_k = self.k[:self.n_v, None], self.k[None, :]
-        row_t, col_t = self.t[:self.n_v, None], self.t[None, :]
-        self.v_factors = (row_k * size + col_t, col_k * size + row_t,
-                          row_k * size + col_k, col_t * size + row_t)
-        self.v_weight = 2.0 * self.w[:self.n_v, None] * self.w[None, :]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Σ_i u_i F_i."""
@@ -205,17 +201,17 @@ class EpigraphOperator:
 
     def schur(self, g: np.ndarray) -> np.ndarray:
         """[Re tr(G F_i G F_j)]_ij for Hermitian G."""
-        q, m, n_v = self.q, self.cols.shape[1], self.n_v
+        q, m, n_v, t, k = self.q, self.cols.shape[1], self.n_v, self.t, self.k
         g_c = np.hstack([g[:, :q], g[:, q:] @ self.cols])  # G Ĉ
         q_hat = np.vstack([g_c[:q], self.cols.conj().T @ g_c[q:]])  # Ĉᴴ G Ĉ: P is its first q columns
         out = np.empty((self.n, self.n))
 
-        # V rows by the entry formula, mirrored into the V columns
-        flat = q_hat.ravel()
-        p_kt, p_tk, q_kk, g_tt = (flat[index] for index in self.v_factors)
-        v_rows = (p_kt * p_tk + q_kk * g_tt).real * self.v_weight
+        # V rows by the entry formula, from the rows k_i and columns t_i of Q
+        rows, cols = q_hat.take(k[:n_v], 0), q_hat.take(t[:n_v], 1)
+        v_rows = (rows.take(t, 1) * cols.take(k, 0).T + rows.take(k, 1) * cols.take(t, 0).T).real
+        v_rows *= 2.0 * self.w[:n_v, None] * self.w
         out[:n_v] = v_rows
-        out[n_v:, :n_v] = v_rows[:, n_v:].T
+        out[n_v:, :n_v] = v_rows[:, n_v:].T  # mirrored into the V columns
 
         # x–x block at ((s, l), (s′, l′)):
         #     2 Re(P_C[l, s′] P_C[l′, s] + Q_CC[l, l′] G_qq[s′, s]).
@@ -324,22 +320,21 @@ def solve(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float = 1e-8,
           max_iter: int = 200) -> HolevoSolution:
     """The Holevo bound of ``analysis``, whose closed-form bounds are ``closed``.
 
-    For any W, singular included, a D-invariant model gets c_h = c_d at
-    X_eff, and any other model with q ≥ 2 is solved by :func:`_solve_dual`
-    (the module docstring gives both theorems and the reduction to
-    range(W)).  Everything else (q = 1, a ``qfim_truncated`` J, whose
-    dropped eigenvectors the dual leaves unconstrained), and every model
-    the dual hands back (often pure states and qubits, whose maximizer
-    lies on ‖A‖ = 1), goes to :func:`_solve_sdp`, which keeps every drho_j.
-    ``tol`` and ``max_iter`` go to whichever solver runs.
+    For any W, singular included, and any J, one truncated by ``rank_tol``
+    included, a D-invariant model gets c_h = c_d at X_eff, and any other
+    model with q ≥ 2 is solved by :func:`_solve_dual` (the module docstring
+    gives both theorems and the reductions to range(W) and to JJ⁺dbeta).
+    Only q = 1 and the models the dual hands back (often pure states and
+    qubits, whose maximizer lies on ‖A‖ = 1) go to :func:`_solve_sdp`.
+    Every route keeps every unbiasedness constraint.  ``tol`` and
+    ``max_iter`` go to whichever solver runs.
     """
-    if not analysis.qfim_truncated:  # J cut at roundoff
-        if analysis.d_invariance_residual <= D_INVARIANCE_TOL:
-            return _d_invariant_solution(analysis, closed)
-        if analysis.model.n_targets >= 2:
-            sol = _solve_dual(analysis, closed, tol, max_iter)
-            if sol is not None:
-                return sol
+    if analysis.d_invariance_residual <= D_INVARIANCE_TOL:
+        return _d_invariant_solution(analysis, closed)
+    if analysis.model.n_targets >= 2:
+        sol = _solve_dual(analysis, closed, tol, max_iter)
+        if sol is not None:
+            return sol
     return _solve_sdp(analysis, tol, max_iter)
 
 
@@ -391,9 +386,10 @@ class _Dual:
     f = vec(∂β̃)ᵀ 𝒥⁻¹ vec(∂β̃), and ξ_ab = 2 Σ_k u_k u_kᴴ Λᵀḡ_ab / den_k with
     Λ = 𝒥⁻¹ vec(∂β̃).  At A = 0, 𝒥 = J ⊗ I and f = c_gs.  The constraint
     tr ρX = 0 is left out: tr ∂_jρ = 0 makes the minimizer satisfy it.  The
-    parameters are rotated onto the r-dimensional range of J (the analysis's
-    rank decision), where 𝒥 is positive definite for ‖A‖ < 1; a direction
-    v with Jv = 0 has v·g_ab = 0 on every pair, so it constrains nothing.
+    parameters are rotated onto J's r-dimensional range above roundoff
+    (``qfim_range``), where 𝒥 is positive definite for ‖A‖ < 1 (Jv = 0 makes
+    v·g_ab = 0 on every pair), and ∂β is read there as JJ⁺∂β (``dbeta_range``):
+    0 along the eigenvectors that ``rank_tol`` drops, which 𝒥⁻¹ would magnify.
 
     Everything that does not depend on A is computed here, once per model,
     so that :meth:`point` and :meth:`hessian` are a few products each on
@@ -415,7 +411,7 @@ class _Dual:
         # (2, 1, pairs): the weights (c/2)(λ_a + λ_b) and (c/2)(λ_a − λ_b) of RᵀZR
         self.halves = (0.5 * count.T * np.concatenate([self.lam_sum.T, self.lam_diff.T]))[:, None]
         self.i_diff = 1j * self.lam_diff
-        self.dbeta = (span.T @ np.asarray(analysis.model.dbeta, dtype=float) @ analysis.weight_factor).ravel()
+        self.dbeta = (analysis.dbeta_range @ analysis.weight_factor).ravel()
         index = np.arange(q)
         self.tri = s, t = np.nonzero(index[:, None] < index)  # the entries s < t of A, row-major
         entry = np.arange(s.size)

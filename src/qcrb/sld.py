@@ -12,8 +12,8 @@ whether c_h = c_d).  The eigendecompositions of rho and W are the model's
 already taken when the model came from a file.  Every rank decision —
 rho's support, the SLD kernel block, the rank of J and the feasibility
 verdict — is taken with the one relative ``rank_tol`` it is given; J's
-roundoff test takes the fixed :data:`QFIM_ROUNDOFF_TOL`, and W's one
-decision, the columns of R, the roundoff cut q·eps·λ_max.
+range that the Holevo routes keep is cut at :data:`QFIM_ROUNDOFF_TOL`, and
+W's one decision, the columns of R, at the roundoff cut q·eps·λ_max.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ class ModelAnalysis:
     SLD residual is stored: rho is the model's, and :func:`compute_slds`
     forms the SLDs and residuals from ``drho_eig``.  ``qfim`` = J is
     symmetric and ``dmat`` = D antisymmetric to the bit.  ``qfim_range``
-    holds the eigenvectors of J that ``qfim_pinv`` keeps, one column per
-    unit of J's rank, and ``qfim_truncated`` says that this cut dropped an
-    eigenvalue above :data:`QFIM_ROUNDOFF_TOL`.  ``weight_factor`` is
-    R = U₊ diag(√w₊) (q × rank W) over W's eigenvalues above roundoff
-    (> q·eps·λ_max): W = RRᵀ up to roundoff, and R's columns are orthogonal.
+    holds J's eigenvectors above roundoff, every real direction of drho, and
+    ``dbeta_range`` the coordinates of JJ⁺dbeta there: ``rank_tol`` drops no
+    unbiasedness constraint, and only q = 1 and dual hand-backs reach the SDP.
+    ``weight_factor`` is R = U₊ diag(√w₊) (q × rank W) over W's eigenvalues
+    above roundoff (> q·eps·λ_max): W = RRᵀ up to roundoff, R's columns orthogonal.
     ``x_eff`` (q, d, d) are the efficient influence operators in the original
     frame and ``d_invariance_residual`` is :func:`d_invariance_residual` of the SLDs.
     Only estimable models have an analysis (:func:`analyze` raises
@@ -72,7 +72,7 @@ class ModelAnalysis:
     qfim: np.ndarray
     dmat: np.ndarray
     qfim_range: np.ndarray
-    qfim_truncated: bool
+    dbeta_range: np.ndarray
     qfim_pinv: np.ndarray
     weight_factor: np.ndarray
     x_eff: np.ndarray
@@ -204,7 +204,7 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
     qfim, dmat = information(slds_eig, eigvals)
     j_vals, j_vecs = j_eig = linalg.symmetric_eigh(qfim, "J")
     j_scale = max(np.abs(j_vals).max(), 1e-300)
-    j_range = np.abs(j_vals) > rank_tol * j_scale  # the pseudoinverse's cut
+    j_range = np.abs(j_vals) > min(rank_tol, QFIM_ROUNDOFF_TOL) * j_scale  # above roundoff
     qfim_pinv = linalg.pseudoinverse(qfim, rank_tol, eig=j_eig)
     check_estimable(qfim, qfim_pinv, model.dbeta)
     w_vals, w_vecs = model.weight_eig
@@ -220,7 +220,8 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
         qfim=qfim,
         dmat=dmat,
         qfim_range=j_vecs[:, j_range],
-        qfim_truncated=bool((np.abs(j_vals[~j_range]) > QFIM_ROUNDOFF_TOL * j_scale).any()),
+        dbeta_range=np.where(np.abs(j_vals[j_range, None]) > rank_tol * j_scale,  # 0 where J⁺ drops
+                             j_vecs[:, j_range].T @ model.dbeta, 0.0),
         qfim_pinv=qfim_pinv,
         weight_factor=w_vecs[:, kept] * np.sqrt(w_vals[kept]),
         x_eff=eigvecs @ np.tensordot((qfim_pinv @ model.dbeta).T, slds_eig, axes=(1, 0)) @ eigvecs.conj().T,

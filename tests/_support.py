@@ -108,16 +108,39 @@ def rotated_weight(small: float, angle: float) -> np.ndarray:
     return rot @ np.diag([1.0, small]) @ rot.T
 
 
-def truncated_j_model(weight: np.ndarray) -> QuantumModel:
-    """``random_full_rank`` 3,3,3,2 with J's eigenvalues 8.8e-6 : 0.16 : 1,
-    dbeta on the top two eigenvectors of J and the given 2×2 ``weight``.
-    Analysed at ``rank_tol`` 1e-3, J's cut drops an eigenvalue above
-    roundoff (``qfim_truncated``), so the model takes the SDP."""
+def truncated_j_model(weight: np.ndarray, small: float = 1e-2) -> QuantumModel:
+    """``random_full_rank`` 3,3,3,2 with drho[2] = 0.7 drho[0] − 0.4 drho[1]
+    + ``small``·drho[2], which puts J's eigenvalues at 8.8e-6 : 0.16 : 1 (at
+    ``small`` = 1e-2), dbeta on the top two eigenvectors of J and the given
+    2×2 ``weight``.  Analysed at ``rank_tol`` 1e-3, J's cut drops an
+    eigenvalue above roundoff.  That drops no unbiasedness constraint: every
+    route keeps J's range above roundoff, and the model stays on the short
+    cut or the dual (only q = 1 and dual hand-backs reach the SDP)."""
     model = fixture("random_full_rank", [3, 3, 3, 2])
     drho = np.array(model.drho)
-    drho[2] = 0.7 * drho[0] - 0.4 * drho[1] + 1e-2 * drho[2]
-    _, vecs = np.linalg.eigh(analyze(dataclasses.replace(model, drho=drho)).qfim)
+    drho[2] = 0.7 * drho[0] - 0.4 * drho[1] + small * drho[2]
+    _, vecs = np.linalg.eigh(analyze(dataclasses.replace(model, drho=drho, dbeta=np.zeros((3, 1)))).qfim)
     return dataclasses.replace(model, drho=drho, dbeta=vecs[:, 1:], weight=weight)
+
+
+def random_truncated_j_models(count: int):
+    """``count`` pairs (model, rank_tol), drawn in turn from one
+    ``default_rng(5)``: ``random_model`` d = p = q = 3 with drho[2] replaced by
+    0.7 drho[0] − 0.4 drho[1] + 10^U(−4, −2)·drho[2], dbeta on J's top two
+    eigenvectors and W the top-left 2×2 block of the drawn one.  ``rank_tol``
+    is the geometric mean of J's smallest eigenvalue ratio and the smaller of
+    J's next one and rho's smallest, so it drops J's smallest eigenvalue,
+    which lies above roundoff, and nothing else."""
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        model = random_model(rng, 3, 3, 3)
+        drho = np.array(model.drho)
+        drho[2] = 0.7 * drho[0] - 0.4 * drho[1] + 10 ** rng.uniform(-4, -2) * drho[2]
+        model = dataclasses.replace(model, drho=drho, dbeta=np.zeros((3, 1)))
+        vals, vecs = np.linalg.eigh(analyze(model).qfim)
+        upper = min(vals[1] / vals[2], model.rho_eig[0][0] / model.rho_eig[0][-1])
+        yield (dataclasses.replace(model, dbeta=vecs[:, 1:], weight=model.weight[:2, :2]),
+               float(np.sqrt(vals[0] / vals[2] * upper)))
 
 
 def singular_weight_models():

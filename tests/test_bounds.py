@@ -11,8 +11,7 @@ from qcrb.exceptions import InfeasibleModel, VerificationFailed
 from qcrb.model import QuantumModel, fixture
 from qcrb.sld import analyze, compute_slds, information
 from _support import (holevo_objective, jordan_product, psd_sqrt, random_model, random_weight, rotated_weight,
-                      singular_weight_models, sld_oracle, truncated_j_model, v_matrix,
-                      zero_mean_hermitian)
+                      singular_weight_models, sld_oracle, v_matrix, zero_mean_hermitian)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -139,13 +138,14 @@ class TestSingularWeight:
         take the D-invariant short cut, whose c_h = c_d matches the nonsmooth
         objective that :func:`verify_solution` forms with R.  The SDP, which
         reads all of W, still verifies on a W with an exact zero eigenvalue
-        (a truncated J sends the model there)."""
+        (a pure q = 3 model that the dual hands back with q′ = 2)."""
         for analysis in (self.near_singular(ratio, 0.0), self.near_singular(0.0, 0.0)):
             closed = sandwich(analysis)
             sol = holevo.solve(analysis, closed)
             assert sol.method == holevo.D_INVARIANT and sol.c_h == closed.c_d
             holevo.verify_solution(analysis, sol, closed)
-        singular = analyze(truncated_j_model(np.diag([1.0, 0.0])), rank_tol=1e-3)
+        model = random_model(np.random.default_rng(0), 3, 3, 3, rank=1)
+        singular = analyze(dataclasses.replace(model, weight=np.diag([1.0, 0.0, 1.0])))
         closed = sandwich(singular)
         sol = holevo.solve(singular, closed)
         assert sol.method == holevo.SDP

@@ -157,11 +157,12 @@ class TestBounds:
         assert "(--rank-tol 0.999 kept support rank 1 of 8)" in err
 
     @pytest.mark.parametrize("rank_tol", ["1e-4", "1e-3"])
-    def test_rank_tol_dropping_signal_takes_the_sdp(self, rank_tol, tmp_path, capsys):
+    def test_rank_tol_dropping_signal_keeps_every_constraint(self, rank_tol, tmp_path, capsys):
         """drho[2] nearly a combination of the others puts J's eigenvalues at
         8.8e-6 : 0.16 : 1, with dbeta on the top two eigenvectors.  A rank_tol
-        that drops the smallest leaves the dual unbiased on J's range only, so
-        the model takes the SDP, which keeps every drho_j."""
+        that drops the smallest still leaves the model on the dual, which is
+        built on J's range above roundoff and so keeps every drho_j: c_h is
+        unchanged."""
         model = fixture("random_full_rank", [3, 3, 3, 2])
         drho = np.array(model.drho)
         drho[2] = 0.7 * drho[0] - 0.4 * drho[1] + 1e-2 * drho[2]
@@ -176,7 +177,7 @@ class TestBounds:
             reports.append(json.loads(capsys.readouterr().out))
         default, cut = reports
         assert default["c_h_method"] == "dual"
-        assert cut["c_h_method"] == "sdp" and cut["verified"] is True
+        assert cut["c_h_method"] == "dual" and cut["verified"] is True
         assert cut["c_h"] == pytest.approx(default["c_h"], rel=1e-10)
 
     def test_include_x_opt(self, xy_model_file, capsys):

@@ -15,7 +15,8 @@ from qcrb.model import QuantumModel, fixture, model_from_dict, validate
 from qcrb.povm import unbiasedness_residual
 from qcrb.sld import analyze
 from _support import (DenseOperator, direct_holevo_oracle, epigraph_matrices, holevo_objective,
-                      random_hermitian, random_model, random_weight, rotated_weight, truncated_j_model)
+                      random_hermitian, random_model, random_truncated_j_models, random_weight,
+                      rotated_weight, truncated_j_model)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -297,12 +298,16 @@ class TestDInvariantShortCut:
 
     def test_singular_weight_takes_the_sdp(self):
         """A D-invariant model takes the short cut whatever its W; a singular
-        W reaches the SDP with a truncated J."""
+        W in a rotated frame reaches the SDP on a dual hand-back (a pure q = 3
+        model, q′ = 2)."""
         model = dataclasses.replace(fixture("qubit_xy_at_z", [0.5]), weight=np.diag([1.0, 0.0]))
         analysis = analyze(model)
         sol = solve(analysis, sandwich(analysis))
         assert sol.method == holevo.D_INVARIANT and sol.status == "Optimal"
-        analysis = analyze(truncated_j_model(rotated_weight(0.0, 0.7)), rank_tol=1e-3)
+        weight = np.eye(3)
+        weight[:2, :2] = rotated_weight(0.0, 0.7)
+        model = random_model(np.random.default_rng(3), 3, 3, 3, rank=1)
+        analysis = analyze(dataclasses.replace(model, weight=weight))
         sol = solve(analysis, sandwich(analysis))
         assert sol.method == holevo.SDP and sol.status == "Optimal"
 
@@ -452,6 +457,62 @@ class TestDual:
             verify_solution(analysis, sol, closed)
 
 
+class TestTruncatedJ:
+    """A ``rank_tol`` that drops an eigenvalue of J above roundoff drops no
+    unbiasedness constraint: the dual is built on J's range above roundoff,
+    reads dbeta as JJ⁺dbeta, and agrees with the SDP, which keeps every drho_j."""
+
+    @staticmethod
+    def route_against_tight_sdp(analysis):
+        """The route of ``analysis`` at tol 1e-12, after checking that it
+        verifies at the default tol and at 1e-12, and lies within 1e-9
+        relative of the SDP at 1e-12 wherever that converges."""
+        assert analysis.qfim_range.shape[1] == 3 and not analysis.dbeta_range[0].any()
+        closed = sandwich(analysis)
+        for tol in (1e-8, 1e-12):
+            sol = solve(analysis, closed, tol=tol)
+            verify_solution(analysis, sol, closed)
+        reference = holevo._solve_sdp(analysis, tol=1e-12)
+        if reference.status == "Optimal":
+            assert abs(sol.c_h - reference.c_h) <= 1e-9 * reference.c_h
+        return sol.method
+
+    @pytest.mark.parametrize("weight", [np.eye(2), np.diag([1.0, 0.0]), rotated_weight(0.0, 0.7),
+                                        rotated_weight(0.3, 0.7)],
+                             ids=["identity", "rank_1", "rank_1_rotated", "rotated"])
+    def test_truncated_j_model_takes_the_dual(self, weight):
+        analysis = analyze(truncated_j_model(weight), rank_tol=1e-3)
+        assert np.linalg.matrix_rank(analysis.qfim_pinv, tol=1e-6) == 2
+        assert self.route_against_tight_sdp(analysis) == holevo.DUAL
+
+    def test_random_truncated_models(self):
+        """The first 60 draws of the random truncated models (full-rank rho,
+        q = 2): the dual closes on all but five, which it hands back."""
+        routes = [self.route_against_tight_sdp(analyze(model, rank_tol))
+                  for model, rank_tol in random_truncated_j_models(60)]
+        assert [i for i, route in enumerate(routes) if route != holevo.DUAL] == [8, 36, 47, 56, 58]
+
+    def test_dbeta_component_along_a_dropped_eigenvector(self):
+        """J's eigenvalues 8.6e-12 : 0.16 : 1, and the default rank_tol drops
+        the smallest, which lies above roundoff.  A dbeta component of 1e-9
+        along its eigenvector passes the estimability test (FEASIBILITY_TOL
+        1e-8).  The dual reads JJ⁺dbeta, the dbeta that X_eff serves, so 𝒥⁻¹
+        does not magnify the component by 1/λ, and c_h does not move."""
+        model = truncated_j_model(np.eye(2), small=1e-5)
+        analysis = analyze(model)
+        vals, vecs = np.linalg.eigh(analysis.qfim)
+        assert vals[0] / vals[-1] == pytest.approx(8.6e-12, rel=0.01)
+        dbeta = np.array(model.dbeta)
+        dbeta[:, 0] += 1e-9 * vecs[:, 0]
+        tilted = analyze(dataclasses.replace(model, dbeta=dbeta))
+        assert tilted.qfim_range.shape[1] == 3 and not tilted.dbeta_range[0].any()
+        closed = sandwich(tilted)
+        sol = solve(tilted, closed)
+        assert sol.method == holevo.DUAL and sol.c_h <= closed.c_d
+        verify_solution(tilted, sol, closed)
+        assert sol.c_h == pytest.approx(solve(analysis, sandwich(analysis)).c_h, rel=1e-12)
+
+
 class TestDualCertificate:
     """The dual's certificate is its minimizer ``x_opt``;
     :func:`verify_solution` recomputes Z from ``x_opt`` and the model."""
@@ -491,16 +552,19 @@ class TestDualCertificate:
 class TestOneAnalysis:
     """Each model's rho, J and W are diagonalized once: rho and W where
     :func:`validate` first needs them, J by :func:`analyze`; every later
-    consumer reads those results."""
+    consumer reads those results.  A J that ``rank_tol`` truncates is no
+    exception: the dual reads its range above roundoff from the same
+    decomposition."""
 
-    @pytest.mark.parametrize("model, method", [
-        (random_model(np.random.default_rng(43), 4, 3, 2, weighted=True), holevo.DUAL),
-        (random_model(np.random.default_rng(44), 4, 3, 1, weighted=True), holevo.SDP),
-        (fixture("qubit_bloch", [0.1, 0.2, 0.3]), holevo.D_INVARIANT),
-    ], ids=["dual", "sdp", "d_invariant"])
-    def test_j_and_w_decomposed_once(self, model, method, monkeypatch):
+    @pytest.mark.parametrize("model, rank_tol, method", [
+        (random_model(np.random.default_rng(43), 4, 3, 2, weighted=True), linalg.DEFAULT_RANK_TOL, holevo.DUAL),
+        (random_model(np.random.default_rng(44), 4, 3, 1, weighted=True), linalg.DEFAULT_RANK_TOL, holevo.SDP),
+        (fixture("qubit_bloch", [0.1, 0.2, 0.3]), linalg.DEFAULT_RANK_TOL, holevo.D_INVARIANT),
+        (truncated_j_model(rotated_weight(0.3, 0.7)), 1e-3, holevo.DUAL),
+    ], ids=["dual", "sdp", "d_invariant", "truncated_dual"])
+    def test_j_and_w_decomposed_once(self, model, rank_tol, method, monkeypatch):
         rho, weight = linalg.hermitian_part(model.rho), model.weight
-        qfim = analyze(dataclasses.replace(model)).qfim
+        qfim = analyze(dataclasses.replace(model), rank_tol).qfim
         model = dataclasses.replace(model)  # a copy that nothing has decomposed yet
         seen = []
         for name in ("eigh", "eigvalsh"):
@@ -515,7 +579,7 @@ class TestOneAnalysis:
 
         validate(model)  # the boundary check of the model file: rho ⪰ 0 and √W exist
         assert (decompositions(rho), decompositions(qfim), decompositions(weight)) == (1, 0, 1)
-        analysis = analyze(model)
+        analysis = analyze(model, rank_tol)
         closed = sandwich(analysis)
         sol = solve(analysis, closed)
         verify_solution(analysis, sol, closed)
@@ -699,6 +763,27 @@ class TestEpigraphOperator:
             assert got[1] == pytest.approx(want[1], rel=1e-10)
             assert sdp._step_length(got[0]) == np.inf
             assert sdp._step_length(want[0]) > 1e12  # the dense eigenvalues straddle 0 at roundoff
+
+    def test_large_q_keeps_only_per_variable_arrays(self):
+        """At q = 30, m = 10 the n_v × n V rows (465 × 765) are gathered when
+        :meth:`schur` runs, not kept: the operator holds a few length-n
+        arrays and C, far less than the n × n Schur matrix, and its V and x
+        rows still match the dense matrices written out one by one."""
+        rng = np.random.default_rng(30)
+        q, d_r, m = 30, 12, 10
+        cols = rng.normal(size=(d_r, m)) + 1j * rng.normal(size=(d_r, m))
+        op = EpigraphOperator(q, cols)
+        kept = [array for value in vars(op).values()
+                for array in (value if isinstance(value, tuple) else (value,)) if isinstance(array, np.ndarray)]
+        assert max(value.size for value in kept) <= op.n ** 2
+        assert sum(value.nbytes for value in kept) <= 0.01 * op.n ** 2 * 8
+        a = rng.normal(size=(q + d_r,) * 2) + 1j * rng.normal(size=(q + d_r,) * 2)
+        g = a @ a.conj().T + 0.1 * np.eye(q + d_r)
+        gf = g @ epigraph_matrices(q, cols)  # G F_j
+        got = op.schur(g)
+        for i in (0, 1, op.n_v // 2, op.n_v - 1, op.n_v, op.n - 1):
+            want = np.einsum("ab,jba->j", gf[i], gf).real  # Re tr(G F_i G F_j)
+            assert np.abs(got[i] - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_factor_rejects_indefinite_slack(self):
         op = EpigraphOperator(1, np.ones((2, 1), dtype=complex))
