@@ -199,8 +199,9 @@ def cmd_gaussian(args) -> int:
         return _unphysical(args.measurement_cm, "sigma + sigma_m has no Cholesky factor")
     dbeta = model.dbeta_or_default()
     weight = model.weight_or_default()
-    qfim_pinv = linalg.pseudoinverse(qfim, args.rank_tol)
-    check_estimable(qfim, qfim_pinv, dbeta)  # exit 2, as in bounds
+    j_eig = linalg.symmetric_eigh(qfim, "J")
+    check_estimable(j_eig, dbeta, args.rank_tol)  # exit 2, as in bounds
+    qfim_pinv = linalg.pseudoinverse(qfim, args.rank_tol, eig=j_eig)
     chained = float(np.trace(weight @ dbeta.T @ linalg.pseudoinverse(f_half, args.rank_tol) @ dbeta))
     two_c_gs = 2.0 * float(np.trace(weight @ dbeta.T @ qfim_pinv @ dbeta))
     report = {

@@ -19,10 +19,11 @@ rather than as a dense (n, N, N) array.
 
 :func:`solve` reads everything it needs, J's range and W's factor
 R = U₊ diag(√w₊) included, from the model's one analysis, which has
-already decided that the model is estimable.  On every route the
-certificate is the unbiased minimizer ``x_opt``, and :func:`verify_solution`
-recomputes the nonsmooth objective N(x_opt) from the model and checks it
-against c_h and the closed-form bounds of :func:`qcrb.bounds.sandwich`.
+already decided that the model is estimable; no route reads W itself.
+On every route the certificate is the unbiased minimizer ``x_opt``, and
+:func:`verify_solution` recomputes the nonsmooth objective N(x_opt) from
+the model and checks it against c_h and the closed-form bounds of
+:func:`qcrb.bounds.sandwich`.
 
 Short cut on D-invariant models.  At the efficient operators the Holevo
 objective tr W Re Z + ‖√W Im Z √W‖₁ equals c_d.  When span_R{L_j} is
@@ -38,7 +39,9 @@ W^-½ (|K| − iK) W^-½ with K = W^½ Im Z W^½, which is ⪰ 0 because iK is
 Hermitian and |iK| = |K|.  A singular W = RRᵀ reduces to that case: every
 bound reads X only through X̃ = XR, unbiased for ∂βR, so the bounds of
 (∂β, W) are those of (∂βU₊, diag(w₊)), a model with the same SLDs, and
-X̃ lifts back to the unbiased X = X̃R⁺ + X_eff(I − RR⁺).  A J whose small
+X̃ lifts back to the unbiased X = X̃R⁺ + X_eff(I − RR⁺) (:func:`_lift`).
+The dual and the SDP solve that reduced model, whose weight w₊ > 0
+penalizes V in every direction, where tr WV spares ker W.  A J whose small
 eigenvalues ``rank_tol`` drops reduces to it too: every route solves
 (JJ⁺∂β, W) with all of its constraints, and J⁻¹JJ⁺∂β = J⁺∂β, so X_eff is
 that model's efficient operator.  :func:`solve`
@@ -326,29 +329,17 @@ def solve(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float = 1e-8,
     gives both theorems and the reductions to range(W) and to JJ⁺dbeta).
     Only q = 1 and the models the dual hands back (often pure states and
     qubits, whose maximizer lies on ‖A‖ = 1) go to :func:`_solve_sdp`.
-    Every route keeps every unbiasedness constraint.  ``tol`` and
-    ``max_iter`` go to whichever solver runs.
+    Every route reads W through R alone and keeps every unbiasedness
+    constraint.  ``tol`` and ``max_iter`` go to whichever solver runs.
     """
-    if analysis.d_invariance_residual <= D_INVARIANCE_TOL:
-        return _d_invariant_solution(analysis, closed)
+    if analysis.d_invariance_residual <= D_INVARIANCE_TOL:  # c_h = c_d, attained at X_eff
+        return HolevoSolution(c_h=closed.c_d, x_opt=analysis.x_eff, duality_gap=0.0, iterations=0,
+                              status=sdp.OPTIMAL, dual_objective=closed.c_d, method=D_INVARIANT)
     if analysis.model.n_targets >= 2:
         sol = _solve_dual(analysis, closed, tol, max_iter)
         if sol is not None:
             return sol
     return _solve_sdp(analysis, tol, max_iter)
-
-
-def _d_invariant_solution(analysis: ModelAnalysis, closed: ClosedFormBounds) -> HolevoSolution:
-    """c_h = c_d, attained at X_eff."""
-    return HolevoSolution(
-        c_h=closed.c_d,
-        x_opt=analysis.x_eff,
-        duality_gap=0.0,
-        iterations=0,
-        status=sdp.OPTIMAL,
-        dual_objective=closed.c_d,
-        method=D_INVARIANT,
-    )
 
 
 class _Point(NamedTuple):
@@ -399,7 +390,7 @@ class _Dual:
     def __init__(self, analysis: ModelAnalysis):
         q, span = analysis.weight_factor.shape[1], analysis.qfim_range
         vals = np.where(analysis.support, analysis.eigvals, 0.0)
-        a, b = self.pairs = _support_pairs(analysis.support)
+        a, b = _support_pairs(analysis.support)
         g = analysis.drho_eig[:, b, a].T @ span  # (pairs, r)
         count = np.where(a == b, 1.0, 2.0)[:, None]
         lam_a, lam_b = vals[a, None], vals[b, None]
@@ -463,18 +454,6 @@ class _Dual:
         rhs = (self.g_count @ (omega @ pt.u.T)).real.reshape(n, -1)
         return 2.0 * rhs @ pt.inv_info @ rhs.T - curvature
 
-    def operators(self, pt: _Point, analysis: ModelAnalysis) -> np.ndarray:
-        """The minimizer X(K) = ξR⁺ + X_eff(I − RR⁺) as (q, d, d) operators in the original frame."""
-        a, b = self.pairs
-        factor = analysis.weight_factor
-        pinv = (factor / (factor * factor).sum(axis=0)).T  # R⁺: R's columns are orthogonal
-        x = pt.xi @ pinv  # (pairs, q)
-        x_eig = np.zeros((x.shape[1],) + analysis.eigvecs.shape, dtype=complex)
-        x_eig[:, a, b] = x.T
-        x_eig[:, b, a] = x.T.conj()
-        rest = np.tensordot(np.eye(x.shape[1]) - factor @ pinv, analysis.x_eff, axes=(0, 0))
-        return analysis.eigvecs @ x_eig @ analysis.eigvecs.conj().T + rest
-
 
 def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
                 max_iter: int) -> HolevoSolution | None:
@@ -521,7 +500,7 @@ def _solve_dual(analysis: ModelAnalysis, closed: ClosedFormBounds, tol: float,
             best, upper = pt, pt.upper
     return HolevoSolution(
         c_h=upper,
-        x_opt=analysis.x_eff if best is None else dual.operators(best, analysis),
+        x_opt=analysis.x_eff if best is None else _lift(analysis, best.xi),
         duality_gap=(upper - lower) / upper if upper else 0.0,  # W = 0: c_h = 0
         iterations=iterations,
         status=sdp.OPTIMAL,
@@ -558,36 +537,42 @@ def _feasible_directions(analysis: ModelAnalysis) -> np.ndarray:
 
 
 def _solve_sdp(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) -> HolevoSolution:
-    """Minimize tr(W V) over the epigraph SDP by the interior-point core.
+    """Minimize tr(diag(w₊) Ṽ) over the epigraph SDP of the model reduced to range(W).
+
+    That model is (∂βU₊, diag(w₊)), w₊ the squared column norms of R and
+    U₊ = R diag(w₊)^-½, with operators X̃ = XU₊ and efficient ones
+    X̃_eff = X_effU₊; for W ≻ 0 its SDP is a rotation of the model's own.
+    For W = 0 (q′ = 0) every unbiased X attains c_h = 0, and X_eff is
+    returned with no solve.
 
     The strictly feasible start that :func:`qcrb.sdp.solve_lmi` requires is
-    X_eff with V₀ = Re Z + (1.1‖Z‖₂ + 1)I, Z = Z(X_eff), so that
-    V₀ − Z ⪰ (0.1‖Z‖₂ + 1)I, and S₀ = diag(W + εI, w̄I), w̄ = max(tr W / q, 1),
-    whose ε = 1e-6·w̄ + max(0, −λ_min(W)) covers the slightly negative
-    eigenvalues of W that validation accepts.  ``MaxIterations`` and
+    X̃_eff with V₀ = Re Z + (1.1‖Z‖₂ + 1)I, Z = Z(X̃_eff), so that
+    V₀ − Z ⪰ (0.1‖Z‖₂ + 1)I, and S₀ = diag(diag(w₊) + εI, w̄I) with
+    w̄ = max(Σw₊ / q′, 1) and ε = 1e-6·w̄.  ``MaxIterations`` and
     ``NumericalTrouble`` return the best iterate found.
     """
-    model = analysis.model
-    q = model.n_targets
+    factor = analysis.weight_factor
+    w = (factor * factor).sum(axis=0)
+    q = w.size
+    if not q:
+        return HolevoSolution(c_h=0.0, x_opt=analysis.x_eff, duality_gap=0.0, iterations=0,
+                              status=sdp.OPTIMAL, dual_objective=0.0)
     vecs, support = analysis.eigvecs, analysis.support
     root_vals = np.sqrt(analysis.eigvals[support])  # √ρ on the support, in its eigenbasis
     d_r = support.size * root_vals.size
-    block = q + d_r
-    weight = np.asarray(model.weight, dtype=float)
 
     directions = _feasible_directions(analysis)  # (m, d, d), in rho's eigenbasis
+    a_p, b_p = _support_pairs(support)
     m_s = directions.shape[0]
     op = EpigraphOperator(q, (directions[:, :, support] * root_vals).reshape(m_s, d_r).T)
     a, b = np.triu_indices(q)  # the V variables, in the operator's order
     n_v = a.size
-    n = n_v + q * m_s
+    c = np.concatenate([np.where(a == b, w[a], 0.0), np.zeros(q * m_s)])
 
-    c = np.zeros(n)
-    c[:n_v] = np.where(a == b, 1.0, 2.0) * weight[a, b]
-
-    f0 = np.zeros((block, block), dtype=complex)
-    x_eff_eig = vecs.conj().T @ analysis.x_eff @ vecs
-    m0 = (x_eff_eig[:, :, support] * root_vals).reshape(q, d_r).T  # column s: X_eff,s √ρ
+    x_tilde = ((factor / np.sqrt(w)).T @ analysis.x_eff.reshape(factor.shape[0], -1)).reshape((q,) + vecs.shape)
+    x_eff_eig = vecs.conj().T @ x_tilde @ vecs  # X̃_eff = X_effU₊, in rho's eigenbasis
+    m0 = (x_eff_eig[:, :, support] * root_vals).reshape(q, d_r).T  # column s: X̃_eff,s √ρ
+    f0 = np.zeros((q + d_r,) * 2, dtype=complex)
     f0[q:, :q] = m0
     f0[:q, q:] = m0.conj().T
     f0[q:, q:] = np.eye(d_r)
@@ -595,30 +580,38 @@ def _solve_sdp(analysis: ModelAnalysis, tol: float = 1e-8, max_iter: int = 200) 
     z_eff = linalg.z_matrix(x_eff_eig, np.diag(analysis.eigvals))
     z_norm = float(np.linalg.norm(z_eff, 2))
     v_start = z_eff.real + (1.1 * z_norm + 1.0) * np.eye(q)
-    u0 = np.zeros(n)
-    u0[:n_v] = v_start[a, b]
-
-    w_scale = max(float(np.trace(weight)) / q, 1.0)
-    s0 = np.zeros((block, block), dtype=complex)
-    s0[:q, :q] = weight + (1e-6 * w_scale + max(0.0, -model.weight_eig[0][0])) * np.eye(q)
-    s0[q:, q:] = w_scale * np.eye(d_r)
+    u0 = np.concatenate([v_start[a, b], np.zeros(q * m_s)])
+    w_scale = max(float(w.sum()) / q, 1.0)
+    s0 = np.diag(np.concatenate([w + 1e-6 * w_scale, np.full(d_r, w_scale)])).astype(complex)
 
     result = sdp.solve_lmi(c, f0, op, u0=u0, s0=s0, tol=tol, max_iter=max_iter)
 
-    v = np.zeros((q, q))
-    v[a, b] = v[b, a] = result.u[:n_v]
     y = result.u[n_v:].reshape(q, m_s)
-    x_opt = analysis.x_eff + vecs @ np.tensordot(y, directions, axes=(1, 0)) @ vecs.conj().T
-
+    shift = (y @ directions[:, a_p, b_p]).T * np.sqrt(w)  # ξ − X_effR on the support pairs
     return HolevoSolution(
-        c_h=float(np.trace(weight @ v)),
-        x_opt=x_opt,
+        c_h=float((w * result.u[:n_v][a == b]).sum()),
+        x_opt=_lift(analysis, shift, centered=True),
         duality_gap=result.relgap,
         iterations=result.iterations,
         status=result.status,
         dual_objective=result.dobj,
         reason=result.reason,
     )
+
+
+def _lift(analysis: ModelAnalysis, xi: np.ndarray, centered: bool = False) -> np.ndarray:
+    """X = ξR⁺ + X_eff(I − RR⁺), (q, d, d) in the original frame, from ``xi``: ξ = XR on rho's support
+    pairs (pairs × q′), or with ``centered`` ξ − X_effR, lifted as X_eff + ξR⁺ (the same X)."""
+    a, b = _support_pairs(analysis.support)
+    factor = analysis.weight_factor
+    pinv = (factor / (factor * factor).sum(axis=0)).T  # R⁺: R's columns are orthogonal
+    x = xi @ pinv  # (pairs, q)
+    x_eig = np.zeros((x.shape[1],) + analysis.eigvecs.shape, dtype=complex)
+    x_eig[:, a, b] = x.T
+    x_eig[:, b, a] = x.T.conj()
+    base = analysis.x_eff if centered else np.tensordot(np.eye(x.shape[1]) - factor @ pinv, analysis.x_eff,
+                                                        axes=(0, 0))
+    return analysis.eigvecs @ x_eig @ analysis.eigvecs.conj().T + base
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,8 @@ class ModelAnalysis:
     ``dbeta_range`` the coordinates of JJ⁺dbeta there: ``rank_tol`` drops no
     unbiasedness constraint, and only q = 1 and dual hand-backs reach the SDP.
     ``weight_factor`` is R = U₊ diag(√w₊) (q × rank W) over W's eigenvalues
-    above roundoff (> q·eps·λ_max): W = RRᵀ up to roundoff, R's columns orthogonal.
+    above roundoff (> q·eps·λ_max): W = RRᵀ up to roundoff, R's columns
+    orthogonal; c_d, the short cut, the dual, the SDP and verification read it.
     ``x_eff`` (q, d, d) are the efficient influence operators in the original
     frame and ``d_invariance_residual`` is :func:`d_invariance_residual` of the SLDs.
     Only estimable models have an analysis (:func:`analyze` raises
@@ -156,23 +157,28 @@ def information(slds_eig: np.ndarray, eigvals: np.ndarray) -> tuple[np.ndarray, 
     return (z.real + z.real.T) / 2, (z.imag - z.imag.T) / 2
 
 
-def infeasible_columns(qfim: np.ndarray, qfim_pinv: np.ndarray, dbeta: np.ndarray) -> list[int]:
+def infeasible_columns(j_eig: tuple, dbeta: np.ndarray, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> list[int]:
     """Indices of dbeta columns outside the range of J (empty iff estimable).
 
-    Column s fails when ‖(J J⁺ dbeta − dbeta)[:, s]‖_max > ``FEASIBILITY_TOL``;
+    ``j_eig`` is J's :func:`qcrb.linalg.symmetric_eigh`, and V_d holds the
+    eigenvectors that ``rank_tol`` drops, as :func:`qcrb.linalg.pseudoinverse`
+    does.  Column s fails when ‖V_d V_dᵀ dbeta[:, s]‖_max > ``FEASIBILITY_TOL``;
     then no influence operators satisfy the unbiasedness constraints and
-    target component s carries unbounded variance.
+    target component s carries unbounded variance.  J J⁺ dbeta, whose
+    roundoff grows as eps·cond(J), is not formed.
     """
+    vals, vecs = j_eig
     dbeta = np.asarray(dbeta, dtype=float)
-    if dbeta.shape[0] != qfim.shape[0]:
-        raise ValueError(f"dbeta has {dbeta.shape[0]} rows, J is {qfim.shape[0]}×{qfim.shape[1]}")
-    dev = np.abs(qfim @ qfim_pinv @ dbeta - dbeta)
+    if dbeta.shape[0] != vals.size:
+        raise ValueError(f"dbeta has {dbeta.shape[0]} rows, J is {vals.size}×{vals.size}")
+    dropped = vecs[:, np.abs(vals) <= rank_tol * max(np.abs(vals).max(initial=0.0), 1e-300)]
+    dev = np.abs(dropped @ (dropped.T @ dbeta))
     return [s for s in range(dbeta.shape[1]) if dev[:, s].max() > FEASIBILITY_TOL]
 
 
-def check_estimable(qfim: np.ndarray, qfim_pinv: np.ndarray, dbeta: np.ndarray) -> None:
+def check_estimable(j_eig: tuple, dbeta: np.ndarray, rank_tol: float) -> None:
     """Raise :class:`InfeasibleModel` naming the :func:`infeasible_columns`, if any."""
-    bad = infeasible_columns(qfim, qfim_pinv, dbeta)
+    bad = infeasible_columns(j_eig, dbeta, rank_tol)
     if bad:
         raise InfeasibleModel(
             f"beta component(s) {bad} are not estimable (dbeta column outside range of J)",
@@ -206,7 +212,7 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
     j_scale = max(np.abs(j_vals).max(), 1e-300)
     j_range = np.abs(j_vals) > min(rank_tol, QFIM_ROUNDOFF_TOL) * j_scale  # above roundoff
     qfim_pinv = linalg.pseudoinverse(qfim, rank_tol, eig=j_eig)
-    check_estimable(qfim, qfim_pinv, model.dbeta)
+    check_estimable(j_eig, model.dbeta, rank_tol)
     w_vals, w_vecs = model.weight_eig
     # R drops only roundoff eigenvalues (numpy's matrix_rank cut); a larger
     # cut would drop terms of order √w from c_d

@@ -199,7 +199,7 @@ def random_model(
         svals = np.linalg.svd(dbeta, compute_uv=False)
         if svals.min() <= 1e-8 * svals.max():
             continue
-        if infeasible_columns(analysis.qfim, analysis.qfim_pinv, dbeta):
+        if infeasible_columns(linalg.symmetric_eigh(analysis.qfim), dbeta):
             continue
         weight = random_weight(rng, q) if weighted else np.eye(q)
         return QuantumModel(dim=d, rho=rho, drho=drho, dbeta=dbeta, weight=weight,

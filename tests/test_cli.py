@@ -400,8 +400,9 @@ class TestNearSingularWeight:
 
 
 class TestSingularWeight:
-    """A singular W is solved on range(W) through its factor R: the short cut
-    and the dual serve it, not the SDP."""
+    """A singular W is solved on range(W) through its factor R, on every
+    route: the short cut, the dual, and the SDP that q = 1 and dual
+    hand-backs reach."""
 
     def test_rank_deficient_weights_match_the_reduced_model(self, tmp_path, capsys):
         for full, reduced, _ in singular_weight_models():
@@ -421,6 +422,24 @@ class TestSingularWeight:
         model = dataclasses.replace(fixture("random_full_rank", [3, 3, 3, 2]), weight=np.zeros((2, 2)))
         report = bounds_report(model, tmp_path, capsys)
         assert report["verified"] is True and report["c_h"] == 0.0
+
+    def test_zero_weight_at_one_target(self, tmp_path, capsys):
+        """q = 1 with W = 0 reaches the SDP with no target on range(W): c_h = 0, no iteration."""
+        model = dataclasses.replace(fixture("random_full_rank", [3, 3, 2, 1]), weight=np.zeros((1, 1)))
+        report = bounds_report(model, tmp_path, capsys)
+        assert report["verified"] is True and report["c_h_method"] == "sdp"
+        assert (report["c_h"], report["iterations"]) == (0.0, 0)
+
+    def test_rotated_singular_weight_hand_back(self, tmp_path, capsys):
+        """``random_full_rank`` 16,3,3,3 with W = (Q diag(1, 0) Qᵀ) ⊕ 1, Q the
+        0.7-rad rotation: the dual hands it to the SDP, which solves it on
+        range(W).  Reading W itself, the SDP ended NumericalTrouble (exit 3)."""
+        weight = np.eye(3)
+        weight[:2, :2] = rotated_weight(0.0, 0.7)
+        report = bounds_report(dataclasses.replace(fixture("random_full_rank", [16, 3, 3, 3]), weight=weight),
+                               tmp_path, capsys)
+        assert report["verified"] is True and report["c_h_method"] == "sdp"
+        assert report["c_h"] <= report["c_d"]
 
 
 class TestGaussian:

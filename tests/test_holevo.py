@@ -366,7 +366,7 @@ class TestDual:
         pt = dual.point(np.zeros(dual.tri[0].size))
         assert pt.value == pytest.approx(closed.c_gs, rel=1e-13)
         assert pt.upper == pytest.approx(closed.c_d, rel=1e-13)
-        x0 = dual.operators(pt, analysis)
+        x0 = holevo._lift(analysis, pt.xi)
         assert np.abs(x0 - analysis.x_eff).max() <= 1e-12 * np.abs(analysis.x_eff).max()
 
     @pytest.mark.parametrize("model", dual_models())
@@ -491,6 +491,21 @@ class TestTruncatedJ:
         routes = [self.route_against_tight_sdp(analyze(model, rank_tol))
                   for model, rank_tol in random_truncated_j_models(60)]
         assert [i for i, route in enumerate(routes) if route != holevo.DUAL] == [8, 36, 47, 56, 58]
+
+    def test_ill_conditioned_j_is_estimable(self):
+        """J's eigenvalues 8.6e-10 : 0.16 : 1, none dropped at the default
+        rank_tol, and dbeta on the top two eigenvectors: estimable.  The
+        verdict reads dbeta along the eigenvectors that rank_tol drops; the
+        residual J J⁺ dbeta − dbeta, whose roundoff grows as eps·cond(J),
+        refused both columns."""
+        analysis = analyze(truncated_j_model(np.eye(2), small=1e-4))
+        vals = np.linalg.eigvalsh(analysis.qfim)
+        assert vals[0] / vals[-1] == pytest.approx(8.6e-10, rel=0.01)
+        closed = sandwich(analysis)
+        sol = solve(analysis, closed)
+        assert sol.method == holevo.DUAL
+        verify_solution(analysis, sol, closed)
+        assert sol.c_h == pytest.approx(0.0814821584, rel=1e-9)
 
     def test_dbeta_component_along_a_dropped_eigenvector(self):
         """J's eigenvalues 8.6e-12 : 0.16 : 1, and the default rank_tol drops
@@ -618,7 +633,8 @@ def sdp_start_models():
 @pytest.mark.parametrize("name", list(sdp_start_models()))
 def test_sdp_start_is_strictly_feasible(name, monkeypatch):
     """:func:`holevo._solve_sdp` hands :func:`qcrb.sdp.solve_lmi` a start with
-    V₀ − Z(X_eff) ⪰ (0.1‖Z‖₂ + 1)I and S₀ ≻ 0, which the solver requires."""
+    V₀ − Z(X̃_eff) ⪰ (0.1‖Z‖₂ + 1)I and S₀ ≻ 0, which the solver requires.
+    The SDP is the model's on range(W): X̃_eff = X_effU₊, U₊ = R diag(w₊)^-½."""
     model = sdp_start_models()[name]
     validate(model)
     analysis = analyze(model)
@@ -632,11 +648,13 @@ def test_sdp_start_is_strictly_feasible(name, monkeypatch):
     monkeypatch.setattr(sdp, "solve_lmi", recording)
     sol = holevo._solve_sdp(analysis, max_iter=0)
     assert (sol.status, sol.iterations) == ("MaxIterations", 0)  # the slack factored: X ≻ 0
-    q = model.n_targets
+    factor = analysis.weight_factor
+    q = factor.shape[1]
     a, b = np.triu_indices(q)
     v0 = np.zeros((q, q))
     v0[a, b] = v0[b, a] = seen["u0"][:a.size]
-    z = linalg.z_matrix(analysis.x_eff, model.rho)
+    frame = factor / np.linalg.norm(factor, axis=0)  # U₊
+    z = linalg.z_matrix(np.tensordot(frame, analysis.x_eff, axes=(0, 0)), model.rho)
     margin = 0.1 * np.linalg.norm(z, 2) + 1.0
     assert np.linalg.eigvalsh(v0 - z).min() >= margin * (1 - 1e-12)
     assert np.linalg.eigvalsh(seen["f0"] + seen["op"].apply(seen["u0"])).min() > 0
@@ -646,8 +664,9 @@ def test_sdp_start_is_strictly_feasible(name, monkeypatch):
 def test_sdp_dual_start_covers_negative_weight_eigenvalues(monkeypatch):
     """At q = 120, with W's 119 small eigenvalues at −0.99e-8 of its largest
     (which :func:`validate` accepts), the margin 1e-6·max(tr W / q, 1) is
-    below |λ_min(W)|; the −λ_min(W) term keeps S₀ ≻ 0.  The operator and the
-    solve are stubbed: only the start is built."""
+    below |λ_min(W)|; the SDP solves the model on range(W), whose weight
+    diag(w₊) has w₊ > 0, so S₀ ≻ 0.  The operator and the solve are
+    stubbed: only the start is built."""
     model = fixture("random_full_rank", [1, 11, 120, 120])
     rot, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(120, 120)))
     vals = np.full(120, -0.99e-4)
@@ -670,6 +689,50 @@ def test_sdp_dual_start_covers_negative_weight_eigenvalues(monkeypatch):
     with pytest.raises(Stop):
         holevo._solve_sdp(analyze(model))
     assert np.linalg.eigvalsh(seen["s0"]).min() > 0
+
+
+def hand_back_weight(name):
+    """W = diag(1, 1, 0), diag(1, 0, 1), or (Q diag(1, 0) Qᵀ) ⊕ 1 with Q the 0.7-rad rotation."""
+    if name == "rotated":
+        weight = np.eye(3)
+        weight[:2, :2] = rotated_weight(0.0, 0.7)
+        return weight
+    return np.diag([1.0, 1.0, 0.0] if name == "diag_110" else [1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("seed, name", [(0, "diag_101"), (0, "rotated"), (2, "diag_110"), (3, "rotated"),
+                                        (6, "diag_101"), (6, "rotated"), (7, "diag_110"), (7, "rotated"),
+                                        (14, "rotated"), (15, "diag_110"), (15, "diag_101"), (15, "rotated")])
+def test_singular_weight_hand_back_solves_the_reduced_model(seed, name):
+    """The dual hands these pure-state models with a singular W to the SDP,
+    which solves them on range(W): each ends Optimal, verifies, and matches
+    the c_h of the reduced model (dbeta U₊, diag(w₊)).  Where the SDP read W
+    itself, seven of the twelve ended NumericalTrouble."""
+    model = dataclasses.replace(random_model(np.random.default_rng(seed), 3, 3, 3, rank=1),
+                                weight=hand_back_weight(name))
+    analysis = analyze(model)
+    closed = sandwich(analysis)
+    assert holevo._solve_dual(analysis, closed, 1e-8, 200) is None
+    sol = solve(analysis, closed)
+    assert (sol.method, sol.status) == (holevo.SDP, sdp.OPTIMAL)
+    verify_solution(analysis, sol, closed)
+    factor = analysis.weight_factor
+    w_plus = (factor * factor).sum(axis=0)
+    reduced = analyze(dataclasses.replace(model, dbeta=model.dbeta @ (factor / np.sqrt(w_plus)),
+                                          weight=np.diag(w_plus)))
+    assert sol.c_h == pytest.approx(solve(reduced, sandwich(reduced)).c_h, rel=1e-12)
+
+
+def test_zero_weight_at_one_target():
+    """q = 1 with W = 0 reaches the SDP with no target on range(W): c_h = 0
+    at X_eff, with no solve."""
+    model = dataclasses.replace(fixture("random_full_rank", [3, 3, 2, 1]), weight=np.zeros((1, 1)))
+    analysis = analyze(model)
+    closed = sandwich(analysis)
+    sol = solve(analysis, closed)
+    assert (sol.method, sol.status, sol.iterations, sol.c_h) == (holevo.SDP, sdp.OPTIMAL, 0, 0.0)
+    assert sol.x_opt is analysis.x_eff
+    verify_solution(analysis, sol, closed)
 
 
 class TestEpigraphOperator:
