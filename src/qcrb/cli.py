@@ -30,9 +30,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gaussian as gaussian_mod
 from . import holevo, linalg, povm as povm_mod, sdp
-from .exceptions import InfeasibleModel, ModelError, NotLocallyUnbiased, ResidualTooLarge, VerificationFailed
-from .model import FIXTURE_NAMES, fixture, load_model, model_to_dict, save_model, validate
-from .sld import analyze, check_estimable
+from .exceptions import InfeasibleModel, ModelError, NotLocallyUnbiased, VerificationFailed
+from .model import FIXTURES, fixture, load_model, model_to_dict, save_model, validate
+from .sld import analyze, decide_qfim
 
 EXIT_OK = 0
 EXIT_FILE = 1
@@ -52,15 +52,6 @@ FAILURES = (
     (OSError, EXIT_FILE, "error"),
     (ValueError, EXIT_FILE, "error"),
 )
-
-_FIXTURE_HELP = {
-    "qubit_bloch": "params rx,ry,rz with |r|<1; p=q=3",
-    "qubit_xy_at_z": "params z with |z|<1; transverse-derivative qubit, p=q=2",
-    "pure_qubit_angles": "params theta,phi (away from poles); rank-1 state, p=q=2, QFIM weight",
-    "classical_diagonal": "params p1..p_{d-1} (>0, sum<1); commuting diagonal model",
-    "random_full_rank": "params seed[,d[,p[,q]]]; seeded random full-rank model",
-}
-
 
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
@@ -85,16 +76,6 @@ def _check_solver_flags(args) -> None:
         raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
     if not 0 <= args.rank_tol < 1:
         raise ValueError(f"--rank-tol must be a finite number in [0, 1), got {args.rank_tol!r}")
-
-
-def _analyze(model, args):
-    """:func:`qcrb.sld.analyze` with ``--rank-tol``; an SLD equation left
-    unsolved names the flag and the support rank it kept."""
-    try:
-        return analyze(model, args.rank_tol)
-    except ResidualTooLarge as exc:
-        raise ResidualTooLarge(f"{exc} (--rank-tol {args.rank_tol!r} kept support rank "
-                               f"{exc.support_rank} of {model.dim})") from None
 
 
 def _failed_solve(sol) -> str:
@@ -169,7 +150,7 @@ def _emit_bound_report(report: dict, timings: dict, args) -> None:
 
 
 def cmd_bounds(args) -> int:
-    report, sol, timings, code = _bound_pipeline(_analyze(load_model(args.model), args), args)
+    report, sol, timings, code = _bound_pipeline(analyze(load_model(args.model), args.rank_tol), args)
     if code == EXIT_SOLVER:
         _diag(f"solver failed: {_failed_solve(sol)}; best iterate reported")
     _emit_bound_report(report, timings, args)
@@ -199,9 +180,7 @@ def cmd_gaussian(args) -> int:
         return _unphysical(args.measurement_cm, "sigma + sigma_m has no Cholesky factor")
     dbeta = model.dbeta_or_default()
     weight = model.weight_or_default()
-    j_eig = linalg.symmetric_eigh(qfim, "J")
-    check_estimable(j_eig, dbeta, args.rank_tol)  # exit 2, as in bounds
-    qfim_pinv = linalg.pseudoinverse(qfim, args.rank_tol, eig=j_eig)
+    _, qfim_pinv = decide_qfim(linalg.symmetric_eigh(qfim, "J"), dbeta, args.rank_tol)  # exit 2, as in bounds
     chained = float(np.trace(weight @ dbeta.T @ linalg.pseudoinverse(f_half, args.rank_tol) @ dbeta))
     two_c_gs = 2.0 * float(np.trace(weight @ dbeta.T @ qfim_pinv @ dbeta))
     report = {
@@ -232,7 +211,7 @@ def cmd_gaussian(args) -> int:
 def cmd_check_povm(args) -> int:
     povm = povm_mod.load_povm(args.povm)
     model = load_model(args.model)
-    analysis = _analyze(model, args)
+    analysis = analyze(model, args.rank_tol)
     q = model.n_targets
     beta = np.array([float(x) for x in args.beta.split(",")]) if args.beta else np.zeros(q)
     if beta.shape != (q,):
@@ -298,7 +277,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         model = fixture(args.fixture, [value] + fixed)
         validate(model)
-        report, sol, _, code = _bound_pipeline(_analyze(model, args), args)
+        report, sol, _, code = _bound_pipeline(analyze(model, args.rank_tol), args)
         if code != EXIT_OK:
             _diag(f"solver failed at param {value!r}: {_failed_solve(sol)}")
             return EXIT_SOLVER
@@ -312,8 +291,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_fixtures(args) -> int:
     if not args.emit:
-        for name in FIXTURE_NAMES:
-            sys.stdout.write(f"{name}: {_FIXTURE_HELP[name]}\n")
+        for name, params in FIXTURES.items():
+            sys.stdout.write(f"{name}: {params}\n")
         return EXIT_OK
     params: list[float] = []
     if args.seed is not None:

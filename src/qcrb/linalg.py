@@ -77,16 +77,14 @@ def symmetric_eigh(m: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.
     return np.linalg.eigh((m + m.T) / 2)
 
 
-def pseudoinverse(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,
-                  eig: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def pseudoinverse(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a real symmetric matrix.
 
     Eigendecomposition based: eigenvalues with |λ| ≤ ``rank_tol`` times the
-    largest eigenvalue magnitude are treated as exact zeros.  ``eig`` is
-    :func:`symmetric_eigh` of ``m`` when the caller already holds it, which
-    otherwise raises ``ValueError`` for a matrix that is not symmetric.
+    largest eigenvalue magnitude are treated as exact zeros.  Raises
+    ``ValueError`` for a matrix that is not symmetric.
     """
-    w, v = symmetric_eigh(m) if eig is None else eig
+    w, v = symmetric_eigh(m)
     inv_w = np.zeros_like(w)
     keep = np.abs(w) > rank_tol * (np.abs(w).max() if w.size else 1.0)
     inv_w[keep] = 1.0 / w[keep]

@@ -34,6 +34,7 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
     "fixture",
+    "FIXTURES",
     "FIXTURE_NAMES",
 ]
 
@@ -368,13 +369,15 @@ def save_model(model: QuantumModel, path) -> None:
 # ---------------------------------------------------------------------------
 # built-in fixtures
 
-FIXTURE_NAMES = (
-    "qubit_bloch",
-    "qubit_xy_at_z",
-    "pure_qubit_angles",
-    "classical_diagonal",
-    "random_full_rank",
-)
+#: Each built-in model's name and parameters, in the order ``qcrb fixtures`` lists them.
+FIXTURES = {
+    "qubit_bloch": "params rx,ry,rz with |r|<1; p=q=3",
+    "qubit_xy_at_z": "params z with |z|<1; transverse-derivative qubit, p=q=2",
+    "pure_qubit_angles": "params theta,phi (away from poles); rank-1 state, p=q=2, QFIM weight",
+    "classical_diagonal": "params p1..p_{d-1} (>0, sum<1); commuting diagonal model",
+    "random_full_rank": "params seed[,d[,p[,q]]]; seeded random full-rank model",
+}
+FIXTURE_NAMES = tuple(FIXTURES)
 
 
 def _bloch_state(n: np.ndarray) -> np.ndarray:
@@ -382,23 +385,7 @@ def _bloch_state(n: np.ndarray) -> np.ndarray:
 
 
 def fixture(name: str, params) -> QuantumModel:
-    """Construct one of the built-in closed-form models.
-
-    qubit_bloch(rx, ry, rz)
-        Full Bloch parameterization, |r| < 1; p = q = 3.
-    qubit_xy_at_z(z)
-        rho = (I + z sigma_z)/2 with transverse derivatives
-        (sigma_x/2, sigma_y/2); p = q = 2, |z| < 1.
-    pure_qubit_angles(theta, phi)
-        Rank-1 Bloch state with polar-angle parameters; weight is set to
-        the quantum information matrix diag(1, sin²θ) so the scalar risk
-        is the one under which pure-state tomography saturates the upper
-        bound chain.  Requires sin(theta) well away from 0.
-    classical_diagonal(p1, ..., p_{d-1})
-        Full-rank diagonal (commuting) model on d = len(params)+1 levels.
-    random_full_rank(seed[, d[, p[, q]]])
-        Seeded random full-rank model; defaults d=3, p=2, q=2.
-    """
+    """Construct the built-in model ``name`` of :data:`FIXTURES`, which lists its ``params``."""
     params = [float(x) for x in params]
     if name == "qubit_bloch":
         if len(params) != 3:
@@ -436,6 +423,8 @@ def fixture(name: str, params) -> QuantumModel:
         sp, cp = np.sin(phi), np.cos(phi)
         if abs(st) < 1e-6:
             raise ValueError("pure_qubit_angles is degenerate at the poles (sin(theta) ~ 0)")
+        # W = J = diag(1, sin²θ): the risk under which pure-state tomography
+        # saturates the upper bound chain
         n = np.array([st * cp, st * sp, ct])
         dn_theta = np.array([ct * cp, ct * sp, -st])
         dn_phi = np.array([-st * sp, st * cp, 0.0])
@@ -476,7 +465,7 @@ def fixture(name: str, params) -> QuantumModel:
     if name == "random_full_rank":
         if not params:
             raise ValueError("random_full_rank expects params (seed[, d[, p[, q]]])")
-        seed = int(params[0])
+        seed = int(params[0])  # defaults d = 3, p = q = 2
         d = int(params[1]) if len(params) > 1 else 3
         p = int(params[2]) if len(params) > 2 else 2
         q = int(params[3]) if len(params) > 3 else 2

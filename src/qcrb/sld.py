@@ -3,7 +3,8 @@
 :func:`analyze` computes, once per model and in one frame, rho's
 eigenbasis, everything the three bounds read: the support/kernel split,
 drho, the symmetric logarithmic derivatives, J = Re Z(L) and D = Im Z(L),
-the one eigendecomposition of J (its rank, range and pseudoinverse), the
+the one eigendecomposition of J and its one ``rank_tol`` cut
+(:func:`decide_qfim`: J⁺ and the estimability verdict), the
 weight factor R with W = RRᵀ, the efficient influence operators (dbeta)ᵀ J⁺ L,
 which alone are rotated to the original frame, and how far the SLD span is from
 being closed under the commutation superoperator 𝒟_ρ (which decides
@@ -29,8 +30,8 @@ from .model import QuantumModel
 __all__ = [
     "ModelAnalysis",
     "analyze",
-    "check_estimable",
     "compute_slds",
+    "decide_qfim",
     "d_invariance_residual",
     "information",
     "infeasible_columns",
@@ -94,10 +95,9 @@ def compute_slds(drho_eig: np.ndarray, eigvals: np.ndarray,
     There, where drho is ``drho_eig``, the Hermitian
     (L_j)_ab = 2 (drho_j)_ab / (λ_a + λ_b) on every pair touching the
     ``support``, and 0 on the kernel×kernel block: the minimum-norm
-    representative of the SLD, to which no bound is sensitive.  Raises
-    :class:`ResidualTooLarge` when ‖((λ_a + λ_b)/2) L_ab − (drho_j)_ab‖_F,
-    which is ‖rho ∘ L_j − drho_j‖_F in any frame, exceeds ``RESIDUAL_TOL``
-    (content the kernel-block check of :func:`analyze` let through).
+    representative of the SLD, to which no bound is sensitive.
+    ``residuals`` are ‖((λ_a + λ_b)/2) L_ab − (drho_j)_ab‖_F, which is
+    ‖rho ∘ L_j − drho_j‖_F in any frame; :func:`analyze` judges them.
     """
     # entries near the float limit overflow here; the non-finite SLD is
     # rejected, naming drho, by :func:`information`
@@ -105,13 +105,6 @@ def compute_slds(drho_eig: np.ndarray, eigvals: np.ndarray,
         slds_eig = drho_eig * _pair_weights(eigvals, support)
         slds_eig = slds_eig / 2 + slds_eig.conj().transpose(0, 2, 1) / 2
         residuals = np.linalg.norm((eigvals[:, None] + eigvals) / 2 * slds_eig - drho_eig, axis=(1, 2))
-    failed = residuals > RESIDUAL_TOL
-    if failed.any():
-        j = int(failed.argmax())  # the first
-        raise ResidualTooLarge(
-            f"SLD equation for parameter {j} left residual {residuals[j]:.3e} > {RESIDUAL_TOL:.1e}",
-            support_rank=int(np.count_nonzero(support)),
-        )
     return slds_eig, residuals
 
 
@@ -157,33 +150,43 @@ def information(slds_eig: np.ndarray, eigvals: np.ndarray) -> tuple[np.ndarray, 
     return (z.real + z.real.T) / 2, (z.imag - z.imag.T) / 2
 
 
-def infeasible_columns(j_eig: tuple, dbeta: np.ndarray, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> list[int]:
-    """Indices of dbeta columns outside the range of J (empty iff estimable).
+def decide_qfim(j_eig: tuple, dbeta: np.ndarray,
+                rank_tol: float = linalg.DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """J's one ``rank_tol`` decision: returns (kept, J⁺).
 
-    ``j_eig`` is J's :func:`qcrb.linalg.symmetric_eigh`, and V_d holds the
-    eigenvectors that ``rank_tol`` drops, as :func:`qcrb.linalg.pseudoinverse`
-    does.  Column s fails when ‖V_d V_dᵀ dbeta[:, s]‖_max > ``FEASIBILITY_TOL``;
-    then no influence operators satisfy the unbiasedness constraints and
-    target component s carries unbounded variance.  J J⁺ dbeta, whose
-    roundoff grows as eps·cond(J), is not formed.
+    ``j_eig`` is J's :func:`qcrb.linalg.symmetric_eigh`; ``kept`` masks the
+    eigenvalues with |λ| > ``rank_tol`` times the largest |λ|, and J⁺
+    inverts those alone.  Raises :class:`InfeasibleModel` naming the dbeta
+    columns s with ‖V_d V_dᵀ dbeta[:, s]‖_max > ``FEASIBILITY_TOL``, V_d
+    holding the eigenvectors the cut drops: then no influence operators
+    satisfy the unbiasedness constraints and target component s carries
+    unbounded variance.  J J⁺ dbeta, whose roundoff grows as eps·cond(J),
+    is not formed.
     """
     vals, vecs = j_eig
     dbeta = np.asarray(dbeta, dtype=float)
     if dbeta.shape[0] != vals.size:
         raise ValueError(f"dbeta has {dbeta.shape[0]} rows, J is {vals.size}×{vals.size}")
-    dropped = vecs[:, np.abs(vals) <= rank_tol * max(np.abs(vals).max(initial=0.0), 1e-300)]
-    dev = np.abs(dropped @ (dropped.T @ dbeta))
-    return [s for s in range(dbeta.shape[1]) if dev[:, s].max() > FEASIBILITY_TOL]
-
-
-def check_estimable(j_eig: tuple, dbeta: np.ndarray, rank_tol: float) -> None:
-    """Raise :class:`InfeasibleModel` naming the :func:`infeasible_columns`, if any."""
-    bad = infeasible_columns(j_eig, dbeta, rank_tol)
+    kept = np.abs(vals) > rank_tol * max(np.abs(vals).max(initial=0.0), 1e-300)
+    dev = np.abs(vecs[:, ~kept] @ (vecs[:, ~kept].T @ dbeta))
+    bad = [s for s in range(dbeta.shape[1]) if dev[:, s].max() > FEASIBILITY_TOL]
     if bad:
         raise InfeasibleModel(
             f"beta component(s) {bad} are not estimable (dbeta column outside range of J)",
             bad_columns=bad,
         )
+    pinv = (vecs * np.divide(1.0, vals, out=np.zeros_like(vals), where=kept)) @ vecs.T
+    return kept, (pinv + pinv.T) / 2
+
+
+def infeasible_columns(j_eig: tuple, dbeta: np.ndarray, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> list[int]:
+    """Indices of dbeta columns outside the range of J (empty iff estimable),
+    as :func:`decide_qfim` finds them."""
+    try:
+        decide_qfim(j_eig, dbeta, rank_tol)
+    except InfeasibleModel as exc:
+        return exc.bad_columns
+    return []
 
 
 def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> ModelAnalysis:
@@ -191,9 +194,11 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
 
     Raises :class:`KernelBlockDerivative` when a derivative has content in
     the kernel×kernel block of rho (the rank of rho is not locally fixed),
-    :class:`ResidualTooLarge` when an SLD equation is left unsolved, and
-    :class:`InfeasibleModel` naming the dbeta columns that leave the range
-    of J.
+    :class:`ResidualTooLarge` when an SLD equation leaves a residual above
+    ``RESIDUAL_TOL``, naming ``rank_tol`` and the support rank it kept when
+    the cut dropped eigenvalues of rho, and max|drho_j| when it dropped
+    none, and :class:`InfeasibleModel` naming the dbeta columns that leave
+    the range of J (:func:`decide_qfim`).
     """
     eigvals, eigvecs = model.rho_eig
     support = eigvals > rank_tol * max(eigvals.max(), 1e-300)
@@ -206,13 +211,19 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
                 f"drho[{j}] has kernel-block content {np.abs(block).max():.3e}; "
                 "the SLD equation is unsolvable there (rank of rho not locally fixed)"
             )
-    slds_eig, _ = compute_slds(drho_eig, eigvals, support)
+    slds_eig, residuals = compute_slds(drho_eig, eigvals, support)
+    failed = residuals > RESIDUAL_TOL
+    if failed.any():
+        j, rank = int(failed.argmax()), int(np.count_nonzero(support))  # the first
+        cause = (f"rank_tol {float(rank_tol)!r} kept support rank {rank} of {eigvals.size}"
+                 if rank < eigvals.size else
+                 f"support rank {rank} of {rank}, no eigenvalue dropped; max|drho[{j}]| = {np.abs(drho[j]).max():.3e}")
+        raise ResidualTooLarge(f"SLD equation for parameter {j} left residual {residuals[j]:.3e} "
+                               f"> {RESIDUAL_TOL:.1e} ({cause})", support_rank=rank)
     qfim, dmat = information(slds_eig, eigvals)
     j_vals, j_vecs = j_eig = linalg.symmetric_eigh(qfim, "J")
-    j_scale = max(np.abs(j_vals).max(), 1e-300)
-    j_range = np.abs(j_vals) > min(rank_tol, QFIM_ROUNDOFF_TOL) * j_scale  # above roundoff
-    qfim_pinv = linalg.pseudoinverse(qfim, rank_tol, eig=j_eig)
-    check_estimable(j_eig, model.dbeta, rank_tol)
+    j_kept, qfim_pinv = decide_qfim(j_eig, model.dbeta, rank_tol)
+    j_range = j_kept | (np.abs(j_vals) > QFIM_ROUNDOFF_TOL * max(np.abs(j_vals).max(), 1e-300))  # above roundoff
     w_vals, w_vecs = model.weight_eig
     # R drops only roundoff eigenvalues (numpy's matrix_rank cut); a larger
     # cut would drop terms of order √w from c_d
@@ -226,8 +237,7 @@ def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> M
         qfim=qfim,
         dmat=dmat,
         qfim_range=j_vecs[:, j_range],
-        dbeta_range=np.where(np.abs(j_vals[j_range, None]) > rank_tol * j_scale,  # 0 where J⁺ drops
-                             j_vecs[:, j_range].T @ model.dbeta, 0.0),
+        dbeta_range=np.where(j_kept[j_range, None], j_vecs[:, j_range].T @ model.dbeta, 0.0),  # 0 where J⁺ drops
         qfim_pinv=qfim_pinv,
         weight_factor=w_vecs[:, kept] * np.sqrt(w_vals[kept]),
         x_eff=eigvecs @ np.tensordot((qfim_pinv @ model.dbeta).T, slds_eig, axes=(1, 0)) @ eigvecs.conj().T,

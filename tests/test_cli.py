@@ -154,7 +154,20 @@ class TestBounds:
         assert main(["bounds", str(path), "--rank-tol", "0.999"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: SLD equation for parameter 0")
-        assert "(--rank-tol 0.999 kept support rank 1 of 8)" in err
+        assert "(rank_tol 0.999 kept support rank 1 of 8)" in err
+
+    def test_strong_signal_residual_names_no_cut(self, tmp_path, capsys):
+        """drho × 1e8 on a full-rank state: the SLD residual is roundoff
+        proportional to |drho|, and no eigenvalue of rho was dropped."""
+        model = fixture("random_full_rank", [3, 3, 2, 2])
+        path = tmp_path / "strong.json"
+        save_model(dataclasses.replace(model, drho=model.drho * 1e8), path)
+        assert main(["bounds", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: SLD equation for parameter 0 left residual ")
+        assert "(support rank 3 of 3, no eigenvalue dropped; max|drho[0]| = " in captured.err
+        assert "rank_tol" not in captured.err and "rank-tol" not in captured.err
 
     @pytest.mark.parametrize("rank_tol", ["1e-4", "1e-3"])
     def test_rank_tol_dropping_signal_keeps_every_constraint(self, rank_tol, tmp_path, capsys):
@@ -324,11 +337,12 @@ class TestBounds:
         path = tmp_path / "d4.json"
         save_model(fixture("random_full_rank", [3, 4, 3, 2]), path)
         linalg_calls = count_calls(monkeypatch, linalg, ["pseudoinverse", "trace_norm"])
-        sld_calls = count_calls(monkeypatch, sld, ["information"])
+        sld_calls = count_calls(monkeypatch, sld, ["information", "decide_qfim"])
         assert main(["bounds", str(path)]) == 0
-        # trace norms: one in c_d, one in the verification's nonsmooth objective
-        assert linalg_calls == {"pseudoinverse": 1, "trace_norm": 2}
-        assert sld_calls == {"information": 1}
+        # trace norms: one in c_d, one in the verification's nonsmooth objective;
+        # J⁺ comes from the one decision on J
+        assert linalg_calls == {"pseudoinverse": 0, "trace_norm": 2}
+        assert sld_calls == {"information": 1, "decide_qfim": 1}
 
     def test_rho_hermitized_once(self, tmp_path, monkeypatch, capsys):
         """``QuantumModel.rho_eig`` Hermitizes rho; ``validate`` only checks it."""
@@ -576,6 +590,20 @@ class TestGaussian:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"unphysical covariance matrix: {meas_path}: sigma + sigma_m has no Cholesky factor\n"
+
+    def test_j_decided_once(self, tmp_path, monkeypatch, capsys):
+        """One decision on J per run, estimable or not; F's pseudoinverse is the one other cut."""
+        for djacobian, code in (([[0.0], [1.0]], 0), ([[1.0, 0.0], [0.0, 0.0]], 2)):
+            path = tmp_path / "g.json"
+            write_json({"modes": 1, "cm": [[1.0, 0.0], [0.0, 1.0]], "djacobian": djacobian}, path)
+            cli_calls = count_calls(monkeypatch, cli, ["decide_qfim"])
+            linalg_calls = count_calls(monkeypatch, linalg, ["pseudoinverse", "symmetric_eigh"])
+            assert main(["gaussian", str(path)]) == code
+            assert cli_calls == {"decide_qfim": 1}
+            assert linalg_calls == ({"pseudoinverse": 1, "symmetric_eigh": 2} if code == 0
+                                    else {"pseudoinverse": 0, "symmetric_eigh": 1})
+            if code == 2:
+                assert "not estimable" in capsys.readouterr().err
 
     def test_non_estimable_target_exits_2(self, tmp_path, capsys):
         """J = diag(2, 0): the second target component has no finite bound."""

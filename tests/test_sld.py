@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,7 +8,7 @@ from qcrb.exceptions import InfeasibleModel, KernelBlockDerivative, ResidualTooL
 from qcrb.linalg import symmetric_eigh
 from qcrb.model import QuantumModel, fixture
 from qcrb.sld import analyze, compute_slds, infeasible_columns, information
-from _support import information_oracle, jordan_product, random_model, sld_oracle
+from _support import information_oracle, jordan_product, random_model, sld_oracle, truncated_j_model
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -67,13 +69,15 @@ class TestComputeSlds:
                 assert abs(np.trace(m.rho @ lj)) < 1e-10
 
     def test_residual_too_large_on_kernel_content(self):
-        # bypass the kernel-block check of analyze: feed a kernel-block derivative directly
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        eigvals, eigvecs = np.linalg.eigh(rho)
-        drho = np.array([np.diag([-1.0, 1.0]).astype(complex)])
+        # kernel-block content 1e-7 passes analyze's kernel-block check at
+        # rank_tol 1e-6, but leaves an SLD residual above RESIDUAL_TOL
+        model = QuantumModel(dim=2, rho=np.diag([1.0, 0.0]).astype(complex),
+                             drho=np.array([np.diag([-1e-7, 1e-7]).astype(complex)]),
+                             dbeta=np.eye(1), weight=np.eye(1))
         with pytest.raises(ResidualTooLarge) as raised:
-            compute_slds(eigvecs.conj().T @ drho @ eigvecs, eigvals, eigvals > 1e-10)
+            analyze(model, 1e-6)
         assert raised.value.support_rank == 1
+        assert "(rank_tol 1e-06 kept support rank 1 of 2)" in str(raised.value)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(3)
@@ -283,3 +287,35 @@ class TestOneRankTol:
         assert analyze(model, 1e-10).qfim_range.shape[1] == 2
         with pytest.raises(KernelBlockDerivative, match=r"drho\[1\]"):
             analyze(model, 1e-8)
+
+
+class TestOneJDecision:
+    """J's ``rank_tol`` cut, drawn once, feeds J⁺, the estimability verdict
+    and ``dbeta_range``: at the cut they change together."""
+
+    def test_truncated_j_at_the_cut(self):
+        model = truncated_j_model(np.eye(2))
+        vals, vecs = symmetric_eigh(analyze(model).qfim)
+        ratio = vals[0] / vals[-1]
+        small = vecs[:, :1]  # J's smallest eigenvector, 8.8e-6 of the largest
+        # dbeta leans 1e-9 < FEASIBILITY_TOL on it: estimable at any cut
+        leaning = dataclasses.replace(model, dbeta=model.dbeta + 1e-9 * small)
+        # its first column lies on it: estimable only while the cut keeps it
+        on_it = dataclasses.replace(model, dbeta=np.hstack([small, model.dbeta[:, 1:]]))
+        dropped = []
+        for rank_tol in (np.nextafter(ratio, 0.0), ratio, np.nextafter(ratio, 1.0)):
+            analysis = analyze(leaning, rank_tol)
+            pinv_drops = np.linalg.norm(analysis.qfim_pinv @ small) * vals[0] < 0.5
+            assert analysis.qfim_range.shape[1] == 3  # the range above roundoff keeps it
+            range_drops = bool((analysis.dbeta_range[0] == 0.0).all())
+            assert bool((analysis.dbeta_range[0] != 0.0).all()) != range_drops
+            bad = infeasible_columns((vals, vecs), on_it.dbeta, rank_tol)
+            if bad:
+                with pytest.raises(InfeasibleModel) as raised:
+                    analyze(on_it, rank_tol)
+                assert raised.value.bad_columns == bad == [0]
+            else:
+                analyze(on_it, rank_tol)
+            assert pinv_drops == range_drops == bool(bad)
+            dropped.append(bool(pinv_drops))
+        assert dropped[0] is False and dropped[-1] is True
