@@ -20,6 +20,7 @@ from .exceptions import (
     NotLocallyUnbiased,
     RankDeficientDbeta,
     ResidualTooLarge,
+    UnphysicalCovariance,
     VerificationFailed,
 )
 from .gaussian import (

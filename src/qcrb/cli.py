@@ -30,8 +30,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gaussian as gaussian_mod
 from . import holevo, linalg, povm as povm_mod, sdp
-from .exceptions import InfeasibleModel, ModelError, NotLocallyUnbiased, VerificationFailed
-from .model import FIXTURES, fixture, load_model, model_to_dict, save_model, validate
+from .exceptions import InfeasibleModel, ModelError, NotLocallyUnbiased, UnphysicalCovariance, VerificationFailed
+from .model import FIXTURES, fixture, load_model, model_to_dict, naming, save_model, validate
 from .sld import analyze, decide_qfim
 
 EXIT_OK = 0
@@ -48,6 +48,7 @@ _EPS = float(np.finfo(float).eps)
 FAILURES = (
     (InfeasibleModel, EXIT_REJECTED, "infeasible model"),
     (NotLocallyUnbiased, EXIT_REJECTED, "not locally unbiased"),
+    (UnphysicalCovariance, EXIT_REJECTED, "unphysical covariance matrix"),
     (VerificationFailed, EXIT_SOLVER, "verification failed"),
     (OSError, EXIT_FILE, "error"),
     (ValueError, EXIT_FILE, "error"),
@@ -67,14 +68,12 @@ def _diag(msg: str) -> None:
 
 def _check_solver_flags(args) -> None:
     """Reject a ``--tol``, ``--max-iter`` or ``--rank-tol`` outside the range
-    where it means anything, naming the flag."""
-    if not hasattr(args, "tol"):
-        return
-    if not (np.isfinite(args.tol) and args.tol >= _EPS):
+    where it means anything, naming the flag; a command without the flag skips its check."""
+    if hasattr(args, "tol") and not (np.isfinite(args.tol) and args.tol >= _EPS):
         raise ValueError(f"--tol must be a finite number >= {_EPS!r} (machine epsilon), got {args.tol!r}")
-    if args.max_iter < 0:
+    if getattr(args, "max_iter", 0) < 0:
         raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
-    if not 0 <= args.rank_tol < 1:
+    if hasattr(args, "rank_tol") and not 0 <= args.rank_tol < 1:
         raise ValueError(f"--rank-tol must be a finite number in [0, 1), got {args.rank_tol!r}")
 
 
@@ -157,27 +156,14 @@ def cmd_bounds(args) -> int:
     return code
 
 
-def _unphysical(path, what: str) -> int:
-    _diag(f"unphysical covariance matrix: {path}: {what}")
-    return EXIT_REJECTED
-
-
 def cmd_gaussian(args) -> int:
     model = gaussian_mod.load_gaussian_model(args.model)
-    if not gaussian_mod.validate_cm(model.cm, model.modes):
-        return _unphysical(args.model, "sigma + i*Omega has negative eigenvalues")
     if args.measurement_cm:
         meas = gaussian_mod.load_measurement(args.measurement_cm, model.modes)
-        if not gaussian_mod.validate_cm(meas.cm_m, model.modes):
-            return _unphysical(args.measurement_cm, "sigma_m + i*Omega has negative eigenvalues")
-    try:
+    with naming(args.model):
         f_half, qfim, deviation = gaussian_mod.half_qfim_check(model)
-    except np.linalg.LinAlgError:
-        return _unphysical(args.model, "sigma has no Cholesky factor")
-    try:
+    with naming(args.measurement_cm):  # only the measurement's F is left to fail
         fim = gaussian_mod.gaussian_fim(model, meas) if args.measurement_cm else f_half
-    except np.linalg.LinAlgError:
-        return _unphysical(args.measurement_cm, "sigma + sigma_m has no Cholesky factor")
     dbeta = model.dbeta_or_default()
     weight = model.weight_or_default()
     _, qfim_pinv = decide_qfim(linalg.symmetric_eigh(qfim, "J"), dbeta, args.rank_tol)  # exit 2, as in bounds
@@ -217,14 +203,11 @@ def cmd_check_povm(args) -> int:
     if beta.shape != (q,):
         raise ValueError(f"--beta needs {q} entries, got {beta.shape[0]}")
 
-    try:  # every failure from here on is the measurement's: name its file
+    with naming(args.povm):  # every failure from here on is the measurement's
         if povm.estimates.shape[1] != q:
             raise ModelError(f"estimates: {povm.estimates.shape[1]} column(s), expected the model's q = {q}")
         report_data = povm_mod.measurement_report(povm, model, beta)
         dv_min, dz_min = povm_mod.matrix_crb_check(report_data, model)
-    except ModelError as exc:
-        exc.args = (f"{args.povm}: {exc}",)
-        raise
     tr_w_sigma = float(np.trace(model.weight @ report_data.sigma))
     breport, sol, timings, code = _bound_pipeline(analysis, args)
     if code != EXIT_OK:
@@ -333,11 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json")):
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="relative width of c_h's certified bracket (dual) or duality gap (SDP)")
-        p.add_argument("--max-iter", type=int, default=200,
-                       help="Newton steps on the dual before the SDP takes over; SDP iteration cap")
+    def common(p, formats=("text", "json"), solver=True):
+        if solver:
+            p.add_argument("--tol", type=float, default=1e-8,
+                           help="relative width of c_h's certified bracket (dual) or duality gap (SDP)")
+            p.add_argument("--max-iter", type=int, default=200,
+                           help="Newton steps on the dual before the SDP takes over; SDP iteration cap")
         p.add_argument("--rank-tol", type=float, default=1e-10, help="relative spectral rank cutoff")
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
@@ -353,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gaussian", help="information matrices of a Gaussian shift model")
     p.add_argument("model")
     p.add_argument("--measurement-cm", help="measurement CM file; default sigma_m = sigma")
-    common(p)
+    common(p, solver=False)
 
     p = sub.add_parser("check-povm", help="audit a POVM against a model")
     p.add_argument("povm")

@@ -12,6 +12,7 @@ __all__ = [
     "InfeasibleModel",
     "IllDefinedFim",
     "NotLocallyUnbiased",
+    "UnphysicalCovariance",
     "VerificationFailed",
 ]
 
@@ -69,6 +70,10 @@ class NotLocallyUnbiased(ModelError):
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)
         self.residual = residual
+
+
+class UnphysicalCovariance(ModelError):
+    """A covariance matrix breaks σ + iΩ ⪰ 0, or σ (or σ + σ_m) has no Cholesky factor."""
 
 
 class VerificationFailed(RuntimeError):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import UnphysicalCovariance
 from .model import _check_dbeta, _check_weight, _label, _positive_int, _real_matrix, _real_vector, read_json, write_json
 
 __all__ = [
@@ -112,25 +113,29 @@ def _decode_cm(obj, modes: int) -> np.ndarray:
     return cm
 
 
-def _information(cm: np.ndarray, dr: np.ndarray) -> np.ndarray:
-    """2 (∂r)ᵀ cm⁻¹ ∂r = 2GᵀG with G = L⁻¹∂r, L Lᵀ the Cholesky factorization of ``cm`` (σ or σ + σ_m).
+def _information(cm: np.ndarray, dr: np.ndarray, name: str) -> np.ndarray:
+    """2 (∂r)ᵀ cm⁻¹ ∂r = 2GᵀG with G = L⁻¹∂r, L Lᵀ the Cholesky factorization of ``cm``, the matrix ``name``.
 
-    The factor both decides that ``cm`` is positive definite and gives the solve;
-    ``np.linalg.LinAlgError`` when there is none, which a matrix :func:`validate_cm`
-    accepts lacks only through ``CM_TOL``'s slack, since σ + iΩ ⪰ 0 implies σ ≻ 0.
-    """
-    g = np.linalg.solve(np.linalg.cholesky(cm), dr)
+    The factor both decides that ``cm`` is positive definite and gives the solve; without one,
+    :class:`UnphysicalCovariance`.  A σ that :func:`validate_cm` accepts lacks one only through
+    ``CM_TOL``'s slack, since σ + iΩ ⪰ 0 implies σ ≻ 0."""
+    try:
+        low = np.linalg.cholesky(cm)
+    except np.linalg.LinAlgError as exc:
+        raise UnphysicalCovariance(f"{name} has no Cholesky factor") from exc
+    g = np.linalg.solve(low, dr)
     return 2.0 * (g.T @ g)
 
 
 def gaussian_fim(model: GaussianShiftModel, meas: GaussianMeasurement) -> np.ndarray:
     """Classical information matrix 2 (∂r)ᵀ (σ + σ_m)⁻¹ ∂r of general-dyne outcomes."""
-    return _information(np.asarray(model.cm, dtype=float) + np.asarray(meas.cm_m, dtype=float), model.djacobian)
+    return _information(np.asarray(model.cm, dtype=float) + np.asarray(meas.cm_m, dtype=float), model.djacobian,
+                        "sigma + sigma_m")
 
 
 def gaussian_qfim(model: GaussianShiftModel) -> np.ndarray:
     """Quantum information matrix 2 (∂r)ᵀ σ⁻¹ ∂r of the shift model."""
-    return _information(np.asarray(model.cm, dtype=float), model.djacobian)
+    return _information(np.asarray(model.cm, dtype=float), model.djacobian, "sigma")
 
 
 def half_qfim_check(model: GaussianShiftModel) -> tuple[np.ndarray, np.ndarray, float]:
@@ -164,14 +169,15 @@ def gaussian_model_from_dict(data: dict) -> GaussianShiftModel:
         raise ValueError(f"mean: shape {mean.shape}, expected ({2 * k},)")
     dbeta = _real_matrix(data["dbeta"], "dbeta") if "dbeta" in data else None
     if dbeta is not None:  # p×q of full column rank, as in a quantum model file
-        if dbeta.shape[0] != dj.shape[1]:
-            raise ValueError(f"dbeta: {dbeta.shape[0]} rows do not match p={dj.shape[1]}")
-        _check_dbeta(dbeta)
+        _check_dbeta(dbeta, dj.shape[1])
     weight = _real_matrix(data["weight"], "weight") if "weight" in data else None
     if weight is not None:  # q×q and PSD, as in a quantum model file; q defaults to p
         _check_weight(weight, dj.shape[1] if dbeta is None else dbeta.shape[1])
-    return GaussianShiftModel(modes=k, djacobian=dj, cm=cm, mean=mean,
-                              dbeta=dbeta, weight=weight, label=_label(data))
+    model = GaussianShiftModel(modes=k, djacobian=dj, cm=cm, mean=mean,
+                               dbeta=dbeta, weight=weight, label=_label(data))
+    if not validate_cm(cm, k):  # last: a malformed field is reported first
+        raise UnphysicalCovariance("sigma + i*Omega has negative eigenvalues")
+    return model
 
 
 def gaussian_model_to_dict(model: GaussianShiftModel) -> dict:
@@ -191,6 +197,7 @@ def gaussian_model_to_dict(model: GaussianShiftModel) -> dict:
 
 
 def load_gaussian_model(path) -> GaussianShiftModel:
+    """Load and validate a Gaussian model file; every error keeps its class and names the file."""
     return read_json(path, gaussian_model_from_dict)
 
 
@@ -199,10 +206,13 @@ def save_gaussian_model(model: GaussianShiftModel, path) -> None:
 
 
 def load_measurement(path, modes: int) -> GaussianMeasurement:
-    """Load a measurement CM file {"cm": [[...]]} and check its shape and symmetry."""
+    """Load and validate a measurement CM file {"cm": [[...]]}, as :func:`load_gaussian_model` does."""
     def parse(data):
         if "cm" not in data:
             raise ValueError("measurement file misses field 'cm'")
-        return GaussianMeasurement(cm_m=_decode_cm(data["cm"], modes))
+        cm_m = _decode_cm(data["cm"], modes)
+        if not validate_cm(cm_m, modes):
+            raise UnphysicalCovariance("sigma_m + i*Omega has negative eigenvalues")
+        return GaussianMeasurement(cm_m=cm_m)
 
     return read_json(path, parse)

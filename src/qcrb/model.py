@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -30,6 +31,7 @@ __all__ = [
     "load_model",
     "save_model",
     "read_json",
+    "naming",
     "write_json",
     "model_to_dict",
     "model_from_dict",
@@ -143,17 +145,16 @@ def validate(model: QuantumModel) -> None:
         raise NonHermitianDerivative(f"drho[{j}] has trace {traces[j]!r}, expected 0 (unit-trace family)")
 
     dbeta = np.asarray(model.dbeta, dtype=float)
-    p = drho.shape[0]
-    if dbeta.ndim != 2 or dbeta.shape[0] != p:
-        raise RankDeficientDbeta(f"dbeta has shape {dbeta.shape}, expected ({p}, q)")
-    _check_dbeta(dbeta)
+    _check_dbeta(dbeta, drho.shape[0])
 
     _check_weight(model.weight, dbeta.shape[1], lambda: model.weight_eig)
 
 
-def _check_dbeta(dbeta: np.ndarray) -> None:
-    """Raise :class:`RankDeficientDbeta` unless the p×q matrix ``dbeta`` has
+def _check_dbeta(dbeta: np.ndarray, p: int) -> None:
+    """Raise :class:`RankDeficientDbeta` unless ``dbeta`` is a p×q matrix of
     full column rank q ≥ 1 (so q ≤ p)."""
+    if dbeta.ndim != 2 or dbeta.shape[0] != p:
+        raise RankDeficientDbeta(f"dbeta has shape {dbeta.shape}, expected ({p}, q)")
     q = dbeta.shape[1]
     svals = np.linalg.svd(dbeta, compute_uv=False)
     if not 0 < q <= svals.size or svals.min() <= RANK_TOL * max(svals.max(), 1e-300):
@@ -183,23 +184,30 @@ def _check_weight(weight: np.ndarray, q: int, eig=None) -> None:
 # serialization
 
 
+@contextmanager
+def naming(path):
+    """Prepend ``path`` to the message of a ValueError raised in the block, keeping
+    its class: the one way an input error names its file."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def read_json(path, parse):
-    """``parse`` of the JSON object in the input file ``path``; bytes that are not
-    UTF-8, a decode error, another top level and a ValueError of ``parse`` all
-    become a ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """``parse``, which decodes and validates, of the JSON object in the input file ``path``; every
+    ValueError on the way (not UTF-8, a decode error, another top level, any of ``parse``) names the file."""
+    with open(path, "r", encoding="utf-8") as fh, naming(path):
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+            raise ValueError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
-    try:
+            raise ValueError(f"not UTF-8 text: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object at the top level, got {json.dumps(data)[:40]}")
         return parse(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_json(data, path) -> None:
@@ -328,6 +336,7 @@ def model_to_dict(model: QuantumModel) -> dict:
 
 
 def model_from_dict(data: dict) -> QuantumModel:
+    """The model a decoded model file describes, checked by :func:`validate`."""
     for key in ("dim", "rho", "drho", "dbeta"):
         if key not in data:
             raise ValueError(f"model file misses required field '{key}'")
@@ -343,23 +352,15 @@ def model_from_dict(data: dict) -> QuantumModel:
     dbeta = _real_matrix(data["dbeta"], "dbeta")
     q = dbeta.shape[1]
     weight = _real_matrix(data["weight"], "weight") if "weight" in data else np.eye(q)
-    return QuantumModel(dim=dim, rho=rho, drho=drho, dbeta=dbeta, weight=weight, label=_label(data))
+    model = QuantumModel(dim=dim, rho=rho, drho=drho, dbeta=dbeta, weight=weight, label=_label(data))
+    validate(model)
+    return model
 
 
 def load_model(path) -> QuantumModel:
-    """Load and validate a model file (JSON, complex entries as [re, im]).
-
-    Every error names the file: :func:`read_json` names it for what it
-    reads, and a :func:`validate` error keeps its type with the file
-    prepended to its message.
-    """
-    model = read_json(path, model_from_dict)
-    try:
-        validate(model)
-    except ModelError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-    return model
+    """Load and validate a model file (JSON, complex entries as [re, im]); every
+    error, a :func:`validate` error included, keeps its class and names the file."""
+    return read_json(path, model_from_dict)
 
 
 def save_model(model: QuantumModel, path) -> None:

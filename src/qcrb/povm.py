@@ -209,13 +209,7 @@ def measurement_report(povm: DiscretePovm, model: QuantumModel,
 def load_povm(path) -> DiscretePovm:
     """Load a POVM file {"dim", "elements", "estimates"} and validate it;
     every error names the file, as :func:`qcrb.model.load_model`'s do."""
-    povm = read_json(path, _povm_from_dict)
-    try:
-        validate_povm(povm)
-    except ModelError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-    return povm
+    return read_json(path, _povm_from_dict)
 
 
 def _povm_from_dict(data: dict) -> DiscretePovm:
@@ -233,7 +227,9 @@ def _povm_from_dict(data: dict) -> DiscretePovm:
     estimates = _real_matrix(data["estimates"], "estimates")
     if estimates.shape[0] != elements.shape[0]:
         raise ValueError(f"estimates: {estimates.shape[0]} rows for {elements.shape[0]} POVM elements")
-    return DiscretePovm(elements=elements, estimates=estimates)
+    povm = DiscretePovm(elements=elements, estimates=estimates)
+    validate_povm(povm)
+    return povm
 
 
 def save_povm(povm: DiscretePovm, path) -> None:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from qcrb import bounds, cli, gaussian, holevo, linalg, sld
 from qcrb import povm as povm_mod
 from qcrb.cli import main
-from qcrb.exceptions import InfeasibleModel, NotLocallyUnbiased, ResidualTooLarge, VerificationFailed
+from qcrb.exceptions import (InfeasibleModel, NotLocallyUnbiased, ResidualTooLarge, UnphysicalCovariance,
+                             VerificationFailed)
 from qcrb.gaussian import GaussianShiftModel, gaussian_model_to_dict, save_gaussian_model
 from qcrb.model import QuantumModel, fixture, model_to_dict, save_model, write_json
 from qcrb.povm import DiscretePovm, save_povm
@@ -615,6 +616,38 @@ class TestGaussian:
         assert captured.err == ("infeasible model: beta component(s) [1] are not estimable "
                                 "(dbeta column outside range of J)\n")
 
+    @pytest.mark.parametrize("name, sigma, sigma_m", [
+        ("sigma", 0.5, 1.0),  # the state's σ + iΩ has eigenvalue −0.5
+        ("sigma_m", 1.0, 0.5),
+    ])
+    def test_unphysical_cm_names_its_file(self, name, sigma, sigma_m, tmp_path, capsys):
+        path, meas_path = tmp_path / "g.json", tmp_path / "meas.json"
+        write_json({"modes": 1, "cm": [[sigma, 0.0], [0.0, sigma]], "djacobian": [[1.0], [0.0]]}, path)
+        write_json({"cm": [[sigma_m, 0.0], [0.0, sigma_m]]}, meas_path)
+        assert main(["gaussian", str(path), "--measurement-cm", str(meas_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named = path if name == "sigma" else meas_path
+        assert captured.err == f"unphysical covariance matrix: {named}: {name} + i*Omega has negative eigenvalues\n"
+
+    @pytest.mark.parametrize("flag, value", [("--tol", "1e-3"), ("--max-iter", "0")])
+    def test_no_solver_flags(self, vacuum_file, flag, value, capsys):
+        """`gaussian` solves nothing: a solver flag is a usage error, not a flag read by no one."""
+        assert main(["gaussian", vacuum_file, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {flag} {value}\n"
+        with pytest.raises(SystemExit):
+            main(["gaussian", "--help"])
+        assert flag not in capsys.readouterr().out.replace("--rank-tol", "")
+
+    @pytest.mark.parametrize("value", ["2", "-1", "nan"])
+    def test_rank_tol_range_checked(self, vacuum_file, value, capsys):
+        assert main(["gaussian", vacuum_file, "--rank-tol", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: --rank-tol must be")
+
 
 class TestCheckPovm:
     def make_files(self, tmp_path, estimates=((1.0,), (-1.0,))):
@@ -799,8 +832,9 @@ class TestExitCodes:
         (OSError("planted file"), 1),
         (InfeasibleModel("planted infeasible", bad_columns=[0]), 2),
         (NotLocallyUnbiased("planted bias"), 2),
-        (np.linalg.LinAlgError("planted linear algebra"), 1),  # a ValueError: only `gaussian` catches it, as exit 2
+        (np.linalg.LinAlgError("planted linear algebra"), 1),  # a ValueError, as every untyped input error
         (VerificationFailed("planted verification"), 3),
+        (UnphysicalCovariance("planted covariance"), 2),
     ])
     def test_same_code_everywhere(self, argv, error, code, monkeypatch, capsys):
         def fail(*args, **kwargs):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qcrb.exceptions import RankDeficientDbeta, UnphysicalCovariance
 from qcrb.gaussian import (
     GaussianMeasurement,
     GaussianShiftModel,
@@ -10,10 +11,12 @@ from qcrb.gaussian import (
     gaussian_model_from_dict,
     half_qfim_check,
     load_gaussian_model,
+    load_measurement,
     save_gaussian_model,
     symplectic_form,
     validate_cm,
 )
+from qcrb.model import QuantumModel, load_model, save_model, write_json
 from _support import generaldyne_logdensity, random_physical_cm
 
 
@@ -234,3 +237,47 @@ class TestGaussianSerialization:
     def test_shape_error(self):
         with pytest.raises(ValueError, match="cm"):
             gaussian_model_from_dict({"modes": 2, "cm": [[1.0]], "djacobian": [[1.0]]})
+
+
+class TestInputContract:
+    """A loader raises the typed error of the check that failed, its message led by the file."""
+
+    @pytest.mark.parametrize("dbeta, message", [
+        ([[1.0, 1.0]], "dbeta must have full column rank 2; singular values [1.414]"),
+        ([[1.0], [0.0]], "dbeta has shape (2, 1), expected (1, q)"),
+    ], ids=["rank-deficient", "rows-not-p"])
+    def test_dbeta_alike_from_every_loader(self, dbeta, message, tmp_path):
+        """p = 1 in both files: the one dbeta check raises one class with one message."""
+        gpath, mpath = tmp_path / "g.json", tmp_path / "m.json"
+        write_json({"modes": 1, "cm": [[1.0, 0.0], [0.0, 1.0]], "djacobian": [[1.0], [0.0]], "dbeta": dbeta}, gpath)
+        q = len(dbeta[0])
+        save_model(QuantumModel(dim=2, rho=np.diag([0.75, 0.25]).astype(complex),
+                                drho=np.array([np.diag([0.5, -0.5]).astype(complex)]),
+                                dbeta=np.array(dbeta), weight=np.eye(q)), mpath)
+        for load, path in ((load_model, mpath), (load_gaussian_model, gpath)):
+            with pytest.raises(RankDeficientDbeta) as info:
+                load(path)
+            assert str(info.value) == f"{path}: {message}"
+
+    def test_unphysical_state_and_measurement(self, tmp_path):
+        gpath, mpath = tmp_path / "g.json", tmp_path / "meas.json"
+        write_json({"modes": 1, "cm": [[0.5, 0.0], [0.0, 0.5]], "djacobian": [[1.0], [0.0]]}, gpath)
+        write_json({"cm": [[0.5, 0.0], [0.0, 0.5]]}, mpath)
+        with pytest.raises(UnphysicalCovariance) as info:
+            load_gaussian_model(gpath)
+        assert str(info.value) == f"{gpath}: sigma + i*Omega has negative eigenvalues"
+        with pytest.raises(UnphysicalCovariance) as info:
+            load_measurement(mpath, 1)
+        assert str(info.value) == f"{mpath}: sigma_m + i*Omega has negative eigenvalues"
+
+    def test_no_cholesky_factor(self, tmp_path):
+        """σ + iΩ ⪰ −CM_TOL lets the loader accept σ, whose eigenvalue −5e-11 leaves it without a
+        Cholesky factor.  The information functions read no file: their message names the matrix,
+        and ``qcrb gaussian`` adds the file."""
+        path = tmp_path / "g.json"
+        write_json({"modes": 1, "cm": [[1e12, 0.0], [0.0, -5e-11]], "djacobian": [[1.0], [0.0]]}, path)
+        model = load_gaussian_model(path)
+        with pytest.raises(UnphysicalCovariance, match=r"^sigma has no Cholesky factor$"):
+            gaussian_qfim(model)
+        with pytest.raises(UnphysicalCovariance, match=r"^sigma \+ sigma_m has no Cholesky factor$"):
+            gaussian_fim(model, GaussianMeasurement(cm_m=model.cm))
