@@ -24,7 +24,6 @@ from .exceptions import (
     VerificationFailed,
 )
 from .gaussian import (
-    GaussianMeasurement,
     GaussianShiftModel,
     gaussian_fim,
     gaussian_qfim,
@@ -47,7 +46,6 @@ from .povm import (
     DiscretePovm,
     MeasurementReport,
     born_probs,
-    check_local_unbiasedness,
     error_covariance,
     influence_operators,
     load_povm,
@@ -57,6 +55,6 @@ from .povm import (
     save_povm,
     validate_povm,
 )
-from .sld import ModelAnalysis, analyze, infeasible_columns
+from .sld import ModelAnalysis, analyze
 
 __version__ = "0.1.0"

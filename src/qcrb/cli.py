@@ -30,7 +30,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gaussian as gaussian_mod
 from . import holevo, linalg, povm as povm_mod, sdp
-from .exceptions import InfeasibleModel, ModelError, NotLocallyUnbiased, UnphysicalCovariance, VerificationFailed
+from .exceptions import InfeasibleModel, NotLocallyUnbiased, UnphysicalCovariance, VerificationFailed
 from .model import FIXTURES, fixture, load_model, model_to_dict, naming, save_model, validate
 from .sld import analyze, decide_qfim
 
@@ -159,11 +159,11 @@ def cmd_bounds(args) -> int:
 def cmd_gaussian(args) -> int:
     model = gaussian_mod.load_gaussian_model(args.model)
     if args.measurement_cm:
-        meas = gaussian_mod.load_measurement(args.measurement_cm, model.modes)
+        cm_m = gaussian_mod.load_measurement(args.measurement_cm, model.modes)
     with naming(args.model):
         f_half, qfim, deviation = gaussian_mod.half_qfim_check(model)
     with naming(args.measurement_cm):  # only the measurement's F is left to fail
-        fim = gaussian_mod.gaussian_fim(model, meas) if args.measurement_cm else f_half
+        fim = gaussian_mod.gaussian_fim(model, cm_m) if args.measurement_cm else f_half
     dbeta = model.dbeta_or_default()
     weight = model.weight_or_default()
     _, qfim_pinv = decide_qfim(linalg.symmetric_eigh(qfim, "J"), dbeta, args.rank_tol)  # exit 2, as in bounds
@@ -204,8 +204,6 @@ def cmd_check_povm(args) -> int:
         raise ValueError(f"--beta needs {q} entries, got {beta.shape[0]}")
 
     with naming(args.povm):  # every failure from here on is the measurement's
-        if povm.estimates.shape[1] != q:
-            raise ModelError(f"estimates: {povm.estimates.shape[1]} column(s), expected the model's q = {q}")
         report_data = povm_mod.measurement_report(povm, model, beta)
         dv_min, dz_min = povm_mod.matrix_crb_check(report_data, model)
     tr_w_sigma = float(np.trace(model.weight @ report_data.sigma))
@@ -249,6 +247,8 @@ def _parse_values(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError("grid must be 'start:stop:count' or comma-separated values")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if count < 1:
+            raise ValueError(f"grid count must be >= 1, got {count}")
         return [float(x) for x in np.linspace(start, stop, count)]
     return [float(x) for x in spec.split(",")]
 
@@ -277,12 +277,7 @@ def cmd_fixtures(args) -> int:
         for name, params in FIXTURES.items():
             sys.stdout.write(f"{name}: {params}\n")
         return EXIT_OK
-    params: list[float] = []
-    if args.seed is not None:
-        params.append(float(args.seed))
-    if args.params:
-        params.extend(float(x) for x in args.params.split(","))
-    model = fixture(args.emit, params)
+    model = fixture(args.emit, args.params.split(",") if args.params else [])
     if args.out:
         save_model(model, args.out)
         _diag(f"wrote {args.out}")
@@ -353,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="list built-in fixtures or emit one as a model file")
     p.add_argument("--emit", help="fixture name to materialize")
-    p.add_argument("--params", help="comma-separated fixture parameters")
-    p.add_argument("--seed", type=int, help="seed (prepended to params) for randomized fixtures")
+    p.add_argument("--params", help="comma-separated fixture parameters; random_full_rank takes its seed first")
     p.add_argument("--out", help="output model file path")
     return parser
 

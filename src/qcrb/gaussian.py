@@ -25,7 +25,6 @@ from .model import _check_dbeta, _check_weight, _label, _positive_int, _real_mat
 
 __all__ = [
     "GaussianShiftModel",
-    "GaussianMeasurement",
     "symplectic_form",
     "validate_cm",
     "gaussian_fim",
@@ -68,13 +67,6 @@ class GaussianShiftModel:
     def weight_or_default(self) -> np.ndarray:
         q = self.dbeta_or_default().shape[1]
         return np.eye(q) if self.weight is None else np.asarray(self.weight, dtype=float)
-
-
-@dataclass(frozen=True)
-class GaussianMeasurement:
-    """General-dyne measurement, characterized by its physical CM."""
-
-    cm_m: np.ndarray
 
 
 def symplectic_form(k: int) -> np.ndarray:
@@ -127,9 +119,9 @@ def _information(cm: np.ndarray, dr: np.ndarray, name: str) -> np.ndarray:
     return 2.0 * (g.T @ g)
 
 
-def gaussian_fim(model: GaussianShiftModel, meas: GaussianMeasurement) -> np.ndarray:
-    """Classical information matrix 2 (∂r)ᵀ (σ + σ_m)⁻¹ ∂r of general-dyne outcomes."""
-    return _information(np.asarray(model.cm, dtype=float) + np.asarray(meas.cm_m, dtype=float), model.djacobian,
+def gaussian_fim(model: GaussianShiftModel, cm_m: np.ndarray) -> np.ndarray:
+    """Classical information matrix 2 (∂r)ᵀ (σ + σ_m)⁻¹ ∂r of general-dyne outcomes, σ_m = ``cm_m``."""
+    return _information(np.asarray(model.cm, dtype=float) + np.asarray(cm_m, dtype=float), model.djacobian,
                         "sigma + sigma_m")
 
 
@@ -145,7 +137,7 @@ def half_qfim_check(model: GaussianShiftModel) -> tuple[np.ndarray, np.ndarray, 
     model: 2(σ+σ)⁻¹ = σ⁻¹ identically.
     """
     j = gaussian_qfim(model)
-    f = gaussian_fim(model, GaussianMeasurement(cm_m=np.asarray(model.cm, dtype=float)))
+    f = gaussian_fim(model, model.cm)
     return f, j, float(np.abs(f - j / 2).max())
 
 
@@ -205,14 +197,15 @@ def save_gaussian_model(model: GaussianShiftModel, path) -> None:
     write_json(gaussian_model_to_dict(model), path)
 
 
-def load_measurement(path, modes: int) -> GaussianMeasurement:
-    """Load and validate a measurement CM file {"cm": [[...]]}, as :func:`load_gaussian_model` does."""
+def load_measurement(path, modes: int) -> np.ndarray:
+    """Load and validate a measurement CM file {"cm": [[...]]}, as :func:`load_gaussian_model` does;
+    returns σ_m, the matrix :func:`gaussian_fim` takes."""
     def parse(data):
         if "cm" not in data:
             raise ValueError("measurement file misses field 'cm'")
         cm_m = _decode_cm(data["cm"], modes)
         if not validate_cm(cm_m, modes):
             raise UnphysicalCovariance("sigma_m + i*Omega has negative eigenvalues")
-        return GaussianMeasurement(cm_m=cm_m)
+        return cm_m
 
     return read_json(path, parse)

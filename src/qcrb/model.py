@@ -386,8 +386,14 @@ def _bloch_state(n: np.ndarray) -> np.ndarray:
 
 
 def fixture(name: str, params) -> QuantumModel:
-    """Construct the built-in model ``name`` of :data:`FIXTURES`, which lists its ``params``."""
+    """Construct the built-in model ``name`` of :data:`FIXTURES`, which lists its ``params``;
+    every parameter must be finite, and those of ``random_full_rank`` integers."""
     params = [float(x) for x in params]
+    if name not in FIXTURES:
+        raise ValueError(f"unknown fixture '{name}'; known: {', '.join(FIXTURE_NAMES)}")
+    for x in params:
+        if not np.isfinite(x) or (name == "random_full_rank" and not x.is_integer()):
+            raise ValueError(f"{name} requires {'integer' if np.isfinite(x) else 'finite'} params, got {x!r}")
     if name == "qubit_bloch":
         if len(params) != 3:
             raise ValueError("qubit_bloch expects params (rx, ry, rz)")
@@ -463,35 +469,34 @@ def fixture(name: str, params) -> QuantumModel:
             weight=np.eye(d - 1),
             label=f"classical_diagonal({', '.join(repr(x) for x in params)})",
         )
-    if name == "random_full_rank":
-        if not params:
-            raise ValueError("random_full_rank expects params (seed[, d[, p[, q]]])")
-        seed = int(params[0])  # defaults d = 3, p = q = 2
-        d = int(params[1]) if len(params) > 1 else 3
-        p = int(params[2]) if len(params) > 2 else 2
-        q = int(params[3]) if len(params) > 3 else 2
-        if d < 2 or p < 1 or q < 1 or q > p:
-            raise ValueError("random_full_rank requires d >= 2 and 1 <= q <= p")
-        if p > d * d - 1:
-            raise ValueError(f"random_full_rank requires p <= d²-1 = {d * d - 1} for a feasible model")
-        rng = np.random.default_rng(seed)
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = g @ g.conj().T
-        rho = 0.9 * rho / np.trace(rho).real + 0.1 * np.eye(d) / d
-        rho = linalg.hermitian_part(rho)
-        drho = []
-        for _ in range(p):
-            h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            h = linalg.hermitian_part(h)
-            h -= np.trace(h).real / d * np.eye(d)
-            drho.append(h)
-        dbeta = rng.normal(size=(p, q))
-        return QuantumModel(
-            dim=d,
-            rho=rho,
-            drho=np.array(drho),
-            dbeta=dbeta,
-            weight=np.eye(q),
-            label=f"random_full_rank(seed={seed}, d={d}, p={p}, q={q})",
-        )
-    raise ValueError(f"unknown fixture '{name}'; known: {', '.join(FIXTURE_NAMES)}")
+    # random_full_rank, the one name left
+    if not params:
+        raise ValueError("random_full_rank expects params (seed[, d[, p[, q]]])")
+    seed = int(params[0])  # defaults d = 3, p = q = 2
+    d = int(params[1]) if len(params) > 1 else 3
+    p = int(params[2]) if len(params) > 2 else 2
+    q = int(params[3]) if len(params) > 3 else 2
+    if d < 2 or p < 1 or q < 1 or q > p:
+        raise ValueError("random_full_rank requires d >= 2 and 1 <= q <= p")
+    if p > d * d - 1:
+        raise ValueError(f"random_full_rank requires p <= d²-1 = {d * d - 1} for a feasible model")
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    rho = 0.9 * rho / np.trace(rho).real + 0.1 * np.eye(d) / d
+    rho = linalg.hermitian_part(rho)
+    drho = []
+    for _ in range(p):
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = linalg.hermitian_part(h)
+        h -= np.trace(h).real / d * np.eye(d)
+        drho.append(h)
+    dbeta = rng.normal(size=(p, q))
+    return QuantumModel(
+        dim=d,
+        rho=rho,
+        drho=np.array(drho),
+        dbeta=dbeta,
+        weight=np.eye(q),
+        label=f"random_full_rank(seed={seed}, d={d}, p={p}, q={q})",
+    )

@@ -33,7 +33,6 @@ __all__ = [
     "povm_fim",
     "influence_operators",
     "unbiasedness_residual",
-    "check_local_unbiasedness",
     "error_covariance",
     "matrix_crb_check",
     "measurement_report",
@@ -154,14 +153,6 @@ def unbiasedness_residual(model: QuantumModel, x_ops: np.ndarray) -> float:
     return float(max(mean_res, deriv_res))
 
 
-def check_local_unbiasedness(povm: DiscretePovm, model: QuantumModel,
-                             beta: np.ndarray) -> tuple[float, bool]:
-    """:func:`unbiasedness_residual` of the measurement's influence operators
-    and a pass flag (residual ≤ ``UNBIAS_TOL``)."""
-    residual = unbiasedness_residual(model, influence_operators(povm, beta))
-    return residual, residual <= UNBIAS_TOL
-
-
 def error_covariance(povm: DiscretePovm, rho: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Mean square error matrix Σ = Σ_x (β̌(x) − β)(β̌(x) − β)ᵀ p(x)."""
     deviations = np.asarray(povm.estimates, dtype=float) - np.asarray(beta, dtype=float)
@@ -191,7 +182,11 @@ def matrix_crb_check(report: MeasurementReport, model: QuantumModel) -> tuple[fl
 def measurement_report(povm: DiscretePovm, model: QuantumModel,
                        beta: np.ndarray) -> MeasurementReport:
     """Σ, the influence operators and the unbiasedness residual, each computed once, of a
-    validated ``povm`` (:func:`load_povm` validates a file's) on ``model``; only the dimensions are checked here."""
+    validated ``povm`` (:func:`load_povm` validates a file's) on ``model``; checked here only
+    against the model: one ``estimates`` column per target, then the dimension."""
+    q = model.n_targets
+    if povm.estimates.shape[1] != q:
+        raise ModelError(f"estimates: {povm.estimates.shape[1]} column(s), expected the model's q = {q}")
     if povm.dim != model.dim:
         raise ModelError(f"POVM dimension {povm.dim} does not match model dimension {model.dim}")
     influence = influence_operators(povm, beta)

@@ -34,7 +34,6 @@ __all__ = [
     "decide_qfim",
     "d_invariance_residual",
     "information",
-    "infeasible_columns",
 ]
 
 RESIDUAL_TOL = 1e-8
@@ -177,16 +176,6 @@ def decide_qfim(j_eig: tuple, dbeta: np.ndarray,
         )
     pinv = (vecs * np.divide(1.0, vals, out=np.zeros_like(vals), where=kept)) @ vecs.T
     return kept, (pinv + pinv.T) / 2
-
-
-def infeasible_columns(j_eig: tuple, dbeta: np.ndarray, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> list[int]:
-    """Indices of dbeta columns outside the range of J (empty iff estimable),
-    as :func:`decide_qfim` finds them."""
-    try:
-        decide_qfim(j_eig, dbeta, rank_tol)
-    except InfeasibleModel as exc:
-        return exc.bad_columns
-    return []
 
 
 def analyze(model: QuantumModel, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> ModelAnalysis:

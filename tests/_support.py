@@ -15,10 +15,11 @@ import dataclasses
 import numpy as np
 
 from qcrb import linalg
-from qcrb.gaussian import GaussianMeasurement, GaussianShiftModel
+from qcrb.exceptions import InfeasibleModel
+from qcrb.gaussian import GaussianShiftModel
 from qcrb.model import QuantumModel, fixture
 from qcrb.povm import DiscretePovm, born_probs
-from qcrb.sld import analyze, infeasible_columns
+from qcrb.sld import analyze, decide_qfim
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -199,7 +200,9 @@ def random_model(
         svals = np.linalg.svd(dbeta, compute_uv=False)
         if svals.min() <= 1e-8 * svals.max():
             continue
-        if infeasible_columns(linalg.symmetric_eigh(analysis.qfim), dbeta):
+        try:
+            decide_qfim(linalg.symmetric_eigh(analysis.qfim), dbeta)
+        except InfeasibleModel:
             continue
         weight = random_weight(rng, q) if weighted else np.eye(q)
         return QuantumModel(dim=d, rho=rho, drho=drho, dbeta=dbeta, weight=weight,
@@ -433,9 +436,9 @@ def weighted_tracenorm_check(w: np.ndarray, a: np.ndarray) -> tuple[float, float
 
 
 def generaldyne_logdensity(r_out: np.ndarray, model: GaussianShiftModel,
-                           meas: GaussianMeasurement) -> float:
-    """Log of the general-dyne outcome density at ``r_out``."""
-    total = np.asarray(model.cm, dtype=float) + np.asarray(meas.cm_m, dtype=float)
+                           cm_m: np.ndarray) -> float:
+    """Log of the general-dyne outcome density at ``r_out`` of the measurement σ_m = ``cm_m``."""
+    total = np.asarray(model.cm, dtype=float) + np.asarray(cm_m, dtype=float)
     dev = np.asarray(r_out, dtype=float) - np.asarray(model.mean, dtype=float)
     if dev.shape != (2 * model.modes,):
         raise ValueError(f"outcome vector has shape {dev.shape}, expected ({2 * model.modes},)")

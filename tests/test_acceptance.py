@@ -15,11 +15,12 @@ import numpy as np
 from qcrb import linalg
 from qcrb.bounds import c_d, c_gs, sandwich
 from qcrb.cli import main
-from qcrb.gaussian import GaussianMeasurement, GaussianShiftModel, gaussian_qfim, half_qfim_check
+from qcrb.exceptions import InfeasibleModel
+from qcrb.gaussian import GaussianShiftModel, gaussian_qfim, half_qfim_check
 from qcrb.holevo import solve
 from qcrb.model import fixture
 from qcrb.povm import error_covariance, matrix_crb_check, measurement_report
-from qcrb.sld import analyze, infeasible_columns
+from qcrb.sld import analyze, decide_qfim
 from _support import (
     belavkin_grishanin_gap,
     direct_holevo_oracle,
@@ -155,7 +156,7 @@ def test_criterion_5_fixture_values():
         assert np.abs(gaussian_qfim(vacuum) - 2 * np.eye(2)).max() <= 1e-12
         from qcrb.gaussian import gaussian_fim
 
-        het = gaussian_fim(vacuum, GaussianMeasurement(cm_m=np.eye(2)))
+        het = gaussian_fim(vacuum, np.eye(2))
         assert np.abs(het - np.eye(2)).max() <= 1e-12
 
 
@@ -224,7 +225,11 @@ def test_criterion_9_feasibility_oracle():
                 shift = kernel @ rng.normal(size=(kernel.shape[1], q))
                 shift *= 10.0 ** rng.integers(-2, 3) / max(np.abs(shift).max(), 1e-300)
                 dbeta = dbeta + shift
-            predicate = not infeasible_columns(linalg.symmetric_eigh(j), dbeta)
+            try:
+                decide_qfim(linalg.symmetric_eigh(j), dbeta)
+                predicate = True
+            except InfeasibleModel:
+                predicate = False
             sol, *_ = np.linalg.lstsq(j, dbeta, rcond=None)
             oracle = bool(np.abs(j @ sol - dbeta).max() <= 1e-8)
             disagreements += predicate != oracle
@@ -234,8 +239,8 @@ def test_criterion_9_feasibility_oracle():
 def test_criterion_10_determinism(tmp_path, capsys):
     with report("10 (byte-identical CLI reports across runs)"):
         model_path = tmp_path / "seeded.json"
-        assert main(["fixtures", "--emit", "random_full_rank", "--seed", "17",
-                     "--params", "3,3,2", "--out", str(model_path)]) == 0
+        assert main(["fixtures", "--emit", "random_full_rank",
+                     "--params", "17,3,3,2", "--out", str(model_path)]) == 0
         capsys.readouterr()
 
         outputs = []

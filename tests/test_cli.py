@@ -685,11 +685,11 @@ class TestCheckPovm:
     def test_measurement_work_done_once(self, tmp_path, monkeypatch, capsys):
         ppath, mpath = self.make_files(tmp_path)
         calls = count_calls(monkeypatch, povm_mod, ["influence_operators", "born_probs", "unbiasedness_residual",
-                                                    "error_covariance", "povm_fim", "check_local_unbiasedness"])
+                                                    "error_covariance", "povm_fim"])
         assert main(["check-povm", ppath, mpath]) == 0
         # Σ takes the one probability vector; no classical information matrix is formed
         assert calls == {"influence_operators": 1, "born_probs": 1, "unbiasedness_residual": 1,
-                         "error_covariance": 1, "povm_fim": 0, "check_local_unbiasedness": 0}
+                         "error_covariance": 1, "povm_fim": 0}
 
     def test_povm_validated_once(self, tmp_path, monkeypatch, capsys):
         ppath, mpath = self.make_files(tmp_path)
@@ -802,6 +802,20 @@ class TestSweep:
     def test_unknown_fixture(self, capsys):
         assert main(["sweep", "nope", "0,1"]) == 1
         assert "unknown fixture" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_grid_count_below_one(self, count, capsys):
+        assert main(["sweep", "qubit_xy_at_z", f"0:0.9:{count}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # not even the CSV header
+        assert captured.err == f"error: grid count must be >= 1, got {count}\n"
+
+    def test_non_integer_seed_row(self, capsys):
+        """A random_full_rank row at seed 0.5 would repeat seed 0's bounds: the sweep refuses it."""
+        assert main(["sweep", "random_full_rank", "0:1:3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: random_full_rank requires integer params, got 0.5\n"
 
 
 class TestExitCodes:
@@ -1040,9 +1054,34 @@ class TestFixturesCommand:
 
     def test_emit_seeded_random(self, tmp_path, capsys):
         out = tmp_path / "r.json"
-        assert main(["fixtures", "--emit", "random_full_rank", "--seed", "5",
+        assert main(["fixtures", "--emit", "random_full_rank", "--params", "5",
                      "--out", str(out)]) == 0
         assert main(["bounds", str(out)]) == 0
+
+    def test_no_seed_flag(self, capsys):
+        """The seed is random_full_rank's first parameter and has no flag of its own."""
+        assert main(["fixtures", "--emit", "random_full_rank", "--seed", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unrecognized arguments: --seed 5\n"
+        with pytest.raises(SystemExit):
+            main(["fixtures", "--help"])
+        assert "--seed" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("random_full_rank", "inf", "random_full_rank requires finite params, got inf"),
+        ("pure_qubit_angles", "inf,0", "pure_qubit_angles requires finite params, got inf"),
+        ("classical_diagonal", "nan", "classical_diagonal requires finite params, got nan"),
+        ("qubit_bloch", "0.1,-inf,0.2", "qubit_bloch requires finite params, got -inf"),
+        ("random_full_rank", "5,3.7,2,2", "random_full_rank requires integer params, got 3.7"),
+        ("random_full_rank", "0.5", "random_full_rank requires integer params, got 0.5"),
+    ], ids=["inf-seed", "inf-angle", "nan-probability", "inf-bloch", "fractional-d", "fractional-seed"])
+    def test_bad_params_exit_1_on_one_line(self, name, params, message, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["fixtures", "--emit", name, f"--params={params}", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: {message}\n"
 
 
 class TestDeterminism:
@@ -1064,8 +1103,8 @@ class TestDeterminism:
 
     def test_seeded_fixture_byte_identical(self, tmp_path, capsys):
         path = tmp_path / "r.json"
-        assert main(["fixtures", "--emit", "random_full_rank", "--seed", "11",
-                     "--params", "3,2,2", "--out", str(path)]) == 0
+        assert main(["fixtures", "--emit", "random_full_rank",
+                     "--params", "11,3,2,2", "--out", str(path)]) == 0
         capsys.readouterr()
         _, out1 = self.run_capture(["bounds", str(path), "--format", "json"], capsys)
         _, out2 = self.run_capture(["bounds", str(path), "--format", "json"], capsys)

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from qcrb.exceptions import RankDeficientDbeta, UnphysicalCovariance
 from qcrb.gaussian import (
-    GaussianMeasurement,
     GaussianShiftModel,
     gaussian_fim,
     gaussian_qfim,
@@ -71,19 +70,19 @@ class TestValidateCm:
 
 class TestInformationMatrices:
     def test_vacuum_heterodyne(self):
-        f = gaussian_fim(vacuum_model(), GaussianMeasurement(cm_m=np.eye(2)))
+        f = gaussian_fim(vacuum_model(), np.eye(2))
         assert_allclose(f, np.eye(2), atol=1e-12)
 
     def test_thermal_heterodyne(self):
         n = 2.0
         model = GaussianShiftModel(modes=1, djacobian=np.eye(2),
                                    cm=(2 * n + 1) * np.eye(2), mean=np.zeros(2))
-        f = gaussian_fim(model, GaussianMeasurement(cm_m=np.eye(2)))
+        f = gaussian_fim(model, np.eye(2))
         assert_allclose(f, np.eye(2) / (n + 1), atol=1e-12)
 
     def test_zero_jacobian(self):
         model = vacuum_model(djacobian=np.zeros((2, 2)))
-        f = gaussian_fim(model, GaussianMeasurement(cm_m=np.eye(2)))
+        f = gaussian_fim(model, np.eye(2))
         assert_allclose(f, np.zeros((2, 2)), atol=1e-15)
 
     def test_vacuum_qfim(self):
@@ -107,8 +106,8 @@ class TestInformationMatrices:
                 modes=k, djacobian=rng.normal(size=(2 * k, int(rng.integers(1, 5)))),
                 cm=random_physical_cm(rng, k), mean=rng.normal(size=2 * k),
             )
-            meas = GaussianMeasurement(cm_m=random_physical_cm(rng, k))
-            gap = gaussian_qfim(model) - gaussian_fim(model, meas)
+            cm_m = random_physical_cm(rng, k)
+            gap = gaussian_qfim(model) - gaussian_fim(model, cm_m)
             assert np.linalg.eigvalsh(gap).min() > -1e-9
 
     def test_fim_monotone_in_measurement_noise(self):
@@ -122,8 +121,8 @@ class TestInformationMatrices:
             cm1 = random_physical_cm(rng, k)
             g = rng.normal(size=(2 * k, 2 * k))
             cm2 = cm1 + g @ g.T  # noisier measurement
-            f1 = gaussian_fim(model, GaussianMeasurement(cm_m=cm1))
-            f2 = gaussian_fim(model, GaussianMeasurement(cm_m=cm2))
+            f1 = gaussian_fim(model, cm1)
+            f2 = gaussian_fim(model, cm2)
             assert np.linalg.eigvalsh(f1 - f2).min() > -1e-9
 
 
@@ -158,15 +157,15 @@ class TestHalfQfim:
 class TestGeneraldyneDensity:
     def test_peak_value(self):
         model = vacuum_model()
-        meas = GaussianMeasurement(cm_m=np.eye(2))
+        cm_m = np.eye(2)
         total = 2 * np.eye(2)
         expected = -np.log(np.pi * np.sqrt(np.linalg.det(total)))
-        assert generaldyne_logdensity(np.zeros(2), model, meas) == pytest.approx(expected)
+        assert generaldyne_logdensity(np.zeros(2), model, cm_m) == pytest.approx(expected)
 
     def test_unit_offset(self):
         model = vacuum_model()
-        meas = GaussianMeasurement(cm_m=np.eye(2))
-        got = generaldyne_logdensity(np.array([1.0, 0.0]), model, meas)
+        cm_m = np.eye(2)
+        got = generaldyne_logdensity(np.array([1.0, 0.0]), model, cm_m)
         assert got == pytest.approx(np.log(np.exp(-0.5) / (2 * np.pi)))
 
     def test_normalization_by_quadrature(self):
@@ -174,7 +173,7 @@ class TestGeneraldyneDensity:
         model = GaussianShiftModel(modes=1, djacobian=np.eye(2),
                                    cm=random_physical_cm(rng, 1, noisy=False),
                                    mean=np.array([0.3, -0.2]))
-        meas = GaussianMeasurement(cm_m=np.eye(2))
+        cm_m = np.eye(2)
         xs = np.linspace(-8, 8, 401)
         grid_x, grid_y = np.meshgrid(xs, xs, indexing="ij")
         dens = np.empty_like(grid_x)
@@ -182,7 +181,7 @@ class TestGeneraldyneDensity:
             for j in range(xs.size):
                 dens[i, j] = np.exp(
                     generaldyne_logdensity(
-                        np.array([grid_x[i, j] + 0.3, grid_y[i, j] - 0.2]), model, meas
+                        np.array([grid_x[i, j] + 0.3, grid_y[i, j] - 0.2]), model, cm_m
                     )
                 )
         total = np.trapezoid(np.trapezoid(dens, xs, axis=1), xs)
@@ -193,19 +192,19 @@ class TestGeneraldyneDensity:
         rng = np.random.default_rng(5)
         model = GaussianShiftModel(modes=1, djacobian=np.array([[1.0, 0.0], [0.5, 1.0]]),
                                    cm=np.diag([1.5, 0.8]), mean=np.zeros(2))
-        meas = GaussianMeasurement(cm_m=np.eye(2))
-        total = model.cm + meas.cm_m
+        cm_m = np.eye(2)
+        total = model.cm + cm_m
         inv_total = np.linalg.inv(total)
         xs = np.linspace(-9, 9, 361)
         grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)  # (n, n, 2)
         dev = grid.reshape(-1, 2)
-        probs = np.array([np.exp(generaldyne_logdensity(r, model, meas)) for r in dev])
+        probs = np.array([np.exp(generaldyne_logdensity(r, model, cm_m)) for r in dev])
         scores = 2.0 * dev @ inv_total @ model.djacobian  # (N, p)
         outer = scores[:, :, None] * scores[:, None, :] * probs[:, None, None]
         fim_emp = np.trapezoid(
             np.trapezoid(outer.reshape(xs.size, xs.size, 2, 2), xs, axis=1), xs, axis=0
         )
-        assert_allclose(fim_emp, gaussian_fim(model, meas), atol=1e-4)
+        assert_allclose(fim_emp, gaussian_fim(model, cm_m), atol=1e-4)
 
 
 class TestGaussianSerialization:
@@ -237,6 +236,18 @@ class TestGaussianSerialization:
     def test_shape_error(self):
         with pytest.raises(ValueError, match="cm"):
             gaussian_model_from_dict({"modes": 2, "cm": [[1.0]], "djacobian": [[1.0]]})
+
+    def test_measurement_is_its_matrix(self, tmp_path):
+        """σ_m loads as the checked array that gaussian_fim takes, with no wrapper around it."""
+        rng = np.random.default_rng(7)
+        cm_m = random_physical_cm(rng, 2)
+        path = tmp_path / "meas.json"
+        write_json({"cm": cm_m.tolist()}, path)
+        loaded = load_measurement(path, 2)
+        assert isinstance(loaded, np.ndarray) and np.array_equal(loaded, cm_m)
+        model = GaussianShiftModel(modes=2, djacobian=rng.normal(size=(4, 2)), cm=random_physical_cm(rng, 2),
+                                   mean=np.zeros(4))
+        assert np.array_equal(gaussian_fim(model, loaded), gaussian_fim(model, cm_m))
 
 
 class TestInputContract:
@@ -280,4 +291,4 @@ class TestInputContract:
         with pytest.raises(UnphysicalCovariance, match=r"^sigma has no Cholesky factor$"):
             gaussian_qfim(model)
         with pytest.raises(UnphysicalCovariance, match=r"^sigma \+ sigma_m has no Cholesky factor$"):
-            gaussian_fim(model, GaussianMeasurement(cm_m=model.cm))
+            gaussian_fim(model, model.cm)

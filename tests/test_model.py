@@ -386,6 +386,14 @@ class TestFixtures:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown fixture"):
             fixture("nope", [1.0])
+        with pytest.raises(ValueError, match="unknown fixture"):
+            fixture("nope", [np.inf])  # the name is judged before its parameters
+
+    def test_random_full_rank_integral_floats(self):
+        """A seed, d, p or q given as a float of integral value is that integer."""
+        a, b = fixture("random_full_rank", [11, 3, 2, 2]), fixture("random_full_rank", [11.0, 3.0, 2.0, 2.0])
+        assert a.label == b.label == "random_full_rank(seed=11, d=3, p=2, q=2)"
+        assert np.array_equal(a.rho, b.rho) and np.array_equal(a.dbeta, b.dbeta)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_all_fixtures_validate(self, name):

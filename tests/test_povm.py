@@ -9,7 +9,6 @@ from qcrb.model import QuantumModel, fixture
 from qcrb.povm import (
     DiscretePovm,
     born_probs,
-    check_local_unbiasedness,
     error_covariance,
     influence_operators,
     load_povm,
@@ -40,6 +39,16 @@ def z_family_model(theta):
         dbeta=np.array([[1.0]]),
         weight=np.array([[1.0]]),
     )
+
+
+def unbiasedness(povm, model, beta):
+    """measurement_report's unbiasedness residual and whether matrix_crb_check accepts it."""
+    report = measurement_report(povm, model, beta)
+    try:
+        matrix_crb_check(report, model)
+    except NotLocallyUnbiased:
+        return report.unbias_residual, False
+    return report.unbias_residual, True
 
 
 def trine_povm():
@@ -162,19 +171,19 @@ class TestInfluenceOperators:
 
 class TestLocalUnbiasedness:
     def test_sz_measurement_is_unbiased(self):
-        residual, ok = check_local_unbiasedness(sz_povm(), z_family_model(0.0), np.zeros(1))
+        residual, ok = unbiasedness(sz_povm(), z_family_model(0.0), np.zeros(1))
         assert ok
         assert residual == pytest.approx(0.0, abs=1e-15)
 
     def test_scaled_estimates_fail(self):
         povm = sz_povm(estimates=((2.0,), (-2.0,)))
-        residual, ok = check_local_unbiasedness(povm, z_family_model(0.0), np.zeros(1))
+        residual, ok = unbiasedness(povm, z_family_model(0.0), np.zeros(1))
         assert not ok
         assert residual == pytest.approx(1.0)
 
     def test_biased_estimates_fail(self):
         povm = sz_povm(estimates=((1.0,), (0.0,)))
-        residual, ok = check_local_unbiasedness(povm, z_family_model(0.0), np.zeros(1))
+        residual, ok = unbiasedness(povm, z_family_model(0.0), np.zeros(1))
         assert not ok
         assert residual == pytest.approx(0.5)
 
@@ -280,7 +289,7 @@ class TestOperationalBounds:
         estimates = np.linalg.solve(design, np.vstack([np.zeros(2), m.dbeta]))
         povm = DiscretePovm(elements=elements, estimates=estimates)
         validate_povm(povm)
-        residual, ok = check_local_unbiasedness(povm, m, np.zeros(2))
+        residual, ok = unbiasedness(povm, m, np.zeros(2))
         assert ok, residual
         sigma = error_covariance(povm, m.rho, np.zeros(2))
         analysis = analyze(m)
@@ -314,6 +323,20 @@ class TestMeasurementReport:
         assert_allclose(report.sigma, [[0.96]])
         assert_allclose(povm_fim(sz_povm(), m), [[1 / 0.96]])
         assert report.influence.shape == (1, 2, 2)
+
+    def test_match_to_model(self):
+        """The estimate columns are checked against q before the dimension, whatever beta is."""
+        m = z_family_model(0.0)
+        two_cols = DiscretePovm(elements=np.array([P_UP, P_DOWN]), estimates=np.zeros((2, 2)))
+        for beta in (np.zeros(1), np.zeros(2)):
+            with pytest.raises(ModelError, match=r"^estimates: 2 column\(s\), expected the model's q = 1$"):
+                measurement_report(two_cols, m, beta)
+        qutrit = DiscretePovm(elements=np.eye(3, dtype=complex)[:, None, :] * np.eye(3)[:, :, None],
+                              estimates=np.zeros((3, 2)))
+        with pytest.raises(ModelError, match=r"^estimates: 2 column\(s\)"):
+            measurement_report(qutrit, m, np.zeros(1))
+        with pytest.raises(ModelError, match=r"^POVM dimension 3 does not match model dimension 2$"):
+            measurement_report(DiscretePovm(elements=qutrit.elements, estimates=np.zeros((3, 1))), m, np.zeros(1))
 
 
 class TestPovmSerialization:

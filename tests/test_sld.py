@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from qcrb.exceptions import InfeasibleModel, KernelBlockDerivative, ResidualTooLarge
 from qcrb.linalg import symmetric_eigh
 from qcrb.model import QuantumModel, fixture
-from qcrb.sld import analyze, compute_slds, infeasible_columns, information
+from qcrb.sld import analyze, compute_slds, decide_qfim, information
 from _support import information_oracle, jordan_product, random_model, sld_oracle, truncated_j_model
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -198,7 +198,11 @@ class TestAgainstOracle:
 
 
 def feasible(j, dbeta):
-    return not infeasible_columns(symmetric_eigh(j), dbeta)
+    try:
+        decide_qfim(symmetric_eigh(j), dbeta)
+    except InfeasibleModel:
+        return False
+    return True
 
 
 class TestFeasibility:
@@ -208,7 +212,9 @@ class TestFeasibility:
     def test_kernel_vector(self):
         j = np.diag([1.0, 0.0])
         assert not feasible(j, np.array([[0.0], [1.0]]))
-        assert infeasible_columns(symmetric_eigh(j), np.array([[0.0], [1.0]])) == [0]
+        with pytest.raises(InfeasibleModel) as raised:
+            decide_qfim(symmetric_eigh(j), np.array([[0.0], [1.0]]))
+        assert raised.value.bad_columns == [0]
 
     def test_nonsingular_always_feasible(self):
         rng = np.random.default_rng(5)
@@ -309,7 +315,11 @@ class TestOneJDecision:
             assert analysis.qfim_range.shape[1] == 3  # the range above roundoff keeps it
             range_drops = bool((analysis.dbeta_range[0] == 0.0).all())
             assert bool((analysis.dbeta_range[0] != 0.0).all()) != range_drops
-            bad = infeasible_columns((vals, vecs), on_it.dbeta, rank_tol)
+            try:
+                decide_qfim((vals, vecs), on_it.dbeta, rank_tol)
+                bad = []
+            except InfeasibleModel as exc:
+                bad = exc.bad_columns
             if bad:
                 with pytest.raises(InfeasibleModel) as raised:
                     analyze(on_it, rank_tol)
