@@ -11,7 +11,6 @@ program assembled in the state's eigenbasis solves for it.
 
 from .bounds import ClosedFormBounds, c_d, c_gs, sandwich
 from .exceptions import (
-    IllDefinedFim,
     InfeasibleModel,
     KernelBlockDerivative,
     ModelError,
@@ -29,13 +28,11 @@ from .gaussian import (
     gaussian_qfim,
     half_qfim_check,
     load_gaussian_model,
-    save_gaussian_model,
     symplectic_form,
     validate_cm,
 )
 from .holevo import HolevoSolution, solve, verify_solution
 from .model import (
-    FIXTURE_NAMES,
     QuantumModel,
     fixture,
     load_model,
@@ -51,8 +48,6 @@ from .povm import (
     load_povm,
     matrix_crb_check,
     measurement_report,
-    povm_fim,
-    save_povm,
     validate_povm,
 )
 from .sld import ModelAnalysis, analyze

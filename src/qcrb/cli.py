@@ -199,7 +199,7 @@ def cmd_check_povm(args) -> int:
     model = load_model(args.model)
     analysis = analyze(model, args.rank_tol)
     q = model.n_targets
-    beta = np.array([float(x) for x in args.beta.split(",")]) if args.beta else np.zeros(q)
+    beta = np.array(_numbers(args.beta, "--beta")) if args.beta else np.zeros(q)
     if beta.shape != (q,):
         raise ValueError(f"--beta needs {q} entries, got {beta.shape[0]}")
 
@@ -241,21 +241,35 @@ def cmd_check_povm(args) -> int:
     return EXIT_OK
 
 
-def _parse_values(spec: str) -> list[float]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError("grid must be 'start:stop:count' or comma-separated values")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValueError(f"grid count must be >= 1, got {count}")
-        return [float(x) for x in np.linspace(start, stop, count)]
-    return [float(x) for x in spec.split(",")]
+def _number(token: str, name: str, kind=float):
+    """``kind`` of ``token``, a value of the argument ``name``; the error names both."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise ValueError(f"{name}: expected {'an integer' if kind is int else 'a number'}, got {token!r}") from None
+
+
+def _numbers(spec: str, name: str) -> list[float]:
+    """The numbers of ``spec``, the comma-separated list given as the argument ``name``."""
+    return [_number(token, name) for token in spec.split(",")]
+
+
+def _grid(spec: str) -> list[float]:
+    """The values of a sweep grid, ``start:stop:count`` or a comma-separated list."""
+    if ":" not in spec:
+        return _numbers(spec, "grid")
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ValueError("grid must be 'start:stop:count' or comma-separated values")
+    start, stop, count = _number(parts[0], "grid"), _number(parts[1], "grid"), _number(parts[2], "grid count", int)
+    if count < 1:
+        raise ValueError(f"grid count must be >= 1, got {count}")
+    return [float(x) for x in np.linspace(start, stop, count)]
 
 
 def cmd_sweep(args) -> int:
-    values = _parse_values(args.values)
-    fixed = [float(x) for x in args.fixed.split(",")] if args.fixed else []
+    values = _grid(args.values)
+    fixed = _numbers(args.fixed, "--fixed") if args.fixed else []
     rows = []
     for value in values:
         model = fixture(args.fixture, [value] + fixed)
@@ -277,7 +291,7 @@ def cmd_fixtures(args) -> int:
         for name, params in FIXTURES.items():
             sys.stdout.write(f"{name}: {params}\n")
         return EXIT_OK
-    model = fixture(args.emit, args.params.split(",") if args.params else [])
+    model = fixture(args.emit, _numbers(args.params, "--params") if args.params else [])
     if args.out:
         save_model(model, args.out)
         _diag(f"wrote {args.out}")

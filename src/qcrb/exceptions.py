@@ -10,7 +10,6 @@ __all__ = [
     "KernelBlockDerivative",
     "ResidualTooLarge",
     "InfeasibleModel",
-    "IllDefinedFim",
     "NotLocallyUnbiased",
     "UnphysicalCovariance",
     "VerificationFailed",
@@ -58,10 +57,6 @@ class InfeasibleModel(ModelError):
     def __init__(self, message: str, bad_columns: list[int] | None = None):
         super().__init__(message)
         self.bad_columns = bad_columns or []
-
-
-class IllDefinedFim(ModelError):
-    """A zero-probability outcome carries a nonzero probability derivative."""
 
 
 class NotLocallyUnbiased(ModelError):

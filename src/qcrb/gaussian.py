@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import UnphysicalCovariance
-from .model import _check_dbeta, _check_weight, _label, _positive_int, _real_matrix, _real_vector, read_json, write_json
+from .model import _check_dbeta, _check_weight, _label, _positive_int, _real_matrix, _real_vector, read_json
 
 __all__ = [
     "GaussianShiftModel",
@@ -31,7 +31,6 @@ __all__ = [
     "gaussian_qfim",
     "half_qfim_check",
     "load_gaussian_model",
-    "save_gaussian_model",
     "load_measurement",
 ]
 
@@ -172,29 +171,9 @@ def gaussian_model_from_dict(data: dict) -> GaussianShiftModel:
     return model
 
 
-def gaussian_model_to_dict(model: GaussianShiftModel) -> dict:
-    out = {
-        "modes": int(model.modes),
-        "cm": [[float(x) for x in row] for row in np.asarray(model.cm, dtype=float)],
-        "djacobian": [[float(x) for x in row] for row in np.asarray(model.djacobian, dtype=float)],
-        "mean": [float(x) for x in np.asarray(model.mean, dtype=float)],
-    }
-    if model.dbeta is not None:
-        out["dbeta"] = [[float(x) for x in row] for row in np.asarray(model.dbeta, dtype=float)]
-    if model.weight is not None:
-        out["weight"] = [[float(x) for x in row] for row in np.asarray(model.weight, dtype=float)]
-    if model.label:
-        out["label"] = model.label
-    return out
-
-
 def load_gaussian_model(path) -> GaussianShiftModel:
     """Load and validate a Gaussian model file; every error keeps its class and names the file."""
     return read_json(path, gaussian_model_from_dict)
-
-
-def save_gaussian_model(model: GaussianShiftModel, path) -> None:
-    write_json(gaussian_model_to_dict(model), path)
 
 
 def load_measurement(path, modes: int) -> np.ndarray:

@@ -37,7 +37,6 @@ __all__ = [
     "model_from_dict",
     "fixture",
     "FIXTURES",
-    "FIXTURE_NAMES",
 ]
 
 TRACE_TOL = 1e-10
@@ -378,7 +377,6 @@ FIXTURES = {
     "classical_diagonal": "params p1..p_{d-1} (>0, sum<1); commuting diagonal model",
     "random_full_rank": "params seed[,d[,p[,q]]]; seeded random full-rank model",
 }
-FIXTURE_NAMES = tuple(FIXTURES)
 
 
 def _bloch_state(n: np.ndarray) -> np.ndarray:
@@ -387,10 +385,10 @@ def _bloch_state(n: np.ndarray) -> np.ndarray:
 
 def fixture(name: str, params) -> QuantumModel:
     """Construct the built-in model ``name`` of :data:`FIXTURES`, which lists its ``params``;
-    every parameter must be finite, and those of ``random_full_rank`` integers."""
+    every parameter must be finite, and those of ``random_full_rank`` integers, its seed >= 0."""
     params = [float(x) for x in params]
     if name not in FIXTURES:
-        raise ValueError(f"unknown fixture '{name}'; known: {', '.join(FIXTURE_NAMES)}")
+        raise ValueError(f"unknown fixture '{name}'; known: {', '.join(FIXTURES)}")
     for x in params:
         if not np.isfinite(x) or (name == "random_full_rank" and not x.is_integer()):
             raise ValueError(f"{name} requires {'integer' if np.isfinite(x) else 'finite'} params, got {x!r}")
@@ -480,6 +478,8 @@ def fixture(name: str, params) -> QuantumModel:
         raise ValueError("random_full_rank requires d >= 2 and 1 <= q <= p")
     if p > d * d - 1:
         raise ValueError(f"random_full_rank requires p <= d²-1 = {d * d - 1} for a feasible model")
+    if seed < 0:
+        raise ValueError(f"random_full_rank requires a seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T

@@ -2,9 +2,9 @@
 
 A measurement is a finite POVM together with per-outcome estimates of the
 target vector.  The operations here audit a measurement against a model:
-Born-rule probabilities, the classical information matrix, the influence
-operators built from the estimates, local unbiasedness, the error
-covariance, and the two matrix Cramér-Rao checks Σ ⪰ V(X) and Σ ⪰ Z(X).
+Born-rule probabilities, the influence operators built from the estimates,
+local unbiasedness, the error covariance, and the two matrix Cramér-Rao
+checks Σ ⪰ V(X) and Σ ⪰ Z(X).
 """
 
 from __future__ import annotations
@@ -14,36 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import IllDefinedFim, ModelError, NotLocallyUnbiased
-from .model import (
-    QuantumModel,
-    _complex_matrix_to_pairs,
-    _pairs_to_complex_matrix,
-    _positive_int,
-    _real_matrix,
-    read_json,
-    write_json,
-)
+from .exceptions import ModelError, NotLocallyUnbiased
+from .model import QuantumModel, _pairs_to_complex_matrix, _positive_int, _real_matrix, read_json
 
 __all__ = [
     "DiscretePovm",
     "MeasurementReport",
     "validate_povm",
     "born_probs",
-    "povm_fim",
     "influence_operators",
     "unbiasedness_residual",
     "error_covariance",
     "matrix_crb_check",
     "measurement_report",
     "load_povm",
-    "save_povm",
 ]
 
 POVM_TOL = 1e-10
 UNBIAS_TOL = 1e-8
-ZERO_PROB = 1e-14
-ZERO_PROB_DERIV = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,10 +40,6 @@ class DiscretePovm:
 
     elements: np.ndarray
     estimates: np.ndarray
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.elements.shape[0]
 
     @property
     def dim(self) -> int:
@@ -102,31 +86,6 @@ def born_probs(povm: DiscretePovm, rho: np.ndarray) -> np.ndarray:
     if probs.min() < -POVM_TOL or abs(probs.sum() - 1.0) > POVM_TOL:
         raise ModelError(f"invalid POVM/state pair: probabilities {probs}")
     return probs
-
-
-def povm_fim(povm: DiscretePovm, model: QuantumModel) -> np.ndarray:
-    """Classical information matrix of the outcome distribution.
-
-    Outcomes with p(x) ≤ 1e−14 contribute nothing, provided all their
-    probability derivatives vanish too; otherwise the matrix entry would
-    diverge and :class:`IllDefinedFim` is raised.
-    """
-    probs = born_probs(povm, model.rho)
-    dprobs = np.array(
-        [[np.trace(dj @ m).real for m in povm.elements] for dj in model.drho]
-    )  # (p, n)
-    p_dim = dprobs.shape[0]
-    fim = np.zeros((p_dim, p_dim))
-    for x in range(povm.n_outcomes):
-        if probs[x] <= ZERO_PROB:
-            if np.abs(dprobs[:, x]).max() > ZERO_PROB_DERIV:
-                raise IllDefinedFim(
-                    f"outcome {x} has probability {probs[x]:.3e} but derivative "
-                    f"{np.abs(dprobs[:, x]).max():.3e}"
-                )
-            continue
-        fim += np.outer(dprobs[:, x], dprobs[:, x]) / probs[x]
-    return (fim + fim.T) / 2
 
 
 def influence_operators(povm: DiscretePovm, beta: np.ndarray) -> np.ndarray:
@@ -225,12 +184,3 @@ def _povm_from_dict(data: dict) -> DiscretePovm:
     povm = DiscretePovm(elements=elements, estimates=estimates)
     validate_povm(povm)
     return povm
-
-
-def save_povm(povm: DiscretePovm, path) -> None:
-    data = {
-        "dim": int(povm.dim),
-        "elements": [_complex_matrix_to_pairs(m) for m in povm.elements],
-        "estimates": [[float(x) for x in row] for row in np.asarray(povm.estimates, dtype=float)],
-    }
-    write_json(data, path)

@@ -3,9 +3,10 @@
 Models are built so that validity is guaranteed by construction:
 derivatives are produced as drho = rho ∘ H with zero-mean Hermitian H,
 which is traceless, carries no kernel×kernel content for any rank of rho,
-and makes H itself an exact SLD representative.  The matrix inequalities
-and the general-dyne density that the tests check the theory with, and
-that the package itself never evaluates, live here too.
+and makes H itself an exact SLD representative.  The matrix inequalities,
+the classical information matrix of a POVM and the general-dyne density
+that the tests check the theory with, and that the package itself never
+evaluates, live here too.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import dataclasses
 import numpy as np
 
 from qcrb import linalg
-from qcrb.exceptions import InfeasibleModel
+from qcrb.exceptions import InfeasibleModel, ModelError
 from qcrb.gaussian import GaussianShiftModel
 from qcrb.model import QuantumModel, fixture
 from qcrb.povm import DiscretePovm, born_probs
@@ -313,6 +314,46 @@ def locally_unbiased_povm(
             return None
         estimates[:, s] = sol
     return DiscretePovm(elements=elements, estimates=estimates)
+
+
+def povm_doc(povm: DiscretePovm) -> dict:
+    """The POVM file of ``povm`` in the documented layout, complex entries as [re, im] pairs."""
+    elements = np.asarray(povm.elements, dtype=complex)
+    return {"dim": povm.dim, "elements": np.stack([elements.real, elements.imag], axis=-1).tolist(),
+            "estimates": np.asarray(povm.estimates, dtype=float).tolist()}
+
+
+ZERO_PROB = 1e-14
+ZERO_PROB_DERIV = 1e-12
+
+
+class IllDefinedFim(ModelError):
+    """A zero-probability outcome carries a nonzero probability derivative."""
+
+
+def povm_fim(povm: DiscretePovm, model: QuantumModel) -> np.ndarray:
+    """Classical information matrix of the outcome distribution.
+
+    Outcomes with p(x) ≤ 1e−14 contribute nothing, provided all their
+    probability derivatives vanish too; otherwise the matrix entry would
+    diverge and :class:`IllDefinedFim` is raised.
+    """
+    probs = born_probs(povm, model.rho)
+    dprobs = np.array(
+        [[np.trace(dj @ m).real for m in povm.elements] for dj in model.drho]
+    )  # (p, n)
+    p_dim = dprobs.shape[0]
+    fim = np.zeros((p_dim, p_dim))
+    for x in range(len(povm.elements)):
+        if probs[x] <= ZERO_PROB:
+            if np.abs(dprobs[:, x]).max() > ZERO_PROB_DERIV:
+                raise IllDefinedFim(
+                    f"outcome {x} has probability {probs[x]:.3e} but derivative "
+                    f"{np.abs(dprobs[:, x]).max():.3e}"
+                )
+            continue
+        fim += np.outer(dprobs[:, x], dprobs[:, x]) / probs[x]
+    return (fim + fim.T) / 2
 
 
 def psd_sqrt(w: np.ndarray, name: str = "weight") -> np.ndarray:

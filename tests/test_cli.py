@@ -18,10 +18,9 @@ from qcrb import povm as povm_mod
 from qcrb.cli import main
 from qcrb.exceptions import (InfeasibleModel, NotLocallyUnbiased, ResidualTooLarge, UnphysicalCovariance,
                              VerificationFailed)
-from qcrb.gaussian import GaussianShiftModel, gaussian_model_to_dict, save_gaussian_model
 from qcrb.model import QuantumModel, fixture, model_to_dict, save_model, write_json
-from qcrb.povm import DiscretePovm, save_povm
-from _support import locally_unbiased_povm, random_model, rotated_weight, singular_weight_models
+from qcrb.povm import DiscretePovm
+from _support import locally_unbiased_povm, povm_doc, random_model, rotated_weight, singular_weight_models
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -64,11 +63,8 @@ def dual_model_file(tmp_path):
 @pytest.fixture
 def vacuum_file(tmp_path):
     path = tmp_path / "vac.json"
-    save_gaussian_model(
-        GaussianShiftModel(modes=1, djacobian=np.eye(2), cm=np.eye(2),
-                           mean=np.zeros(2), label="vacuum displacement"),
-        path,
-    )
+    write_json({"modes": 1, "cm": np.eye(2).tolist(), "djacobian": np.eye(2).tolist(),
+                "mean": [0.0, 0.0], "label": "vacuum displacement"}, path)
     return str(path)
 
 
@@ -251,7 +247,7 @@ class TestBounds:
         while povm is None:
             povm = locally_unbiased_povm(rng, model, np.zeros(1))
         ppath = tmp_path / "povm.json"
-        save_povm(povm, ppath)
+        write_json(povm_doc(povm), ppath)
         argv = {"bounds": ["bounds", sdp_model_file],
                 "check-povm": ["check-povm", str(ppath), sdp_model_file],
                 "sweep": ["sweep", "random_full_rank", "3", "--fixed", "3,2,1"]}[command]
@@ -476,11 +472,8 @@ class TestGaussian:
     def test_small_signal_keeps_relative_rank_tol(self, tmp_path, capsys):
         # J = 2e-12·I is full rank: --rank-tol is relative to its largest eigenvalue
         path = tmp_path / "weak.json"
-        save_gaussian_model(
-            GaussianShiftModel(modes=1, djacobian=1e-6 * np.eye(2), cm=np.eye(2),
-                               mean=np.zeros(2), label="weak displacement"),
-            path,
-        )
+        write_json({"modes": 1, "cm": np.eye(2).tolist(), "djacobian": (1e-6 * np.eye(2)).tolist(),
+                    "mean": [0.0, 0.0], "label": "weak displacement"}, path)
         assert main(["gaussian", str(path), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["two_c_gs"] == pytest.approx(2e12, rel=1e-9)
@@ -488,11 +481,8 @@ class TestGaussian:
 
     def test_unphysical_cm_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        save_gaussian_model(
-            GaussianShiftModel(modes=1, djacobian=np.eye(2), cm=0.5 * np.eye(2),
-                               mean=np.zeros(2)),
-            path,
-        )
+        write_json({"modes": 1, "cm": (0.5 * np.eye(2)).tolist(), "djacobian": np.eye(2).tolist(),
+                    "mean": [0.0, 0.0]}, path)
         assert main(["gaussian", str(path)]) == 2
         assert "unphysical" in capsys.readouterr().err
 
@@ -663,7 +653,7 @@ class TestCheckPovm:
             estimates=np.array(estimates),
         )
         ppath = tmp_path / "povm.json"
-        save_povm(povm, ppath)
+        write_json(povm_doc(povm), ppath)
         return str(ppath), str(mpath)
 
     def test_efficient_measurement_equality(self, tmp_path, capsys):
@@ -685,11 +675,11 @@ class TestCheckPovm:
     def test_measurement_work_done_once(self, tmp_path, monkeypatch, capsys):
         ppath, mpath = self.make_files(tmp_path)
         calls = count_calls(monkeypatch, povm_mod, ["influence_operators", "born_probs", "unbiasedness_residual",
-                                                    "error_covariance", "povm_fim"])
+                                                    "error_covariance"])
         assert main(["check-povm", ppath, mpath]) == 0
-        # Σ takes the one probability vector; no classical information matrix is formed
+        # Σ takes the one probability vector; the package has no classical information matrix to form
         assert calls == {"influence_operators": 1, "born_probs": 1, "unbiasedness_residual": 1,
-                         "error_covariance": 1, "povm_fim": 0}
+                         "error_covariance": 1}
 
     def test_povm_validated_once(self, tmp_path, monkeypatch, capsys):
         ppath, mpath = self.make_files(tmp_path)
@@ -715,8 +705,8 @@ class TestCheckPovm:
         e0 = 1 / (dp0 * (1 + p0 / (1 - p0)))
         estimates = [[e0], [-e0 * p0 / (1 - p0)]] if unbiased else [[5.0], [5.0]]
         ppath = tmp_path / "povm.json"
-        save_povm(DiscretePovm(elements=np.array([element, np.eye(2) - element]),
-                               estimates=np.array(estimates)), ppath)
+        write_json(povm_doc(DiscretePovm(elements=np.array([element, np.eye(2) - element]),
+                                         estimates=np.array(estimates))), ppath)
         return str(ppath), str(mpath)
 
     def test_low_probability_outcome_unbiased_is_optimal(self, tmp_path, capsys):
@@ -735,7 +725,7 @@ class TestCheckPovm:
         _, mpath = self.make_files(tmp_path)
         povm = DiscretePovm(elements=np.array([np.eye(3, dtype=complex)]), estimates=np.zeros((1, 1)))
         ppath = tmp_path / "povm3.json"
-        save_povm(povm, ppath)
+        write_json(povm_doc(povm), ppath)
         assert main(["check-povm", str(ppath), mpath]) == 1
         err = capsys.readouterr().err
         assert "POVM dimension 3 does not match model dimension 2" in err
@@ -757,7 +747,8 @@ class TestCheckPovm:
     def test_invalid_povm_names_the_file(self, tmp_path, capsys):
         _, mpath = self.make_files(tmp_path)
         ppath = tmp_path / "half.json"
-        save_povm(DiscretePovm(elements=np.array([np.eye(2, dtype=complex) / 2]), estimates=np.zeros((1, 1))), ppath)
+        write_json(povm_doc(DiscretePovm(elements=np.array([np.eye(2, dtype=complex) / 2]),
+                                         estimates=np.zeros((1, 1)))), ppath)
         assert main(["check-povm", str(ppath), mpath]) == 1
         assert capsys.readouterr().err == (f"error: {ppath}: POVM elements sum deviates from identity "
                                            "by 5.000e-01\n")
@@ -766,6 +757,16 @@ class TestCheckPovm:
         ppath, mpath = self.make_files(tmp_path, estimates=((1.0, 0.0), (-1.0, 0.0)))
         assert main(["check-povm", ppath, mpath]) == 1
         assert capsys.readouterr().err == f"error: {ppath}: estimates: 2 column(s), expected the model's q = 1\n"
+
+    @pytest.mark.parametrize("beta, message", [
+        ("x", "--beta: expected a number, got 'x'"),
+    ], ids=["not-a-number"])
+    def test_bad_beta_exit_1_on_one_line(self, beta, message, tmp_path, capsys):
+        ppath, mpath = self.make_files(tmp_path)
+        assert main(["check-povm", ppath, mpath, "--beta", beta]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestSweep:
@@ -810,6 +811,18 @@ class TestSweep:
         assert captured.out == ""  # not even the CSV header
         assert captured.err == f"error: grid count must be >= 1, got {count}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["qubit_xy_at_z", "0:1:1.5"], "grid count: expected an integer, got '1.5'"),
+        (["qubit_xy_at_z", "0:x:3"], "grid: expected a number, got 'x'"),
+        (["qubit_xy_at_z", "0,0.5,z"], "grid: expected a number, got 'z'"),
+        (["random_full_rank", "1", "--fixed", "3,2,x"], "--fixed: expected a number, got 'x'"),
+    ], ids=["fractional-count", "bad-stop", "bad-value", "bad-fixed"])
+    def test_bad_number_exit_1_on_one_line(self, argv, message, capsys):
+        assert main(["sweep", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_non_integer_seed_row(self, capsys):
         """A random_full_rank row at seed 0.5 would repeat seed 0's bounds: the sweep refuses it."""
         assert main(["sweep", "random_full_rank", "0:1:3"]) == 1
@@ -831,8 +844,7 @@ class TestExitCodes:
         mpath = tmp_path / "model.json"
         save_model(model, mpath)
         ppath = tmp_path / "povm.json"
-        save_povm(DiscretePovm(elements=np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex),
-                               estimates=np.array([[1.0], [-1.0]])), ppath)
+        write_json(POVM_DOC, ppath)
         return {
             "bounds": ["bounds", str(mpath)],
             "check-povm": ["check-povm", str(ppath), str(mpath)],
@@ -916,9 +928,8 @@ POVM_DOC = {"dim": 2, "elements": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0,
                                    [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
             "estimates": [[1.0], [-1.0]]}
 #: A valid Gaussian model file with every optional field, and a measurement-CM file for it.
-GAUSSIAN_DOC = gaussian_model_to_dict(GaussianShiftModel(
-    modes=1, djacobian=np.eye(2), cm=np.eye(2), mean=np.zeros(2), dbeta=np.eye(2), weight=np.eye(2),
-    label="vacuum displacement"))
+GAUSSIAN_DOC = {"modes": 1, "cm": np.eye(2).tolist(), "djacobian": np.eye(2).tolist(), "mean": [0.0, 0.0],
+                "dbeta": np.eye(2).tolist(), "weight": np.eye(2).tolist(), "label": "vacuum displacement"}
 MEASUREMENT_DOC = {"cm": [[2.0, 0.0], [0.0, 2.0]]}
 
 
@@ -1075,7 +1086,10 @@ class TestFixturesCommand:
         ("qubit_bloch", "0.1,-inf,0.2", "qubit_bloch requires finite params, got -inf"),
         ("random_full_rank", "5,3.7,2,2", "random_full_rank requires integer params, got 3.7"),
         ("random_full_rank", "0.5", "random_full_rank requires integer params, got 0.5"),
-    ], ids=["inf-seed", "inf-angle", "nan-probability", "inf-bloch", "fractional-d", "fractional-seed"])
+        ("random_full_rank", "-1", "random_full_rank requires a seed >= 0, got -1"),
+        ("qubit_bloch", "abc", "--params: expected a number, got 'abc'"),
+    ], ids=["inf-seed", "inf-angle", "nan-probability", "inf-bloch", "fractional-d", "fractional-seed",
+            "negative-seed", "not-a-number"])
     def test_bad_params_exit_1_on_one_line(self, name, params, message, tmp_path, capsys):
         out = tmp_path / "m.json"
         assert main(["fixtures", "--emit", name, f"--params={params}", "--out", str(out)]) == 1

@@ -13,7 +13,7 @@ from qcrb.exceptions import (
     RankDeficientDbeta,
 )
 from qcrb.model import (
-    FIXTURE_NAMES,
+    FIXTURES,
     TRACE_TOL,
     QuantumModel,
     _pairs_to_complex_matrix,
@@ -395,7 +395,7 @@ class TestFixtures:
         assert a.label == b.label == "random_full_rank(seed=11, d=3, p=2, q=2)"
         assert np.array_equal(a.rho, b.rho) and np.array_equal(a.dbeta, b.dbeta)
 
-    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize("name", FIXTURES)
     def test_all_fixtures_validate(self, name):
         params = {
             "qubit_bloch": [0.2, -0.1, 0.4],

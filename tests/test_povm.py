@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcrb.bounds import c_gs, sandwich
-from qcrb.exceptions import IllDefinedFim, ModelError, NotLocallyUnbiased
+from qcrb.exceptions import ModelError, NotLocallyUnbiased
 from qcrb.linalg import pseudoinverse
-from qcrb.model import QuantumModel, fixture
+from qcrb.model import QuantumModel, fixture, write_json
 from qcrb.povm import (
     DiscretePovm,
     born_probs,
@@ -14,13 +14,11 @@ from qcrb.povm import (
     load_povm,
     matrix_crb_check,
     measurement_report,
-    povm_fim,
-    save_povm,
     unbiasedness_residual,
     validate_povm,
 )
 from qcrb.sld import analyze
-from _support import locally_unbiased_povm, random_model
+from _support import IllDefinedFim, locally_unbiased_povm, povm_doc, povm_fim, random_model
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 P_UP = np.diag([1.0, 0.0]).astype(complex)
@@ -343,7 +341,7 @@ class TestPovmSerialization:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "povm.json"
         povm = trine_povm()
-        save_povm(povm, path)
+        write_json(povm_doc(povm), path)
         loaded = load_povm(path)
         assert np.array_equal(loaded.elements, povm.elements)
         assert np.array_equal(loaded.estimates, povm.estimates)
@@ -351,6 +349,6 @@ class TestPovmSerialization:
     def test_rejects_invalid(self, tmp_path):
         path = tmp_path / "povm.json"
         povm = DiscretePovm(elements=np.array([P_UP, P_UP]), estimates=np.zeros((2, 1)))
-        save_povm(povm, path)
+        write_json(povm_doc(povm), path)
         with pytest.raises(ModelError, match="identity"):
             load_povm(path)
